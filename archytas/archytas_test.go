@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tmpl"
@@ -226,6 +227,77 @@ func TestWithoutExamplesChangesRouting(t *testing.T) {
 		t.Errorf("similarity without examples (%.3f) not lower than with (%.3f)",
 			without[0].Similarity, with[0].Similarity)
 	}
+}
+
+func TestRouteReindexesAfterChange(t *testing.T) {
+	tb := NewToolbox()
+	tb.MustRegister(testTool("load_dataset", "Register an input dataset from a local folder of files.",
+		"load the papers from ./pdfs"))
+	tb.MustRegister(testTool("filter_dataset", "Filter the dataset records with a natural language predicate.",
+		"keep only papers about colorectal cancer"))
+	utt := "show the papers dataset statistics"
+	sims := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, s := range tb.Route(utt) {
+			out[s.Tool.Name] = s.Similarity
+		}
+		return out
+	}
+	before := sims()
+
+	tb.MustRegister(testTool("show_statistics", "Show the statistics of the dataset papers.",
+		"show the execution statistics"))
+	after := sims()
+	if top := tb.Route(utt)[0].Tool.Name; top != "show_statistics" {
+		t.Fatalf("registered tool not routable: top = %s", top)
+	}
+	for _, name := range []string{"load_dataset", "filter_dataset"} {
+		if before[name] == 0 || after[name] == before[name] {
+			t.Errorf("%s similarity %v -> %v: the new docstring did not change the idf", name, before[name], after[name])
+		}
+	}
+
+	withExamples := tb.Route(utt)[0].Similarity
+	tb.WithoutExamples()
+	if without := tb.Route(utt)[0].Similarity; without == withExamples {
+		t.Errorf("WithoutExamples after Route kept the old index: similarity %v", without)
+	}
+}
+
+func TestRouteConcurrent(t *testing.T) {
+	build := func() *Toolbox {
+		tb := NewToolbox()
+		tb.MustRegister(testTool("alpha_tool", "Loads data from folders.", "load the folder ./data"))
+		tb.MustRegister(testTool("beta_tool", "Filters records by conditions.", "keep only urgent tickets"))
+		tb.MustRegister(testTool("gamma_tool", "Runs pipelines to completion.", "run the pipeline"))
+		return tb
+	}
+	utts := []string{"load the folder ./x", "keep only urgent records", "run it to completion", "nothing matches"}
+	want := map[string][]Score{}
+	ref := build()
+	for _, u := range utts {
+		want[u] = ref.Route(u)
+	}
+	tb := build()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				u := utts[(g+i)%len(utts)]
+				got := tb.Route(u)
+				for k := range got {
+					if got[k].Tool.Name != want[u][k].Tool.Name || got[k].Similarity != want[u][k].Similarity {
+						t.Errorf("goroutine %d: Route(%q)[%d] = %s %v, want %s %v", g, u, k,
+							got[k].Tool.Name, got[k].Similarity, want[u][k].Tool.Name, want[u][k].Similarity)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAgentInvokeDirect(t *testing.T) {

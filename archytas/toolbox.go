@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/textutil"
 )
@@ -18,6 +19,11 @@ type Toolbox struct {
 	// includeExamples controls whether docstring examples join the routing
 	// text (ablated by experiment E8).
 	includeExamples bool
+
+	// mu guards index, the docstring tf-idf index that Route and RouteByDoc
+	// build on first use; Register and WithoutExamples drop it.
+	mu    sync.Mutex
+	index *textutil.Index
 }
 
 // NewToolbox returns an empty toolbox (examples included in routing).
@@ -29,6 +35,7 @@ func NewToolbox() *Toolbox {
 // toolbox for chaining.
 func (tb *Toolbox) WithoutExamples() *Toolbox {
 	tb.includeExamples = false
+	tb.dropIndex()
 	return tb
 }
 
@@ -42,7 +49,14 @@ func (tb *Toolbox) Register(t *Tool) error {
 	}
 	tb.tools[t.Name] = t
 	tb.order = append(tb.order, t.Name)
+	tb.dropIndex()
 	return nil
+}
+
+func (tb *Toolbox) dropIndex() {
+	tb.mu.Lock()
+	tb.index = nil
+	tb.mu.Unlock()
 }
 
 // MustRegister is Register that panics on error; for static tool sets.
@@ -87,40 +101,16 @@ type Score struct {
 // Route ranks all tools against an utterance: extractable tools first, then
 // by docstring similarity, then registration order for determinism.
 func (tb *Toolbox) Route(utterance string) []Score {
-	corpus := textutil.NewCorpus(nil)
-	docs := make(map[string]string, len(tb.tools))
-	for _, name := range tb.order {
-		d := tb.tools[name].DocText(tb.includeExamples)
-		docs[name] = d
-		corpus.Add(d)
-	}
-	corpus.Add(utterance)
-
-	scores := make([]Score, 0, len(tb.order))
-	for _, name := range tb.order {
-		t := tb.tools[name]
-		s := Score{Tool: t, Similarity: corpus.Similarity(utterance, docs[name])}
-		if t.Extract != nil {
-			if args, ok := t.Extract(utterance); ok {
-				s.Extractable = true
-				s.Args = args
+	scores := tb.similarities(utterance)
+	for i := range scores {
+		if extract := scores[i].Tool.Extract; extract != nil {
+			if args, ok := extract(utterance); ok {
+				scores[i].Extractable = true
+				scores[i].Args = args
 			}
 		}
-		scores = append(scores, s)
 	}
-	pos := map[string]int{}
-	for i, n := range tb.order {
-		pos[n] = i
-	}
-	sort.SliceStable(scores, func(i, j int) bool {
-		if scores[i].Extractable != scores[j].Extractable {
-			return scores[i].Extractable
-		}
-		if scores[i].Similarity != scores[j].Similarity {
-			return scores[i].Similarity > scores[j].Similarity
-		}
-		return pos[scores[i].Tool.Name] < pos[scores[j].Tool.Name]
-	})
+	rank(scores)
 	return scores
 }
 
@@ -128,32 +118,43 @@ func (tb *Toolbox) Route(utterance string) []Score {
 // extractors. This is the paper's docstring-driven selection in isolation;
 // experiment E8 uses it to measure the contribution of docstring examples.
 func (tb *Toolbox) RouteByDoc(utterance string) []Score {
-	corpus := textutil.NewCorpus(nil)
-	docs := make(map[string]string, len(tb.tools))
-	for _, name := range tb.order {
-		d := tb.tools[name].DocText(tb.includeExamples)
-		docs[name] = d
-		corpus.Add(d)
-	}
-	corpus.Add(utterance)
-	scores := make([]Score, 0, len(tb.order))
-	for _, name := range tb.order {
-		scores = append(scores, Score{
-			Tool:       tb.tools[name],
-			Similarity: corpus.Similarity(utterance, docs[name]),
-		})
-	}
-	pos := map[string]int{}
-	for i, n := range tb.order {
-		pos[n] = i
-	}
-	sort.SliceStable(scores, func(i, j int) bool {
-		if scores[i].Similarity != scores[j].Similarity {
-			return scores[i].Similarity > scores[j].Similarity
-		}
-		return pos[scores[i].Tool.Name] < pos[scores[j].Tool.Name]
-	})
+	scores := tb.similarities(utterance)
+	rank(scores)
 	return scores
+}
+
+// similarities scores every tool's docstring against the utterance, in
+// registration order. The docstrings are indexed on the first call after
+// the tool set or the routing text changes.
+func (tb *Toolbox) similarities(utterance string) []Score {
+	tb.mu.Lock()
+	if tb.index == nil {
+		docs := make([]string, len(tb.order))
+		for i, name := range tb.order {
+			docs[i] = tb.tools[name].DocText(tb.includeExamples)
+		}
+		tb.index = textutil.NewIndex(docs)
+	}
+	index := tb.index
+	tb.mu.Unlock()
+	sims := index.Scores(utterance)
+	scores := make([]Score, len(tb.order))
+	for i, name := range tb.order {
+		scores[i] = Score{Tool: tb.tools[name], Similarity: sims[i]}
+	}
+	return scores
+}
+
+// rank orders scores, built in registration order, extractable first and
+// then by descending similarity; the stable sort keeps registration order
+// among ties.
+func rank(scores []Score) {
+	sort.SliceStable(scores, func(i, j int) bool {
+		if scores[i].Extractable != scores[j].Extractable {
+			return scores[i].Extractable
+		}
+		return scores[i].Similarity > scores[j].Similarity
+	})
 }
 
 // Best returns the top routing candidate, or nil when the toolbox is empty

@@ -1,8 +1,8 @@
 // Package textutil provides the lightweight natural-language substrate used
 // across the repository: tokenization, stopword removal, a small suffix
-// stemmer, tf-idf vectorization, cosine similarity, and keyword extraction.
+// stemmer, and a tf-idf index scored by cosine similarity.
 //
-// Two consumers depend on it: the Archytas planner (internal/agent), which
+// Two consumers depend on it: the Archytas planner (archytas), which
 // scores tool docstrings against user utterances, and the simulated LLM
 // semantic fallback (internal/llm), which evaluates natural-language
 // predicates against record text when no corpus ground truth is available.
@@ -141,36 +141,6 @@ func TermFreq(text string) map[string]float64 {
 	return tf
 }
 
-// Cosine returns the cosine similarity between two term-frequency vectors.
-// It returns 0 when either vector is empty.
-func Cosine(a, b map[string]float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	// Iterate over the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var dot float64
-	for k, av := range a {
-		if bv, ok := b[k]; ok {
-			dot += av * bv
-		}
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (norm(a) * norm(b))
-}
-
-func norm(v map[string]float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Overlap returns |terms(a) ∩ terms(b)| / |terms(a)|: the fraction of a's
 // normalized terms that also appear in b. Useful as an asymmetric "is the
 // query covered by the document" score. Returns 0 when a has no terms.
@@ -199,82 +169,97 @@ func Overlap(a, b string) float64 {
 	return float64(hit) / float64(uniq)
 }
 
-// Corpus is a tf-idf model over a set of documents. Build one with
-// NewCorpus, then Vectorize queries/documents against it and compare with
-// Cosine. Zero-value Corpus is not usable.
-type Corpus struct {
+// Index is a tf-idf model over a fixed set of documents, built once with
+// NewIndex. It keeps each document's terms in sorted order with their
+// weights, and the document frequencies, so scoring a query tokenizes only
+// the query.
+type Index struct {
+	docs    []indexedDoc
 	docFreq map[string]int
-	numDocs int
 }
 
-// NewCorpus builds a tf-idf model from the given documents.
-func NewCorpus(docs []string) *Corpus {
-	c := &Corpus{docFreq: map[string]int{}}
-	for _, d := range docs {
-		c.Add(d)
+// indexedDoc is one document's distinct terms in sorted order. w[i] is the
+// tf-idf weight of terms[i]; wq[i] is its weight when the query holds the
+// term too, which adds one to its document frequency.
+type indexedDoc struct {
+	terms []string
+	w, wq []float64
+}
+
+// countTerms returns the distinct normalized terms of text in sorted
+// order, with each term's frequency.
+func countTerms(text string) (terms []string, tf []float64) {
+	all := Terms(text)
+	sort.Strings(all)
+	for _, t := range all {
+		if n := len(terms); n > 0 && terms[n-1] == t {
+			tf[n-1]++
+			continue
+		}
+		terms = append(terms, t)
+		tf = append(tf, 1)
 	}
-	return c
+	return terms, tf
 }
 
-// Add incorporates one document into the document-frequency statistics.
-func (c *Corpus) Add(doc string) {
-	c.numDocs++
-	seen := map[string]bool{}
-	for _, t := range Terms(doc) {
-		if !seen[t] {
-			seen[t] = true
-			c.docFreq[t]++
+// NewIndex builds a tf-idf index over docs.
+func NewIndex(docs []string) *Index {
+	ix := &Index{docs: make([]indexedDoc, len(docs)), docFreq: map[string]int{}}
+	tfs := make([][]float64, len(docs))
+	for i, text := range docs {
+		ix.docs[i].terms, tfs[i] = countTerms(text)
+		for _, t := range ix.docs[i].terms {
+			ix.docFreq[t]++
 		}
 	}
-}
-
-// NumDocs returns the number of documents added to the corpus.
-func (c *Corpus) NumDocs() int { return c.numDocs }
-
-// IDF returns the smoothed inverse document frequency of term t.
-func (c *Corpus) IDF(t string) float64 {
-	df := c.docFreq[t]
-	return math.Log(float64(c.numDocs+1)/float64(df+1)) + 1
-}
-
-// Vectorize returns the tf-idf vector of text under this corpus.
-func (c *Corpus) Vectorize(text string) map[string]float64 {
-	v := map[string]float64{}
-	for t, f := range TermFreq(text) {
-		v[t] = f * c.IDF(t)
-	}
-	return v
-}
-
-// Similarity is a convenience for Cosine(Vectorize(a), Vectorize(b)).
-func (c *Corpus) Similarity(a, b string) float64 {
-	return Cosine(c.Vectorize(a), c.Vectorize(b))
-}
-
-// Keywords returns the top-k terms of text ranked by tf-idf weight under the
-// corpus. Ties break lexicographically so output is deterministic.
-func (c *Corpus) Keywords(text string, k int) []string {
-	v := c.Vectorize(text)
-	type kw struct {
-		term string
-		w    float64
-	}
-	all := make([]kw, 0, len(v))
-	for t, w := range v {
-		all = append(all, kw{t, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
+	for i := range ix.docs {
+		d := &ix.docs[i]
+		d.w, d.wq = make([]float64, len(d.terms)), make([]float64, len(d.terms))
+		for k, t := range d.terms {
+			df := ix.docFreq[t]
+			d.w[k], d.wq[k] = tfs[i][k]*ix.idf(df), tfs[i][k]*ix.idf(df+1)
 		}
-		return all[i].term < all[j].term
-	})
-	if k > len(all) {
-		k = len(all)
 	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].term
+	return ix
+}
+
+// idf is the smoothed inverse document frequency of a term that occurs in
+// df documents, the query counted as one more document of the corpus.
+func (ix *Index) idf(df int) float64 {
+	return math.Log(float64(len(ix.docs)+2)/float64(df+1)) + 1
+}
+
+// Scores returns the cosine similarity between the tf-idf vectors of query
+// and of each document, in document order; 0 when either has no terms. The
+// query joins the corpus as one extra document for the idf. Every sum runs
+// in sorted term order, so equal inputs give bit-identical scores.
+func (ix *Index) Scores(query string) []float64 {
+	qterms, qtf := countTerms(query)
+	qw := make([]float64, len(qterms))
+	var qnorm float64
+	for i, t := range qterms {
+		qw[i] = qtf[i] * ix.idf(ix.docFreq[t]+1)
+		qnorm += qw[i] * qw[i]
+	}
+	qnorm = math.Sqrt(qnorm)
+	out := make([]float64, len(ix.docs))
+	for k, d := range ix.docs {
+		var dot, dnorm float64
+		j := 0
+		for i, t := range d.terms {
+			for j < len(qterms) && qterms[j] < t {
+				j++
+			}
+			if j < len(qterms) && qterms[j] == t {
+				dot += d.wq[i] * qw[j]
+				dnorm += d.wq[i] * d.wq[i]
+			} else {
+				dnorm += d.w[i] * d.w[i]
+			}
+		}
+		if dot != 0 {
+			out[k] = dot / (qnorm * math.Sqrt(dnorm))
+		}
 	}
 	return out
 }

@@ -87,30 +87,32 @@ func TestTermsDropsStopwords(t *testing.T) {
 }
 
 func TestCosineIdentical(t *testing.T) {
-	v := TermFreq("colorectal cancer gene mutation study")
-	if got := Cosine(v, v); math.Abs(got-1) > 1e-9 {
+	text := "colorectal cancer gene mutation study"
+	if got := NewIndex([]string{text, "mortgage refinancing"}).Scores(text)[0]; math.Abs(got-1) > 1e-9 {
 		t.Fatalf("self-cosine = %v, want 1", got)
 	}
 }
 
 func TestCosineOrthogonal(t *testing.T) {
-	a := TermFreq("colorectal cancer")
-	b := TermFreq("mortgage refinancing")
-	if got := Cosine(a, b); got != 0 {
+	if got := NewIndex([]string{"colorectal cancer"}).Scores("mortgage refinancing")[0]; got != 0 {
 		t.Fatalf("orthogonal cosine = %v, want 0", got)
 	}
 }
 
 func TestCosineEmpty(t *testing.T) {
-	if got := Cosine(nil, TermFreq("x y z")); got != 0 {
-		t.Fatalf("empty cosine = %v", got)
+	ix := NewIndex([]string{"", "x y z"})
+	if got := ix.Scores("x y z")[0]; got != 0 {
+		t.Fatalf("empty document cosine = %v", got)
+	}
+	if got := ix.Scores("the of")[1]; got != 0 {
+		t.Fatalf("empty query cosine = %v", got)
 	}
 }
 
 func TestCosineSymmetricAndBounded(t *testing.T) {
 	f := func(a, b string) bool {
-		va, vb := TermFreq(a), TermFreq(b)
-		x, y := Cosine(va, vb), Cosine(vb, va)
+		x := NewIndex([]string{a}).Scores(b)[0]
+		y := NewIndex([]string{b}).Scores(a)[0]
 		return math.Abs(x-y) < 1e-9 && x >= 0 && x <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -141,15 +143,19 @@ func TestOverlapEmptyQuery(t *testing.T) {
 }
 
 func TestCorpusIDFOrdering(t *testing.T) {
-	c := NewCorpus([]string{
+	ix := NewIndex([]string{
 		"colorectal cancer study",
 		"colorectal cancer dataset",
 		"breast cancer dataset",
 		"mortgage refinancing guide",
 	})
+	if ix.docFreq["cancer"] != 3 || ix.docFreq[Stem("mortgage")] != 1 {
+		t.Fatalf("docFreq = %v", ix.docFreq)
+	}
 	// "cancer" appears in 3 docs, "mortgage" in 1: rarer term has higher IDF.
-	if c.IDF("cancer") >= c.IDF("mortgag") && c.IDF("cancer") >= c.IDF("mortgage") {
-		t.Errorf("IDF(cancer)=%v should be < IDF(mortgage)=%v", c.IDF("cancer"), c.IDF(Stem("mortgage")))
+	common, rare := ix.idf(ix.docFreq["cancer"]), ix.idf(ix.docFreq[Stem("mortgage")])
+	if common >= rare {
+		t.Errorf("IDF(cancer)=%v should be < IDF(mortgage)=%v", common, rare)
 	}
 }
 
@@ -159,11 +165,10 @@ func TestCorpusSimilarityRanks(t *testing.T) {
 		"We present a real estate pricing model for urban listings.",
 		"A legal analysis of indemnification clauses in commercial contracts.",
 	}
-	c := NewCorpus(docs)
-	q := "papers about colorectal cancer"
+	scores := NewIndex(docs).Scores("papers about colorectal cancer")
 	best, bestScore := -1, -1.0
-	for i, d := range docs {
-		if s := c.Similarity(q, d); s > bestScore {
+	for i, s := range scores {
+		if s > bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -172,26 +177,25 @@ func TestCorpusSimilarityRanks(t *testing.T) {
 	}
 }
 
-func TestKeywordsDeterministic(t *testing.T) {
-	c := NewCorpus([]string{"alpha beta gamma", "alpha delta", "alpha epsilon"})
-	a := c.Keywords("alpha beta beta gamma", 3)
-	b := c.Keywords("alpha beta beta gamma", 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Keywords not deterministic: %v vs %v", a, b)
+func TestIndexScoresDeterministic(t *testing.T) {
+	docs := []string{
+		"Filter the dataset records with a natural language predicate condition about papers, contracts or listings.",
+		"Extract structured fields such as the dataset name, description and url from each record into a schema.",
+		"Run the pipeline under the chosen policy and report the cost, runtime and quality of the output records.",
 	}
-	if len(a) != 3 {
-		t.Fatalf("Keywords len = %d, want 3", len(a))
-	}
-	if a[0] != "beta" {
-		t.Errorf("top keyword = %q, want beta (tf=2, rare)", a[0])
+	q := "filter papers about colorectal cancer and extract the dataset name, description and url then run"
+	want := NewIndex(docs).Scores(q)
+	for i := 0; i < 100; i++ {
+		if got := NewIndex(docs).Scores(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: Scores = %v, want %v", i, got, want)
+		}
 	}
 }
 
-func TestKeywordsKLargerThanVocab(t *testing.T) {
-	c := NewCorpus([]string{"one two"})
-	got := c.Keywords("one two", 10)
-	if len(got) != 2 {
-		t.Fatalf("Keywords len = %d, want 2", len(got))
+func TestIndexTermCountsSorted(t *testing.T) {
+	terms, tf := countTerms("beta alpha beta the gamma alpha beta")
+	if !reflect.DeepEqual(terms, []string{"alpha", "beta", "gamma"}) || !reflect.DeepEqual(tf, []float64{2, 3, 1}) {
+		t.Fatalf("countTerms = %v %v", terms, tf)
 	}
 }
 

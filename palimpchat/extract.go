@@ -15,15 +15,16 @@ import (
 // router uses as the primary routing signal.
 
 var (
-	quotedRE   = regexp.MustCompile(`"([^"]+)"|'([^']+)'`)
-	pathRE     = regexp.MustCompile(`(?:\.{0,2}/)[\w./\-]+|[\w.\-]+/[\w./\-]+`)
-	asNameRE   = regexp.MustCompile(`\b(?:as|called|named)\s+([A-Za-z_][\w\-]*)`)
-	dollarRE   = regexp.MustCompile(`\$\s*([0-9]+(?:\.[0-9]+)?)`)
-	secondsRE  = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?)\s*(?:seconds|second|secs|sec|s)\b`)
-	minutesRE  = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?)\s*(?:minutes|minute|mins|min)\b`)
-	numberRE   = regexp.MustCompile(`\b([0-9]+)\b`)
-	fieldsRE   = regexp.MustCompile(`(?:with|having)?\s*(?:the\s+)?fields?\s+(.+)$`)
-	schemaKwRE = regexp.MustCompile(`\bschema\b`)
+	quotedRE    = regexp.MustCompile(`"([^"]+)"|'([^']+)'`)
+	pathRE      = regexp.MustCompile(`(?:\.{0,2}/)[\w./\-]+|[\w.\-]+/[\w./\-]+`)
+	asNameRE    = regexp.MustCompile(`\b(?:as|called|named)\s+([A-Za-z_][\w\-]*)`)
+	dollarRE    = regexp.MustCompile(`\$\s*([0-9]+(?:\.[0-9]+)?)`)
+	secondsRE   = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?)\s*(?:seconds|second|secs|sec|s)\b`)
+	minutesRE   = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?)\s*(?:minutes|minute|mins|min)\b`)
+	numberRE    = regexp.MustCompile(`\b([0-9]+)\b`)
+	fieldsRE    = regexp.MustCompile(`(?:with|having)?\s*(?:the\s+)?fields?\s+(.+)$`)
+	schemaKwRE  = regexp.MustCompile(`\bschema\b`)
+	useSchemaRE = regexp.MustCompile(`(?:using|with|into|to)\s+(?:the\s+)?([A-Za-z_][\w]*)\s+schema`)
 )
 
 func lc(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
@@ -169,7 +170,7 @@ func extractConvert(utterance string) (map[string]any, bool) {
 		return nil, false
 	}
 	args := map[string]any{}
-	if m := regexp.MustCompile(`(?:using|with|into|to)\s+(?:the\s+)?([A-Za-z_][\w]*)\s+schema`).FindStringSubmatch(utterance); m != nil {
+	if m := useSchemaRE.FindStringSubmatch(utterance); m != nil {
 		args["schema_name"] = m[1]
 	}
 	// Inline field list: text after the extract verb.
