@@ -324,8 +324,7 @@ func BenchmarkExecEngines(b *testing.B) {
 // queries pushed through pzserve's HTTP API over one shared pz.Context,
 // once admission-limited to a single execution slot ("sequential") and
 // once with 8 ("concurrent"). Reported metrics are wall-clock queries/sec
-// and the cross-query plan-cache hits the repeat traffic earns; the CI
-// smoke step records this benchmark's output as BENCH_serve.json.
+// and the cross-query plan-cache hits the repeat traffic earns.
 func BenchmarkServeThroughput(b *testing.B) {
 	const queries = 16
 	specBody := func(pred string) []byte {
@@ -413,8 +412,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // from manifest statistics and the scan streams records from the file
 // batch by batch, so memory stays bounded by the batch size at any corpus
 // size. Reported metrics are real-time generation and execution
-// throughput plus the run's simulated seconds and dollars; the CI smoke
-// step records this benchmark's output as BENCH_corpus.json.
+// throughput plus the run's simulated seconds and dollars.
 func BenchmarkCorpusScale(b *testing.B) {
 	const docs = 100_000
 	cfg := corpus.SupportConfig{NumTickets: docs, UrgentRate: 0.3, Seed: 17}
@@ -468,8 +466,7 @@ func BenchmarkCorpusScale(b *testing.B) {
 // tags). Partitions model independent shards — each gets the configured
 // per-operator parallelism — so the sharded run must beat the single
 // reader by >= 2x on the simulated clock while producing byte-identical
-// records; the CI smoke step records this benchmark's output as
-// BENCH_shard.json.
+// records.
 func BenchmarkShardScale(b *testing.B) {
 	const docs = 100_000
 	const partitions = 8
@@ -558,8 +555,7 @@ func BenchmarkShardScale(b *testing.B) {
 // in parallel with each other, so on the simulated cluster clock the
 // 4-worker scatter must approach linear scaling (>= 3x) over the single
 // worker while staying byte-identical to the sequential single-process
-// scan; the CI smoke step records this benchmark's output as
-// BENCH_cluster.json.
+// scan.
 func BenchmarkClusterScale(b *testing.B) {
 	const docs = 100_000
 	const partitions = 8

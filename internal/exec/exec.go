@@ -48,8 +48,8 @@ type Config struct {
 	// each with its own range reader and Parallelism-wide worker pools,
 	// modeling shard scale-out — and merges the results back into exact
 	// dataset order. 0/1 keeps the single streaming reader; a plan whose
-	// scan carries its own fan-out hint (ops.PartitionHinter, stamped by
-	// the optimizer) overrides this default.
+	// scan carries its own fan-out (ops.ScanExec.Parts, stamped by the
+	// optimizer) overrides this default.
 	Partitions int
 	// MaxAttempts bounds LLM retries per call (default 3).
 	MaxAttempts int
@@ -211,12 +211,11 @@ func (e *Executor) usePipelined(phys []ops.Physical) bool {
 	if e.cfg.Parallelism > 1 || e.cfg.Partitions > 1 {
 		return true
 	}
-	if len(phys) > 0 {
-		if h, ok := phys[0].(ops.PartitionHinter); ok && h.PartitionHint() > 1 {
-			return true
-		}
+	if len(phys) == 0 {
+		return false
 	}
-	return false
+	sc, ok := phys[0].(*ops.ScanExec)
+	return ok && sc.Parts > 1
 }
 
 // RunSequential executes the plan one operator at a time with full

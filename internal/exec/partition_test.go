@@ -23,8 +23,8 @@ func supportPhys(t *testing.T, n int) []ops.Physical {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := phys[0].(ops.PartitionStreamer); !ok {
-		t.Fatal("scan over an indexed NDJSON source must implement ops.PartitionStreamer")
+	if got := len(phys[0].(*ops.ScanExec).Layout(8)); got < 2 {
+		t.Fatalf("scan over an indexed NDJSON source splits %d ways, want a fan-out", got)
 	}
 	return phys
 }

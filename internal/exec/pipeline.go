@@ -113,6 +113,10 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 	if len(phys) == 0 {
 		return nil, fmt.Errorf("exec: empty physical plan")
 	}
+	scan, ok := phys[0].(*ops.ScanExec)
+	if !ok {
+		return nil, fmt.Errorf("exec: pipelined plan must start with a scan, not %s", phys[0].ID())
+	}
 	root := e.NewCtx()
 	if rc != nil {
 		rc.stats = root.Stats
@@ -131,44 +135,23 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 		})
 	}
 
-	// One stage context per operator: pinned plan position, stage-local
-	// clock, and the stage's resolved worker-pool width.
-	tallies := make([]*simclock.Tally, len(phys))
-	stageCtxs := make([]*ops.Ctx, len(phys))
-	for i, op := range phys {
-		tallies[i] = simclock.NewTally(start)
-		stageCtxs[i] = root.ForOp(i, tallies[i], ops.StageParallelism(op, e.cfg.Parallelism))
-	}
-
 	// Partition fan-out: a plan-carried hint (the optimizer stamps the
 	// scan) wins over the engine default; the source then decides how many
-	// partitions it can actually provide. pplans non-nil selects the
-	// partition-parallel source path below.
+	// partitions it can actually provide. A plain scan is one partition.
 	parts := e.cfg.Partitions
-	if h, ok := phys[0].(ops.PartitionHinter); ok && h.PartitionHint() > 0 {
-		parts = h.PartitionHint()
+	if scan.Parts > 0 {
+		parts = scan.Parts
 	}
-	var pstream ops.PartitionStreamer
-	var pplans []ops.PartitionPlan
-	if parts > 1 {
-		if ps, ok := phys[0].(ops.PartitionStreamer); ok {
-			if plans := ps.PartitionPlans(parts); len(plans) > 1 {
-				pstream, pplans = ps, plans
-			}
-		}
-	}
-	if pstream != nil {
+	layout := scan.Layout(parts)
+	// The partitioned prefix is the scan plus, when the scan splits, every
+	// consecutive streamable stage: those run once per partition; the
+	// first blocking stage (or the sink) is where the partitions merge.
+	prefixEnd := 1
+	if len(layout) > 1 {
 		// Partitioned prefixes run the window once per partition with
 		// interleaved batch order — no coherent swap point. The caller
 		// falls back to the post-run estimate correction.
 		rc = nil
-	}
-	// The partitioned prefix is the scan plus every consecutive streamable
-	// stage: those run once per partition; the first blocking stage (or
-	// the sink) is where the partitions merge. Without fan-out the prefix
-	// is just the source stage.
-	prefixEnd := 1
-	if pstream != nil {
 		for prefixEnd < len(phys) && ops.IsStreamable(phys[prefixEnd]) {
 			prefixEnd++
 		}
@@ -188,209 +171,133 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 		}
 	}
 	size := e.batchSize()
-	// emitBatches chunks recs into size-record, sequence-tagged batches,
-	// sending each downstream (abandoning on cancellation) and reporting
-	// progress — the shared protocol of the source and barrier stages.
-	emitBatches := func(pos int, op ops.Physical, out chan<- batch, recs []*record.Record) {
-		if len(recs) == 0 {
-			// Propagate one empty batch so every downstream stage still
-			// executes (on empty input) and records its stats row — the
-			// sequential engine always calls each operator, and the
-			// per-operator statistics must match across engines.
-			if send(out, batch{}) {
-				e.progress(pos, op, 1, 0)
-			}
-			return
-		}
-		seq := 0
-		for off := 0; off < len(recs); off += size {
-			end := off + size
-			if end > len(recs) {
-				end = len(recs)
-			}
-			if !send(out, batch{seq: seq, recs: recs[off:end]}) {
-				return
-			}
-			seq++
-			e.progress(pos, op, seq, end)
-		}
-	}
 	var wg sync.WaitGroup
 
-	// partTallies[p][i] is partition p's stage-i clock in the partitioned
-	// prefix; the run's wall-clock takes the maximum across partitions,
-	// because partitions execute concurrently. partIn/partOut mirror the
-	// layout with per-cell record counts for the trace's partition spans:
-	// exactly one goroutine writes each (p, i) cell, and they are read
-	// only after wg.Wait, so no locking is needed.
-	var partTallies [][]*simclock.Tally
-	var partIn, partOut [][]int
-
-	switch {
-	case pstream != nil:
-		// Partition-parallel source path: one source+map sub-pipeline per
-		// partition over stages [0, prefixEnd), all feeding the shared
-		// merge channel chans[prefixEnd-1]. Batches carry globally unique
-		// sequence tags precomputed from the partition layout — partition
-		// p's batches start at seqBase[p] — so the seq-tag merge (the
-		// barrier's sort, or the sink's) reassembles exact dataset order
-		// no matter how partition outputs interleave.
-		seqBase := make([]int, len(pplans))
-		next := 0
-		for p, plan := range pplans {
-			seqBase[p] = next
-			next += (plan.Docs + size - 1) / size
+	// Source: one source+map sub-pipeline per partition over stages
+	// [0, prefixEnd), all feeding the shared merge channel
+	// chans[prefixEnd-1]. Batches carry globally unique sequence tags
+	// precomputed from the layout — partition p's batches start at
+	// seqBase[p], and an empty partition still sends one batch — so the
+	// seq-tag merge (the barrier's sort, or the sink's) reassembles exact
+	// dataset order no matter how partition outputs interleave.
+	seqBase := make([]int, len(layout))
+	for p := 1; p < len(layout); p++ {
+		seqBase[p] = seqBase[p-1] + max(1, (layout[p-1]+size-1)/size)
+	}
+	// Cumulative per-stage progress across partitions, emitted under one
+	// lock so counts never appear to regress.
+	var progMu sync.Mutex
+	progBatches := make([]int, prefixEnd)
+	progRecords := make([]int, prefixEnd)
+	note := func(stage, recs int) {
+		progMu.Lock()
+		defer progMu.Unlock()
+		progBatches[stage]++
+		progRecords[stage] += recs
+		e.progress(stage, phys[stage], progBatches[stage], progRecords[stage])
+	}
+	// partTallies[p][i] is partition p's stage-i clock in the prefix; the
+	// run's wall-clock takes the maximum across partitions, because
+	// partitions execute concurrently. partIn/partOut mirror the layout
+	// with per-cell record counts for the trace's partition spans: exactly
+	// one goroutine writes each (p, i) cell, and they are read only after
+	// wg.Wait, so no locking is needed.
+	partTallies := make([][]*simclock.Tally, len(layout))
+	partIn := make([][]int, len(layout))
+	partOut := make([][]int, len(layout))
+	// mergeWG counts the goroutines feeding the merge channel; the closer
+	// goroutine shuts it once every partition has drained.
+	var mergeWG sync.WaitGroup
+	for p := range layout {
+		partIn[p] = make([]int, prefixEnd)
+		partOut[p] = make([]int, prefixEnd)
+		// Exactly one goroutine per partition feeds the merge channel: the
+		// source itself when the prefix is just the scan, the last map
+		// stage otherwise.
+		mergeWG.Add(1)
+		partTallies[p] = make([]*simclock.Tally, prefixEnd)
+		pctxs := make([]*ops.Ctx, prefixEnd)
+		for i := 0; i < prefixEnd; i++ {
+			partTallies[p][i] = simclock.NewTally(start)
+			pctxs[i] = root.ForOp(i, partTallies[p][i], ops.StageParallelism(phys[i], e.cfg.Parallelism))
 		}
-		// Cumulative per-stage progress across partitions, emitted under
-		// one lock so counts never appear to regress.
-		var progMu sync.Mutex
-		progBatches := make([]int, prefixEnd)
-		progRecords := make([]int, prefixEnd)
-		note := func(stage, recs int) {
-			progMu.Lock()
-			defer progMu.Unlock()
-			progBatches[stage]++
-			progRecords[stage] += recs
-			e.progress(stage, phys[stage], progBatches[stage], progRecords[stage])
+		// local[i] carries stage i's output within this partition; the
+		// last prefix stage writes the shared merge channel, which only
+		// the closer below may close.
+		local := make([]chan batch, prefixEnd)
+		for i := 0; i < prefixEnd-1; i++ {
+			local[i] = make(chan batch, pipelineDepth)
 		}
-		// mergeWG counts the goroutines feeding the merge channel; the
-		// closer goroutine shuts it once every partition has drained.
-		var mergeWG sync.WaitGroup
-		partTallies = make([][]*simclock.Tally, len(pplans))
-		partIn = make([][]int, len(pplans))
-		partOut = make([][]int, len(pplans))
-		for p := range pplans {
-			partIn[p] = make([]int, prefixEnd)
-			partOut[p] = make([]int, prefixEnd)
-			// Exactly one goroutine per partition feeds the merge channel:
-			// the source itself when the prefix is just the scan, the last
-			// map stage otherwise.
-			mergeWG.Add(1)
-			partTallies[p] = make([]*simclock.Tally, prefixEnd)
-			pctxs := make([]*ops.Ctx, prefixEnd)
-			for i := 0; i < prefixEnd; i++ {
-				partTallies[p][i] = simclock.NewTally(start)
-				pctxs[i] = root.ForOp(i, partTallies[p][i], ops.StageParallelism(phys[i], e.cfg.Parallelism))
-			}
-			// local[i] carries stage i's output within this partition; the
-			// last prefix stage writes the shared merge channel, which
-			// only the closer below may close.
-			local := make([]chan batch, prefixEnd)
-			for i := 0; i < prefixEnd-1; i++ {
-				local[i] = make(chan batch, pipelineDepth)
-			}
-			local[prefixEnd-1] = chans[prefixEnd-1]
+		local[prefixEnd-1] = chans[prefixEnd-1]
 
-			// Partition source: an independent range reader.
+		// Partition source: an independent reader over its slice of the
+		// dataset (the whole dataset for a plain scan).
+		wg.Add(1)
+		go func(p int, out chan<- batch, sctx *ops.Ctx) {
+			defer wg.Done()
+			if prefixEnd == 1 {
+				defer mergeWG.Done()
+			} else {
+				defer close(out)
+			}
+			seq := seqBase[p]
+			err := scan.Stream(sctx, len(layout), p, size, func(recs []*record.Record) error {
+				if !send(out, batch{seq: seq, recs: recs}) {
+					return cctx.Err() // sends only fail on cancellation
+				}
+				seq++
+				partOut[p][0] += len(recs)
+				note(0, len(recs))
+				return nil
+			})
+			if err != nil && cctx.Err() == nil {
+				fail(0, scan, err)
+			}
+		}(p, local[0], pctxs[0])
+
+		// Per-partition map stages: streamable operators applied batch by
+		// batch, preserving the global sequence tags.
+		for i := 1; i < prefixEnd; i++ {
 			wg.Add(1)
-			go func(p int, out chan<- batch, sctx *ops.Ctx) {
+			go func(pos int, in <-chan batch, out chan<- batch, sctx *ops.Ctx) {
 				defer wg.Done()
-				if prefixEnd == 1 {
+				if pos == prefixEnd-1 {
 					defer mergeWG.Done()
 				} else {
 					defer close(out)
 				}
-				op := phys[0]
-				seq := seqBase[p]
-				err := pstream.StreamPartition(sctx, len(pplans), p, size, func(recs []*record.Record) error {
-					if !send(out, batch{seq: seq, recs: recs}) {
-						return cctx.Err() // sends only fail on cancellation
-					}
-					seq++
-					partOut[p][0] += len(recs)
-					note(0, len(recs))
-					return nil
-				})
-				if err != nil && cctx.Err() == nil {
-					fail(0, op, err)
-				}
-			}(p, local[0], pctxs[0])
-
-			// Per-partition map stages: streamable operators applied batch
-			// by batch, preserving the global sequence tags.
-			for i := 1; i < prefixEnd; i++ {
-				wg.Add(1)
-				go func(pos int, in <-chan batch, out chan<- batch, sctx *ops.Ctx) {
-					defer wg.Done()
-					if pos == prefixEnd-1 {
-						defer mergeWG.Done()
-					} else {
-						defer close(out)
-					}
-					op := phys[pos]
-					for b := range in {
-						outRecs, err := op.Execute(sctx, b.recs)
-						if err != nil {
-							fail(pos, op, err)
-							return
-						}
-						if !send(out, batch{seq: b.seq, recs: outRecs}) {
-							return
-						}
-						partIn[p][pos] += len(b.recs)
-						partOut[p][pos] += len(outRecs)
-						note(pos, len(outRecs))
-					}
-				}(i, local[i-1], local[i], pctxs[i])
-			}
-		}
-		go func() {
-			mergeWG.Wait()
-			close(chans[prefixEnd-1])
-		}()
-
-	default:
-		// Source stage: prefer incremental emission (ops.BatchStreamer — a
-		// scan over a file-backed corpus reads and sends one batch at a time,
-		// bounding memory by batch size); otherwise run the scan once and
-		// chunk its materialized output into tagged batches.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(chans[0])
-			op := phys[0]
-			if bs, ok := op.(ops.BatchStreamer); ok {
-				seq, emitted := 0, 0
-				streamed, err := bs.StreamExecute(stageCtxs[0], size, func(recs []*record.Record) error {
-					if !send(chans[0], batch{seq: seq, recs: recs}) {
-						return cctx.Err() // sends only fail on cancellation
-					}
-					seq++
-					emitted += len(recs)
-					e.progress(0, op, seq, emitted)
-					return nil
-				})
-				if streamed {
-					if err != nil && cctx.Err() == nil {
-						fail(0, op, err)
+				op := phys[pos]
+				for b := range in {
+					outRecs, err := op.Execute(sctx, b.recs)
+					if err != nil {
+						fail(pos, op, err)
 						return
 					}
-					if err == nil && seq == 0 {
-						// Empty dataset: emitBatches' len==0 branch propagates
-						// one empty batch so every downstream stage still
-						// executes and records stats.
-						emitBatches(0, op, chans[0], nil)
+					if !send(out, batch{seq: b.seq, recs: outRecs}) {
+						return
 					}
-					return
+					partIn[p][pos] += len(b.recs)
+					partOut[p][pos] += len(outRecs)
+					note(pos, len(outRecs))
 				}
-			}
-			recs, err := op.Execute(stageCtxs[0], nil)
-			if err != nil {
-				fail(0, op, err)
-				return
-			}
-			emitBatches(0, op, chans[0], recs)
-		}()
+			}(i, local[i-1], local[i], pctxs[i])
+		}
 	}
+	go func() {
+		mergeWG.Wait()
+		close(chans[prefixEnd-1])
+	}()
 
-	// Interior stages downstream of the (possibly partitioned) prefix.
+	// Interior stages downstream of the prefix, each with its own clock
+	// and resolved worker-pool width.
+	tallies := make([]*simclock.Tally, len(phys))
 	for i := prefixEnd; i < len(phys); i++ {
+		tallies[i] = simclock.NewTally(start)
 		wg.Add(1)
-		go func(pos int) {
+		go func(pos int, sctx *ops.Ctx) {
 			defer wg.Done()
 			defer close(chans[pos])
 			op := phys[pos]
-			sctx := stageCtxs[pos]
 			in := chans[pos-1]
 
 			if ops.IsStreamable(op) {
@@ -464,8 +371,19 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 				fail(pos, op, err)
 				return
 			}
-			emitBatches(pos, op, chans[pos], out)
-		}(i)
+			// Re-chunk with fresh tags; empty output still sends one empty
+			// batch so every downstream stage executes and records stats.
+			for seq, off := 0, 0; ; seq, off = seq+1, off+size {
+				end := min(off+size, len(out))
+				if !send(chans[pos], batch{seq: seq, recs: out[off:end:end]}) {
+					return
+				}
+				e.progress(pos, op, seq+1, end)
+				if end == len(out) {
+					return
+				}
+			}
+		}(i, root.ForOp(i, tallies[i], ops.StageParallelism(phys[i], e.cfg.Parallelism)))
 	}
 
 	// Sink: reassemble the last stage's batches in sequence order.
@@ -500,28 +418,24 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 	// Latency (and therefore inside the tallies), while the retry client
 	// additionally sleeps backoff on the shared clock — a diff would
 	// count it twice whenever FailureRate > 0.
-	// Stages of a partitioned prefix ran once per partition, concurrently:
-	// the stage's contribution to the fold is the slowest partition's
-	// clock, which is how fan-out shortens the modeled wall-clock.
-	stageTimes := make([]time.Duration, len(tallies))
-	for i, tl := range tallies {
-		if partTallies != nil && i < prefixEnd {
-			var slowest time.Duration
-			for p := range partTallies {
-				if t := partTallies[p][i].Total(); t > slowest {
-					slowest = t
-				}
-			}
-			stageTimes[i] = slowest
+	// Prefix stages ran once per partition, concurrently: the stage's
+	// contribution to the fold is the slowest partition's clock, which is
+	// how fan-out shortens the modeled wall-clock.
+	stageTimes := make([]time.Duration, len(phys))
+	for i := range phys {
+		if i >= prefixEnd {
+			stageTimes[i] = tallies[i].Total()
 			continue
 		}
-		stageTimes[i] = tl.Total()
+		for p := range partTallies {
+			stageTimes[i] = max(stageTimes[i], partTallies[p][i].Total())
+		}
 	}
 	wall := ops.PipelinedWallTime(phys, stageTimes)
 	e.clock.Sleep(wall)
 	cost := root.Stats.TotalCost()
 	tr := buildRunTrace("pipelined", root.Stats, wall, cost, stageTimes)
-	if partTallies != nil {
+	if len(layout) > 1 {
 		attachPartitionSpans(tr, prefixEnd, partIn, partOut, partTallies)
 	}
 	return &Result{

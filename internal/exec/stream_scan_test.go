@@ -29,9 +29,9 @@ func ndjsonSource(t testing.TB, n int) *dataset.NDJSONSource {
 
 // TestStreamingScanParity runs the support-triage workload over a
 // file-backed NDJSON corpus on both engines. The pipelined engine's
-// source stage streams the file incrementally (ops.BatchStreamer); its
-// outputs and per-operator statistics must match the sequential engine's
-// materializing scan exactly.
+// source stage streams the file incrementally (ScanExec.Stream over a
+// dataset.RecordIterator); its outputs and per-operator statistics must
+// match the sequential engine's materializing scan exactly.
 func TestStreamingScanParity(t *testing.T) {
 	src := ndjsonSource(t, 90)
 	chain, err := workloads.SupportTriageChain(src)
@@ -42,8 +42,8 @@ func TestStreamingScanParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := phys[0].(ops.BatchStreamer); !ok {
-		t.Fatal("scan over an NDJSON source must implement ops.BatchStreamer")
+	if _, ok := phys[0].(*ops.ScanExec).Source.(dataset.RecordIterator); !ok {
+		t.Fatal("NDJSON source must implement dataset.RecordIterator")
 	}
 
 	newExec := func() *Executor {

@@ -62,106 +62,6 @@ func IsStreamable(p Physical) bool {
 	return ok && s.Streamable()
 }
 
-// BatchStreamer is an optional capability of source-position (scan)
-// physical operators: emitting output incrementally in batches instead of
-// one materialized slice. The pipelined executor prefers it for the
-// pipeline's source stage, which is what lets a file-backed corpus flow
-// through the engine without ever being loaded whole.
-type BatchStreamer interface {
-	// StreamExecute emits the operator's output in order, in batches of
-	// up to batchSize records, calling emit once per batch. It reports
-	// ok=false — without having called emit — when incremental emission
-	// is unavailable and the caller should fall back to Execute. An error
-	// from emit aborts the stream and is returned verbatim.
-	StreamExecute(ctx *Ctx, batchSize int, emit func([]*record.Record) error) (ok bool, err error)
-}
-
-// PartitionPlan describes one slice of a partition-parallel scan.
-type PartitionPlan struct {
-	// Part is the partition ordinal in dataset order.
-	Part int
-	// Docs is the partition's exact record count, which is what lets the
-	// engine precompute deterministic global batch sequence numbers per
-	// partition before any record is read.
-	Docs int
-}
-
-// PartitionStreamer is an optional capability of source-position (scan)
-// physical operators: emitting the dataset as independent contiguous
-// partitions, each streamed by its own range reader. The pipelined
-// executor fans one source+map pipeline out per partition and merges the
-// tagged batches back into exact dataset order (see internal/exec), so a
-// partitioned run's output is byte-identical to the sequential scan's.
-type PartitionStreamer interface {
-	// PartitionPlans returns the partition layout for a fan-out of at
-	// most max partitions; nil or a single entry means partitioning is
-	// unavailable and the caller should stream sequentially.
-	PartitionPlans(max int) []PartitionPlan
-	// StreamPartition emits partition part of the layout computed for
-	// parts total partitions, in order, in batches of up to batchSize
-	// records, calling emit once per batch. An error from emit aborts the
-	// stream and is returned verbatim.
-	StreamPartition(ctx *Ctx, parts, part, batchSize int, emit func([]*record.Record) error) error
-}
-
-// PartitionHinter is an optional Physical capability: an operator carrying
-// a partition fan-out resolved ahead of execution (the optimizer stamps
-// the chosen count onto the scan), which the engine honors over its
-// config-level default.
-type PartitionHinter interface {
-	// PartitionHint returns the requested fan-out (0 = no preference,
-	// 1 = explicitly sequential).
-	PartitionHint() int
-}
-
-// ClusterHinter is an optional Physical capability: a scan carrying the
-// cluster worker-pool size its plan was optimized for. The optimizer's
-// pipelined time model clamps a partitioned scan's effective concurrency
-// to the pool size — partitions beyond it queue behind busy workers —
-// while in-process execution ignores the hint (every partition gets its
-// own pipeline regardless).
-type ClusterHinter interface {
-	// ClusterWorkers returns the worker-pool size (0 = no cluster).
-	ClusterWorkers() int
-}
-
-// EffectiveConcurrency resolves how many of a scan's partitions can
-// genuinely execute at once: the effective partition fan-out, clamped to
-// the cluster worker pool when the plan targets one.
-func EffectiveConcurrency(p Physical) int {
-	conc := EffectivePartitions(p)
-	if h, ok := p.(ClusterHinter); ok {
-		if w := h.ClusterWorkers(); w > 0 && w < conc {
-			conc = w
-		}
-	}
-	return conc
-}
-
-// EffectivePartitions resolves the partition fan-out a source-position
-// operator will actually achieve: its hinted fan-out clamped to what the
-// underlying source can provide. 1 means no fan-out. The optimizer uses
-// it so partition-aware time estimates and the engine's actual fan-out
-// can never disagree.
-func EffectivePartitions(p Physical) int {
-	h, ok := p.(PartitionHinter)
-	if !ok {
-		return 1
-	}
-	n := h.PartitionHint()
-	if n < 2 {
-		return 1
-	}
-	ps, ok := p.(PartitionStreamer)
-	if !ok {
-		return 1
-	}
-	if plans := ps.PartitionPlans(n); len(plans) > 1 {
-		return len(plans)
-	}
-	return 1
-}
-
 // ParallelHinter is an optional Physical capability: an operator that wants
 // a worker-pool width different from the engine-wide Config.Parallelism
 // (e.g. pure-CPU operators that gain nothing from overlapping LLM calls)

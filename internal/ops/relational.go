@@ -15,7 +15,8 @@ type ScanExec struct {
 	Source dataset.Source
 	// Parts is the partition fan-out resolved for this scan (0 = engine
 	// default): when > 1 and the source is partitionable, the pipelined
-	// executor opens that many independent range readers. The optimizer
+	// executor opens up to that many independent range readers (see
+	// Layout). The optimizer
 	// stamps it from Options.Partitions so cached plans keep their
 	// fan-out.
 	Parts int
@@ -34,15 +35,15 @@ func (s *ScanExec) ID() string { return fmt.Sprintf("scan(%s)", s.Source.Name())
 // Kind implements Physical.
 func (s *ScanExec) Kind() string { return "scan" }
 
-// Streamable implements Streamer. The pipelined executor runs the scan once
-// as the pipeline source and chunks its output into batches.
+// Streamable implements Streamer. The pipelined executor never calls
+// Execute on a scan: it is the pipeline source, read through Stream.
 func (s *ScanExec) Streamable() bool { return true }
 
 // Estimate implements Physical. Scan sets the initial cardinality; the
 // optimizer pre-populates in.Cardinality/AvgTokens from the source, so the
 // estimate passes through. TimeSec is the sequential model — partition
 // fan-out only shortens the pipelined estimate, which divides the
-// streamable prefix by the effective fan-out (see optimizer).
+// streamable prefix by the scan's Concurrency (see optimizer).
 func (s *ScanExec) Estimate(in Estimate) Estimate {
 	out := in
 	if out.Quality == 0 {
@@ -65,46 +66,90 @@ func (s *ScanExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, err
 	return recs, nil
 }
 
-// StreamExecute implements BatchStreamer: when the dataset supports
-// incremental iteration (dataset.RecordIterator — e.g. a file-backed
-// NDJSON corpus), the scan emits records batch by batch as they are read,
-// so the pipeline's memory stays bounded by the batch size rather than
-// the corpus size. Per-batch statistics sum to exactly what the
-// materializing Execute path records.
-func (s *ScanExec) StreamExecute(ctx *Ctx, batchSize int, emit func([]*record.Record) error) (bool, error) {
-	it, ok := s.Source.(dataset.RecordIterator)
-	if !ok {
-		return false, nil
+// Layout returns the record count of each partition the scan streams as,
+// in dataset order, for a fan-out of at most max. It always has at least
+// one entry: a source that cannot split (no dataset.PartitionedSource
+// index, a corpus too small, max < 2) streams as one partition, reported
+// as {-1} because its size is unknown until read. The pipelined engine
+// numbers batches from the counts of the partitions before the last, so
+// the lone entry is never consulted.
+func (s *ScanExec) Layout(max int) []int {
+	if ps, ok := s.Source.(dataset.PartitionedSource); ok && max > 1 {
+		if layout := ps.PartitionLayout(max); len(layout) > 1 {
+			return layout
+		}
 	}
-	emitted, err := s.streamBatches(ctx, batchSize, emit, it.IterateRecords)
-	if err != nil {
-		return true, err
-	}
-	if emitted == 0 {
-		// Keep the stats row even for an empty dataset, as Execute does.
-		ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, 0)
-	}
-	return true, nil
+	return []int{-1}
 }
 
-// streamBatches drives one record iteration, chunking into batches of up
-// to batchSize, noting scan stats per batch — the shared loop of
-// StreamExecute and StreamPartition.
-func (s *ScanExec) streamBatches(ctx *Ctx, batchSize int, emit func([]*record.Record) error,
-	iterate func(func(*record.Record) error) error) (int, error) {
-	if batchSize < 1 {
-		batchSize = 1
+// Partitions is the fan-out the scan achieves for its stamped Parts: the
+// hint clamped to what the source can provide, 1 for no fan-out. The
+// optimizer's time model and the engine read the same Layout, so the two
+// can never disagree.
+func (s *ScanExec) Partitions() int {
+	if s.Parts < 2 {
+		return 1
 	}
-	buf := make([]*record.Record, 0, batchSize)
-	emitted := 0
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	return len(s.Layout(s.Parts))
+}
+
+// Concurrency is how many of the scan's partitions genuinely execute at
+// once: Partitions, clamped to the cluster worker pool when the plan
+// targets one.
+func (s *ScanExec) Concurrency() int {
+	n := s.Partitions()
+	if s.Workers > 0 && s.Workers < n {
+		return s.Workers
+	}
+	return n
+}
+
+// Stream emits partition part of the scan's parts-way Layout in dataset
+// order, in batches of up to size records, calling emit once per batch;
+// parts = 1 streams the whole dataset. A source that supports incremental
+// iteration (dataset.RecordIterator — e.g. a file-backed NDJSON corpus)
+// is read batch by batch, so memory stays bounded by the batch size
+// rather than the corpus size; any other source is materialized once and
+// emitted as sub-slices of its records. An empty partition emits one
+// empty batch, so every downstream stage still executes and records its
+// stats row, as it does on the sequential engine. Per-batch statistics
+// sum to exactly what Execute records. An error from emit aborts the
+// stream and is returned verbatim.
+func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.Record) error) error {
+	if size < 1 {
+		size = 1
+	}
+	var iterate func(func(*record.Record) error) error
+	if parts > 1 {
+		ps, ok := s.Source.(dataset.PartitionedSource)
+		if !ok {
+			return fmt.Errorf("ops: scan source %s is not partitionable", s.Source.Name())
 		}
+		iterate = func(yield func(*record.Record) error) error {
+			return ps.IteratePartition(parts, part, yield)
+		}
+	} else if it, ok := s.Source.(dataset.RecordIterator); ok {
+		iterate = it.IterateRecords
+	} else {
+		recs, err := s.Source.Records()
+		if err != nil {
+			return err
+		}
+		ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, len(recs))
+		for off := 0; ; off += size {
+			end := min(off+size, len(recs))
+			if err := emit(recs[off:end:end]); err != nil || end == len(recs) {
+				return err
+			}
+		}
+	}
+	buf := make([]*record.Record, 0, size)
+	emitted := false
+	flush := func() error {
 		ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, len(buf))
 		out := buf
-		emitted += len(out)
-		buf = make([]*record.Record, 0, batchSize)
+		emitted = true
+		buf = make([]*record.Record, 0, size)
 		return emit(out)
 	}
 	err := iterate(func(r *record.Record) error {
@@ -112,55 +157,14 @@ func (s *ScanExec) streamBatches(ctx *Ctx, batchSize int, emit func([]*record.Re
 			return err
 		}
 		buf = append(buf, r)
-		if len(buf) == batchSize {
+		if len(buf) == size {
 			return flush()
 		}
 		return nil
 	})
-	if err == nil {
+	if err == nil && (len(buf) > 0 || !emitted) {
 		err = flush()
 	}
-	return emitted, err
-}
-
-// PartitionHint implements PartitionHinter.
-func (s *ScanExec) PartitionHint() int { return s.Parts }
-
-// ClusterWorkers implements ClusterHinter.
-func (s *ScanExec) ClusterWorkers() int { return s.Workers }
-
-// PartitionPlans implements PartitionStreamer: the layout comes from the
-// dataset's PartitionedSource capability (an NDJSON corpus with a
-// manifest partition index). Non-partitionable sources return nil and the
-// engine falls back to the single streaming reader.
-func (s *ScanExec) PartitionPlans(max int) []PartitionPlan {
-	ps, ok := s.Source.(dataset.PartitionedSource)
-	if !ok || max < 2 {
-		return nil
-	}
-	layout := ps.PartitionLayout(max)
-	if len(layout) < 2 {
-		return nil
-	}
-	plans := make([]PartitionPlan, len(layout))
-	for i, docs := range layout {
-		plans[i] = PartitionPlan{Part: i, Docs: docs}
-	}
-	return plans
-}
-
-// StreamPartition implements PartitionStreamer: one independent range
-// reader per partition, batched exactly like StreamExecute. Per-batch
-// statistics across all partitions sum to what the materializing Execute
-// path records.
-func (s *ScanExec) StreamPartition(ctx *Ctx, parts, part, batchSize int, emit func([]*record.Record) error) error {
-	ps, ok := s.Source.(dataset.PartitionedSource)
-	if !ok {
-		return fmt.Errorf("ops: scan source %s is not partitionable", s.Source.Name())
-	}
-	_, err := s.streamBatches(ctx, batchSize, emit, func(yield func(*record.Record) error) error {
-		return ps.IteratePartition(parts, part, yield)
-	})
 	return err
 }
 

@@ -25,10 +25,10 @@ func TestClusterAwareTimeEstimates(t *testing.T) {
 	if !ok || sc.Workers != 2 {
 		t.Fatalf("optimizer did not stamp the worker pool onto the scan: %+v", clustered.Ops[0])
 	}
-	if got := ops.EffectivePartitions(clustered.Ops[0]); got != 8 {
+	if got := sc.Partitions(); got != 8 {
 		t.Fatalf("effective partitions = %d, want 8 (the pool caps concurrency, not the split)", got)
 	}
-	if got := ops.EffectiveConcurrency(clustered.Ops[0]); got != 2 {
+	if got := sc.Concurrency(); got != 2 {
 		t.Fatalf("effective concurrency = %d, want clamp to 2 workers", got)
 	}
 	if clustered.Time() <= parted.Time() {
@@ -49,7 +49,7 @@ func TestClusterPoolLargerThanFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ops.EffectiveConcurrency(plan.Ops[0]); got != 4 {
+	if got := plan.Ops[0].(*ops.ScanExec).Concurrency(); got != 4 {
 		t.Errorf("effective concurrency = %d, want 4 (partitions bound a wide pool)", got)
 	}
 }

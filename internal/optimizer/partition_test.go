@@ -45,8 +45,8 @@ func TestPartitionAwareTimeEstimates(t *testing.T) {
 	if !ok || sc.Parts != 8 {
 		t.Fatalf("optimizer did not stamp the fan-out onto the scan: %+v", parted.Ops[0])
 	}
-	if ops.EffectivePartitions(parted.Ops[0]) != 8 {
-		t.Fatalf("effective partitions = %d, want 8", ops.EffectivePartitions(parted.Ops[0]))
+	if sc.Partitions() != 8 {
+		t.Fatalf("effective partitions = %d, want 8", sc.Partitions())
 	}
 	if parted.Time() >= base.Time() {
 		t.Errorf("partitioned estimate %.3fs not below single-reader %.3fs", parted.Time(), base.Time())
@@ -71,7 +71,7 @@ func TestPartitionEstimateClampsToSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ops.EffectivePartitions(plan.Ops[0]); got != 10 {
+	if got := plan.Ops[0].(*ops.ScanExec).Partitions(); got != 10 {
 		t.Errorf("effective partitions = %d, want clamp to 10 checkpoints", got)
 	}
 }

@@ -362,7 +362,7 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 // per-operator time deltas folded by the engine's shared wall-clock model
 // (ops.PipelinedWallTime). A partitioned scan fans the plan's streamable
 // prefix out into per-partition pipelines, so those stages' deltas divide
-// by the effective concurrency — the fan-out the source can provide,
+// by the scan's Concurrency — the fan-out the source can provide,
 // clamped to the cluster worker-pool size when the plan targets scatter
 // execution (workers run their partitions serially) — the same
 // max-across-executors model the engine and coordinator apply to their
@@ -374,8 +374,8 @@ func pipelinedTimeSec(p *Plan) float64 {
 		deltas[i] = p.PerOp[i].TimeSec - prev
 		prev = p.PerOp[i].TimeSec
 	}
-	if parts := ops.EffectiveConcurrency(p.Ops[0]); parts > 1 {
-		f := float64(parts)
+	if sc, ok := p.Ops[0].(*ops.ScanExec); ok {
+		f := float64(sc.Concurrency())
 		for i := range p.Ops {
 			if i > 0 && !ops.IsStreamable(p.Ops[i]) {
 				break

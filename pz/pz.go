@@ -580,18 +580,7 @@ func (c *Context) ExecuteContext(ctx context.Context, d *Dataset, policy Policy)
 	if d.err != nil {
 		return nil, d.err
 	}
-	res, err := c.executor.ExecuteContext(ctx, d.chain, policy, optimizer.Options{
-		Pruning:           c.cfg.Pruning,
-		SampleSize:        c.cfg.SampleSize,
-		Partitions:        d.partitions,
-		ClusterWorkers:    c.cfg.ClusterWorkers,
-		NoCascade:         c.cfg.NoCascade,
-		CascadeSample:     c.cfg.CascadeSample,
-		CascadeMinRecall:  c.cfg.CascadeMinRecall,
-		ReoptAfterBatches: d.resolveReoptAfter(),
-		ReoptDivergence:   d.resolveReoptDivergence(),
-		Priors:            c.priors(),
-	})
+	res, err := c.executor.ExecuteContext(ctx, d.chain, policy, c.optimizerOptions(d))
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +605,15 @@ type OptimizerOptions = optimizer.Options
 // with the engine choice resolved (Pipelined reflects Parallelism and the
 // partition fan-out). The serving layer fingerprints queries with these so
 // cached plans are only reused under identical optimization settings.
-func (c *Context) OptimizerOptions() OptimizerOptions {
-	return optimizer.Options{
+func (c *Context) OptimizerOptions() OptimizerOptions { return c.optimizerOptions(nil) }
+
+// optimizerOptions is the one place a Context's configuration becomes
+// optimizer options, with d's per-pipeline overrides (WithPartitions,
+// WithReopt) applied when d is non-nil. Execute, OptimizeOnly and the
+// serving fingerprint all resolve through it, so explaining a plan and
+// running it optimize the same problem.
+func (c *Context) optimizerOptions(d *Dataset) optimizer.Options {
+	o := optimizer.Options{
 		Pruning:           c.cfg.Pruning,
 		SampleSize:        c.cfg.SampleSize,
 		Partitions:        c.cfg.Partitions,
@@ -630,6 +626,20 @@ func (c *Context) OptimizerOptions() OptimizerOptions {
 		ReoptDivergence:   c.cfg.ReoptDivergence,
 		Priors:            c.priors(),
 	}
+	if d == nil {
+		return o
+	}
+	if d.partitions != 0 {
+		o.Partitions = d.partitions
+		// Mirrors the executor's resolution: a per-pipeline fan-out
+		// request selects the streaming model, and a context-level one
+		// keeps it selected even when the pipeline opts back down to a
+		// single reader.
+		o.Pipelined = o.Pipelined || d.partitions > 1
+	}
+	o.ReoptAfterBatches = d.resolveReoptAfter()
+	o.ReoptDivergence = d.resolveReoptDivergence()
+	return o
 }
 
 // priors converts Config.EstimatePriors into the optimizer's calibration
@@ -666,23 +676,7 @@ func (d *Dataset) resolveReoptDivergence() float64 {
 // overrides applied (WithPartitions) — the exact options ExecuteContext
 // will resolve for d, which is what the serving layer must fingerprint so
 // queries with different fan-outs never share a cached plan.
-func (c *Context) OptimizerOptionsFor(d *Dataset) OptimizerOptions {
-	o := c.OptimizerOptions()
-	if d == nil {
-		return o
-	}
-	if d.partitions != 0 {
-		o.Partitions = d.partitions
-		// Mirrors the executor's resolution: a per-pipeline fan-out
-		// request selects the streaming model, and a context-level one
-		// keeps it selected even when the pipeline opts back down to a
-		// single reader.
-		o.Pipelined = o.Pipelined || d.partitions > 1
-	}
-	o.ReoptAfterBatches = d.resolveReoptAfter()
-	o.ReoptDivergence = d.resolveReoptDivergence()
-	return o
-}
+func (c *Context) OptimizerOptionsFor(d *Dataset) OptimizerOptions { return c.optimizerOptions(d) }
 
 func wrapResult(res *exec.Result) *Result {
 	return &Result{
@@ -708,12 +702,5 @@ func (c *Context) OptimizeOnly(d *Dataset, policy Policy) (*Plan, []*Plan, error
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	opt := optimizer.New(optimizer.Options{
-		Pruning:          c.cfg.Pruning,
-		SampleSize:       c.cfg.SampleSize,
-		NoCascade:        c.cfg.NoCascade,
-		CascadeSample:    c.cfg.CascadeSample,
-		CascadeMinRecall: c.cfg.CascadeMinRecall,
-	})
-	return opt.Optimize(d.chain, policy, c.executor.NewCtx())
+	return optimizer.New(c.optimizerOptions(d)).Optimize(d.chain, policy, c.executor.NewCtx())
 }

@@ -149,6 +149,37 @@ func TestOptimizeOnly(t *testing.T) {
 	}
 }
 
+// TestOptimizeOnlyMatchesExecute: explaining a plan and running it must
+// optimize the same problem, so for every policy on both engines the
+// champion OptimizeOnly reports is the plan Execute runs.
+func TestOptimizeOnlyMatchesExecute(t *testing.T) {
+	policies := []Policy{
+		MaxQuality(), MinCost(), MinTime(),
+		MaxQualityAtCost(0.2), MaxQualityAtTime(60),
+		MinCostAtQuality(0.8), MinTimeAtQuality(0.8),
+	}
+	for _, par := range []int{1, 4} {
+		for _, policy := range policies {
+			ctx, ds := demoContext(t, Config{Parallelism: par})
+			clinical := clinicalSchema(t)
+			pipeline := ds.Filter("The papers are about colorectal cancer").
+				Convert(clinical, clinical.Doc(), OneToMany)
+			plan, _, err := ctx.OptimizeOnly(pipeline, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctx.Execute(pipeline, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.String() != res.Plan.String() || plan.Time() != res.Plan.Time() {
+				t.Errorf("P=%d %s: OptimizeOnly chose %s (%.1fs), Execute ran %s (%.1fs)",
+					par, policy.Describe(), plan, plan.Time(), res.Plan, res.Plan.Time())
+			}
+		}
+	}
+}
+
 func TestUsageAccumulatesAcrossRuns(t *testing.T) {
 	ctx, ds := demoContext(t, Config{})
 	pipeline := ds.FilterUDF("all", func(*Record) (bool, error) { return true, nil }).Limit(2)
