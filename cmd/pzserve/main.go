@@ -57,6 +57,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -267,7 +268,7 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 	httpSrv := &http.Server{Addr: addr, Handler: handler}
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		log.Print("pzserve: shutting down")

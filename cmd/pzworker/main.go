@@ -41,6 +41,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -142,7 +143,7 @@ func run(addr, name, coordinator, advertise string, datasets map[string]string, 
 	}
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		log.Print("pzworker: shutting down")

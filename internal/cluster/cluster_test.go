@@ -861,3 +861,48 @@ func TestDistributedTraceReconciles(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkerRejectsOversizedBody(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Name: "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	req := PartitionRequest{Spec: *ticketSpec(1, serve.OpSpec{Op: "filter",
+		Predicate: strings.Repeat("urgent ", serve.MaxRequestBytes/7+1)})}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/partition", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%d-byte request: status %d (%s), want 413", len(body), resp.StatusCode, msg)
+	}
+}
+
+func TestRegistryRejectsOversizedBody(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{})
+	srv := httptest.NewServer(RegistryHandler(reg))
+	defer srv.Close()
+	name := strings.Repeat("w", serve.MaxRequestBytes+1)
+	for _, path := range []string{"/v1/workers/register", "/v1/workers/deregister"} {
+		body := `{"name":"` + name + `","url":"http://localhost:9"}`
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if reg.Len() != 0 {
+		t.Fatalf("oversized registration registered %d workers", reg.Len())
+	}
+}

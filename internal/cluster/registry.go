@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -247,8 +246,8 @@ func RegistryHandler(g *Registry) http.Handler {
 			Name string `json:"name"`
 			URL  string `json:"url"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: parse registration: %w", err))
+		if code, err := serve.DecodeRequest(rw, r, &body); err != nil {
+			writeError(rw, code, fmt.Errorf("cluster: parse registration: %w", err))
 			return
 		}
 		if err := g.Register(body.Name, body.URL); err != nil {
@@ -261,8 +260,8 @@ func RegistryHandler(g *Registry) http.Handler {
 		var body struct {
 			Name string `json:"name"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: parse deregistration: %w", err))
+		if code, err := serve.DecodeRequest(rw, r, &body); err != nil {
+			writeError(rw, code, fmt.Errorf("cluster: parse deregistration: %w", err))
 			return
 		}
 		g.Deregister(body.Name)

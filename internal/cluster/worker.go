@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 // WorkerConfig configures a Worker.
@@ -99,9 +100,9 @@ func (w *Worker) Handler() http.Handler {
 // query stops the sub-plan between records.
 func (w *Worker) handlePartition(rw http.ResponseWriter, r *http.Request) {
 	var req PartitionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if code, err := serve.DecodeRequest(rw, r, &req); err != nil {
 		w.counters.Inc("worker_partition_errors")
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: parse partition request: %w", err))
+		writeError(rw, code, fmt.Errorf("cluster: parse partition request: %w", err))
 		return
 	}
 	name := req.Spec.Dataset.Name

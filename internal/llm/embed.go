@@ -2,8 +2,8 @@ package llm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"sync"
 
 	"repro/internal/textutil"
 )
@@ -14,10 +14,63 @@ import (
 // property semantic prefilters depend on.
 const EmbedDim = 256
 
+// embedMemoBytes bounds a Service's embedding memo, counting each entry as
+// its vector (EmbedDim float64s, 2 KiB) plus its key text.
+const embedMemoBytes = 4 << 20
+
+// embedMemo maps a text to its embedding vector. Once it holds
+// embedMemoBytes it evicts its oldest entries first. Safe for concurrent
+// use.
+type embedMemo struct {
+	mu    sync.RWMutex
+	vecs  map[string][]float64
+	order []string // keys of vecs, oldest first
+	bytes int
+}
+
+// vector returns EmbedVector(text), computing it only when text is not
+// memoized. The result is shared between callers.
+func (m *embedMemo) vector(text string) []float64 {
+	m.mu.RLock()
+	vec, ok := m.vecs[text]
+	m.mu.RUnlock()
+	if ok {
+		return vec
+	}
+	vec = EmbedVector(text)
+	size := EmbedDim*8 + len(text)
+	if size > embedMemoBytes {
+		return vec
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prior, ok := m.vecs[text]; ok {
+		return prior
+	}
+	for m.bytes+size > embedMemoBytes {
+		oldest := m.order[0]
+		m.order[0] = ""
+		m.order = m.order[1:]
+		m.bytes -= EmbedDim*8 + len(oldest)
+		delete(m.vecs, oldest)
+	}
+	if m.vecs == nil {
+		m.vecs = map[string][]float64{}
+	}
+	m.vecs[text] = vec
+	m.order = append(m.order, text)
+	m.bytes += size
+	return vec
+}
+
 // Embed produces a deterministic embedding of text with the named embedding
 // model, charging its tokens to usage. The embedding is a term-feature hash:
 // texts sharing vocabulary land near each other, which is the property the
 // Retrieve operator and the embedding pre-filter need.
+//
+// Each distinct text is embedded once per Service and the vector is
+// memoized, so the returned slice may be shared with other callers and
+// must be treated as read-only. Every call is still charged in full.
 func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 	card, err := Card(model)
 	if err != nil {
@@ -34,7 +87,7 @@ func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 		// Real embedding endpoints truncate; we charge only the window.
 		inTok = card.ContextWindow
 	}
-	vec := EmbedVector(text)
+	vec := s.embeds.vector(text)
 	resp := &Response{
 		Model:       card.Name,
 		InputTokens: inTok,
@@ -54,20 +107,19 @@ func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 // hashed into EmbedDim buckets with signed sqrt-damped frequency weights
 // and the result is L2-normalized. The sublinear damping keeps repeated
 // boilerplate vocabulary from drowning the rare discriminative terms.
-// The zero vector is returned for term-less text.
+// Terms are folded in sorted order, so equal texts give bit-identical
+// vectors. The zero vector is returned for term-less text.
 func EmbedVector(text string) []float64 {
 	vec := make([]float64, EmbedDim)
-	for term, w := range textutil.TermFreq(text) {
-		w = math.Sqrt(w)
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(term))
-		sum := h.Sum64()
+	terms, tf := textutil.CountTerms(text)
+	for i, term := range terms {
+		sum := fnv1a(term)
 		idx := int(sum % EmbedDim)
 		sign := 1.0
 		if (sum>>32)%2 == 1 {
 			sign = -1.0
 		}
-		vec[idx] += sign * w
+		vec[idx] += sign * math.Sqrt(tf[i])
 	}
 	var n float64
 	for _, x := range vec {
@@ -81,6 +133,20 @@ func EmbedVector(text string) []float64 {
 		vec[i] /= n
 	}
 	return vec
+}
+
+// fnv1a is the 64-bit FNV-1a hash of s, as hash/fnv's New64a computes it.
+func fnv1a(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }
 
 // CosineVec is the cosine similarity of two equal-length vectors.

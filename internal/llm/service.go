@@ -111,6 +111,7 @@ type Service struct {
 	usage    map[string]*Usage
 	calls    uint64
 	failRate float64
+	embeds   embedMemo
 }
 
 // NewService returns a fresh provider with no usage.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -430,5 +431,21 @@ func TestServeBadRequests(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d", r.StatusCode)
+	}
+}
+
+func TestServeRejectsOversizedBody(t *testing.T) {
+	srv, err := New(Config{Context: newStreamContext(t, 2, pz.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := streamSpec("min-cost", strings.Repeat("urgent ", MaxRequestBytes/7+1))
+	resp, body := postQuery(t, ts.URL, spec, false, "")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte predicate: status %d (%s), want 413", len(spec.Ops[0].Predicate), resp.StatusCode, body)
 	}
 }

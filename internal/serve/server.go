@@ -298,6 +298,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// MaxRequestBytes bounds a JSON request body. Specs name their datasets
+// rather than inline them, so real requests are far smaller.
+const MaxRequestBytes = 1 << 20
+
+// DecodeRequest decodes r's JSON body into v, reading at most
+// MaxRequestBytes of it. On failure it returns the HTTP status to answer
+// with: 413 for an oversized body, 400 otherwise.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 // tenantOf resolves the requesting tenant from the X-PZ-Tenant header.
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get("X-PZ-Tenant"); t != "" {
@@ -309,8 +325,8 @@ func tenantOf(r *http.Request) string {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.counters.Inc("queries_total")
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse spec: %w", err))
+	if code, err := DecodeRequest(w, r, &spec); err != nil {
+		writeError(w, code, fmt.Errorf("parse spec: %w", err))
 		return
 	}
 	// Validate the pipeline and policy before consuming any capacity.

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords is a compact English stopword list. It intentionally keeps
@@ -45,28 +46,92 @@ func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
 // Tokenize splits text into lowercase word tokens. Runs of letters and
 // digits form tokens; everything else is a separator. Apostrophes inside
 // words are dropped ("don't" -> "dont") so contractions stay single tokens.
+//
+// ASCII bytes are classified inline; a rune is decoded only at a non-ASCII
+// byte. A token that needs no lowercasing and holds no apostrophe is a
+// substring of text, and only the other tokens are copied.
 func Tokenize(text string) []string {
-	var toks []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			toks = append(toks, b.String())
-			b.Reset()
+	toks := make([]string, 0, len(text)/8+1) // about one token per 8 bytes of prose
+	var buf [64]byte
+	tok := buf[:0]   // the current token, lowercased, apostrophes dropped
+	verbatim := true // tok equals the len(tok) bytes of text before i
+	for i := 0; i <= len(text); {
+		var c byte // past the end acts as a separator
+		if i < len(text) {
+			c = text[i]
 		}
-	}
-	for _, r := range text {
+		size := 1
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'' || r == '’':
-			// drop apostrophes inside words
-		default:
-			flush()
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			tok = append(tok, c)
+			i++
+			continue
+		case 'A' <= c && c <= 'Z':
+			tok = append(tok, c+'a'-'A')
+			verbatim = false
+			i++
+			continue
+		case c == '\'':
+			verbatim = false
+			i++
+			continue
+		case c >= utf8.RuneSelf:
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				lower := unicode.ToLower(r)
+				tok = utf8.AppendRune(tok, lower)
+				verbatim = verbatim && lower == r
+				i += size
+				continue
+			}
+			if r == '’' {
+				verbatim = false
+				i += size
+				continue
+			}
 		}
+		if len(tok) > 0 {
+			if verbatim {
+				toks = append(toks, text[i-len(tok):i])
+			} else {
+				toks = append(toks, string(tok))
+			}
+		}
+		tok, verbatim = tok[:0], true
+		i += size
 	}
-	flush()
 	return toks
 }
+
+// suffixRule is one stemmer rule: strip suf and append rep.
+type suffixRule struct{ suf, rep string }
+
+// suffixRules is the stemmer's rule list in priority order: the first rule
+// whose suffix matches and leaves a long enough stem wins.
+var suffixRules = []suffixRule{
+	{"ization", "ize"}, {"ational", "ate"}, {"fulness", "ful"},
+	{"ousness", "ous"}, {"iveness", "ive"}, {"tional", "tion"},
+	{"biliti", "ble"}, {"lessli", "less"},
+	{"ation", "ate"}, {"izer", "ize"}, {"ator", "ate"},
+	{"alism", "al"}, {"aliti", "al"}, {"iviti", "ive"},
+	{"ements", ""}, {"ement", ""},
+	{"ingly", ""}, {"edly", ""},
+	{"ies", "y"}, {"ied", "y"},
+	{"sses", "ss"}, {"ness", ""}, {"ion", ""},
+	{"ing", ""}, {"ed", ""}, {"ly", ""}, {"es", ""},
+	{"s", ""},
+}
+
+// rulesByLast[c] holds the rules whose suffix ends in byte c, in
+// suffixRules order, so Stem only tries the suffixes that can match.
+var rulesByLast = func() (t [256][]suffixRule) {
+	for _, r := range suffixRules {
+		c := r.suf[len(r.suf)-1]
+		t[c] = append(t[c], r)
+	}
+	return t
+}()
 
 // Stem applies a tiny suffix-stripping stemmer (a pragmatic subset of
 // Porter's rules). It is deliberately conservative: it only strips when the
@@ -75,37 +140,27 @@ func Stem(w string) string {
 	if len(w) <= 3 {
 		return w
 	}
-	suffixes := []struct {
-		suf, rep string
-	}{
-		{"ization", "ize"}, {"ational", "ate"}, {"fulness", "ful"},
-		{"ousness", "ous"}, {"iveness", "ive"}, {"tional", "tion"},
-		{"biliti", "ble"}, {"lessli", "less"},
-		{"ation", "ate"}, {"izer", "ize"}, {"ator", "ate"},
-		{"alism", "al"}, {"aliti", "al"}, {"iviti", "ive"},
-		{"ements", ""}, {"ement", ""},
-		{"ingly", ""}, {"edly", ""},
-		{"ies", "y"}, {"ied", "y"},
-		{"sses", "ss"}, {"ness", ""}, {"ion", ""},
-		{"ing", ""}, {"ed", ""}, {"ly", ""}, {"es", ""},
-		{"s", ""},
-	}
-	for _, s := range suffixes {
-		if strings.HasSuffix(w, s.suf) {
-			stem := w[:len(w)-len(s.suf)] + s.rep
-			if len(stem) >= 3 {
-				// Undouble trailing consonants introduced by -ing/-ed
-				// stripping ("filtering"->"filter", "stopped"->"stop").
-				if (s.suf == "ing" || s.suf == "ed") && len(stem) >= 4 {
-					last := stem[len(stem)-1]
-					prev := stem[len(stem)-2]
-					if last == prev && !isVowel(rune(last)) && last != 'l' && last != 's' && last != 'z' {
-						stem = stem[:len(stem)-1]
-					}
-				}
-				return stem
+	for _, r := range rulesByLast[w[len(w)-1]] {
+		if !strings.HasSuffix(w, r.suf) {
+			continue
+		}
+		n := len(w) - len(r.suf)
+		if n+len(r.rep) < 3 {
+			continue
+		}
+		if r.rep != "" {
+			return w[:n] + r.rep
+		}
+		stem := w[:n]
+		// Undouble trailing consonants introduced by -ing/-ed stripping
+		// ("filtering"->"filter", "stopped"->"stop").
+		if (r.suf == "ing" || r.suf == "ed") && len(stem) >= 4 {
+			last, prev := stem[len(stem)-1], stem[len(stem)-2]
+			if last == prev && !isVowel(rune(last)) && last != 'l' && last != 's' && last != 'z' {
+				stem = stem[:len(stem)-1]
 			}
 		}
+		return stem
 	}
 	return w
 }
@@ -130,15 +185,6 @@ func Terms(text string) []string {
 		out = append(out, Stem(t))
 	}
 	return out
-}
-
-// TermFreq returns the term-frequency map of the normalized terms of text.
-func TermFreq(text string) map[string]float64 {
-	tf := map[string]float64{}
-	for _, t := range Terms(text) {
-		tf[t]++
-	}
-	return tf
 }
 
 // Overlap returns |terms(a) ∩ terms(b)| / |terms(a)|: the fraction of a's
@@ -186,11 +232,14 @@ type indexedDoc struct {
 	w, wq []float64
 }
 
-// countTerms returns the distinct normalized terms of text in sorted
-// order, with each term's frequency.
-func countTerms(text string) (terms []string, tf []float64) {
+// CountTerms returns the distinct normalized terms of text in sorted
+// order, with each term's frequency. A fold over its result runs in one
+// fixed order, unlike a range over a map, so float sums built from it are
+// bit-identical from call to call.
+func CountTerms(text string) (terms []string, tf []float64) {
 	all := Terms(text)
 	sort.Strings(all)
+	terms, tf = all[:0], make([]float64, 0, len(all))
 	for _, t := range all {
 		if n := len(terms); n > 0 && terms[n-1] == t {
 			tf[n-1]++
@@ -207,7 +256,7 @@ func NewIndex(docs []string) *Index {
 	ix := &Index{docs: make([]indexedDoc, len(docs)), docFreq: map[string]int{}}
 	tfs := make([][]float64, len(docs))
 	for i, text := range docs {
-		ix.docs[i].terms, tfs[i] = countTerms(text)
+		ix.docs[i].terms, tfs[i] = CountTerms(text)
 		for _, t := range ix.docs[i].terms {
 			ix.docFreq[t]++
 		}
@@ -234,7 +283,7 @@ func (ix *Index) idf(df int) float64 {
 // query joins the corpus as one extra document for the idf. Every sum runs
 // in sorted term order, so equal inputs give bit-identical scores.
 func (ix *Index) Scores(query string) []float64 {
-	qterms, qtf := countTerms(query)
+	qterms, qtf := CountTerms(query)
 	qw := make([]float64, len(qterms))
 	var qnorm float64
 	for i, t := range qterms {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -193,9 +194,9 @@ func TestIndexScoresDeterministic(t *testing.T) {
 }
 
 func TestIndexTermCountsSorted(t *testing.T) {
-	terms, tf := countTerms("beta alpha beta the gamma alpha beta")
+	terms, tf := CountTerms("beta alpha beta the gamma alpha beta")
 	if !reflect.DeepEqual(terms, []string{"alpha", "beta", "gamma"}) || !reflect.DeepEqual(tf, []float64{2, 3, 1}) {
-		t.Fatalf("countTerms = %v %v", terms, tf)
+		t.Fatalf("CountTerms = %v %v", terms, tf)
 	}
 }
 
@@ -224,11 +225,139 @@ func TestTruncateWords(t *testing.T) {
 }
 
 func TestTermFreqCounts(t *testing.T) {
-	tf := TermFreq("cancer cancer dataset")
-	if tf["cancer"] != 2 {
-		t.Errorf("tf[cancer] = %v, want 2", tf["cancer"])
+	terms, tf := CountTerms("Cancer cancer dataset")
+	if !reflect.DeepEqual(terms, []string{"cancer", "dataset"}) || !reflect.DeepEqual(tf, []float64{2, 1}) {
+		t.Errorf("CountTerms = %v %v, want [cancer dataset] [2 1]", terms, tf)
 	}
-	if tf["dataset"] != 1 {
-		t.Errorf("tf[dataset] = %v, want 1", tf["dataset"])
+}
+
+// refTokenize, refStem and refTerms are the rune-at-a-time tokenizer and
+// linear suffix-list stemmer that Tokenize, Stem and Terms must agree with.
+func refTokenize(text string) []string {
+	var toks []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			toks = append(toks, b.String())
+			b.Reset()
+		}
 	}
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(unicode.ToLower(r))
+		case r == '\'' || r == '’':
+		default:
+			flush()
+		}
+	}
+	flush()
+	return toks
+}
+
+func refStem(w string) string {
+	if len(w) <= 3 {
+		return w
+	}
+	suffixes := []struct {
+		suf, rep string
+	}{
+		{"ization", "ize"}, {"ational", "ate"}, {"fulness", "ful"},
+		{"ousness", "ous"}, {"iveness", "ive"}, {"tional", "tion"},
+		{"biliti", "ble"}, {"lessli", "less"},
+		{"ation", "ate"}, {"izer", "ize"}, {"ator", "ate"},
+		{"alism", "al"}, {"aliti", "al"}, {"iviti", "ive"},
+		{"ements", ""}, {"ement", ""},
+		{"ingly", ""}, {"edly", ""},
+		{"ies", "y"}, {"ied", "y"},
+		{"sses", "ss"}, {"ness", ""}, {"ion", ""},
+		{"ing", ""}, {"ed", ""}, {"ly", ""}, {"es", ""},
+		{"s", ""},
+	}
+	for _, s := range suffixes {
+		if strings.HasSuffix(w, s.suf) {
+			stem := w[:len(w)-len(s.suf)] + s.rep
+			if len(stem) >= 3 {
+				if (s.suf == "ing" || s.suf == "ed") && len(stem) >= 4 {
+					last := stem[len(stem)-1]
+					prev := stem[len(stem)-2]
+					if last == prev && !isVowel(rune(last)) && last != 'l' && last != 's' && last != 'z' {
+						stem = stem[:len(stem)-1]
+					}
+				}
+				return stem
+			}
+		}
+	}
+	return w
+}
+
+func refTerms(text string) []string {
+	var out []string
+	for _, t := range refTokenize(text) {
+		if stopwords[t] {
+			continue
+		}
+		out = append(out, refStem(t))
+	}
+	return out
+}
+
+// termsSeeds covers ASCII prose, case, digits, straight and curly
+// apostrophes, non-ASCII letters, invalid UTF-8 and every stemmer suffix,
+// alone and inside words.
+func termsSeeds() []string {
+	seeds := []string{
+		"",
+		"Filter the Papers, about colorectal-cancer!",
+		"don't can't we're 'quoted' ''' o'Neil",
+		"The STUDIES were FILTERED; 42 datasets (v2.0) at https://example.org/x?id=7",
+		"Tumör Zürich café naïve façade",
+		"don’t we’re ’tis",
+		"ünïcödé MIXED with ascii_words and\ttabs\nnewlines",
+		"stopped running hopping filling buzzing fizzed passed",
+		"a an the AND Or BUT",
+		"\x00\x7f\xff\xfe invalid utf8",
+		"Straße İstanbul ǅemal ΣΊΣΥΦΟΣ",
+	}
+	for _, r := range suffixRules {
+		seeds = append(seeds, r.suf, "x"+r.suf, "ab"+r.suf, "abc"+r.suf,
+			"stopp"+r.suf, "Walk"+strings.ToUpper(r.suf))
+	}
+	return seeds
+}
+
+// sameTerms compares term lists, a nil list equal to an empty one.
+func sameTerms(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func TestTermsMatchesReference(t *testing.T) {
+	for _, s := range termsSeeds() {
+		if got, want := Terms(s), refTerms(s); !sameTerms(got, want) {
+			t.Errorf("Terms(%q) = %q, want %q", s, got, want)
+		}
+		for _, w := range append(refTokenize(s), s) {
+			if got, want := Stem(w), refStem(w); got != want {
+				t.Errorf("Stem(%q) = %q, want %q", w, got, want)
+			}
+		}
+	}
+}
+
+func FuzzTermsMatchesReference(f *testing.F) {
+	for _, s := range termsSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Terms(s), refTerms(s); !sameTerms(got, want) {
+			t.Fatalf("Terms(%q) = %q, want %q", s, got, want)
+		}
+		if got, want := Tokenize(s), refTokenize(s); !sameTerms(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+		if got, want := Stem(s), refStem(s); got != want {
+			t.Fatalf("Stem(%q) = %q, want %q", s, got, want)
+		}
+	})
 }
