@@ -1,0 +1,586 @@
+package corpus
+
+import (
+	"bufio"
+	"encoding/json"
+	"io"
+	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
+)
+
+// The corpus line: this file owns how NDJSON corpus bytes become
+// documents. lineReader splits a stream into lines and tracks where each
+// one sits on disk; docDecoder turns one line into a Doc. DocReader,
+// IndexNDJSON and ValidateNDJSON all read corpus lines through both, so
+// the reader, the partition index and the validator agree on every line.
+//
+// docDecoder has a fast path for the canonical line shape — what
+// WriteNDJSON writes — and hands every other line to encoding/json, which
+// stays the reference: a line decodes to exactly the Doc, or fails with
+// exactly the error, that json.Unmarshal gives. The fast path takes a
+// line made only of the keys filename, text and truth (truth's topics,
+// mentions, labels, fields and numbers; a mention's kind and fields),
+// each at most once, spelled exactly, with a truth object after the
+// filename and text, no nulls except a null truth, and strings that are
+// valid UTF-8 without \u surrogate escapes. Its numbers must parse with
+// strconv.ParseFloat.
+
+// lineReader splits an NDJSON stream into lines and counts each line's
+// true length on disk, terminator included. bufio.ScanLines strips a
+// "\r\n" as well as a "\n", so the length of the returned bytes alone
+// undercounts CRLF lines.
+type lineReader struct {
+	sc *bufio.Scanner
+	// line is the 1-based number of the last line read, empty ones
+	// included.
+	line int
+	// start and end are the byte offsets at which the last line read
+	// begins and just past its terminator; at end of input, end is the
+	// stream's size.
+	start, end int64
+	// size is the on-disk length of the token the scanner produced last.
+	size int
+}
+
+func newLineReader(rd io.Reader) *lineReader {
+	lr := &lineReader{sc: bufio.NewScanner(rd)}
+	lr.sc.Buffer(make([]byte, 64<<10), maxNDJSONLine)
+	lr.sc.Split(lr.split)
+	return lr
+}
+
+// split is bufio.ScanLines, noting how many bytes each line took.
+func (lr *lineReader) split(data []byte, atEOF bool) (int, []byte, error) {
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if token != nil {
+		lr.size = advance
+	}
+	return advance, token, err
+}
+
+// next returns the next non-empty line, valid until the following call,
+// or false at end of input or on a read error (see err).
+func (lr *lineReader) next() ([]byte, bool) {
+	for lr.sc.Scan() {
+		lr.line++
+		lr.start = lr.end
+		lr.end += int64(lr.size)
+		if raw := lr.sc.Bytes(); len(raw) > 0 {
+			return raw, true
+		}
+	}
+	return nil, false
+}
+
+func (lr *lineReader) err() error { return lr.sc.Err() }
+
+// span is the byte range [lo, hi) of a docDecoder's string buffer.
+type span struct{ lo, hi int }
+
+// entry is one decoded list element (val) or map member (key, val, or
+// key and flag for a bool map). Number values are spans too: their
+// literal is copied to the buffer and parsed when the Doc is built.
+type entry struct {
+	key, val span
+	flag     bool
+}
+
+// list is a run of decoded elements: entries[lo:hi], or mentions[lo:hi]
+// for truth.mentions. set records that the member was present, because
+// encoding/json decodes "[]" and "{}" to empty, non-nil values.
+type list struct {
+	lo, hi int
+	set    bool
+}
+
+type mentionShape struct {
+	kind   span
+	fields list
+}
+
+// Kinds of map value members decodes.
+const (
+	boolValues = iota
+	stringValues
+	numberValues
+)
+
+// docDecoder decodes corpus lines into Docs. Parsing copies every
+// unescaped string of a line into buf and records where it went; build
+// then turns buf into two strings per document. Filename and Text are
+// substrings of the first, every Truth key and value of the second: a
+// record derived downstream may keep the truth and drop the text, and a
+// truth value cut from the text's string would keep all of it alive.
+// buf and the span tables are reused from line to line.
+type docDecoder struct {
+	raw []byte
+	pos int
+	buf []byte
+
+	entries  []entry
+	mentions []mentionShape
+
+	filename, text span
+	// truth records a truth object, whose strings fill buf[tlo:].
+	truth                                     bool
+	tlo                                       int
+	topics, mentionList, labels, fields, nums list
+}
+
+// of returns the text of sp from s, a string made of buf[base:].
+func (sp span) of(s string, base int) string { return s[sp.lo-base : sp.hi-base] }
+
+// decode decodes one corpus line.
+func (d *docDecoder) decode(raw []byte) (*Doc, error) {
+	if doc, ok := d.fast(raw); ok {
+		return doc, nil
+	}
+	doc := new(Doc)
+	if err := json.Unmarshal(raw, doc); err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// fast decodes a canonical line, or reports false for any other.
+func (d *docDecoder) fast(raw []byte) (*Doc, bool) {
+	*d = docDecoder{raw: raw, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0]}
+	ok := d.doc()
+	d.raw = nil
+	if !ok {
+		return nil, false
+	}
+	return d.build()
+}
+
+func (d *docDecoder) build() (*Doc, bool) {
+	if !d.truth {
+		d.tlo = len(d.buf)
+	}
+	if d.filename.hi > d.tlo || d.text.hi > d.tlo {
+		return nil, false // the truth object came first
+	}
+	s := string(d.buf[:d.tlo])
+	doc := &Doc{Filename: d.filename.of(s, 0), Text: d.text.of(s, 0)}
+	if !d.truth {
+		return doc, true
+	}
+	s, base := string(d.buf[d.tlo:]), d.tlo
+	t := &Truth{}
+	if d.topics.set {
+		t.Topics = make([]string, 0, d.topics.hi-d.topics.lo)
+		for _, e := range d.entries[d.topics.lo:d.topics.hi] {
+			t.Topics = append(t.Topics, e.val.of(s, base))
+		}
+	}
+	if d.mentionList.set {
+		t.Mentions = make([]Mention, 0, d.mentionList.hi-d.mentionList.lo)
+		for _, m := range d.mentions[d.mentionList.lo:d.mentionList.hi] {
+			t.Mentions = append(t.Mentions, Mention{Kind: m.kind.of(s, base), Fields: d.stringMap(s, base, m.fields)})
+		}
+	}
+	if d.labels.set {
+		t.Labels = make(map[string]bool, d.labels.hi-d.labels.lo)
+		for _, e := range d.entries[d.labels.lo:d.labels.hi] {
+			t.Labels[e.key.of(s, base)] = e.flag
+		}
+	}
+	t.Fields = d.stringMap(s, base, d.fields)
+	if d.nums.set {
+		t.Numbers = make(map[string]float64, d.nums.hi-d.nums.lo)
+		for _, e := range d.entries[d.nums.lo:d.nums.hi] {
+			v, err := strconv.ParseFloat(e.val.of(s, base), 64)
+			if err != nil {
+				return nil, false
+			}
+			t.Numbers[e.key.of(s, base)] = v
+		}
+	}
+	doc.Truth = t
+	return doc, true
+}
+
+func (d *docDecoder) stringMap(s string, base int, l list) map[string]string {
+	if !l.set {
+		return nil
+	}
+	m := make(map[string]string, l.hi-l.lo)
+	for _, e := range d.entries[l.lo:l.hi] {
+		m[e.key.of(s, base)] = e.val.of(s, base)
+	}
+	return m
+}
+
+// Keys of the objects with fixed fields, for field.
+var (
+	docKeys     = []string{"filename", "text", "truth"}
+	truthKeys   = []string{"topics", "mentions", "labels", "fields", "numbers"}
+	mentionKeys = []string{"kind", "fields"}
+)
+
+// doc parses the top-level object and checks nothing but whitespace
+// follows it.
+func (d *docDecoder) doc() bool {
+	var seen uint8
+	if !d.eat('{') {
+		return false
+	}
+	for more := !d.eat('}'); more; {
+		var ok bool
+		switch d.field(docKeys, &seen) {
+		case "filename":
+			d.filename, ok = d.str()
+		case "text":
+			d.text, ok = d.str()
+		case "truth":
+			ok = d.truthValue()
+		}
+		if !ok {
+			return false
+		}
+		if more, ok = d.sep('}'); !ok {
+			return false
+		}
+	}
+	d.ws()
+	return d.pos == len(d.raw)
+}
+
+func (d *docDecoder) truthValue() bool {
+	if d.lit("null") {
+		return true
+	}
+	d.truth, d.tlo = true, len(d.buf)
+	var seen uint8
+	if !d.eat('{') {
+		return false
+	}
+	for more := !d.eat('}'); more; {
+		var ok bool
+		switch d.field(truthKeys, &seen) {
+		case "topics":
+			d.topics, ok = d.strings()
+		case "mentions":
+			d.mentionList, ok = d.mentionValues()
+		case "labels":
+			d.labels, ok = d.members(boolValues)
+		case "fields":
+			d.fields, ok = d.members(stringValues)
+		case "numbers":
+			d.nums, ok = d.members(numberValues)
+		}
+		if !ok {
+			return false
+		}
+		if more, ok = d.sep('}'); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (d *docDecoder) mentionValues() (list, bool) {
+	l := list{lo: len(d.mentions), set: true}
+	if !d.eat('[') {
+		return l, false
+	}
+	for more := !d.eat(']'); more; {
+		m, ok := d.mention()
+		if !ok {
+			return l, false
+		}
+		d.mentions = append(d.mentions, m)
+		if more, ok = d.sep(']'); !ok {
+			return l, false
+		}
+	}
+	l.hi = len(d.mentions)
+	return l, true
+}
+
+func (d *docDecoder) mention() (mentionShape, bool) {
+	// A mention without a kind has an empty one, inside the truth string.
+	m := mentionShape{kind: span{len(d.buf), len(d.buf)}}
+	var seen uint8
+	if !d.eat('{') {
+		return m, false
+	}
+	for more := !d.eat('}'); more; {
+		var ok bool
+		switch d.field(mentionKeys, &seen) {
+		case "kind":
+			m.kind, ok = d.str()
+		case "fields":
+			m.fields, ok = d.members(stringValues)
+		}
+		if !ok {
+			return m, false
+		}
+		if more, ok = d.sep('}'); !ok {
+			return m, false
+		}
+	}
+	return m, true
+}
+
+// strings parses an array of strings.
+func (d *docDecoder) strings() (list, bool) {
+	l := list{lo: len(d.entries), set: true}
+	if !d.eat('[') {
+		return l, false
+	}
+	for more := !d.eat(']'); more; {
+		v, ok := d.str()
+		if !ok {
+			return l, false
+		}
+		d.entries = append(d.entries, entry{val: v})
+		if more, ok = d.sep(']'); !ok {
+			return l, false
+		}
+	}
+	l.hi = len(d.entries)
+	return l, true
+}
+
+// members parses an object whose values are all of one kind. A repeated
+// key is kept: the Doc's map keeps its last value, as encoding/json's does.
+func (d *docDecoder) members(kind int) (list, bool) {
+	l := list{lo: len(d.entries), set: true}
+	if !d.eat('{') {
+		return l, false
+	}
+	for more := !d.eat('}'); more; {
+		k, ok := d.key()
+		if !ok {
+			return l, false
+		}
+		e := entry{key: k}
+		switch kind {
+		case boolValues:
+			e.flag = d.lit("true")
+			ok = e.flag || d.lit("false")
+		case stringValues:
+			e.val, ok = d.str()
+		default:
+			e.val, ok = d.number()
+		}
+		if !ok {
+			return l, false
+		}
+		d.entries = append(d.entries, e)
+		if more, ok = d.sep('}'); !ok {
+			return l, false
+		}
+	}
+	l.hi = len(d.entries)
+	return l, true
+}
+
+// field parses a struct key and its colon and returns the key. It
+// returns "" for a key that is not one of names, or that seen marks as
+// already read; encoding/json would match a key case-insensitively and
+// merge a repeated one, so such lines take the fallback.
+func (d *docDecoder) field(names []string, seen *uint8) string {
+	k, ok := d.key()
+	key := d.buf[k.lo:k.hi]
+	d.buf = d.buf[:k.lo]
+	if !ok {
+		return ""
+	}
+	for i, name := range names {
+		if string(key) == name && *seen&(1<<i) == 0 {
+			*seen |= 1 << i
+			return name
+		}
+	}
+	return ""
+}
+
+func (d *docDecoder) ws() {
+	for d.pos < len(d.raw) {
+		switch d.raw[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c after optional whitespace.
+func (d *docDecoder) eat(c byte) bool {
+	d.ws()
+	if d.pos < len(d.raw) && d.raw[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// sep consumes the ',' before another element (more) or the closing
+// delimiter c.
+func (d *docDecoder) sep(c byte) (more, ok bool) {
+	if d.eat(',') {
+		return true, true
+	}
+	return false, d.eat(c)
+}
+
+// lit consumes the literal s.
+func (d *docDecoder) lit(s string) bool {
+	d.ws()
+	if len(d.raw)-d.pos >= len(s) && string(d.raw[d.pos:d.pos+len(s)]) == s {
+		d.pos += len(s)
+		return true
+	}
+	return false
+}
+
+// key parses an object key and its colon.
+func (d *docDecoder) key() (span, bool) {
+	k, ok := d.str()
+	return k, ok && d.eat(':')
+}
+
+// plain marks the bytes a JSON string holds unescaped and that need no
+// UTF-8 check: ASCII other than control characters, '"' and '\\'.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str parses a string and appends its unescaped bytes to buf.
+func (d *docDecoder) str() (span, bool) {
+	if !d.eat('"') {
+		return span{}, false
+	}
+	lo := len(d.buf)
+	for {
+		start := d.pos
+		for d.pos < len(d.raw) && plain[d.raw[d.pos]] {
+			d.pos++
+		}
+		d.buf = append(d.buf, d.raw[start:d.pos]...)
+		if d.pos == len(d.raw) {
+			return span{}, false
+		}
+		switch c := d.raw[d.pos]; {
+		case c == '"':
+			d.pos++
+			return span{lo, len(d.buf)}, true
+		case c == '\\':
+			if !d.escape() {
+				return span{}, false
+			}
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRune(d.raw[d.pos:])
+			if r == utf8.RuneError && n == 1 {
+				return span{}, false
+			}
+			d.buf = append(d.buf, d.raw[d.pos:d.pos+n]...)
+			d.pos += n
+		default:
+			return span{}, false
+		}
+	}
+}
+
+// escape decodes the escape sequence at pos into buf.
+func (d *docDecoder) escape() bool {
+	if len(d.raw)-d.pos < 2 {
+		return false
+	}
+	c := d.raw[d.pos+1]
+	d.pos += 2
+	switch c {
+	case '"', '\\', '/':
+		d.buf = append(d.buf, c)
+	case 'b':
+		d.buf = append(d.buf, '\b')
+	case 'f':
+		d.buf = append(d.buf, '\f')
+	case 'n':
+		d.buf = append(d.buf, '\n')
+	case 'r':
+		d.buf = append(d.buf, '\r')
+	case 't':
+		d.buf = append(d.buf, '\t')
+	case 'u':
+		if len(d.raw)-d.pos < 4 {
+			return false
+		}
+		var r rune
+		for _, h := range d.raw[d.pos : d.pos+4] {
+			switch {
+			case '0' <= h && h <= '9':
+				h -= '0'
+			case 'a' <= h && h <= 'f':
+				h -= 'a' - 10
+			case 'A' <= h && h <= 'F':
+				h -= 'A' - 10
+			default:
+				return false
+			}
+			r = r<<4 | rune(h)
+		}
+		if utf16.IsSurrogate(r) {
+			return false
+		}
+		d.pos += 4
+		d.buf = utf8.AppendRune(d.buf, r)
+	default:
+		return false
+	}
+	return true
+}
+
+// number checks the JSON number grammar and copies the literal to buf.
+func (d *docDecoder) number() (span, bool) {
+	d.ws()
+	i, n := d.pos, len(d.raw)
+	if i < n && d.raw[i] == '-' {
+		i++
+	}
+	switch {
+	case i < n && d.raw[i] == '0':
+		i++
+	case i < n && '1' <= d.raw[i] && d.raw[i] <= '9':
+		i = d.digits(i)
+	default:
+		return span{}, false
+	}
+	if i < n && d.raw[i] == '.' {
+		j := d.digits(i + 1)
+		if j == i+1 {
+			return span{}, false
+		}
+		i = j
+	}
+	if i < n && (d.raw[i] == 'e' || d.raw[i] == 'E') {
+		i++
+		if i < n && (d.raw[i] == '+' || d.raw[i] == '-') {
+			i++
+		}
+		j := d.digits(i)
+		if j == i {
+			return span{}, false
+		}
+		i = j
+	}
+	lo := len(d.buf)
+	d.buf = append(d.buf, d.raw[d.pos:i]...)
+	d.pos = i
+	return span{lo, len(d.buf)}, true
+}
+
+// digits returns the end of the run of decimal digits starting at i.
+func (d *docDecoder) digits(i int) int {
+	for i < len(d.raw) && '0' <= d.raw[i] && d.raw[i] <= '9' {
+		i++
+	}
+	return i
+}

@@ -205,8 +205,8 @@ type DocReader struct {
 	remaining int
 	manifest  *Manifest
 	f         *os.File
-	sc        *bufio.Scanner
-	line      int
+	lines     *lineReader
+	dec       docDecoder
 }
 
 // OpenNDJSON opens the corpus at path. Domain and document count come
@@ -232,14 +232,8 @@ func OpenNDJSON(path string) (*DocReader, error) {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	r.f = f
-	r.sc = newLineScanner(f)
+	r.lines = newLineReader(f)
 	return r, nil
-}
-
-func newLineScanner(rd io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 64<<10), maxNDJSONLine)
-	return sc
 }
 
 func countLines(path string) (int, error) {
@@ -248,14 +242,12 @@ func countLines(path string) (int, error) {
 		return 0, fmt.Errorf("corpus: %w", err)
 	}
 	defer f.Close()
-	sc := newLineScanner(f)
+	lr := newLineReader(f)
 	n := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			n++
-		}
+	for _, ok := lr.next(); ok; _, ok = lr.next() {
+		n++
 	}
-	return n, sc.Err()
+	return n, lr.err()
 }
 
 // Domain implements Generator (empty for manifest-less corpora).
@@ -275,22 +267,17 @@ func (r *DocReader) Next() (*Doc, error) {
 	if r.remaining == 0 {
 		return nil, io.EOF
 	}
-	for r.sc.Scan() {
-		r.line++
-		raw := r.sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var d Doc
-		if err := json.Unmarshal(raw, &d); err != nil {
-			return nil, fmt.Errorf("corpus: %s line %d: %w", r.f.Name(), r.line, err)
+	if raw, ok := r.lines.next(); ok {
+		d, err := r.dec.decode(raw)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: %s line %d: %w", r.f.Name(), r.lines.line, err)
 		}
 		if r.remaining > 0 {
 			r.remaining--
 		}
-		return &d, nil
+		return d, nil
 	}
-	if err := r.sc.Err(); err != nil {
+	if err := r.lines.err(); err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", r.f.Name(), err)
 	}
 	return nil, io.EOF

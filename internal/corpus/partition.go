@@ -3,7 +3,6 @@ package corpus
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -166,7 +165,7 @@ func OpenNDJSONRange(path string, offset int64, docs int) (*DocReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("corpus: seek %s to %d: %w", path, offset, err)
 	}
-	return &DocReader{n: docs, remaining: docs, f: f, sc: newLineScanner(f)}, nil
+	return &DocReader{n: docs, remaining: docs, f: f, lines: newLineReader(f)}, nil
 }
 
 // IndexNDJSON back-fills the byte-offset partition index of the corpus at
@@ -195,24 +194,17 @@ func IndexNDJSON(path string) (*Manifest, bool, error) {
 	}
 	defer f.Close()
 	h := sha256.New()
-	sc := newLineScanner(io.TeeReader(f, h))
+	lr := newLineReader(io.TeeReader(f, h))
+	var dec docDecoder
 	b := newIndexBuilder()
 	labels := map[string]int{}
-	var off int64
-	docs, line := 0, 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		lineStart := off
-		off += int64(len(raw)) + 1 // the scanner strips the newline
-		if len(raw) == 0 {
-			continue
+	docs := 0
+	for raw, ok := lr.next(); ok; raw, ok = lr.next() {
+		d, err := dec.decode(raw)
+		if err != nil {
+			return nil, false, fmt.Errorf("corpus: %s line %d: %w", path, lr.line, err)
 		}
-		var d Doc
-		if err := json.Unmarshal(raw, &d); err != nil {
-			return nil, false, fmt.Errorf("corpus: %s line %d: %w", path, line, err)
-		}
-		b.note(docs, lineStart)
+		b.note(docs, lr.start)
 		docs++
 		if d.Truth != nil {
 			for label, v := range d.Truth.Labels {
@@ -222,14 +214,14 @@ func IndexNDJSON(path string) (*Manifest, bool, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, false, fmt.Errorf("corpus: %s: %w", path, err)
 	}
 	sha := hex.EncodeToString(h.Sum(nil))
 
 	if created {
 		m.NumDocs = docs
-		m.Bytes = off
+		m.Bytes = lr.end
 		m.SHA256 = sha
 		m.LabelCounts = labels
 	} else {

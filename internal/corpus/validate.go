@@ -3,7 +3,6 @@ package corpus
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -196,7 +195,8 @@ func ValidateNDJSON(path string) (*ValidationReport, error) {
 	}
 	defer f.Close()
 	h := sha256.New()
-	sc := newLineScanner(io.TeeReader(f, h))
+	lr := newLineReader(io.TeeReader(f, h))
+	var dec docDecoder
 
 	// Duplicate-filename detection keeps 64-bit filename hashes, not the
 	// names themselves — ~8 bytes per document instead of the full
@@ -210,23 +210,17 @@ func ValidateNDJSON(path string) (*ValidationReport, error) {
 	// duplicate detector).
 	var docKeys []uint64
 	ixb := newIndexBuilder()
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		lineStart := rep.Bytes
-		rep.Bytes += int64(len(raw)) + 1 // the scanner strips the newline
-		if len(raw) == 0 {
-			continue
-		}
-		var d Doc
-		if err := json.Unmarshal(raw, &d); err != nil {
+	for raw, ok := lr.next(); ok; raw, ok = lr.next() {
+		line := lr.line
+		rep.Bytes = lr.end
+		d, err := dec.decode(raw)
+		if err != nil {
 			if rep.errf("line %d: %v", line, err) {
 				return rep, nil
 			}
 			continue
 		}
-		ixb.note(rep.Docs, lineStart)
+		ixb.note(rep.Docs, lr.start)
 		rep.Docs++
 		nameHash := fnv64(d.Filename)
 		if seen[nameHash] {
@@ -238,14 +232,14 @@ func ValidateNDJSON(path string) (*ValidationReport, error) {
 		if m != nil && m.Embeddings != nil {
 			docKeys = append(docKeys, nameHash)
 		}
-		if err := ValidateDoc(&d); err != nil {
+		if err := ValidateDoc(d); err != nil {
 			if rep.errf("line %d: %v", line, err) {
 				return rep, nil
 			}
 			continue
 		}
 		if domainCheck != nil {
-			if err := domainCheck(&d); err != nil {
+			if err := domainCheck(d); err != nil {
 				if rep.errf("line %d: %s: %v", line, d.Filename, err) {
 					return rep, nil
 				}
@@ -257,9 +251,10 @@ func ValidateNDJSON(path string) (*ValidationReport, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", path, err)
 	}
+	rep.Bytes = lr.end
 	rep.SHA256 = hex.EncodeToString(h.Sum(nil))
 
 	if m != nil {

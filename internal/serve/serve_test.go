@@ -434,6 +434,41 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeJobsList: GET /v1/jobs lists every retained job once, in
+// submission order, including past the point where job IDs outgrow their
+// six-digit padding.
+func TestServeJobsList(t *testing.T) {
+	srv, err := New(Config{Context: newStreamContext(t, 2, pz.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.mu.Lock()
+	srv.seq = 999_997
+	srv.mu.Unlock()
+	var want []string
+	for i := 0; i < 4; i++ {
+		resp, body := postQuery(t, ts.URL, streamSpec("min-cost", "urgent"), true, "")
+		var view JobView
+		if err := json.Unmarshal(body, &view); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d, %v: %s", i, resp.StatusCode, err, body)
+		}
+		want = append(want, view.ID)
+	}
+	var views []JobView
+	getJSON(t, ts.URL+"/v1/jobs", &views)
+	var got []string
+	for _, v := range views {
+		got = append(got, v.ID)
+	}
+	if strings.Join(got, " ") != "job-999998 job-999999 job-1000000 job-1000001" || strings.Join(want, " ") != strings.Join(got, " ") {
+		t.Fatalf("listed jobs %v, submitted %v", got, want)
+	}
+}
+
 func TestServeRejectsOversizedBody(t *testing.T) {
 	srv, err := New(Config{Context: newStreamContext(t, 2, pz.Config{})})
 	if err != nil {

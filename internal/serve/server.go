@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -73,6 +74,7 @@ const (
 type Job struct {
 	mu     sync.Mutex
 	id     string
+	seq    int
 	tenant string
 	status string
 	errMsg string
@@ -379,6 +381,7 @@ func (s *Server) newJob(tenant string) *Job {
 	s.seq++
 	job := &Job{
 		id:     fmt.Sprintf("job-%06d", s.seq),
+		seq:    s.seq,
 		tenant: tenant,
 		status: StatusQueued,
 		done:   make(chan struct{}),
@@ -668,16 +671,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	views := make([]JobView, 0, len(s.jobs))
+	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		views = append(views, j.view())
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
-	// Deterministic order: job IDs are zero-padded sequence numbers.
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && views[k-1].ID > views[k].ID; k-- {
-			views[k-1], views[k] = views[k], views[k-1]
-		}
+	// Submission order, which job IDs only spell until they outgrow
+	// their zero padding.
+	slices.SortFunc(jobs, func(a, b *Job) int { return a.seq - b.seq })
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.view()
 	}
 	writeJSON(w, http.StatusOK, views)
 }
