@@ -746,9 +746,6 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := serve.ParseSpec([]byte(`{"dataset":{"name":"x"},"partitions":-1}`)); err == nil {
 		t.Error("negative spec partitions accepted by ParseSpec")
 	}
-	if _, err := pz.NewContext(pz.Config{ClusterWorkers: -1}); err == nil {
-		t.Error("negative ClusterWorkers accepted by NewContext")
-	}
 	if _, err := NewCoordinator(Config{}); err == nil {
 		t.Error("coordinator without registry accepted")
 	}

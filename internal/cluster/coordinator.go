@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/record"
@@ -49,13 +51,13 @@ type Config struct {
 	Client *http.Client
 }
 
-// Coordinator implements serve.Distributor: it splits an indexed NDJSON
-// scan by the corpus partition index, scatters the query's record-wise
-// prefix (filter/convert/project) across the worker registry as
-// serve.Spec sub-plans over byte ranges, gathers the seq-tagged streams,
-// merges them in partition order — byte-identical to the sequential
-// scan — and runs any remaining suffix operators locally over the merged
-// records.
+// Coordinator implements serve.Distributor: it optimizes a query once,
+// exactly as local execution would, splits an indexed NDJSON scan by the
+// corpus partition index, scatters the plan's stream prefix across the
+// worker registry as serve.Spec sub-plans over byte ranges, gathers the
+// seq-tagged streams, merges them in partition order — byte-identical to
+// the sequential scan — and runs the rest of the plan locally over the
+// merged records.
 type Coordinator struct {
 	cfg      Config
 	reg      *Registry
@@ -93,33 +95,28 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Workers implements serve.Distributor.
 func (c *Coordinator) Workers() []serve.WorkerView { return c.reg.Views() }
 
-// distributableOps are the record-wise, order-preserving operators a
-// scattered prefix may contain: running them over any partition of the
-// input and concatenating the outputs in partition order equals one run
-// over the whole input (the same decomposability contract the in-process
-// streaming engine relies on).
-func distributableOp(op string) bool {
-	switch strings.ToLower(op) {
-	case "filter", "convert", "project":
-		return true
+// scatterable is how many leading plan operators a partition can run:
+// the plan's stream prefix (ops.StreamPrefix), cut at the first operator
+// a worker cannot rebuild, meaning its ID is not among its logical
+// operator's own physical options. A worker re-derives its sub-plan from
+// the spec, so an operator priced only at the coordinator — a cascade
+// filter, whose thresholds come from a calibration sample — exists
+// nowhere else.
+func scatterable(plan *pz.Plan) int {
+	end := ops.StreamPrefix(plan.Ops)
+	k := 1
+	for k < end && slices.ContainsFunc(plan.Logical[k].Physical(), func(p ops.Physical) bool {
+		return p.ID() == plan.Ops[k].ID()
+	}) {
+		k++
 	}
-	return false
-}
-
-// splitOps divides a spec's operator chain into the longest distributable
-// prefix and the remaining suffix.
-func splitOps(specOps []serve.OpSpec) (prefix, suffix []serve.OpSpec) {
-	cut := 0
-	for cut < len(specOps) && distributableOp(specOps[cut].Op) {
-		cut++
-	}
-	return specOps[:cut], specOps[cut:]
+	return k
 }
 
 // TryExecute implements serve.Distributor. ok=false (nil error) sends
 // the caller down the local path: fan-out below 2, an empty worker pool,
-// a dataset that is not a range-partitionable NDJSON corpus, or a query
-// with no distributable prefix.
+// a dataset that is not a range-partitionable NDJSON corpus, or a plan
+// with no scatterable operator after its scan.
 func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *serve.Spec, fanout int) (*serve.DistResult, bool, error) {
 	if fanout < 2 {
 		return nil, false, nil
@@ -132,8 +129,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	if err != nil {
 		return nil, false, err
 	}
-	chain := ds.Chain()
-	scan, ok := chain[0].(*ops.Scan)
+	scan, ok := ds.Chain()[0].(*ops.Scan)
 	if !ok {
 		return nil, false, nil
 	}
@@ -145,49 +141,37 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	if len(ranges) < 2 {
 		return nil, false, nil
 	}
-	prefix, suffix := splitOps(spec.Ops)
-	if len(prefix) == 0 {
+	policy, err := spec.ParsePolicy()
+	if err != nil {
+		return nil, false, err
+	}
+	// Optimize ONCE, centrally, with the options local execution resolves,
+	// and pin the prefix's physical operators onto every partition
+	// request: a worker picking a different model over its local
+	// statistics would break byte-identity, because model noise is keyed
+	// on model + record content.
+	plan, _, err := pzctx.OptimizeOnly(ds, policy)
+	if err != nil {
+		return nil, false, err
+	}
+	k := scatterable(plan)
+	if k == 1 {
+		c.counters.Inc("cluster_queries_not_streamable")
 		return nil, false, nil
 	}
-	name := spec.Dataset.Name
-	if name == "" {
-		name = "dataset"
-	}
-	prefixSpec := serve.Spec{Dataset: serve.DatasetSpec{Name: name}, Ops: prefix,
-		Policy: spec.Policy, PolicyParam: spec.PolicyParam}
-	prefixDS, err := prefixSpec.Build(pzctx)
+	// The sub-plan spec follows the plan's logical order, which filter
+	// reordering may have changed from the query's.
+	prefixSpec, err := serve.FromChain(plan.Logical[:k], spec.Policy, spec.PolicyParam)
 	if err != nil {
 		return nil, false, err
 	}
-	prefixSchema, err := prefixDS.OutputSchema()
+	prefixSchema, err := ops.ValidatePlan(plan.Logical[:k])
 	if err != nil {
 		return nil, false, err
 	}
-	// Optimize the prefix ONCE, centrally, and pin the champion's physical
-	// plan onto every partition request. Distribution needs two guarantees
-	// re-optimization per partition cannot give: every chosen operator must
-	// be record-wise (ops.IsStreamable — an adaptive embed-filter thresholds
-	// on whole-batch statistics, so partitioning would change its kept set),
-	// and every partition must run the *same* physical operators (model
-	// noise is keyed on model + record content, so a worker picking a
-	// different model over its local statistics would break byte-identity).
-	policy, err := prefixSpec.ParsePolicy()
-	if err != nil {
-		return nil, false, err
-	}
-	champion, _, err := pzctx.OptimizeOnly(prefixDS, policy)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, p := range champion.Ops {
-		if !ops.IsStreamable(p) {
-			c.counters.Inc("cluster_queries_not_streamable")
-			return nil, false, nil
-		}
-	}
-	planSig := PlanSignature(champion)
+	name := prefixSpec.Dataset.Name
 
-	done, execBy, err := c.scatter(ctx, &prefixSpec, planSig, ranges, prefixSchema, nsrc.Path())
+	done, execBy, err := c.scatter(ctx, prefixSpec, PlanSignature(plan)[:k], ranges, prefixSchema, nsrc.Path())
 	if err != nil {
 		return nil, false, err
 	}
@@ -251,8 +235,9 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	root.Add(scatterSpan)
 
 	records := merged
+	suffix := plan.Ops[k:]
 	if len(suffix) > 0 {
-		sres, err := c.runSuffix(ctx, name, prefixSchema, merged, suffix, spec)
+		sres, err := c.runSuffix(ctx, name, prefixSchema, merged, suffix)
 		if err != nil {
 			return nil, false, err
 		}
@@ -279,7 +264,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	return &serve.DistResult{
 		Records: records,
 		Plan: fmt.Sprintf("cluster-scatter(%s: %d partitions over %d workers) -> %d prefix + %d suffix ops",
-			name, len(ranges), len(workers), len(prefix), len(suffix)),
+			name, len(ranges), len(workers), k-1, len(suffix)),
 		Elapsed:    elapsed,
 		CostUSD:    cost,
 		Workers:    len(workers),
@@ -288,33 +273,20 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	}, true, nil
 }
 
-// runSuffix executes the non-distributable operator suffix locally over
-// the merged prefix output: a fresh engine context with the records
-// registered as an in-memory source under the original dataset name.
+// runSuffix runs the plan's operators after the scattered prefix over
+// the merged records: an in-memory scan under the dataset's name feeds
+// them on a dedicated executor at the coordinator's parallelism.
 func (c *Coordinator) runSuffix(ctx context.Context, name string, s *schema.Schema,
-	merged []*record.Record, suffix []serve.OpSpec, spec *serve.Spec) (*PartitionResult, error) {
-	pzctx, err := pz.NewContext(pz.Config{Parallelism: c.cfg.Parallelism})
+	merged []*record.Record, suffix []ops.Physical) (*exec.Result, error) {
+	e, err := exec.NewExecutor(exec.Config{Parallelism: c.cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pzctx.RegisterRecords(name, s, merged); err != nil {
-		return nil, err
-	}
-	suffixSpec := serve.Spec{Dataset: serve.DatasetSpec{Name: name}, Ops: suffix,
-		Policy: spec.Policy, PolicyParam: spec.PolicyParam}
-	ds, err := suffixSpec.Build(pzctx)
+	src, err := dataset.NewMemSource(name, s, merged)
 	if err != nil {
 		return nil, err
 	}
-	policy, err := suffixSpec.ParsePolicy()
-	if err != nil {
-		return nil, err
-	}
-	res, err := pzctx.ExecuteContext(ctx, ds, policy)
-	if err != nil {
-		return nil, err
-	}
-	return &PartitionResult{Records: res.Records, Elapsed: res.Elapsed, CostUSD: res.CostUSD, Trace: res.Trace}, nil
+	return e.RunPhysicalContext(ctx, append([]ops.Physical{&ops.ScanExec{Source: src}}, suffix...))
 }
 
 // attemptOutcome is one finished partition attempt (remote or local).

@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/corpus"
@@ -34,14 +35,14 @@ import (
 // OpenNDJSONRange reader for [Offset, Offset+Docs) of the named dataset's
 // backing file, so nothing but the spec and the range crosses the wire.
 type PartitionRequest struct {
-	// Spec is the distributable sub-plan (the record-wise prefix of the
-	// query: filter/convert/project operators only). Spec.Dataset.Name
-	// must resolve against the worker's own dataset registry.
+	// Spec is the sub-plan: the logical operators of the coordinator's
+	// scattered plan prefix, in plan order. Spec.Dataset.Name must
+	// resolve against the worker's own dataset registry.
 	Spec serve.Spec `json:"spec"`
 	// PlanSig pins the physical plan: the op-ID signature of the
-	// coordinator's champion prefix plan (see PlanSignature). The worker
-	// must execute exactly these physical operators — re-optimizing over
-	// a partition's local statistics could pick a different model or
+	// coordinator's plan prefix (see PlanSignature). The worker must
+	// execute exactly these physical operators — re-optimizing over a
+	// partition's local statistics could pick a different model or
 	// strategy, whose content-keyed noise would break byte-identity with
 	// the sequential scan. Empty lets the worker use its own champion.
 	PlanSig []string `json:"plan_sig,omitempty"`
@@ -64,18 +65,6 @@ func PlanSignature(p *pz.Plan) []string {
 		out[i] = op.ID()
 	}
 	return out
-}
-
-func sigEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WireRecord is one record crossing the worker→coordinator wire: the
@@ -208,7 +197,7 @@ func ExecutePartition(ctx context.Context, req *PartitionRequest, path string, p
 	if len(req.PlanSig) > 0 {
 		plan = nil
 		for _, cand := range candidates {
-			if sigEqual(PlanSignature(cand), req.PlanSig) {
+			if slices.Equal(PlanSignature(cand), req.PlanSig) {
 				plan = cand
 				break
 			}

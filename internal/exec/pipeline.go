@@ -143,18 +143,15 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 		parts = scan.Parts
 	}
 	layout := scan.Layout(parts)
-	// The partitioned prefix is the scan plus, when the scan splits, every
-	// consecutive streamable stage: those run once per partition; the
-	// first blocking stage (or the sink) is where the partitions merge.
+	// When the scan splits, its stream prefix runs once per partition;
+	// the first blocking stage (or the sink) is where the partitions merge.
 	prefixEnd := 1
 	if len(layout) > 1 {
 		// Partitioned prefixes run the window once per partition with
 		// interleaved batch order — no coherent swap point. The caller
 		// falls back to the post-run estimate correction.
 		rc = nil
-		for prefixEnd < len(phys) && ops.IsStreamable(phys[prefixEnd]) {
-			prefixEnd++
-		}
+		prefixEnd = ops.StreamPrefix(phys)
 	}
 
 	// chans[i] carries stage i's output batches.

@@ -62,6 +62,21 @@ func IsStreamable(p Physical) bool {
 	return ok && s.Streamable()
 }
 
+// StreamPrefix is the length of the plan's partitionable prefix: the scan
+// at position 0 plus every consecutive streamable operator after it.
+// Running the prefix once per partition and concatenating the outputs in
+// partition order equals one run over the whole input, so the pipelined
+// engine fans it out over in-process range readers and the cluster
+// coordinator scatters it across workers; the rest of the plan runs once,
+// over the merged records.
+func StreamPrefix(phys []Physical) int {
+	n := 1
+	for n < len(phys) && IsStreamable(phys[n]) {
+		n++
+	}
+	return n
+}
+
 // ParallelHinter is an optional Physical capability: an operator that wants
 // a worker-pool width different from the engine-wide Config.Parallelism
 // (e.g. pure-CPU operators that gain nothing from overlapping LLM calls)

@@ -20,13 +20,6 @@ type ScanExec struct {
 	// stamps it from Options.Partitions so cached plans keep their
 	// fan-out.
 	Parts int
-	// Workers is the cluster worker-pool size the plan was optimized for
-	// (0 = no cluster). Partitions scatter across at most this many
-	// machines, so pipelined time estimates clamp their effective
-	// concurrency to it — with 8 partitions on 2 workers, each worker
-	// executes 4 partitions serially. The optimizer stamps it from
-	// Options.ClusterWorkers.
-	Workers int
 }
 
 // ID implements Physical.
@@ -43,7 +36,7 @@ func (s *ScanExec) Streamable() bool { return true }
 // optimizer pre-populates in.Cardinality/AvgTokens from the source, so the
 // estimate passes through. TimeSec is the sequential model — partition
 // fan-out only shortens the pipelined estimate, which divides the
-// streamable prefix by the scan's Concurrency (see optimizer).
+// streamable prefix by the scan's Partitions (see optimizer).
 func (s *ScanExec) Estimate(in Estimate) Estimate {
 	out := in
 	if out.Quality == 0 {
@@ -91,17 +84,6 @@ func (s *ScanExec) Partitions() int {
 		return 1
 	}
 	return len(s.Layout(s.Parts))
-}
-
-// Concurrency is how many of the scan's partitions genuinely execute at
-// once: Partitions, clamped to the cluster worker pool when the plan
-// targets one.
-func (s *ScanExec) Concurrency() int {
-	n := s.Partitions()
-	if s.Workers > 0 && s.Workers < n {
-		return s.Workers
-	}
-	return n
 }
 
 // Stream emits partition part of the scan's parts-way Layout in dataset

@@ -55,10 +55,9 @@ type cascadeSampleItem struct {
 // chain must open with a scan over an embedding-sidecar corpus
 // (dataset.EmbeddingSource) whose records carry ground truth, the first
 // downstream operator must be a natural-language filter (deeper positions
-// see derived records that may no longer resolve in the sidecar), and the
-// plan must not target cluster scatter (the sidecar index cannot ship to
-// remote workers). Anything else returns (nil, nil) — cascade is an
-// optimization, never a requirement.
+// see derived records that may no longer resolve in the sidecar).
+// Anything else returns (nil, nil) — cascade is an optimization, never a
+// requirement.
 //
 // Calibration itself follows the paper's sentinel-sampling discipline, with
 // one sanctioned extension: the sample's gold labels are used directly.
@@ -71,7 +70,7 @@ type cascadeSampleItem struct {
 // cascade the evidence does not support. Verify- and resolve-tier sentinel
 // calls are charged to the context's service like any other calibration.
 func CalibrateCascade(chain []ops.Logical, opts Options, ctx *ops.Ctx) (*CascadeCalibration, error) {
-	if ctx == nil || opts.NoCascade || opts.ClusterWorkers > 0 || len(chain) < 2 {
+	if ctx == nil || opts.NoCascade || len(chain) < 2 {
 		return nil, nil
 	}
 	scan, ok := chain[0].(*ops.Scan)

@@ -165,15 +165,6 @@ func TestCascadeGates(t *testing.T) {
 			t.Error("cascade enumerated despite NoCascade")
 		}
 	})
-	t.Run("cluster topology", func(t *testing.T) {
-		_, plans, err := New(Options{ClusterWorkers: 2}).Optimize(sidecarChain(t, 120), MinCost{}, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if countCascades(plans) != 0 {
-			t.Error("cascade enumerated for a cluster plan; the sidecar index cannot ship to workers")
-		}
-	})
 	t.Run("no sidecar", func(t *testing.T) {
 		_, plans, err := New(Options{}).Optimize(demoChain(t), MinCost{}, ctx)
 		if err != nil {

@@ -32,8 +32,8 @@ func Fingerprint(chain []ops.Logical, policy Policy, opts Options) string {
 	}
 	fmt.Fprintf(h, "policy|%s", policy.Describe())
 	h.Write([]byte{0})
-	fmt.Fprintf(h, "opts|pruning=%t|sample=%d|maxplans=%d|pipelined=%t|partitions=%d|cluster=%d",
-		opts.Pruning, opts.SampleSize, opts.MaxPlans, opts.Pipelined, opts.Partitions, opts.ClusterWorkers)
+	fmt.Fprintf(h, "opts|pruning=%t|sample=%d|maxplans=%d|pipelined=%t|partitions=%d",
+		opts.Pruning, opts.SampleSize, opts.MaxPlans, opts.Pipelined, opts.Partitions)
 	// Cascade knobs shape the enumerated plan space (and the calibrated
 	// thresholds inside it), so plans optimized with different cascade
 	// settings must occupy distinct plan-cache slots.

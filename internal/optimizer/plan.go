@@ -135,13 +135,6 @@ type Options struct {
 	// engine, which runs one source+map pipeline per partition. The
 	// executor defaults it from its own Partitions config.
 	Partitions int
-	// ClusterWorkers is the coordinator's worker-pool size when the plan
-	// targets cluster scatter (0 = no cluster). Each worker executes its
-	// assigned partitions serially, so pipelined time estimates clamp the
-	// partition concurrency to min(partitions, workers) — 8 partitions on
-	// 2 workers overlap only 2 at a time. The enumerator stamps it onto
-	// scans (ops.ScanExec.Workers) so cached plans keep their topology.
-	ClusterWorkers int
 	// NoCascade disables the semantic-index cascade calibration pass, so
 	// no cascade-filter strategy is ever enumerated.
 	NoCascade bool
@@ -310,16 +303,10 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 		}
 		for _, phys := range options {
 			calib.apply(lp, phys)
-			// Stamp the requested fan-out and cluster topology onto scans
-			// so the plan carries them to the engine (and through the
-			// serving plan cache).
-			if sc, ok := phys.(*ops.ScanExec); ok {
-				if o.opts.Partitions > 0 {
-					sc.Parts = o.opts.Partitions
-				}
-				if o.opts.ClusterWorkers > 0 {
-					sc.Workers = o.opts.ClusterWorkers
-				}
+			// Stamp the requested fan-out onto scans so the plan carries
+			// it to the engine (and through the serving plan cache).
+			if sc, ok := phys.(*ops.ScanExec); ok && o.opts.Partitions > 0 {
+				sc.Parts = o.opts.Partitions
 			}
 		}
 		var next []*Plan
@@ -360,12 +347,10 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 
 // pipelinedTimeSec models a plan's runtime on the streaming engine: the
 // per-operator time deltas folded by the engine's shared wall-clock model
-// (ops.PipelinedWallTime). A partitioned scan fans the plan's streamable
-// prefix out into per-partition pipelines, so those stages' deltas divide
-// by the scan's Concurrency — the fan-out the source can provide,
-// clamped to the cluster worker-pool size when the plan targets scatter
-// execution (workers run their partitions serially) — the same
-// max-across-executors model the engine and coordinator apply to their
+// (ops.PipelinedWallTime). A partitioned scan fans the plan's stream
+// prefix (ops.StreamPrefix) out into per-partition pipelines, so those
+// stages' deltas divide by the fan-out the scan's source can provide —
+// the same max-across-partitions model the engine applies to its
 // measured clocks.
 func pipelinedTimeSec(p *Plan) float64 {
 	deltas := make([]float64, len(p.Ops))
@@ -375,11 +360,8 @@ func pipelinedTimeSec(p *Plan) float64 {
 		prev = p.PerOp[i].TimeSec
 	}
 	if sc, ok := p.Ops[0].(*ops.ScanExec); ok {
-		f := float64(sc.Concurrency())
-		for i := range p.Ops {
-			if i > 0 && !ops.IsStreamable(p.Ops[i]) {
-				break
-			}
+		f := float64(sc.Partitions())
+		for i := range p.Ops[:ops.StreamPrefix(p.Ops)] {
 			deltas[i] /= f
 		}
 	}

@@ -17,7 +17,8 @@ type Distributor interface {
 	// TryExecute attempts distributed execution of spec at the given
 	// partition fan-out. ok=false with a nil error means the query is not
 	// distributable (non-NDJSON dataset, no partition index, empty worker
-	// pool, no record-wise prefix) and the caller should execute locally.
+	// pool, no operator a partition can run after the scan) and the
+	// caller should execute locally.
 	// A non-nil error is either the run context's cancellation or a
 	// distributed failure the caller may also resolve by running locally.
 	TryExecute(ctx context.Context, pzctx *pz.Context, spec *Spec, fanout int) (*DistResult, bool, error)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -482,5 +483,75 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	resp, body := postQuery(t, ts.URL, spec, false, "")
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d-byte predicate: status %d (%s), want 413", len(spec.Ops[0].Predicate), resp.StatusCode, body)
+	}
+}
+
+// TestServeForgetsOldestFinishedJobs: the server remembers at most
+// maxFinishedJobs finished jobs, forgetting the oldest finished first,
+// and never forgets a job still running.
+func TestServeForgetsOldestFinishedJobs(t *testing.T) {
+	held := make(chan string, 1)
+	release := make(chan struct{})
+	var holding atomic.Bool
+	srv, err := New(Config{
+		Context: newStreamContext(t, 2, pz.Config{}),
+		OnJobStart: func(ctx context.Context, job *Job) {
+			if holding.CompareAndSwap(false, true) {
+				held <- job.ID()
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if resp, body := postQuery(t, ts.URL, streamSpec("min-cost", "urgent"), false, ""); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit status %d: %s", resp.StatusCode, body)
+	}
+	running := <-held
+	var finished []string
+	for i := 0; i <= maxFinishedJobs; i++ {
+		resp, body := postQuery(t, ts.URL, streamSpec("min-cost", "urgent"), true, "")
+		var view JobView
+		if err := json.Unmarshal(body, &view); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d, %v: %s", i, resp.StatusCode, err, body)
+		}
+		finished = append(finished, view.ID)
+	}
+	if got := status(finished[0]); got != http.StatusNotFound {
+		t.Errorf("oldest finished job answers %d, want 404", got)
+	}
+	if got := status(finished[1]); got != http.StatusOK {
+		t.Errorf("second-oldest finished job answers %d, want 200", got)
+	}
+	if got := status(running); got != http.StatusOK {
+		t.Errorf("running job answers %d, want 200", got)
+	}
+	var views []JobView
+	getJSON(t, ts.URL+"/v1/jobs", &views)
+	if len(views) != maxFinishedJobs+1 {
+		t.Errorf("listed %d jobs, want %d finished + 1 running", len(views), maxFinishedJobs)
+	}
+
+	// Once the held job finishes it is the newest finished job, and the
+	// oldest remaining one goes.
+	close(release)
+	if view := awaitStatus(t, ts.URL, running); view.Status != StatusDone {
+		t.Fatalf("held job settled %s", view.Status)
+	}
+	if got := status(finished[1]); got != http.StatusNotFound {
+		t.Errorf("second-oldest finished job answers %d after the held job finished, want 404", got)
 	}
 }

@@ -39,9 +39,9 @@ type Config struct {
 	// Cluster, when set, routes queries with a partition fan-out > 1
 	// through a coordinator that scatters per-partition sub-plans across
 	// registered workers (see internal/cluster). Queries the coordinator
-	// declines (non-partitionable dataset, empty worker pool, no
-	// distributable prefix) fall back to local execution transparently,
-	// as do distributed failures.
+	// declines (non-partitionable dataset, empty worker pool, no operator
+	// a partition can run after the scan) fall back to local execution
+	// transparently, as do distributed failures.
 	Cluster Distributor
 	// Counters optionally shares a metrics registry with other subsystems
 	// (the cluster registry/coordinator), so /metrics reports one merged
@@ -54,12 +54,19 @@ type Config struct {
 	// seconds: completed queries at or above it are retained in the
 	// bounded ring behind /v1/debug/slowlog. 0 disables the log.
 	SlowQuerySimSec float64
-	// TraceRingSize bounds the ring of recent query traces behind
-	// /v1/debug/traces (default 64).
-	TraceRingSize int
-	// SlowLogSize bounds the slow-query ring (default 128).
-	SlowLogSize int
 }
+
+const (
+	// traceRingSize bounds the ring of recent query traces behind
+	// /v1/debug/traces.
+	traceRingSize = 64
+	// slowLogSize bounds the slow-query ring.
+	slowLogSize = 128
+	// maxFinishedJobs bounds the finished jobs the server remembers for
+	// /v1/jobs; past it the oldest finished job is forgotten and its ID
+	// answers 404. Queued and running jobs are never forgotten.
+	maxFinishedJobs = 512
+)
 
 // Job statuses.
 const (
@@ -198,6 +205,9 @@ type Server struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
 	seq  int
+	// finished lists the IDs of the finished jobs still in jobs, oldest
+	// first.
+	finished []string
 
 	base     context.Context
 	shutdown context.CancelFunc
@@ -224,12 +234,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Histograms == nil {
 		cfg.Histograms = metrics.NewHistograms()
 	}
-	if cfg.TraceRingSize <= 0 {
-		cfg.TraceRingSize = 64
-	}
-	if cfg.SlowLogSize <= 0 {
-		cfg.SlowLogSize = 128
-	}
 	if cfg.SlowQuerySimSec < 0 {
 		return nil, fmt.Errorf("serve: negative slow-query threshold %v", cfg.SlowQuerySimSec)
 	}
@@ -242,8 +246,8 @@ func New(cfg Config) (*Server, error) {
 		tenants:  NewAccounting(cfg.DefaultBudgetUSD, cfg.TenantBudgets),
 		counters: cfg.Counters,
 		hists:    cfg.Histograms,
-		traces:   trace.NewRing[*trace.Document](cfg.TraceRingSize),
-		slowlog:  trace.NewRing[SlowQueryEntry](cfg.SlowLogSize),
+		traces:   trace.NewRing[*trace.Document](traceRingSize),
+		slowlog:  trace.NewRing[SlowQueryEntry](slowLogSize),
 		jobs:     map[string]*Job{},
 		base:     base,
 		shutdown: cancel,
@@ -390,12 +394,25 @@ func (s *Server) newJob(tenant string) *Job {
 	return job
 }
 
+// retire records a finished job, forgetting the oldest finished jobs past
+// maxFinishedJobs.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job.id)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 // runJob drives one admitted query to a terminal state: wait for an
 // execution slot, try the cluster coordinator for partitioned queries,
 // otherwise consult the plan cache, execute with cancellation, and
 // settle accounting. parent is the job's cancellation scope (the request
 // context for synchronous queries, the server's base context otherwise).
 func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dataset, policy pz.Policy, ticket *Ticket) {
+	defer s.retire(job)
 	defer ticket.Release()
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -448,34 +465,34 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 		job.finish(StatusFailed, nil, err.Error())
 		return
 	}
-	s.tenants.Charge(job.tenant, res.CostUSD)
-	records, err := RecordsJSON(res.Records)
-	if err != nil {
-		s.counters.Inc("queries_failed")
-		job.finish(StatusFailed, nil, err.Error())
-		return
-	}
-	s.counters.Inc("queries_done")
-	s.observeDone(job, res.Trace, res.Elapsed.Milliseconds(), res.CostUSD, res.Plan.String())
-	job.finish(StatusDone, &QueryResult{
-		Records:      records,
-		Count:        len(res.Records),
+	s.complete(job, res.Records, res.Trace, QueryResult{
 		Plan:         res.Plan.String(),
 		PlanCached:   cached,
 		Candidates:   res.Candidates,
 		Policy:       policy.Describe(),
 		ElapsedSimMS: res.Elapsed.Milliseconds(),
 		CostUSD:      res.CostUSD,
-	}, "")
+	})
 }
 
-// observeDone records one completed query into the observability
-// surfaces: latency/cost histograms, the recent-trace ring, the job's
-// own trace, and (past the configured threshold) the slow-query log.
-func (s *Server) observeDone(job *Job, tr *trace.Span, elapsedSimMS int64, costUSD float64, plan string) {
-	simSec := float64(elapsedSimMS) / 1000
+// complete settles a query that ran, locally or on the cluster: it
+// charges the tenant, renders the records into result, records the run
+// into the observability surfaces — latency/cost histograms, the
+// recent-trace ring, the job's own trace, and (past the configured
+// threshold) the slow-query log — and finishes the job done.
+func (s *Server) complete(job *Job, recs []*pz.Record, tr *trace.Span, result QueryResult) {
+	s.tenants.Charge(job.tenant, result.CostUSD)
+	records, err := RecordsJSON(recs)
+	if err != nil {
+		s.counters.Inc("queries_failed")
+		job.finish(StatusFailed, nil, err.Error())
+		return
+	}
+	result.Records, result.Count = records, len(recs)
+	s.counters.Inc("queries_done")
+	simSec := float64(result.ElapsedSimMS) / 1000
 	s.hists.Observe("query_sim_seconds", metrics.LatencyBuckets, simSec)
-	s.hists.Observe("query_cost_usd", metrics.CostBuckets, costUSD)
+	s.hists.Observe("query_cost_usd", metrics.CostBuckets, result.CostUSD)
 	if tr != nil {
 		job.setTrace(tr)
 		accumulateCascadeCounters(s.counters, tr)
@@ -492,11 +509,12 @@ func (s *Server) observeDone(job *Job, tr *trace.Span, elapsedSimMS int64, costU
 		s.slowlog.Push(SlowQueryEntry{
 			JobID:        job.ID(),
 			Tenant:       job.Tenant(),
-			ElapsedSimMS: elapsedSimMS,
-			CostUSD:      costUSD,
-			Plan:         plan,
+			ElapsedSimMS: result.ElapsedSimMS,
+			CostUSD:      result.CostUSD,
+			Plan:         result.Plan,
 		})
 	}
+	job.finish(StatusDone, &result, "")
 }
 
 // accumulateCascadeCounters folds a completed query's cascade tier spans
@@ -579,23 +597,12 @@ func (s *Server) runDistributed(ctx context.Context, job *Job, spec *Spec, polic
 	if !ok {
 		return false
 	}
-	s.tenants.Charge(job.tenant, dres.CostUSD)
-	records, err := RecordsJSON(dres.Records)
-	if err != nil {
-		s.counters.Inc("queries_failed")
-		job.finish(StatusFailed, nil, err.Error())
-		return true
-	}
-	s.counters.Inc("queries_done")
-	s.observeDone(job, dres.Trace, dres.Elapsed.Milliseconds(), dres.CostUSD, dres.Plan)
-	job.finish(StatusDone, &QueryResult{
-		Records:      records,
-		Count:        len(dres.Records),
+	s.complete(job, dres.Records, dres.Trace, QueryResult{
 		Plan:         dres.Plan,
 		Policy:       policy.Describe(),
 		ElapsedSimMS: dres.Elapsed.Milliseconds(),
 		CostUSD:      dres.CostUSD,
-	}, "")
+	})
 	return true
 }
 

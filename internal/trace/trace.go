@@ -49,8 +49,8 @@ const (
 	KindReopt = "reopt"
 	// KindScatter is the coordinator's scatter/gather phase.
 	KindScatter = "scatter"
-	// KindSuffix is the coordinator-local run of a clustered query's
-	// non-distributable operator suffix.
+	// KindSuffix is the coordinator-local run of a clustered plan's
+	// operators after the scattered prefix.
 	KindSuffix = "suffix"
 )
 

@@ -172,13 +172,6 @@ type Config struct {
 	// single streaming reader. Dataset.WithPartitions overrides per
 	// pipeline.
 	Partitions int
-	// ClusterWorkers is the coordinator worker-pool size when this context
-	// fronts cluster scatter execution (see internal/cluster): 0 means no
-	// cluster. It only shapes optimization — the cost model clamps
-	// partition concurrency to the pool size, and plan fingerprints
-	// separate by topology — while the coordinator performs the actual
-	// scatter.
-	ClusterWorkers int
 	// SampleSize enables sentinel calibration over that many records.
 	SampleSize int
 	// Pruning enables Pareto pruning during plan enumeration.
@@ -257,9 +250,6 @@ type Context struct {
 
 // NewContext builds a Context.
 func NewContext(cfg Config) (*Context, error) {
-	if cfg.ClusterWorkers < 0 {
-		return nil, fmt.Errorf("pz: negative cluster worker count %d", cfg.ClusterWorkers)
-	}
 	e, err := exec.NewExecutor(exec.Config{
 		Parallelism:     cfg.Parallelism,
 		Partitions:      cfg.Partitions,
@@ -617,7 +607,6 @@ func (c *Context) optimizerOptions(d *Dataset) optimizer.Options {
 		Pruning:           c.cfg.Pruning,
 		SampleSize:        c.cfg.SampleSize,
 		Partitions:        c.cfg.Partitions,
-		ClusterWorkers:    c.cfg.ClusterWorkers,
 		Pipelined:         c.cfg.Parallelism > 1 || c.cfg.Partitions > 1,
 		NoCascade:         c.cfg.NoCascade,
 		CascadeSample:     c.cfg.CascadeSample,
