@@ -7,7 +7,7 @@
 //
 //	pzrun -spec pipeline.json [-policy max-quality] [-param 0] [-records 10]
 //	      [-parallelism 4] [-partitions 0] [-batch 0] [-progress] [-sample 0]
-//	      [-reopt-after 0] [-reopt-divergence 0]
+//	      [-reopt-after 0]
 //	      [-timeout 0] [-trace out.json]
 //	      [-server http://host:8077] [-tenant name]
 //
@@ -66,7 +66,6 @@ type options struct {
 	batch       int
 	sample      int
 	reoptAfter  int
-	reoptDiv    float64
 	progress    bool
 	timeout     time.Duration
 	server      string
@@ -86,7 +85,6 @@ func main() {
 	flag.BoolVar(&opts.progress, "progress", false, "print per-stage progress events to stderr")
 	flag.IntVar(&opts.sample, "sample", 0, "sentinel calibration sample size")
 	flag.IntVar(&opts.reoptAfter, "reopt-after", 0, "batches each filter stage observes before the engine checks for a mid-flight re-plan (0 = disabled; spec-file reopt_after wins)")
-	flag.Float64Var(&opts.reoptDiv, "reopt-divergence", 0, "relative estimate error that triggers a re-plan (0 = engine default; spec-file reopt_divergence wins)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "abort the run after this long (0 = no timeout)")
 	flag.StringVar(&opts.server, "server", "", "submit the spec to a running pzserve at this base URL instead of executing locally")
 	flag.StringVar(&opts.tenant, "tenant", "", "tenant name sent to -server via X-PZ-Tenant")
@@ -106,10 +104,6 @@ func main() {
 	}
 	if opts.reoptAfter < 0 {
 		fmt.Fprintf(os.Stderr, "pzrun: -reopt-after must be >= 0, got %d\n", opts.reoptAfter)
-		os.Exit(2)
-	}
-	if opts.reoptDiv < 0 {
-		fmt.Fprintf(os.Stderr, "pzrun: -reopt-divergence must be >= 0, got %g\n", opts.reoptDiv)
 		os.Exit(2)
 	}
 	if err := run(*specPath, opts); err != nil {
@@ -140,13 +134,9 @@ func run(specPath string, opts options) error {
 	if sp.Partitions == 0 {
 		sp.Partitions = opts.partitions
 	}
-	// Same precedence for the re-optimization knobs: spec values win,
-	// flags fill the gap, and both travel the wire with -server.
+	// Same precedence for the re-optimization window.
 	if sp.ReoptAfter == 0 {
 		sp.ReoptAfter = opts.reoptAfter
-	}
-	if sp.ReoptDivergence == 0 {
-		sp.ReoptDivergence = opts.reoptDiv
 	}
 	ctx := context.Background()
 	if opts.timeout > 0 {

@@ -8,7 +8,7 @@
 //
 //	pzserve -addr :8077 -dataset papers=./pdfs [-dataset tickets=./corpus.ndjson]
 //	        [-parallelism 4] [-partitions 0] [-batch 0] [-sample 0]
-//	        [-reopt-after 0] [-reopt-divergence 0]
+//	        [-reopt-after 0]
 //	        [-max-inflight 8] [-max-queue 16] [-plan-cache 128]
 //	        [-llm-cache=true] [-llm-cache-capacity 4096]
 //	        [-budget 0] [-tenant-budget alice=1.50]
@@ -73,7 +73,6 @@ func main() {
 	batch := flag.Int("batch", 0, "record batch size between pipeline stages (0 = auto)")
 	sample := flag.Int("sample", 0, "sentinel calibration sample size")
 	reoptAfter := flag.Int("reopt-after", 0, "default mid-flight re-optimization batch window (0 = disabled; per-query specs override)")
-	reoptDivergence := flag.Float64("reopt-divergence", 0, "default relative estimate error that triggers a re-plan (0 = engine default)")
 	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing queries")
 	maxQueue := flag.Int("max-queue", 16, "max queries waiting for a slot before load-shedding with 429")
 	planCache := flag.Int("plan-cache", 128, "cross-query plan cache capacity")
@@ -122,7 +121,7 @@ func main() {
 
 	if err := run(*addr, datasets, budgets, serveOptions{
 		parallelism: *parallelism, partitions: *partitions, batch: *batch, sample: *sample,
-		reoptAfter: *reoptAfter, reoptDivergence: *reoptDivergence,
+		reoptAfter:  *reoptAfter,
 		maxInflight: *maxInflight, maxQueue: *maxQueue, planCache: *planCache,
 		llmCache: *llmCache, llmCacheCap: *llmCacheCap, budget: *budget,
 		slowQuerySec: *slowQuerySec,
@@ -139,7 +138,6 @@ type serveOptions struct {
 	parallelism, partitions          int
 	batch, sample                    int
 	reoptAfter                       int
-	reoptDivergence                  float64
 	maxInflight, maxQueue, planCache int
 	llmCache                         bool
 	llmCacheCap                      int
@@ -163,9 +161,6 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 	if opts.reoptAfter < 0 {
 		return fmt.Errorf("-reopt-after must be >= 0, got %d", opts.reoptAfter)
 	}
-	if opts.reoptDivergence < 0 {
-		return fmt.Errorf("-reopt-divergence must be >= 0, got %g", opts.reoptDivergence)
-	}
 	if opts.cluster && opts.partitionRetries < 1 {
 		return fmt.Errorf("-partition-retries must be >= 1, got %d", opts.partitionRetries)
 	}
@@ -186,7 +181,6 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 		EnableCache:       opts.llmCache,
 		CacheCapacity:     opts.llmCacheCap,
 		ReoptAfterBatches: opts.reoptAfter,
-		ReoptDivergence:   opts.reoptDivergence,
 	})
 	if err != nil {
 		return err
@@ -265,7 +259,7 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 		mux.Handle("/", srv.Handler())
 		handler = mux
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
+	httpSrv := serve.NewHTTPServer(addr, handler)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
+	"repro/internal/serve"
 	"repro/internal/workloads"
 )
 
@@ -61,7 +62,6 @@ func TestRunValidation(t *testing.T) {
 		{"zero parallelism", nil, func(o *serveOptions) { o.parallelism = 0 }},
 		{"negative partitions", nil, func(o *serveOptions) { o.partitions = -1 }},
 		{"negative reopt after", nil, func(o *serveOptions) { o.reoptAfter = -1 }},
-		{"negative reopt divergence", nil, func(o *serveOptions) { o.reoptDivergence = -0.1 }},
 		{"cluster zero retries", nil, func(o *serveOptions) { o.cluster = true; o.partitionRetries = 0 }},
 		{"cluster zero partition timeout", nil, func(o *serveOptions) { o.cluster = true; o.partitionTimeout = 0 }},
 		{"cluster zero straggler after", nil, func(o *serveOptions) { o.cluster = true; o.stragglerAfter = 0 }},
@@ -180,5 +180,62 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("coordinator did not shut down on interrupt")
+	}
+}
+
+// TestServerClosesStalledHeaders: a client that opens a connection and
+// never finishes its request headers is disconnected once the server's
+// header timeout passes, instead of holding the connection forever.
+func TestServerClosesStalledHeaders(t *testing.T) {
+	addr := freeAddr(t)
+	done := make(chan error, 1)
+	go func() { done <- run(addr, nil, nil, baseOptions()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never became healthy")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: pzserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(serve.ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 512))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection with a partial header block still open after %v", time.Since(start).Round(time.Millisecond))
+	}
+	if err == nil {
+		t.Fatalf("server answered a partial header block with %d bytes", n)
+	}
+
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v on graceful shutdown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not shut down on interrupt")
 	}
 }

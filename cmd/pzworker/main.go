@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -114,7 +115,7 @@ func run(addr, name, coordinator, advertise string, datasets map[string]string, 
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: w.Handler()}
+	httpSrv := serve.NewHTTPServer(addr, w.Handler())
 
 	stopHeartbeat := make(chan struct{})
 	heartbeatDone := make(chan struct{})

@@ -111,9 +111,6 @@ type TrackDataset struct {
 	// ReoptAfter enables adaptive mid-flight re-optimization for the
 	// dataset's cells: the observation window in batches (0 = off).
 	ReoptAfter int `json:"reopt_after,omitempty"`
-	// ReoptDivergence overrides the re-plan divergence trigger (0 = the
-	// engine default).
-	ReoptDivergence float64 `json:"reopt_divergence,omitempty"`
 }
 
 // PriorSpec is one seeded cost-model estimate: selectivity for a filter
@@ -248,9 +245,6 @@ func (t *Track) validate() error {
 		}
 		if d.ReoptAfter < 0 {
 			return fmt.Errorf("bench: dataset %q reopt_after %d is negative", d.Name, d.ReoptAfter)
-		}
-		if d.ReoptDivergence < 0 {
-			return fmt.Errorf("bench: dataset %q reopt_divergence %v is negative", d.Name, d.ReoptDivergence)
 		}
 		for pos, p := range d.Priors {
 			if pos < 1 || pos > len(d.Ops) {
@@ -745,13 +739,12 @@ func runCell(t *Track, d *TrackDataset, domain, corpusPath string, par, parts in
 		Parallelism: par, Partitions: parts, Policy: policy,
 	}
 	pspec := &serve.Spec{
-		Dataset:         serve.DatasetSpec{Name: d.Name, File: corpusPath},
-		Ops:             d.Ops,
-		Policy:          policy,
-		PolicyParam:     t.PolicyParam,
-		Partitions:      parts,
-		ReoptAfter:      d.ReoptAfter,
-		ReoptDivergence: d.ReoptDivergence,
+		Dataset:     serve.DatasetSpec{Name: d.Name, File: corpusPath},
+		Ops:         d.Ops,
+		Policy:      policy,
+		PolicyParam: t.PolicyParam,
+		Partitions:  parts,
+		ReoptAfter:  d.ReoptAfter,
 	}
 	start := time.Now()
 	if opts.ServerURL != "" {

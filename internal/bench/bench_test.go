@@ -480,7 +480,7 @@ func TestParseTrackRejectsReoptAndPriors(t *testing.T) {
 		want string
 	}{
 		{"negative reopt after", mut(`"seed": 5,`, `"seed": 5, "reopt_after": -1,`), "reopt_after -1"},
-		{"negative reopt divergence", mut(`"seed": 5,`, `"seed": 5, "reopt_divergence": -0.5,`), "reopt_divergence -0.5"},
+		{"negative reopt divergence", mut(`"seed": 5,`, `"seed": 5, "reopt_divergence": -0.5,`), `unknown field "reopt_divergence"`},
 		{"prior at scan", mut(`"seed": 5,`, `"seed": 5, "priors": {"0": {"selectivity": 0.5}},`), "prior position 0"},
 		{"prior past pipeline", mut(`"seed": 5,`, `"seed": 5, "priors": {"9": {"selectivity": 0.5}},`), "prior position 9"},
 		{"prior selectivity above one", mut(`"seed": 5,`, `"seed": 5, "priors": {"1": {"selectivity": 1.5}},`), "selectivity 1.5"},

@@ -75,12 +75,6 @@ type Config struct {
 	// on the sequential engine. Events are serialized; the callback never
 	// runs concurrently with itself.
 	OnProgress func(Progress)
-	// TraceSink, when set, receives the completed span tree of every
-	// top-level execution (Execute / ExecutePlan paths), after the
-	// optimize span and plan attributes are attached. The callback may
-	// run concurrently with itself when runs overlap; the span is not
-	// mutated after delivery.
-	TraceSink func(*trace.Span)
 }
 
 // Executor owns the LLM service, virtual clock, and retry client for a
@@ -327,7 +321,6 @@ func (e *Executor) ExecuteContext(ctx context.Context, chain []ops.Logical, poli
 		res.Trace.SetAttr("plan", plan.String())
 		res.Trace.SetAttr("candidates", fmt.Sprint(res.Candidates))
 		appendReoptSpan(res.Trace, res.Reopt)
-		e.emitTrace(res.Trace)
 	}
 	return res, nil
 }
@@ -350,7 +343,6 @@ func (e *Executor) ExecutePlanContext(ctx context.Context, plan *optimizer.Plan,
 		res.Trace.SetAttr("plan", plan.String())
 		res.Trace.SetAttr("plan_cached", "true")
 		appendReoptSpan(res.Trace, res.Reopt)
-		e.emitTrace(res.Trace)
 	}
 	return res, nil
 }

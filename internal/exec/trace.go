@@ -13,9 +13,9 @@ import (
 // run's per-operator statistics: one stage span per physical operator,
 // and (on the pipelined engine's partitioned prefix) one partition span
 // per (partition, stage) cell. ExecuteContext prepends the optimize
-// span and stamps plan/policy attributes; the TraceSink fires once per
-// top-level execution there and in ExecutePlanContext — never from the
-// inner Run* entry points, so a sink observes each query exactly once.
+// span and stamps plan/policy attributes, and ExecutePlanContext stamps
+// the plan it was handed; callers read the finished tree from
+// Result.Trace.
 
 // buildRunTrace assembles the root query span and its per-stage
 // children. stageTimes, when non-nil, overrides each stage span's
@@ -103,12 +103,5 @@ func attachPartitionSpans(root *trace.Span, prefixEnd int, partIn, partOut [][]i
 				SimMS:       partTallies[p][i].Total().Milliseconds(),
 			})
 		}
-	}
-}
-
-// emitTrace delivers a completed top-level trace to the configured sink.
-func (e *Executor) emitTrace(span *trace.Span) {
-	if span != nil && e.cfg.TraceSink != nil {
-		e.cfg.TraceSink(span)
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"repro/internal/vector"
 )
 
-// Cascade calibration defaults (see Options.CascadeSample and
-// Options.CascadeMinRecall).
+// Cascade calibration settings: the sentinel sample size, and the
+// sample-positive recall the prefilter threshold must retain.
 const (
-	DefaultCascadeSample    = 256
-	DefaultCascadeMinRecall = 0.995
+	CascadeSample    = 256
+	CascadeMinRecall = 0.995
 )
 
 // CascadeResolveModel is the escalation target every enumerated cascade
@@ -69,8 +69,8 @@ type cascadeSampleItem struct {
 // near-perfect F1 a quality-floor policy would need to see to accept a
 // cascade the evidence does not support. Verify- and resolve-tier sentinel
 // calls are charged to the context's service like any other calibration.
-func CalibrateCascade(chain []ops.Logical, opts Options, ctx *ops.Ctx) (*CascadeCalibration, error) {
-	if ctx == nil || opts.NoCascade || len(chain) < 2 {
+func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, error) {
+	if ctx == nil || len(chain) < 2 {
 		return nil, nil
 	}
 	scan, ok := chain[0].(*ops.Scan)
@@ -96,15 +96,7 @@ func CalibrateCascade(chain []ops.Logical, opts Options, ctx *ops.Ctx) (*Cascade
 		return nil, nil
 	}
 
-	sampleSize := opts.CascadeSample
-	if sampleSize <= 0 {
-		sampleSize = DefaultCascadeSample
-	}
-	minRecall := opts.CascadeMinRecall
-	if minRecall <= 0 {
-		minRecall = DefaultCascadeMinRecall
-	}
-	sample, err := sampleRecords(scan.Source, sampleSize)
+	sample, err := sampleRecords(scan.Source, CascadeSample)
 	if err != nil {
 		return nil, err
 	}
@@ -140,15 +132,15 @@ func CalibrateCascade(chain []ops.Logical, opts Options, ctx *ops.Ctx) (*Cascade
 		return nil, nil
 	}
 
-	// Keep threshold: the positive-score quantile admitting minRecall of
-	// sample positives, nudged below the boundary score so the boundary
-	// positive itself survives.
+	// Keep threshold: the positive-score quantile admitting
+	// CascadeMinRecall of sample positives, nudged below the boundary
+	// score so the boundary positive itself survives.
 	posScores := make([]float64, 0, len(posVecs))
 	for _, v := range posVecs {
 		posScores = append(posScores, ops.CascadeScore(vector.Cosine(probe, v)))
 	}
 	sort.Float64s(posScores)
-	allowMiss := int(float64(len(posScores)) * (1 - minRecall))
+	allowMiss := int(float64(len(posScores)) * (1 - CascadeMinRecall))
 	threshold := posScores[allowMiss] - 1e-9
 	if threshold <= 0 {
 		threshold = math.SmallestNonzeroFloat64

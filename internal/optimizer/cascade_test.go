@@ -156,15 +156,6 @@ func TestCascadeGates(t *testing.T) {
 			t.Error("cascade enumerated without an execution context")
 		}
 	})
-	t.Run("NoCascade option", func(t *testing.T) {
-		_, plans, err := New(Options{NoCascade: true}).Optimize(sidecarChain(t, 120), MinCost{}, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if countCascades(plans) != 0 {
-			t.Error("cascade enumerated despite NoCascade")
-		}
-	})
 	t.Run("no sidecar", func(t *testing.T) {
 		_, plans, err := New(Options{}).Optimize(demoChain(t), MinCost{}, ctx)
 		if err != nil {

@@ -32,18 +32,13 @@ func Fingerprint(chain []ops.Logical, policy Policy, opts Options) string {
 	}
 	fmt.Fprintf(h, "policy|%s", policy.Describe())
 	h.Write([]byte{0})
-	fmt.Fprintf(h, "opts|pruning=%t|sample=%d|maxplans=%d|pipelined=%t|partitions=%d",
-		opts.Pruning, opts.SampleSize, opts.MaxPlans, opts.Pipelined, opts.Partitions)
-	// Cascade knobs shape the enumerated plan space (and the calibrated
-	// thresholds inside it), so plans optimized with different cascade
-	// settings must occupy distinct plan-cache slots.
-	fmt.Fprintf(h, "|nocascade=%t|cascadesample=%d|cascaderecall=%g",
-		opts.NoCascade, opts.CascadeSample, opts.CascadeMinRecall)
-	// Re-optimization knobs and seeded priors shape both the enumerated
-	// orderings and the executor's mid-flight behaviour, so they must
-	// separate plan-cache slots too. Priors are encoded sorted by
-	// position for map-order independence.
-	fmt.Fprintf(h, "|reoptafter=%d|reoptdiv=%g", opts.ReoptAfterBatches, opts.ReoptDivergence)
+	fmt.Fprintf(h, "opts|pruning=%t|sample=%d|pipelined=%t|partitions=%d",
+		opts.Pruning, opts.SampleSize, opts.Pipelined, opts.Partitions)
+	// The re-optimization window and seeded priors shape both the
+	// enumerated orderings and the executor's mid-flight behaviour, so
+	// they must separate plan-cache slots too. Priors are encoded sorted
+	// by position for map-order independence.
+	fmt.Fprintf(h, "|reoptafter=%d", opts.ReoptAfterBatches)
 	positions := make([]int, 0, len(opts.Priors))
 	for pos := range opts.Priors {
 		positions = append(positions, pos)

@@ -45,14 +45,6 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		"options": Fingerprint(fpChain(t, "about cats", sc), MaxQuality{}, Options{}),
 		"pipelined": Fingerprint(fpChain(t, "about cats", sc), MaxQuality{},
 			Options{Pruning: true, Pipelined: true}),
-		// Cascade knobs change the enumerated plan space, so plans cached
-		// under one setting must not serve queries under another.
-		"no-cascade": Fingerprint(fpChain(t, "about cats", sc), MaxQuality{},
-			Options{Pruning: true, NoCascade: true}),
-		"cascade-sample": Fingerprint(fpChain(t, "about cats", sc), MaxQuality{},
-			Options{Pruning: true, CascadeSample: 512}),
-		"cascade-recall": Fingerprint(fpChain(t, "about cats", sc), MaxQuality{},
-			Options{Pruning: true, CascadeMinRecall: 0.9}),
 	}
 	for what, fp := range distinct {
 		if fp == base {

@@ -349,17 +349,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestMaxPlansCap(t *testing.T) {
-	chain := demoChain(t)
-	_, plans, err := New(Options{MaxPlans: 3}).Optimize(chain, MaxQuality{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) > 3 {
-		t.Errorf("MaxPlans not enforced: %d", len(plans))
-	}
-}
-
 func TestPlanString(t *testing.T) {
 	chain := demoChain(t)
 	p, _, err := New(Options{}).Optimize(chain, MaxQuality{}, nil)

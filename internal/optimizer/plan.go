@@ -121,8 +121,6 @@ type Options struct {
 	// SampleSize, when > 0, runs sentinel calibration over that many
 	// records before enumeration (requires a Ctx in Optimize).
 	SampleSize int
-	// MaxPlans caps the number of complete plans retained (0 = unlimited).
-	MaxPlans int
 	// Pipelined makes plan runtime estimates (Plan.Time, and therefore
 	// time-sensitive policies) use the pipelined streaming model — stage
 	// segments cost their maximum, not their sum. The executor sets it
@@ -135,16 +133,6 @@ type Options struct {
 	// engine, which runs one source+map pipeline per partition. The
 	// executor defaults it from its own Partitions config.
 	Partitions int
-	// NoCascade disables the semantic-index cascade calibration pass, so
-	// no cascade-filter strategy is ever enumerated.
-	NoCascade bool
-	// CascadeSample is the calibration sample size for cascade pricing
-	// (0 = DefaultCascadeSample). Only consulted when a chain qualifies
-	// for cascade enumeration (see CalibrateCascade).
-	CascadeSample int
-	// CascadeMinRecall is the sample-positive recall the prefilter
-	// threshold must retain (0 = DefaultCascadeMinRecall).
-	CascadeMinRecall float64
 	// ReoptAfterBatches, when > 0, arms mid-flight re-optimization on the
 	// pipelined engine: after this many batches have crossed each
 	// re-orderable filter stage, observed selectivity and cost are
@@ -153,11 +141,6 @@ type Options struct {
 	// (see internal/exec). Sequential runs apply the same check after the
 	// run to correct the cached plan's estimates.
 	ReoptAfterBatches int
-	// ReoptDivergence is the relative estimate divergence that triggers a
-	// re-plan (0 = DefaultReoptDivergence). Divergence is the worst
-	// per-stage relative error between observed and estimated selectivity
-	// or per-record cost.
-	ReoptDivergence float64
 	// Priors seeds per-position selectivity/fan-out estimates without
 	// running sentinel calibration — the way corrected estimates from an
 	// earlier run (or a benchmark's deliberate mis-seeding) re-enter the
@@ -244,8 +227,8 @@ func (o *Optimizer) Optimize(chain []ops.Logical, policy Policy, ctx *ops.Ctx) (
 	// calls; without one (estimate-only optimization) the strategy is
 	// simply not enumerated.
 	var casc *CascadeCalibration
-	if ctx != nil && !o.opts.NoCascade {
-		casc, err = CalibrateCascade(chain, o.opts, ctx)
+	if ctx != nil {
+		casc, err = CalibrateCascade(chain, ctx)
 		if err != nil {
 			return nil, nil, cascadeErr(err)
 		}
@@ -276,16 +259,12 @@ func (o *Optimizer) enumerate(chain []ops.Logical, initial ops.Estimate, calib C
 		// merged set so a dominated ordering's survivors drop out.
 		all = paretoPrune(all)
 	}
-	if o.opts.MaxPlans > 0 && len(all) > o.opts.MaxPlans {
-		all = all[:o.opts.MaxPlans]
-	}
 	return all
 }
 
 // enumerateOrdered expands physical choices left to right along one slot
 // ordering: slot i executes logical position perm[i]. Calibration and the
-// cascade join follow the logical position; pruning and MaxPlans apply
-// per step as before.
+// cascade join follow the logical position; pruning applies per step.
 func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial ops.Estimate, calib Calibration, casc *CascadeCalibration) []*Plan {
 	logical := make([]ops.Logical, len(chain))
 	for slot, lp := range perm {
@@ -333,9 +312,6 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 		}
 		if o.opts.Pruning {
 			next = paretoPrune(next)
-		}
-		if o.opts.MaxPlans > 0 && len(next) > o.opts.MaxPlans {
-			next = next[:o.opts.MaxPlans]
 		}
 		prefixes = next
 	}

@@ -21,9 +21,10 @@ import (
 // first. Model choices are never changed mid-flight — a different model
 // makes different decisions, which would break the byte-identity contract.
 
-// DefaultReoptDivergence is the relative estimate error that triggers a
-// re-plan when Options.ReoptDivergence is unset.
-const DefaultReoptDivergence = 0.25
+// ReoptDivergence is the relative estimate divergence that triggers a
+// re-plan: the worst per-stage relative error between observed and
+// estimated selectivity or per-record cost.
+const ReoptDivergence = 0.25
 
 const (
 	// maxReorderRun caps the length of a filter run considered for
@@ -208,23 +209,15 @@ type ReplanDecision struct {
 	Perm []int
 }
 
-// EffectiveThreshold resolves a plan's divergence trigger.
-func EffectiveThreshold(o Options) float64 {
-	if o.ReoptDivergence > 0 {
-		return o.ReoptDivergence
-	}
-	return DefaultReoptDivergence
-}
-
 // Replan compares a plan's estimates against observed stage statistics,
 // folds the observations into a corrected plan, and — when divergence
-// crosses the plan's threshold and [lo, hi) is a valid re-orderable
+// crosses ReoptDivergence and [lo, hi) is a valid re-orderable
 // window — re-ranks the window's orderings by (cost, time) and proposes
 // the best. Pass lo = hi = 0 to skip re-ordering (estimate correction
 // only, the sequential engine's post-run path).
 func Replan(plan *Plan, observations []StageObservation, lo, hi int) *ReplanDecision {
 	dec := &ReplanDecision{
-		Threshold: EffectiveThreshold(plan.Opts),
+		Threshold: ReoptDivergence,
 		WindowLo:  lo,
 		WindowHi:  hi,
 	}

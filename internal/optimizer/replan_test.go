@@ -182,15 +182,6 @@ func TestReplanZeroSelectivityGuard(t *testing.T) {
 	}
 }
 
-func TestEffectiveThreshold(t *testing.T) {
-	if got := EffectiveThreshold(Options{}); got != DefaultReoptDivergence {
-		t.Fatalf("default threshold = %v, want %v", got, DefaultReoptDivergence)
-	}
-	if got := EffectiveThreshold(Options{ReoptDivergence: 0.7}); got != 0.7 {
-		t.Fatalf("explicit threshold = %v, want 0.7", got)
-	}
-}
-
 func TestFingerprintSeparatesReoptKnobs(t *testing.T) {
 	chain := twoFilterChain(t)
 	base := Fingerprint(chain, MaxQuality{}, Options{})

@@ -435,6 +435,29 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsEmptyRetrieveQuery: a retrieve op with an empty query
+// is a bad request, refused before admission like an empty filter
+// predicate, so it never runs and never counts as a failed query.
+func TestServeRejectsEmptyRetrieveQuery(t *testing.T) {
+	srv, err := New(Config{Context: newStreamContext(t, 4, pz.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := streamSpec("max-quality")
+	spec.Ops = []OpSpec{{Op: "retrieve", K: 2}}
+	resp, body := postQuery(t, ts.URL, spec, true, "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty retrieve query: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if got := srv.Counters().Get("queries_failed"); got != 0 {
+		t.Errorf("queries_failed = %d, want 0", got)
+	}
+}
+
 // TestServeJobsList: GET /v1/jobs lists every retained job once, in
 // submission order, including past the point where job IDs outgrow their
 // six-digit padding.

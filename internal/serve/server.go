@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/ops"
@@ -318,6 +319,20 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 		return http.StatusRequestEntityTooLarge, err
 	}
 	return http.StatusBadRequest, err
+}
+
+// Connection timeouts of every daemon's HTTP server: a client gets
+// ReadHeaderTimeout to send its request headers, and a keep-alive
+// connection IdleTimeout between requests. There is no write timeout:
+// ?wait=1 queries and streamed partitions legitimately run long.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server a daemon listens with on addr.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
 // tenantOf resolves the requesting tenant from the X-PZ-Tenant header.

@@ -43,13 +43,10 @@ type Spec struct {
 	// ReoptAfter requests adaptive mid-flight re-optimization: the engine
 	// observes each re-orderable filter stage for this many batches, then
 	// hot-swaps the remaining run onto a cheaper filter ordering when the
-	// observed statistics diverge from the plan's estimates. 0 defers to
-	// the server's -reopt-after default.
+	// observed statistics diverge from the plan's estimates by more than
+	// optimizer.ReoptDivergence. 0 defers to the server's -reopt-after
+	// default.
 	ReoptAfter int `json:"reopt_after,omitempty"`
-	// ReoptDivergence is the relative estimate error that triggers the
-	// re-plan (0 defers to the server default, then to
-	// optimizer.DefaultReoptDivergence).
-	ReoptDivergence float64 `json:"reopt_divergence,omitempty"`
 }
 
 // DatasetSpec identifies a dataset by registered name, or by a local
@@ -86,22 +83,28 @@ type OpSpec struct {
 
 // ParseSpec decodes a JSON pipeline spec, rejecting invalid fan-out
 // requests at the edge (a negative partitions value is an error, not a
-// silent clamp).
+// silent clamp). Unknown keys are ignored.
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("serve: parse spec: %w", err)
 	}
-	if s.Partitions < 0 {
-		return nil, fmt.Errorf("serve: spec partitions must be >= 0, got %d", s.Partitions)
-	}
-	if s.ReoptAfter < 0 {
-		return nil, fmt.Errorf("serve: spec reopt_after must be >= 0, got %d", s.ReoptAfter)
-	}
-	if s.ReoptDivergence < 0 {
-		return nil, fmt.Errorf("serve: spec reopt_divergence must be >= 0, got %g", s.ReoptDivergence)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// validate checks the spec's top-level knobs. ParseSpec and Build both
+// call it, so specs constructed programmatically get the same checks.
+func (s *Spec) validate() error {
+	if s.Partitions < 0 {
+		return fmt.Errorf("serve: spec partitions must be >= 0, got %d", s.Partitions)
+	}
+	if s.ReoptAfter < 0 {
+		return fmt.Errorf("serve: spec reopt_after must be >= 0, got %d", s.ReoptAfter)
+	}
+	return nil
 }
 
 // ParsePolicy resolves the spec's policy (defaulting to max-quality).
@@ -117,16 +120,8 @@ func (s *Spec) ParsePolicy() (pz.Policy, error) {
 // by registered name (registering Dir under Name on first use), and each
 // operator extends the pipeline. Builder errors surface immediately.
 func (s *Spec) Build(ctx *pz.Context) (*pz.Dataset, error) {
-	if s.Partitions < 0 {
-		// Specs constructed programmatically bypass ParseSpec; keep the
-		// edge validation airtight either way.
-		return nil, fmt.Errorf("serve: spec partitions must be >= 0, got %d", s.Partitions)
-	}
-	if s.ReoptAfter < 0 {
-		return nil, fmt.Errorf("serve: spec reopt_after must be >= 0, got %d", s.ReoptAfter)
-	}
-	if s.ReoptDivergence < 0 {
-		return nil, fmt.Errorf("serve: spec reopt_divergence must be >= 0, got %g", s.ReoptDivergence)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	name := s.Dataset.Name
 	if name == "" {
@@ -153,8 +148,8 @@ func (s *Spec) Build(ctx *pz.Context) (*pz.Dataset, error) {
 	if s.Partitions != 0 {
 		ds = ds.WithPartitions(s.Partitions)
 	}
-	if s.ReoptAfter != 0 || s.ReoptDivergence != 0 {
-		ds = ds.WithReopt(s.ReoptAfter, s.ReoptDivergence)
+	if s.ReoptAfter != 0 {
+		ds = ds.WithReopt(s.ReoptAfter)
 	}
 	for i, op := range s.Ops {
 		ds, err = applyOp(ds, op)

@@ -174,30 +174,16 @@ type Config struct {
 	Partitions int
 	// SampleSize enables sentinel calibration over that many records.
 	SampleSize int
-	// Pruning enables Pareto pruning during plan enumeration.
-	Pruning bool
-	// NoCascade disables the semantic-index cascade strategy: the
-	// optimizer never calibrates or enumerates cascade-filter plans.
-	NoCascade bool
-	// CascadeSample is the cascade calibration sample size
-	// (0 = optimizer.DefaultCascadeSample).
-	CascadeSample int
-	// CascadeMinRecall is the sample-positive recall the cascade prefilter
-	// threshold must retain (0 = optimizer.DefaultCascadeMinRecall).
-	CascadeMinRecall float64
 	// ReoptAfterBatches enables adaptive mid-flight re-optimization: after
 	// every re-orderable filter stage has processed this many batches, the
 	// pipelined engine compares observed selectivity and cost against the
-	// plan's estimates and — past ReoptDivergence — hot-swaps the
+	// plan's estimates and — past optimizer.ReoptDivergence — hot-swaps the
 	// remaining batches onto a cheaper filter ordering. Outputs stay
 	// byte-identical; only cost/time change. 0 disables (default).
 	// Runs that cannot swap mid-flight (sequential, partitioned, or
 	// shorter than the observation window) still fold observed statistics
 	// into the corrected plan the serving plan cache keeps.
 	ReoptAfterBatches int
-	// ReoptDivergence is the relative estimate error that triggers a
-	// re-plan (0 = optimizer.DefaultReoptDivergence).
-	ReoptDivergence float64
 	// EstimatePriors seeds the optimizer's per-position cost-model
 	// estimates (selectivity for filters, fan-out for converts) when
 	// sentinel sampling is off — the operating point re-optimization
@@ -205,12 +191,6 @@ type Config struct {
 	// plan position; ignored when SampleSize > 0 (measured statistics
 	// beat seeded priors).
 	EstimatePriors map[int]OpEstimate
-	// FailureRate injects transient LLM failures (testing).
-	FailureRate float64
-	// MaxAttempts bounds per-call LLM retries.
-	MaxAttempts int
-	// Backoff is the base retry backoff.
-	Backoff time.Duration
 	// EnableCache memoizes LLM responses across Execute calls.
 	EnableCache bool
 	// CacheCapacity bounds the LLM response cache to that many entries
@@ -225,10 +205,6 @@ type Config struct {
 	// completed batch per stage (pipelined engine) or one per completed
 	// operator (sequential engine). Events are serialized.
 	OnProgress func(Progress)
-	// TraceSink, when set, receives every completed query's span tree
-	// (see Result.Trace). The callback may run concurrently with itself
-	// when ExecuteContext calls overlap.
-	TraceSink func(*Span)
 }
 
 // Progress is one execution progress event (see Config.OnProgress).
@@ -253,14 +229,10 @@ func NewContext(cfg Config) (*Context, error) {
 	e, err := exec.NewExecutor(exec.Config{
 		Parallelism:     cfg.Parallelism,
 		Partitions:      cfg.Partitions,
-		MaxAttempts:     cfg.MaxAttempts,
-		Backoff:         cfg.Backoff,
-		FailureRate:     cfg.FailureRate,
 		EnableCache:     cfg.EnableCache,
 		CacheCapacity:   cfg.CacheCapacity,
 		StreamBatchSize: cfg.StreamBatchSize,
 		OnProgress:      cfg.OnProgress,
-		TraceSink:       cfg.TraceSink,
 	})
 	if err != nil {
 		return nil, err
@@ -336,7 +308,7 @@ func (c *Context) Dataset(name string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{ctx: c, chain: []ops.Logical{&ops.Scan{Source: src}}}, nil
+	return &Dataset{chain: []ops.Logical{&ops.Scan{Source: src}}}, nil
 }
 
 // Executor exposes the underlying engine (usage reports, virtual clock).
@@ -355,16 +327,14 @@ func (c *Context) ResetUsage() { c.executor.Service().Reset() }
 // a new Dataset, and errors are deferred to Execute (so chains read
 // cleanly, as in the paper's examples).
 type Dataset struct {
-	ctx   *Context
 	chain []ops.Logical
 	// partitions is the pipeline's requested scan fan-out (0 = the
 	// Config.Partitions default; see WithPartitions).
 	partitions int
-	// reoptAfter and reoptDivergence are the pipeline's re-optimization
-	// overrides (0 = the Config defaults; see WithReopt).
-	reoptAfter      int
-	reoptDivergence float64
-	err             error
+	// reoptAfter is the pipeline's re-optimization window (0 = the
+	// Config default; see WithReopt).
+	reoptAfter int
+	err        error
 }
 
 func (d *Dataset) clone() *Dataset {
@@ -411,25 +381,20 @@ func (d *Dataset) WithPartitions(n int) *Dataset {
 }
 
 // WithReopt requests adaptive mid-flight re-optimization for this
-// pipeline, overriding Config.ReoptAfterBatches/ReoptDivergence: the
-// engine observes each re-orderable filter stage for after batches and
-// hot-swaps the rest of the run onto a cheaper filter ordering when the
-// observed statistics diverge from the plan's estimates by more than
-// divergence (0 = optimizer.DefaultReoptDivergence). after == 0 restores
-// the Config default.
-func (d *Dataset) WithReopt(after int, divergence float64) *Dataset {
+// pipeline, overriding Config.ReoptAfterBatches: the engine observes each
+// re-orderable filter stage for after batches and hot-swaps the rest of
+// the run onto a cheaper filter ordering when the observed statistics
+// diverge from the plan's estimates by more than
+// optimizer.ReoptDivergence. after == 0 restores the Config default.
+func (d *Dataset) WithReopt(after int) *Dataset {
 	if after < 0 {
 		return d.fail(fmt.Errorf("pz: negative re-optimization batch window %d", after))
-	}
-	if divergence < 0 {
-		return d.fail(fmt.Errorf("pz: negative re-optimization divergence %g", divergence))
 	}
 	if d.err != nil {
 		return d
 	}
 	out := d.clone()
 	out.reoptAfter = after
-	out.reoptDivergence = divergence
 	return out
 }
 
@@ -490,6 +455,9 @@ func (d *Dataset) Sort(field string, descending bool) *Dataset {
 
 // Retrieve keeps the top-k records most semantically similar to query.
 func (d *Dataset) Retrieve(query string, k int) *Dataset {
+	if query == "" {
+		return d.fail(fmt.Errorf("pz: empty retrieve query"))
+	}
 	return d.extend(&ops.Retrieve{Query: query, K: k})
 }
 
@@ -604,15 +572,10 @@ func (c *Context) OptimizerOptions() OptimizerOptions { return c.optimizerOption
 // running it optimize the same problem.
 func (c *Context) optimizerOptions(d *Dataset) optimizer.Options {
 	o := optimizer.Options{
-		Pruning:           c.cfg.Pruning,
 		SampleSize:        c.cfg.SampleSize,
 		Partitions:        c.cfg.Partitions,
 		Pipelined:         c.cfg.Parallelism > 1 || c.cfg.Partitions > 1,
-		NoCascade:         c.cfg.NoCascade,
-		CascadeSample:     c.cfg.CascadeSample,
-		CascadeMinRecall:  c.cfg.CascadeMinRecall,
 		ReoptAfterBatches: c.cfg.ReoptAfterBatches,
-		ReoptDivergence:   c.cfg.ReoptDivergence,
 		Priors:            c.priors(),
 	}
 	if d == nil {
@@ -626,8 +589,9 @@ func (c *Context) optimizerOptions(d *Dataset) optimizer.Options {
 		// single reader.
 		o.Pipelined = o.Pipelined || d.partitions > 1
 	}
-	o.ReoptAfterBatches = d.resolveReoptAfter()
-	o.ReoptDivergence = d.resolveReoptDivergence()
+	if d.reoptAfter > 0 {
+		o.ReoptAfterBatches = d.reoptAfter
+	}
 	return o
 }
 
@@ -642,23 +606,6 @@ func (c *Context) priors() optimizer.Calibration {
 		out[pos] = est
 	}
 	return out
-}
-
-// resolveReoptAfter applies the dataset's WithReopt override to the
-// context default.
-func (d *Dataset) resolveReoptAfter() int {
-	if d.reoptAfter > 0 {
-		return d.reoptAfter
-	}
-	return d.ctx.cfg.ReoptAfterBatches
-}
-
-// resolveReoptDivergence mirrors resolveReoptAfter for the trigger.
-func (d *Dataset) resolveReoptDivergence() float64 {
-	if d.reoptDivergence > 0 {
-		return d.reoptDivergence
-	}
-	return d.ctx.cfg.ReoptDivergence
 }
 
 // OptimizerOptionsFor is OptimizerOptions with the dataset's per-pipeline

@@ -263,7 +263,7 @@ func TestRetrieveGroupBySortPipeline(t *testing.T) {
 }
 
 func TestSentinelSamplingConfig(t *testing.T) {
-	ctx, ds := demoContext(t, Config{SampleSize: 3, Pruning: true})
+	ctx, ds := demoContext(t, Config{SampleSize: 3})
 	clinical := clinicalSchema(t)
 	pipeline := ds.Filter("The papers are about colorectal cancer").
 		Convert(clinical, clinical.Doc(), OneToMany)

@@ -78,7 +78,6 @@ func misSeededPriors() map[int]OpEstimate {
 func reoptRun(t *testing.T, domain string, docs []*corpus.Doc, cfg Config, reoptAfter int) (*Result, []string) {
 	t.Helper()
 	cfg.EstimatePriors = misSeededPriors()
-	cfg.NoCascade = true
 	ctx, err := NewContext(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func reoptRun(t *testing.T, domain string, docs []*corpus.Doc, cfg Config, reopt
 	preds := reoptPredicates[domain]
 	pipeline := ds.Filter(preds.broad).Filter(preds.narrow)
 	if reoptAfter > 0 {
-		pipeline = pipeline.WithReopt(reoptAfter, 0)
+		pipeline = pipeline.WithReopt(reoptAfter)
 	}
 	res, err := ctx.Execute(pipeline, MaxQuality())
 	if err != nil {
