@@ -692,6 +692,7 @@ func BenchmarkMicroLLMFilterCall(b *testing.B) {
 		Record:    inputs[0],
 		Predicate: experiments.DemoPredicate,
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Complete(req); err != nil {

@@ -242,7 +242,7 @@ func (e *Executor) RunSequentialContext(ctx context.Context, phys []ops.Physical
 			return nil, fmt.Errorf("exec: operator %d (%s): %w", i, op.ID(), cerr)
 		}
 		rctx.SetCurrentOp(i)
-		recs, err = op.Execute(rctx, recs)
+		recs, err = ops.Run(rctx, op, recs)
 		if err != nil {
 			return nil, fmt.Errorf("exec: operator %d (%s): %w", i, op.ID(), err)
 		}

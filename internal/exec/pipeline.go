@@ -238,15 +238,18 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 				defer close(out)
 			}
 			seq := seqBase[p]
-			err := scan.Stream(sctx, len(layout), p, size, func(recs []*record.Record) error {
-				if !send(out, batch{seq: seq, recs: recs}) {
-					return cctx.Err() // sends only fail on cancellation
-				}
-				seq++
-				partOut[p][0] += len(recs)
-				note(0, len(recs))
-				return nil
-			})
+			err := func() (err error) {
+				defer ops.Recover(&err)
+				return scan.Stream(sctx, len(layout), p, size, func(recs []*record.Record) error {
+					if !send(out, batch{seq: seq, recs: recs}) {
+						return cctx.Err() // sends only fail on cancellation
+					}
+					seq++
+					partOut[p][0] += len(recs)
+					note(0, len(recs))
+					return nil
+				})
+			}()
 			if err != nil && cctx.Err() == nil {
 				fail(0, scan, err)
 			}
@@ -265,7 +268,7 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 				}
 				op := phys[pos]
 				for b := range in {
-					outRecs, err := op.Execute(sctx, b.recs)
+					outRecs, err := ops.Run(sctx, op, b.recs)
 					if err != nil {
 						fail(pos, op, err)
 						return
@@ -316,7 +319,7 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 					if inWindow {
 						runOp = rc.opFor(pos, epoch, op)
 					}
-					out, err := runOp.Execute(sctx, b.recs)
+					out, err := ops.Run(sctx, runOp, b.recs)
 					if err != nil {
 						fail(pos, runOp, err)
 						return
@@ -363,7 +366,7 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 			for _, b := range gathered {
 				all = append(all, b.recs...)
 			}
-			out, err := op.Execute(sctx, all)
+			out, err := ops.Run(sctx, op, all)
 			if err != nil {
 				fail(pos, op, err)
 				return

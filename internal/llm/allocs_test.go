@@ -1,0 +1,75 @@
+package llm_test
+
+import (
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/llm"
+	"repro/internal/ops"
+	"repro/internal/record"
+	"repro/internal/schema"
+	"repro/internal/workloads"
+)
+
+// supportTicket is one generated support ticket, the record the
+// corpus_scan workload sends through the request path.
+func supportTicket(t testing.TB) *record.Record {
+	t.Helper()
+	docs := corpus.GenerateSupport(corpus.SupportConfig{NumTickets: 1, UrgentRate: 0.3, Seed: 7})
+	recs, err := corpus.Records(docs, schema.TextFile, "tickets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs[0]
+}
+
+// TestRequestPathAllocs bounds the allocations of one LLM request, from
+// building it through answering it, so a change that brings per-call
+// formatting or text rebuilding back onto the path fails here.
+func TestRequestPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := supportTicket(t)
+	route, err := workloads.SupportRouteSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const model = "atlas-large"
+	svc := llm.NewService()
+	filter := ops.FilterRequest(model, workloads.SupportPredicate, r)
+	extract := llm.Request{
+		Model: model, Task: llm.TaskExtract, Prompt: filter.Prompt,
+		Record: r, Fields: route.Fields(),
+	}
+	cached, err := llm.NewCachedClient(svc, llm.NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cached.Complete(filter); err != nil {
+		t.Fatal(err)
+	}
+	complete := func(c llm.Completer, req llm.Request) func() {
+		return func() {
+			if _, err := c.Complete(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"ops.FilterRequest", 2, func() { _ = ops.FilterRequest(model, workloads.SupportPredicate, r) }},
+		{"uncached filter Service.Complete", 5, complete(svc, filter)},
+		{"bonded extract Service.Complete", 6, complete(svc, extract)},
+		{"filter cache hit", 1, complete(cached, filter)},
+	} {
+		if got := testing.AllocsPerRun(200, tc.run); got > tc.max {
+			t.Errorf("%s: %.0f allocs per call, want <= %.0f", tc.name, got, tc.max)
+		} else {
+			t.Logf("%s: %.0f allocs per call", tc.name, got)
+		}
+	}
+}

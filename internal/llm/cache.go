@@ -3,9 +3,12 @@ package llm
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/schema"
 )
 
 // Completer is the completion surface operators call. Service, RetryClient,
@@ -24,7 +27,7 @@ type Completer interface {
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
-	entries   map[string]*list.Element
+	entries   map[cacheKey]*list.Element
 	order     *list.List // front = most recently used
 	hits      int
 	misses    int
@@ -35,7 +38,7 @@ type Cache struct {
 // cacheEntry is one LRU node: the key (so eviction can delete from the
 // map) and the stored response.
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	resp Response
 }
 
@@ -51,30 +54,58 @@ func NewCacheLRU(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		entries:  map[string]*list.Element{},
+		entries:  map[cacheKey]*list.Element{},
 		order:    list.New(),
 	}
 }
 
-// key derives the cache identity of a request: model, task, the semantic
+// cacheKey is the cache identity of a request: model, task, the semantic
 // task inputs, and the record's content digest. The raw prompt text is
 // deliberately excluded — equivalent requests with cosmetically different
-// prompts still hit.
-func (c *Cache) key(req Request) string {
-	fields := make([]string, len(req.Fields))
-	for i, f := range req.Fields {
-		fields[i] = f.Name + ":" + f.Type.String()
+// prompts still hit. Every member is comparable and, but for the strings
+// the request already holds, fixed-size, so a key costs no allocation for
+// a filter request.
+type cacheKey struct {
+	model     string
+	task      Task
+	predicate string
+	// fields is the sorted "name:type" list of the extraction targets,
+	// comma-joined ("" for a filter).
+	fields    string
+	oneToMany bool
+	// boostMilli is QualityBoost in thousandths.
+	boostMilli int64
+	digest     uint64
+}
+
+// keyOf derives the cache identity of a request.
+func keyOf(req Request) cacheKey {
+	return cacheKey{
+		model:      req.Model,
+		task:       req.Task,
+		predicate:  req.Predicate,
+		fields:     fieldSignature(req.Fields),
+		oneToMany:  req.OneToMany,
+		boostMilli: int64(math.Round(req.QualityBoost * 1000)),
+		digest:     req.Record.Digest(),
 	}
-	sort.Strings(fields)
-	return strings.Join([]string{
-		req.Model,
-		req.Task.String(),
-		req.Predicate,
-		strings.Join(fields, ","),
-		fmt.Sprint(req.OneToMany),
-		fmt.Sprintf("%.3f", req.QualityBoost),
-		recordDigest(req.Record),
-	}, "|")
+}
+
+// fieldSignature renders fields as their sorted, comma-joined "name:type"
+// pairs, so the same targets in any order give the same signature.
+func fieldSignature(fields []schema.Field) string {
+	switch len(fields) {
+	case 0:
+		return ""
+	case 1:
+		return fields[0].Name + ":" + fields[0].Type.String()
+	}
+	sig := make([]string, len(fields))
+	for i, f := range fields {
+		sig[i] = f.Name + ":" + f.Type.String()
+	}
+	sort.Strings(sig)
+	return strings.Join(sig, ",")
 }
 
 // CacheStats is a snapshot of cache effectiveness.
@@ -111,13 +142,13 @@ func (c *Cache) Len() int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*list.Element{}
+	c.entries = map[cacheKey]*list.Element{}
 	c.order = list.New()
 }
 
 // lookup returns the cached response for key, updating hit/miss counters
 // and recency order.
-func (c *Cache) lookup(key string) (Response, bool) {
+func (c *Cache) lookup(key cacheKey) (Response, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -134,7 +165,7 @@ func (c *Cache) lookup(key string) (Response, bool) {
 
 // store inserts a response, evicting the least recently used entry when
 // the capacity bound would be exceeded.
-func (c *Cache) store(key string, resp Response) {
+func (c *Cache) store(key cacheKey, resp Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -179,7 +210,7 @@ func (c *CachedClient) Complete(req Request) (*Response, error) {
 		// Let the inner client produce its usual validation error.
 		return c.inner.Complete(req)
 	}
-	key := c.cache.key(req)
+	key := keyOf(req)
 	if cached, ok := c.cache.lookup(key); ok {
 		hit := cached
 		hit.CostUSD = 0

@@ -94,11 +94,11 @@ func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 		CostUSD:     card.Cost(inTok, 0),
 		Latency:     card.Latency(inTok, 0),
 	}
-	s.account(card.Name, func(u *Usage) {
-		u.Calls++
-		u.InputTokens += inTok
-		u.CostUSD += resp.CostUSD
-		u.Latency += resp.Latency
+	s.account(card.Name, Usage{
+		Calls:       1,
+		InputTokens: inTok,
+		CostUSD:     resp.CostUSD,
+		Latency:     resp.Latency,
 	})
 	return vec, resp, nil
 }
@@ -135,16 +135,20 @@ func EmbedVector(text string) []float64 {
 	return vec
 }
 
+// FNV-1a's 64-bit parameters, as hash/fnv's New64a uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // fnv1a is the 64-bit FNV-1a hash of s, as hash/fnv's New64a computes it.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+func fnv1a(s string) uint64 { return fnvAdd(fnvOffset64, s) }
+
+// fnvAdd continues the FNV-1a hash h over the bytes of s.
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }

@@ -3,10 +3,11 @@ package llm
 import (
 	"fmt"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/corpus"
-	"repro/internal/record"
 	"repro/internal/schema"
 	"repro/internal/textutil"
 )
@@ -26,7 +27,8 @@ func decide(card ModelCard, req Request, resp *Response) {
 	// Model noise: flip the gold answer with probability 1-accuracy,
 	// deterministically per (model, predicate, record content).
 	acc := card.FilterAccuracy()
-	u := unit(strings.Join([]string{"filter", card.Name, req.Predicate, recordDigest(req.Record)}, "|"))
+	var hex [16]byte
+	u := unit("filter", card.Name, req.Predicate, string(hexDigest(req.Record, &hex)))
 	got := want
 	if u < 1-acc {
 		got = !want
@@ -43,35 +45,41 @@ func decide(card ModelCard, req Request, resp *Response) {
 	} else {
 		resp.Confidence = 0.55 * u / (1 - acc)
 	}
-	resp.Text = fmt.Sprintf("%t", got)
+	resp.Text = strconv.FormatBool(got)
 }
 
 // GoldFilterDecision evaluates a natural-language predicate against ground
-// truth: first by named boolean labels whose name appears among the
-// predicate's terms, then by topic matching. It defines the gold answer the
-// simulated models approximate and the metrics package scores against.
+// truth. A label matches when every one of its terms is among the
+// predicate's terms; the answer is the conjunction of all matching labels
+// ("colorectal studies that use public datasets" needs both labels true),
+// and topic matching decides only when no label matches. It defines the
+// gold answer the simulated models approximate and the metrics package
+// scores against.
 func GoldFilterDecision(truth *corpus.Truth, predicate string) bool {
-	predTerms := map[string]bool{}
-	for _, t := range textutil.Terms(predicate) {
-		predTerms[t] = true
-	}
+	predTerms := textutil.Terms(predicate)
+	matched, answer := false, true
 	for label, val := range truth.Labels {
-		all := true
 		terms := textutil.Terms(label)
-		if len(terms) == 0 {
+		if len(terms) == 0 || !containsAll(predTerms, terms) {
 			continue
 		}
-		for _, t := range terms {
-			if !predTerms[t] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return val
-		}
+		matched = true
+		answer = answer && val
+	}
+	if matched {
+		return answer
 	}
 	return truth.HasTopic(predicate)
+}
+
+// containsAll reports whether every term of want occurs in have.
+func containsAll(have, want []string) bool {
+	for _, w := range want {
+		if !slices.Contains(have, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // extract implements TaskExtract. With ground truth, it pulls entity
@@ -100,16 +108,26 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 	if acc > 1 {
 		acc = 1
 	}
-	digest := recordDigest(req.Record)
+	var hex [16]byte
+	digest := string(hexDigest(req.Record, &hex))
+	var text string // the record text, built on first heuristic use
+	fallback := func(f schema.Field) string {
+		if text == "" {
+			text = req.Record.Text()
+		}
+		return heuristicField(f, text)
+	}
 
 	// Choose the mention kind with the best coverage of requested fields.
 	kind, coverage := bestMentionKind(req.Fields, truth)
 	if coverage >= 0.5 {
 		var out []map[string]string
 		for i, m := range truth.MentionsOfKind(kind) {
+			var ib [20]byte
+			idx := string(strconv.AppendInt(ib[:0], int64(i), 10))
 			// Per-entity recall: a weaker model misses some entities
 			// entirely.
-			uEnt := unit(strings.Join([]string{"ent", card.Name, digest, fmt.Sprint(i), m.Fields["name"]}, "|"))
+			uEnt := unit("ent", card.Name, digest, idx, m.Fields["name"])
 			if uEnt < 1-acc {
 				continue
 			}
@@ -117,10 +135,10 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 			for _, f := range req.Fields {
 				v, ok := matchField(f, m.Fields, truth)
 				if !ok {
-					v = heuristicField(f, req.Record)
+					v = fallback(f)
 				}
 				// Per-field precision: a weaker model garbles some values.
-				uFld := unit(strings.Join([]string{"fld", card.Name, digest, fmt.Sprint(i), f.Name}, "|"))
+				uFld := unit("fld", card.Name, digest, idx, f.Name)
 				if uFld < (1-acc)/2 {
 					v = garble(v)
 				}
@@ -135,16 +153,16 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 	// declares none of the requested attributes, a careful model reports
 	// nothing rather than hallucinating from surrounding text — so
 	// truth-bearing records with no extractable content yield no entity.
-	ex := map[string]string{}
+	ex := make(map[string]string, len(req.Fields))
 	found := false
 	for _, f := range req.Fields {
 		v, ok := matchField(f, nil, truth)
 		if !ok {
-			v = heuristicField(f, req.Record)
+			v = fallback(f)
 		} else {
 			found = true
 		}
-		uFld := unit(strings.Join([]string{"sfld", card.Name, digest, f.Name}, "|"))
+		uFld := unit("sfld", card.Name, digest, f.Name)
 		if uFld < (1-acc)/2 {
 			v = garble(v)
 		}
@@ -328,7 +346,7 @@ func heuristicExtract(req Request) []map[string]string {
 	ex := map[string]string{}
 	hit := false
 	for _, f := range req.Fields {
-		v := heuristicField(f, req.Record)
+		v := heuristicField(f, text)
 		if v != "" {
 			hit = true
 		}
@@ -340,10 +358,9 @@ func heuristicExtract(req Request) []map[string]string {
 	return []map[string]string{ex}
 }
 
-// heuristicField guesses a single field value from text by field-name
-// conventions.
-func heuristicField(f schema.Field, r *record.Record) string {
-	text := r.Text()
+// heuristicField guesses a single field value from a record's text by
+// field-name conventions.
+func heuristicField(f schema.Field, text string) string {
 	name := strings.ToLower(f.Name)
 	switch {
 	case strings.Contains(name, "url") || strings.Contains(name, "link"):
@@ -395,26 +412,29 @@ func contextAround(text, needle string) string {
 }
 
 // renderExtractions produces the JSON-ish text a real model would emit, so
-// output-token accounting reflects extraction size.
+// output-token accounting reflects extraction size. Names and values are
+// quoted as %q would quote them.
 func renderExtractions(fields []schema.Field, exs []map[string]string) string {
 	if len(exs) == 0 {
 		return "[]"
 	}
-	var b strings.Builder
-	b.WriteString("[")
+	var stack [512]byte
+	b := append(stack[:0], '[')
 	for i, ex := range exs {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString("{")
+		b = append(b, '{')
 		for j, f := range fields {
 			if j > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%q: %q", f.Name, ex[f.Name])
+			b = strconv.AppendQuote(b, f.Name)
+			b = append(b, ": "...)
+			b = strconv.AppendQuote(b, ex[f.Name])
 		}
-		b.WriteString("}")
+		b = append(b, '}')
 	}
-	b.WriteString("]")
-	return b.String()
+	b = append(b, ']')
+	return string(b)
 }

@@ -120,3 +120,31 @@ func TestFinanceNumericExtractionFromTruth(t *testing.T) {
 		t.Fatalf("only %d/30 filings extracted exactly from truth", exact)
 	}
 }
+
+// TestGoldFilterDecisionConjoinsLabels: a predicate that names two labels
+// is answered by both of them, every time, rather than by whichever label
+// the map iteration meets first; topics decide only when no label matches.
+func TestGoldFilterDecisionConjoinsLabels(t *testing.T) {
+	const pred = "Colorectal cancer studies that use public datasets"
+	for _, tc := range []struct{ colorectal, public, want bool }{
+		{true, true, true},
+		{true, false, false},
+		{false, true, false},
+		{false, false, false},
+	} {
+		truth := &corpus.Truth{
+			Topics: []string{"colorectal cancer"},
+			Labels: map[string]bool{"colorectal": tc.colorectal, "public_datasets": tc.public},
+		}
+		for i := 0; i < 200; i++ {
+			if got := GoldFilterDecision(truth, pred); got != tc.want {
+				t.Fatalf("labels colorectal=%t public_datasets=%t: call %d answered %t, want %t",
+					tc.colorectal, tc.public, i, got, tc.want)
+			}
+		}
+	}
+	truth := &corpus.Truth{Topics: []string{"colorectal cancer"}, Labels: map[string]bool{"indemnification": false}}
+	if !GoldFilterDecision(truth, "Papers about colorectal cancer") {
+		t.Error("with no matching label the topic should decide")
+	}
+}

@@ -2,8 +2,8 @@ package llm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -168,9 +168,12 @@ func (s *Service) Complete(req Request) (*Response, error) {
 	call := s.calls
 	rate := s.failRate
 	s.mu.Unlock()
-	if rate > 0 && unit(fmt.Sprintf("fail|%d", call)) < rate {
-		s.account(card.Name, func(u *Usage) { u.Failures++ })
-		return nil, &TransientError{Msg: fmt.Sprintf("simulated rate limit on call %d", call)}
+	if rate > 0 {
+		ord := strconv.FormatUint(call, 10)
+		if unit("fail", ord) < rate {
+			s.account(card.Name, Usage{Failures: 1})
+			return nil, &TransientError{Msg: "simulated rate limit on call " + ord}
+		}
 	}
 
 	resp := &Response{Model: card.Name, InputTokens: inTok}
@@ -189,17 +192,18 @@ func (s *Service) Complete(req Request) (*Response, error) {
 	resp.CostUSD = card.Cost(resp.InputTokens, resp.OutputTokens)
 	resp.Latency = card.Latency(resp.InputTokens, resp.OutputTokens)
 
-	s.account(card.Name, func(u *Usage) {
-		u.Calls++
-		u.InputTokens += resp.InputTokens
-		u.OutputTokens += resp.OutputTokens
-		u.CostUSD += resp.CostUSD
-		u.Latency += resp.Latency
+	s.account(card.Name, Usage{
+		Calls:        1,
+		InputTokens:  resp.InputTokens,
+		OutputTokens: resp.OutputTokens,
+		CostUSD:      resp.CostUSD,
+		Latency:      resp.Latency,
 	})
 	return resp, nil
 }
 
-func (s *Service) account(model string, f func(*Usage)) {
+// account adds d to model's usage.
+func (s *Service) account(model string, d Usage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u := s.usage[model]
@@ -207,7 +211,12 @@ func (s *Service) account(model string, f func(*Usage)) {
 		u = &Usage{}
 		s.usage[model] = u
 	}
-	f(u)
+	u.Calls += d.Calls
+	u.InputTokens += d.InputTokens
+	u.OutputTokens += d.OutputTokens
+	u.CostUSD += d.CostUSD
+	u.Latency += d.Latency
+	u.Failures += d.Failures
 }
 
 // Usage returns a snapshot of per-model usage.
@@ -271,17 +280,22 @@ func (s *Service) UsageReport() string {
 	return b.String()
 }
 
-// unit maps a string deterministically to [0,1).
-func unit(key string) float64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return float64(h.Sum64()%1_000_000) / 1_000_000
+// unit maps the noise key made of parts deterministically to [0,1). The
+// key is the parts joined by "|", hashed with FNV-1a as it is fed, so
+// unit("a", "b") == unit("a|b") and no key string is built.
+func unit(parts ...string) float64 {
+	h := uint64(fnvOffset64)
+	for i, p := range parts {
+		if i > 0 {
+			h = fnvAdd(h, "|")
+		}
+		h = fnvAdd(h, p)
+	}
+	return float64(h%1_000_000) / 1_000_000
 }
 
-// recordDigest derives a stable identity for noise decisions from record
-// content (not record IDs, which depend on allocation order).
-func recordDigest(r *record.Record) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(r.Text()))
-	return fmt.Sprintf("%x", h.Sum64())
+// hexDigest renders r's content digest in lowercase hex into buf, the form
+// noise keys carry it in. The result aliases buf.
+func hexDigest(r *record.Record, buf *[16]byte) []byte {
+	return strconv.AppendUint(buf[:0], r.Digest(), 16)
 }

@@ -235,7 +235,7 @@ func (f *CascadeFilterExec) ensureInit(ctx *Ctx) (bool, error) {
 			f.initErr = err
 			return false, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), qresp)
+		ctx.Stats.noteLLM(ctx.curOp, f, qresp)
 		f.queryCost = qresp.CostUSD
 		f.queryLat = qresp.Latency
 	}
@@ -339,7 +339,7 @@ func (f *CascadeFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Re
 			return nil, err
 		}
 		if resp != nil {
-			ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+			ctx.Stats.noteLLM(ctx.curOp, f, resp)
 			pre.LLMCalls++
 			pre.CostUSD += resp.CostUSD
 			preLats = append(preLats, resp.Latency)
@@ -369,7 +369,7 @@ func (f *CascadeFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Re
 		if err != nil {
 			return vres{}, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		return vres{
 			keep:     resp.Decision,
 			escalate: resp.Confidence < f.resolveConfidence(),
@@ -415,7 +415,7 @@ func (f *CascadeFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Re
 		if err != nil {
 			return rres{}, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		return rres{keep: resp.Decision, cost: resp.CostUSD, latency: resp.Latency}, nil
 	})
 	if err != nil {
@@ -441,11 +441,11 @@ func (f *CascadeFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Re
 			out = append(out, r)
 		}
 	}
-	ctx.Stats.noteTier(ctx.curOp, f.ID(), f.Kind(), pre)
-	ctx.Stats.noteTier(ctx.curOp, f.ID(), f.Kind(), ver)
-	ctx.Stats.noteTier(ctx.curOp, f.ID(), f.Kind(), res)
-	ctx.Stats.noteTime(ctx.curOp, f.ID(), f.Kind(), pre.Time+ver.Time+res.Time)
-	ctx.Stats.noteBatch(ctx.curOp, f.ID(), f.Kind(), len(in), len(out))
+	ctx.Stats.noteTier(ctx.curOp, f, pre)
+	ctx.Stats.noteTier(ctx.curOp, f, ver)
+	ctx.Stats.noteTier(ctx.curOp, f, res)
+	ctx.Stats.noteTime(ctx.curOp, f, pre.Time+ver.Time+res.Time)
+	ctx.Stats.noteBatch(ctx.curOp, f, len(in), len(out))
 	return out, nil
 }
 
@@ -465,7 +465,7 @@ func (f *CascadeFilterExec) executeDegenerate(ctx *Ctx, in []*record.Record) ([]
 		if err != nil {
 			return rres{}, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		return rres{keep: resp.Decision, cost: resp.CostUSD, latency: resp.Latency}, nil
 	})
 	if err != nil {
@@ -485,9 +485,9 @@ func (f *CascadeFilterExec) executeDegenerate(ctx *Ctx, in []*record.Record) ([]
 		}
 	}
 	res.Time = advanceForCalls(ctx, latencies)
-	ctx.Stats.noteTier(ctx.curOp, f.ID(), f.Kind(), pre)
-	ctx.Stats.noteTier(ctx.curOp, f.ID(), f.Kind(), res)
-	ctx.Stats.noteTime(ctx.curOp, f.ID(), f.Kind(), res.Time)
-	ctx.Stats.noteBatch(ctx.curOp, f.ID(), f.Kind(), len(in), len(out))
+	ctx.Stats.noteTier(ctx.curOp, f, pre)
+	ctx.Stats.noteTier(ctx.curOp, f, res)
+	ctx.Stats.noteTime(ctx.curOp, f, res.Time)
+	ctx.Stats.noteBatch(ctx.curOp, f, len(in), len(out))
 	return out, nil
 }

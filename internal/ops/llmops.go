@@ -68,7 +68,7 @@ func (f *LLMFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record
 		if err != nil {
 			return res{}, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		return res{keep: resp.Decision, latency: resp.Latency}, nil
 	})
 	if err != nil {
@@ -83,15 +83,14 @@ func (f *LLMFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record
 		}
 	}
 	elapsed := advanceForCalls(ctx, latencies)
-	ctx.Stats.noteTime(ctx.curOp, f.ID(), f.Kind(), elapsed)
-	ctx.Stats.noteBatch(ctx.curOp, f.ID(), f.Kind(), len(in), len(out))
+	ctx.Stats.noteTime(ctx.curOp, f, elapsed)
+	ctx.Stats.noteBatch(ctx.curOp, f, len(in), len(out))
 	return out, nil
 }
 
 func filterPrompt(predicate, text string) string {
-	return fmt.Sprintf(
-		"You are evaluating a filter over a data record.\nCondition: %s\nRecord:\n%s\nAnswer exactly true or false.",
-		predicate, text)
+	return "You are evaluating a filter over a data record.\nCondition: " + predicate +
+		"\nRecord:\n" + text + "\nAnswer exactly true or false."
 }
 
 // FilterRequest builds the canonical completion request for judging a
@@ -158,7 +157,7 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 	if err != nil {
 		return nil, err
 	}
-	ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), qresp)
+	ctx.Stats.noteLLM(ctx.curOp, f, qresp)
 	latencies := []time.Duration{qresp.Latency}
 	sims := make([]float64, len(in))
 	for i, r := range in {
@@ -169,7 +168,7 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 		if err != nil {
 			return nil, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, f.ID(), f.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		latencies = append(latencies, resp.Latency)
 		sims[i] = llm.CosineVec(qv, rv)
 	}
@@ -191,8 +190,8 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 		}
 	}
 	elapsed := advanceForCalls(ctx, latencies)
-	ctx.Stats.noteTime(ctx.curOp, f.ID(), f.Kind(), elapsed)
-	ctx.Stats.noteBatch(ctx.curOp, f.ID(), f.Kind(), len(in), len(out))
+	ctx.Stats.noteTime(ctx.curOp, f, elapsed)
+	ctx.Stats.noteBatch(ctx.curOp, f, len(in), len(out))
 	return out, nil
 }
 
@@ -275,7 +274,7 @@ func (c *LLMConvertExec) Estimate(in Estimate) Estimate {
 // Execute implements Physical.
 func (c *LLMConvertExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, error) {
 	if len(in) == 0 {
-		ctx.Stats.noteBatch(ctx.curOp, c.ID(), c.Kind(), 0, 0)
+		ctx.Stats.noteBatch(ctx.curOp, c, 0, 0)
 		return nil, nil
 	}
 	newFields := schema.NewFields(in[0].Schema(), c.Convert.Target)
@@ -289,7 +288,7 @@ func (c *LLMConvertExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Recor
 			}
 			out = append(out, nr)
 		}
-		ctx.Stats.noteBatch(ctx.curOp, c.ID(), c.Kind(), len(in), len(out))
+		ctx.Stats.noteBatch(ctx.curOp, c, len(in), len(out))
 		return out, nil
 	}
 
@@ -313,8 +312,8 @@ func (c *LLMConvertExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Recor
 		out = append(out, r.children...)
 	}
 	elapsed := advanceForCalls(ctx, latencies)
-	ctx.Stats.noteTime(ctx.curOp, c.ID(), c.Kind(), elapsed)
-	ctx.Stats.noteBatch(ctx.curOp, c.ID(), c.Kind(), len(in), len(out))
+	ctx.Stats.noteTime(ctx.curOp, c, elapsed)
+	ctx.Stats.noteBatch(ctx.curOp, c, len(in), len(out))
 	return out, nil
 }
 
@@ -337,7 +336,7 @@ func (c *LLMConvertExec) convertBonded(ctx *Ctx, r *record.Record, fields []sche
 	if err != nil {
 		return res{}, err
 	}
-	ctx.Stats.noteLLM(ctx.curOp, c.ID(), c.Kind(), resp)
+	ctx.Stats.noteLLM(ctx.curOp, c, resp)
 	children, err := deriveAll(r, c.Convert.Target, resp.Extractions)
 	if err != nil {
 		return res{}, err
@@ -357,20 +356,22 @@ func (c *LLMConvertExec) convertFieldwise(ctx *Ctx, r *record.Record, fields []s
 	// extraction count.
 	var merged []map[string]string
 	var total time.Duration
+	text := r.Text()
 	for i, f := range fields {
+		one := fields[i : i+1]
 		resp, err := ctx.Client.Complete(llm.Request{
 			Model:        c.Model,
 			Task:         llm.TaskExtract,
-			Prompt:       convertPrompt(c.Convert.Desc, []schema.Field{f}, r.Text()),
+			Prompt:       convertPrompt(c.Convert.Desc, one, text),
 			Record:       r,
-			Fields:       []schema.Field{f},
+			Fields:       one,
 			OneToMany:    c.Convert.Card == OneToMany,
 			QualityBoost: FieldwiseQualityBonus,
 		})
 		if err != nil {
 			return res{}, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, c.ID(), c.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, c, resp)
 		total += resp.Latency
 		if i == 0 {
 			merged = make([]map[string]string, len(resp.Extractions))
@@ -414,12 +415,28 @@ func deriveAll(parent *record.Record, target *schema.Schema, exs []map[string]st
 }
 
 func convertPrompt(desc string, fields []schema.Field, text string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extract structured data. %s\nFields:\n", desc)
+	const head, fieldsHead, textHead, tail = "Extract structured data. ", "\nFields:\n", "Text:\n", "\nRespond with JSON."
+	n := len(head) + len(desc) + len(fieldsHead) + len(textHead) + len(text) + len(tail)
 	for _, f := range fields {
-		fmt.Fprintf(&b, "- %s (%s): %s\n", f.Name, f.Type, f.Desc)
+		n += len("- ") + len(f.Name) + len(" (") + len(f.Type.String()) + len("): ") + len(f.Desc) + len("\n")
 	}
-	fmt.Fprintf(&b, "Text:\n%s\nRespond with JSON.", text)
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	b.WriteString(desc)
+	b.WriteString(fieldsHead)
+	for _, f := range fields {
+		b.WriteString("- ")
+		b.WriteString(f.Name)
+		b.WriteString(" (")
+		b.WriteString(f.Type.String())
+		b.WriteString("): ")
+		b.WriteString(f.Desc)
+		b.WriteString("\n")
+	}
+	b.WriteString(textHead)
+	b.WriteString(text)
+	b.WriteString(tail)
 	return b.String()
 }
 
@@ -457,7 +474,7 @@ func (r *RetrieveExec) Estimate(in Estimate) Estimate {
 // Execute implements Physical.
 func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, error) {
 	if len(in) == 0 {
-		ctx.Stats.noteBatch(ctx.curOp, r.ID(), r.Kind(), 0, 0)
+		ctx.Stats.noteBatch(ctx.curOp, r, 0, 0)
 		return nil, nil
 	}
 	idx, err := vector.NewExact(llm.EmbedDim)
@@ -474,7 +491,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		if err != nil {
 			return nil, err
 		}
-		ctx.Stats.noteLLM(ctx.curOp, r.ID(), r.Kind(), resp)
+		ctx.Stats.noteLLM(ctx.curOp, r, resp)
 		latencies = append(latencies, resp.Latency)
 		if err := idx.Add(vector.Item{ID: rec.ID(), Vec: vec}); err != nil {
 			return nil, err
@@ -485,7 +502,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 	if err != nil {
 		return nil, err
 	}
-	ctx.Stats.noteLLM(ctx.curOp, r.ID(), r.Kind(), qresp)
+	ctx.Stats.noteLLM(ctx.curOp, r, qresp)
 	latencies = append(latencies, qresp.Latency)
 
 	hits := idx.Search(qv, r.Retrieve.K)
@@ -494,7 +511,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		out = append(out, byID[h.ID])
 	}
 	elapsed := advanceForCalls(ctx, latencies)
-	ctx.Stats.noteTime(ctx.curOp, r.ID(), r.Kind(), elapsed)
-	ctx.Stats.noteBatch(ctx.curOp, r.ID(), r.Kind(), len(in), len(out))
+	ctx.Stats.noteTime(ctx.curOp, r, elapsed)
+	ctx.Stats.noteBatch(ctx.curOp, r, len(in), len(out))
 	return out, nil
 }

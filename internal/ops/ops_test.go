@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -542,6 +543,29 @@ func TestDescribeStrings(t *testing.T) {
 	for _, c := range cases {
 		if got := c.op.Describe(); got != c.want {
 			t.Errorf("Describe = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestRunParallelRecoversWorkerPanic: a panic on one of runParallel's
+// worker goroutines comes back as a *PanicError instead of killing the
+// process, at every width.
+func TestRunParallelRecoversWorkerPanic(t *testing.T) {
+	recs, err := biomedSource(t).Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		ctx, _, _ := newCtx(t, p)
+		_, err := runParallel(ctx, recs, func(r *record.Record) (int, error) {
+			if r == recs[4] {
+				panic("bad record")
+			}
+			return 0, nil
+		})
+		var perr *PanicError
+		if !errors.As(err, &perr) || perr.Value != "bad record" {
+			t.Fatalf("P=%d: error %v, want the *PanicError of the bad record", p, err)
 		}
 	}
 }

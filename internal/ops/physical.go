@@ -2,6 +2,7 @@ package ops
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -241,30 +242,32 @@ type RunStats struct {
 // NewRunStats returns empty statistics.
 func NewRunStats() *RunStats { return &RunStats{ops: map[int]*OpStats{}} }
 
-func (s *RunStats) op(pos int, id, kind string) *OpStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// op returns the stats row of the operator at plan position pos, creating
+// it on first use; only then does it ask p for its ID and Kind. The caller
+// holds s.mu.
+func (s *RunStats) op(pos int, p Physical) *OpStats {
 	st := s.ops[pos]
 	if st == nil {
-		st = &OpStats{Position: pos, OpID: id, Kind: kind}
+		st = &OpStats{Position: pos, OpID: p.ID(), Kind: p.Kind()}
 		s.ops[pos] = st
 	}
 	return st
 }
 
 // noteBatch records batch sizes for an operator.
-func (s *RunStats) noteBatch(pos int, id, kind string, in, out int) {
-	st := s.op(pos, id, kind)
+func (s *RunStats) noteBatch(pos int, p Physical, in, out int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.op(pos, p)
 	st.InRecords += in
 	st.OutRecords += out
-	s.mu.Unlock()
 }
 
 // noteLLM records one LLM response against an operator.
-func (s *RunStats) noteLLM(pos int, id, kind string, resp *llm.Response) {
-	st := s.op(pos, id, kind)
+func (s *RunStats) noteLLM(pos int, p Physical, resp *llm.Response) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.op(pos, p)
 	st.LLMCalls++
 	st.InputTokens += resp.InputTokens
 	st.OutputTokens += resp.OutputTokens
@@ -272,15 +275,13 @@ func (s *RunStats) noteLLM(pos int, id, kind string, resp *llm.Response) {
 		st.CacheHits++
 	}
 	st.CostUSD += resp.CostUSD
-	s.mu.Unlock()
 }
 
 // noteTime records simulated time consumed by an operator.
-func (s *RunStats) noteTime(pos int, id, kind string, d time.Duration) {
-	st := s.op(pos, id, kind)
+func (s *RunStats) noteTime(pos int, p Physical, d time.Duration) {
 	s.mu.Lock()
-	st.Time += d
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.op(pos, p).Time += d
 }
 
 // noteTier accumulates one batch's tier-level accounting onto an operator,
@@ -288,10 +289,10 @@ func (s *RunStats) noteTime(pos int, id, kind string, d time.Duration) {
 // batch). Tier order in OpStats.Tiers is first-recorded order, which is
 // the cascade's fixed tier order because every batch records its tiers
 // front to back.
-func (s *RunStats) noteTier(pos int, id, kind string, t TierStat) {
-	st := s.op(pos, id, kind)
+func (s *RunStats) noteTier(pos int, p Physical, t TierStat) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.op(pos, p)
 	for i := range st.Tiers {
 		if st.Tiers[i].Tier == t.Tier {
 			st.Tiers[i].In += t.In
@@ -383,12 +384,46 @@ func advanceForCalls(ctx *Ctx, latencies []time.Duration) time.Duration {
 	return elapsed
 }
 
+// PanicError is a panic raised while an operator ran, recovered on the
+// goroutine it happened in and returned as its query's error, so that one
+// bad operator or record cannot take down the process and every other
+// query in it. The engines wrap it with the operator's position and ID.
+type PanicError struct {
+	// Value is what was passed to panic.
+	Value any
+}
+
+// Error implements error.
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Recover, deferred by a function with a named error result, turns a
+// panic in that function into a *PanicError in *err.
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v}
+	}
+}
+
+// Run executes op over in, returning a panic inside it as a *PanicError.
+// The engines and the optimizer's calibration run operators through it.
+func Run(ctx *Ctx, op Physical, in []*record.Record) (out []*record.Record, err error) {
+	defer Recover(&err)
+	return op.Execute(ctx, in)
+}
+
+// guarded is fn(r) with a panic returned as a *PanicError. runParallel's
+// workers run on goroutines of their own, where no caller could recover.
+func guarded[T any](fn func(*record.Record) (T, error), r *record.Record) (res T, err error) {
+	defer Recover(&err)
+	return fn(r)
+}
+
 // runParallel applies fn to every record with bounded concurrency,
 // preserving input order of results. The first error cancels nothing (all
-// workers finish their current item) but is returned. Cancellation via
-// Ctx.Context is checked before each record is dispatched: in-flight
-// records complete, undispatched ones are skipped, and the context error
-// is returned.
+// workers finish their current item) but is returned; a panic in fn is
+// returned as a *PanicError. Cancellation via Ctx.Context is checked
+// before each record is dispatched: in-flight records complete,
+// undispatched ones are skipped, and the context error is returned.
 func runParallel[T any](ctx *Ctx, in []*record.Record, fn func(*record.Record) (T, error)) ([]T, error) {
 	p := ctx.parallelismOrOne()
 	if p > len(in) {
@@ -401,7 +436,7 @@ func runParallel[T any](ctx *Ctx, in []*record.Record, fn func(*record.Record) (
 			if err := ctx.Canceled(); err != nil {
 				return nil, err
 			}
-			results[i], errs[i] = fn(r)
+			results[i], errs[i] = guarded(fn, r)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -411,7 +446,7 @@ func runParallel[T any](ctx *Ctx, in []*record.Record, fn func(*record.Record) (
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					results[i], errs[i] = fn(in[i])
+					results[i], errs[i] = guarded(fn, in[i])
 				}
 			}()
 		}

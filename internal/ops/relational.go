@@ -55,7 +55,7 @@ func (s *ScanExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, err
 	if err != nil {
 		return nil, err
 	}
-	ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, len(recs))
+	ctx.Stats.noteBatch(ctx.curOp, s, 0, len(recs))
 	return recs, nil
 }
 
@@ -117,7 +117,7 @@ func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.R
 		if err != nil {
 			return err
 		}
-		ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, len(recs))
+		ctx.Stats.noteBatch(ctx.curOp, s, 0, len(recs))
 		for off := 0; ; off += size {
 			end := min(off+size, len(recs))
 			if err := emit(recs[off:end:end]); err != nil || end == len(recs) {
@@ -128,7 +128,7 @@ func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.R
 	buf := make([]*record.Record, 0, size)
 	emitted := false
 	flush := func() error {
-		ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), 0, len(buf))
+		ctx.Stats.noteBatch(ctx.curOp, s, 0, len(buf))
 		out := buf
 		emitted = true
 		buf = make([]*record.Record, 0, size)
@@ -192,7 +192,7 @@ func (u *UDFFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record
 			out = append(out, r)
 		}
 	}
-	ctx.Stats.noteBatch(ctx.curOp, u.ID(), u.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, u, len(in), len(out))
 	return out, nil
 }
 
@@ -233,7 +233,7 @@ func (p *ProjectExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, 
 		}
 		out = append(out, pr)
 	}
-	ctx.Stats.noteBatch(ctx.curOp, p.ID(), p.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, p, len(in), len(out))
 	return out, nil
 }
 
@@ -260,7 +260,7 @@ func (l *LimitExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, er
 	if len(out) > l.Limit.N {
 		out = out[:l.Limit.N]
 	}
-	ctx.Stats.noteBatch(ctx.curOp, l.ID(), l.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, l, len(in), len(out))
 	return out, nil
 }
 
@@ -293,7 +293,7 @@ func (d *DistinctExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		seen[k] = true
 		out = append(out, r)
 	}
-	ctx.Stats.noteBatch(ctx.curOp, d.ID(), d.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, d, len(in), len(out))
 	return out, nil
 }
 
@@ -328,7 +328,7 @@ func (a *AggregateExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record
 	if err != nil {
 		return nil, err
 	}
-	ctx.Stats.noteBatch(ctx.curOp, a.ID(), a.Kind(), len(in), 1)
+	ctx.Stats.noteBatch(ctx.curOp, a, len(in), 1)
 	return []*record.Record{out}, nil
 }
 
@@ -385,7 +385,7 @@ func (g *GroupByExec) Estimate(in Estimate) Estimate {
 // Execute implements Physical.
 func (g *GroupByExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, error) {
 	if len(in) == 0 {
-		ctx.Stats.noteBatch(ctx.curOp, g.ID(), g.Kind(), 0, 0)
+		ctx.Stats.noteBatch(ctx.curOp, g, 0, 0)
 		return nil, nil
 	}
 	outSchema, err := g.GroupBy.OutputSchema(in[0].Schema())
@@ -420,7 +420,7 @@ func (g *GroupByExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, 
 		}
 		out = append(out, gr)
 	}
-	ctx.Stats.noteBatch(ctx.curOp, g.ID(), g.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, g, len(in), len(out))
 	return out, nil
 }
 
@@ -461,6 +461,6 @@ func (s *SortExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, err
 		}
 		return less
 	})
-	ctx.Stats.noteBatch(ctx.curOp, s.ID(), s.Kind(), len(in), len(out))
+	ctx.Stats.noteBatch(ctx.curOp, s, len(in), len(out))
 	return out, nil
 }

@@ -448,9 +448,9 @@ func Calibrate(chain []ops.Logical, sampleSize int, ctx *ops.Ctx) (Calibration, 
 			continue
 		}
 		ctx.SetCurrentOp(pos)
-		out, err := phys.Execute(ctx, recs)
+		out, err := ops.Run(ctx, phys, recs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("optimizer: sampling operator %d (%s): %w", pos, phys.ID(), err)
 		}
 		if len(recs) > 0 {
 			ratio := float64(len(out)) / float64(len(recs))

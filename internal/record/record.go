@@ -61,7 +61,8 @@ func New(s *schema.Schema, values map[string]any) (*Record, error) {
 		}
 		r.values[name] = cv
 	}
-	for _, f := range s.Fields() {
+	for i := 0; i < s.Len(); i++ {
+		f := s.FieldAt(i)
 		if _, ok := r.values[f.Name]; !ok {
 			r.values[f.Name] = f.Type.Zero()
 		}
@@ -202,26 +203,12 @@ func (r *Record) Get(name string) (any, bool) {
 
 // GetString returns the string form of the named field ("" when absent).
 func (r *Record) GetString(name string) string {
-	v, ok := r.values[name]
-	if !ok || v == nil {
-		return ""
+	var buf [64]byte
+	s, b := fieldText(r.values[name], buf[:0])
+	if len(b) > 0 {
+		return string(b)
 	}
-	switch x := v.(type) {
-	case string:
-		return x
-	case []byte:
-		return string(x)
-	case []string:
-		return strings.Join(x, ", ")
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return strconv.FormatBool(x)
-	default:
-		return fmt.Sprintf("%v", x)
-	}
+	return s
 }
 
 // GetInt returns the named field as int64 (0 when absent or non-numeric).
@@ -269,20 +256,97 @@ func (r *Record) Set(name string, v any) error {
 }
 
 // Text concatenates all string-ish field values; this is the "document
-// text" the simulated LLM and embedding models see for a record.
+// text" the simulated LLM and embedding models see for a record. It is
+// built in one allocation and not kept: records registered in memory live
+// as long as the server, so caching the text would double their footprint.
 func (r *Record) Text() string {
-	var b strings.Builder
-	for _, f := range r.schema.Fields() {
-		s := r.GetString(f.Name)
-		if s == "" {
+	var buf [64]byte
+	n := 0
+	for i := 0; i < r.schema.Len(); i++ {
+		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+		if m := len(s) + len(b); m > 0 {
+			if n > 0 {
+				n++
+			}
+			n += m
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	var t strings.Builder
+	t.Grow(n)
+	for i := 0; i < r.schema.Len(); i++ {
+		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+		if len(s)+len(b) == 0 {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteString("\n")
+		if t.Len() > 0 {
+			t.WriteByte('\n')
 		}
-		b.WriteString(s)
+		t.WriteString(s)
+		t.Write(b)
 	}
-	return b.String()
+	return t.String()
+}
+
+// Digest is the 64-bit FNV-1a hash of Text(), fed field by field so that
+// no text is built. It identifies a record by content, not by ID (IDs
+// depend on allocation order): the simulated LLM keys its noise draws and
+// its response cache on it.
+func (r *Record) Digest() uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [64]byte
+	h := uint64(offset64)
+	wrote := false
+	for i := 0; i < r.schema.Len(); i++ {
+		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+		if len(s)+len(b) == 0 {
+			continue
+		}
+		if wrote {
+			h = (h ^ '\n') * prime64
+		}
+		wrote = true
+		for j := 0; j < len(s); j++ {
+			h = (h ^ uint64(s[j])) * prime64
+		}
+		for _, c := range b {
+			h = (h ^ uint64(c)) * prime64
+		}
+	}
+	return h
+}
+
+// fieldText renders a field value as text, as a string or as bytes (at
+// most one non-empty): GetString, Text and Digest all read values through
+// it. Strings and byte slices come back as they are; numbers and string
+// lists are rendered into scratch, so the common types cost no allocation.
+func fieldText(v any, scratch []byte) (string, []byte) {
+	switch x := v.(type) {
+	case nil:
+		return "", nil
+	case string:
+		return x, nil
+	case []byte:
+		return "", x
+	case []string:
+		for i, e := range x {
+			if i > 0 {
+				scratch = append(scratch, ", "...)
+			}
+			scratch = append(scratch, e...)
+		}
+		return "", scratch
+	case int64:
+		return "", strconv.AppendInt(scratch, x, 10)
+	case float64:
+		return "", strconv.AppendFloat(scratch, x, 'g', -1, 64)
+	case bool:
+		return strconv.FormatBool(x), nil
+	default:
+		return fmt.Sprintf("%v", x), nil
+	}
 }
 
 // Derive creates a record of schema s derived from r: values are the given
@@ -290,9 +354,10 @@ func (r *Record) Text() string {
 func (r *Record) Derive(s *schema.Schema, values map[string]any) (*Record, error) {
 	// Carry over any field of s that r already has and values does not set.
 	merged := make(map[string]any, s.Len())
-	for _, f := range s.Fields() {
-		if v, ok := r.values[f.Name]; ok {
-			merged[f.Name] = v
+	for i := 0; i < s.Len(); i++ {
+		name := s.FieldAt(i).Name
+		if v, ok := r.values[name]; ok {
+			merged[name] = v
 		}
 	}
 	for k, v := range values {

@@ -165,6 +165,10 @@ func (s *Schema) Fields() []Field {
 	return out
 }
 
+// FieldAt returns the i'th field in declaration order. Unlike Fields it
+// copies nothing, so per-record loops use it with Len.
+func (s *Schema) FieldAt(i int) Field { return s.fields[i] }
+
 // FieldNames returns the field names in declaration order.
 func (s *Schema) FieldNames() []string {
 	out := make([]string, len(s.fields))

@@ -578,3 +578,49 @@ func TestServeForgetsOldestFinishedJobs(t *testing.T) {
 		t.Errorf("second-oldest finished job answers %d after the held job finished, want 404", got)
 	}
 }
+
+// explodingSource is a registered dataset whose reader panics.
+type explodingSource struct{}
+
+func (explodingSource) Name() string       { return "exploding" }
+func (explodingSource) Schema() *pz.Schema { return pz.TextFile }
+func (explodingSource) Records() ([]*pz.Record, error) {
+	panic("source exploded")
+}
+
+// TestServePanickingSourceFailsOnlyItsJob: a query over a source that
+// panics ends failed with the panic in its error, and the server goes on
+// answering the next query.
+func TestServePanickingSourceFailsOnlyItsJob(t *testing.T) {
+	ctx := newStreamContext(t, 8, pz.Config{Parallelism: 2})
+	if err := ctx.Register(explodingSource{}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Context: ctx, MaxInflight: 2, MaxQueue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	bad := &Spec{Dataset: DatasetSpec{Name: "exploding"}, Policy: "max-quality",
+		Ops: []OpSpec{{Op: "filter", Predicate: "The ticket is urgent"}}}
+	resp, body := postQuery(t, ts.URL, bad, false, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var accepted JobView
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	view := awaitStatus(t, ts.URL, accepted.ID)
+	if view.Status != StatusFailed || !strings.Contains(view.Error, "source exploded") {
+		t.Fatalf("panicking job: status %q error %q, want failed with the panic", view.Status, view.Error)
+	}
+
+	resp, body = postQuery(t, ts.URL, streamSpec("max-quality", workloads.StreamPredicates[0]), true, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the panic: %d %s", resp.StatusCode, body)
+	}
+}

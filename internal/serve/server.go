@@ -429,6 +429,19 @@ func (s *Server) retire(job *Job) {
 func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dataset, policy pz.Policy, ticket *Ticket) {
 	defer s.retire(job)
 	defer ticket.Release()
+	// The engines return an operator's panic as its query's error; this
+	// catches the rest (a source, the optimizer), so that one query's
+	// panic fails that job rather than the process and every tenant.
+	defer func() {
+		if v := recover(); v != nil {
+			select {
+			case <-job.done:
+			default:
+				s.counters.Inc("queries_failed")
+				job.finish(StatusFailed, nil, fmt.Sprintf("panic: %v", v))
+			}
+		}
+	}()
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	if err := ticket.Await(ctx); err != nil {

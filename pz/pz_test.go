@@ -2,6 +2,7 @@ package pz
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,5 +297,37 @@ func TestFilterUDFZeroCost(t *testing.T) {
 	}
 	if ds.FilterUDF("x", nil).Err() == nil {
 		t.Error("nil UDF accepted")
+	}
+}
+
+// TestOperatorPanicFailsOnlyItsQuery: a UDF that panics fails the query
+// it runs in, naming the operator and the panic value, and leaves the
+// Context able to run the next query, on both engines.
+func TestOperatorPanicFailsOnlyItsQuery(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		ctx, ds := demoContext(t, Config{Parallelism: par})
+		var calls atomic.Int64
+		pipeline := ds.FilterUDF("fragile", func(r *Record) (bool, error) {
+			if calls.Add(1) == 5 {
+				panic("bad record")
+			}
+			return strings.Contains(r.GetString("contents"), "colorectal"), nil
+		})
+		_, err := ctx.Execute(pipeline, MinCost())
+		if err == nil {
+			t.Fatalf("P=%d: the panicking query returned no error", par)
+		}
+		for _, want := range []string{"udf-filter(fragile)", "bad record"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("P=%d: error %q does not name %q", par, err, want)
+			}
+		}
+		res, err := ctx.Execute(pipeline, MinCost())
+		if err != nil {
+			t.Fatalf("P=%d: the query after the panic failed: %v", par, err)
+		}
+		if len(res.Records) == 0 {
+			t.Errorf("P=%d: the query after the panic kept no records", par)
+		}
 	}
 }
