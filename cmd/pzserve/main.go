@@ -47,7 +47,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -263,11 +262,15 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-sig
 		log.Print("pzserve: shutting down")
 		srv.Close()
-		_ = httpSrv.Shutdown(context.Background())
+		if err := serve.Shutdown(httpSrv); err != nil {
+			log.Printf("pzserve: shutdown: %v", err)
+		}
 	}()
 
 	mode := "standalone"
@@ -276,8 +279,11 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 	}
 	log.Printf("pzserve: serving on %s (inflight=%d queue=%d plan-cache=%d, %s)",
 		addr, opts.maxInflight, opts.maxQueue, opts.planCache, mode)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
 		return err
 	}
+	// ListenAndServe returns as soon as shutdown begins; wait for the
+	// drain to end.
+	<-drained
 	return nil
 }

@@ -145,7 +145,9 @@ func run(addr, name, coordinator, advertise string, datasets map[string]string, 
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-sig
 		log.Print("pzworker: shutting down")
 		close(stopHeartbeat)
@@ -155,14 +157,19 @@ func run(addr, name, coordinator, advertise string, datasets map[string]string, 
 				log.Printf("pzworker: deregister: %v", err)
 			}
 		}
-		_ = httpSrv.Shutdown(context.Background())
+		if err := serve.Shutdown(httpSrv); err != nil {
+			log.Printf("pzworker: shutdown: %v", err)
+		}
 	}()
 
 	log.Printf("pzworker: %q serving on %s (parallelism=%d chunk=%d datasets=%d)",
 		name, addr, parallelism, chunk, len(datasets))
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
 		return err
 	}
+	// ListenAndServe returns as soon as shutdown begins; wait for the
+	// drain to end.
+	<-drained
 	return nil
 }
 

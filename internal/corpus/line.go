@@ -14,6 +14,8 @@ import (
 // one sits on disk; docDecoder turns one line into a Doc. DocReader,
 // IndexNDJSON and ValidateNDJSON all read corpus lines through both, so
 // the reader, the partition index and the validator agree on every line.
+// A folder's ground-truth sidecar, an array of filename and truth
+// objects, decodes through the same parser (DecodeTruths).
 //
 // docDecoder has a fast path for the canonical line shape — what
 // WriteNDJSON writes — and hands every other line to encoding/json, which
@@ -145,26 +147,68 @@ func (d *docDecoder) decode(raw []byte) (*Doc, error) {
 
 // fast decodes a canonical line, or reports false for any other.
 func (d *docDecoder) fast(raw []byte) (*Doc, bool) {
-	*d = docDecoder{raw: raw, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0]}
+	d.reset(raw, 0)
 	ok := d.doc()
 	d.raw = nil
 	if !ok {
 		return nil, false
 	}
-	return d.build()
+	doc := new(Doc)
+	if !d.build(doc) {
+		return nil, false
+	}
+	return doc, true
 }
 
-func (d *docDecoder) build() (*Doc, bool) {
+// DecodeTruths decodes a ground-truth sidecar, a JSON array of
+// {"filename", "truth"} objects, into Docs without text. It takes the
+// decoder's fast path, with the keys filename and truth only, and
+// reports false for anything else: a text or unknown key, a null
+// element, or input outside the canonical line shape. The caller then
+// decodes the bytes with encoding/json, which stays the reference.
+func DecodeTruths(raw []byte) ([]Doc, bool) {
+	var d docDecoder
+	return d.truths(raw)
+}
+
+func (d *docDecoder) truths(raw []byte) ([]Doc, bool) {
+	d.reset(raw, 0)
+	if !d.eat('[') {
+		return nil, false
+	}
+	out := []Doc{}
+	for more := !d.eat(']'); more; {
+		d.reset(raw, d.pos)
+		out = append(out, Doc{})
+		if !d.object(entryKeys) || !d.build(&out[len(out)-1]) {
+			return nil, false
+		}
+		var ok bool
+		if more, ok = d.sep(']'); !ok {
+			return nil, false
+		}
+	}
+	return out, d.end()
+}
+
+// reset clears the state of the last document decoded, keeping the
+// reused buffers, to decode the document that starts at raw[pos:].
+func (d *docDecoder) reset(raw []byte, pos int) {
+	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0]}
+}
+
+// build fills doc from the document parsed last, or reports false.
+func (d *docDecoder) build(doc *Doc) bool {
 	if !d.truth {
 		d.tlo = len(d.buf)
 	}
 	if d.filename.hi > d.tlo || d.text.hi > d.tlo {
-		return nil, false // the truth object came first
+		return false // the truth object came first
 	}
 	s := string(d.buf[:d.tlo])
-	doc := &Doc{Filename: d.filename.of(s, 0), Text: d.text.of(s, 0)}
+	doc.Filename, doc.Text = d.filename.of(s, 0), d.text.of(s, 0)
 	if !d.truth {
-		return doc, true
+		return true
 	}
 	s, base := string(d.buf[d.tlo:]), d.tlo
 	t := &Truth{}
@@ -192,13 +236,13 @@ func (d *docDecoder) build() (*Doc, bool) {
 		for _, e := range d.entries[d.nums.lo:d.nums.hi] {
 			v, err := strconv.ParseFloat(e.val.of(s, base), 64)
 			if err != nil {
-				return nil, false
+				return false
 			}
 			t.Numbers[e.key.of(s, base)] = v
 		}
 	}
 	doc.Truth = t
-	return doc, true
+	return true
 }
 
 func (d *docDecoder) stringMap(s string, base int, l list) map[string]string {
@@ -215,20 +259,32 @@ func (d *docDecoder) stringMap(s string, base int, l list) map[string]string {
 // Keys of the objects with fixed fields, for field.
 var (
 	docKeys     = []string{"filename", "text", "truth"}
+	entryKeys   = []string{"filename", "truth"}
 	truthKeys   = []string{"topics", "mentions", "labels", "fields", "numbers"}
 	mentionKeys = []string{"kind", "fields"}
 )
 
-// doc parses the top-level object and checks nothing but whitespace
-// follows it.
+// doc parses a corpus line: one document object and nothing after it
+// but whitespace.
 func (d *docDecoder) doc() bool {
+	return d.object(docKeys) && d.end()
+}
+
+// end reports whether only whitespace is left of the input.
+func (d *docDecoder) end() bool {
+	d.ws()
+	return d.pos == len(d.raw)
+}
+
+// object parses a document object whose keys are among names.
+func (d *docDecoder) object(names []string) bool {
 	var seen uint8
 	if !d.eat('{') {
 		return false
 	}
 	for more := !d.eat('}'); more; {
 		var ok bool
-		switch d.field(docKeys, &seen) {
+		switch d.field(names, &seen) {
 		case "filename":
 			d.filename, ok = d.str()
 		case "text":
@@ -243,8 +299,7 @@ func (d *docDecoder) doc() bool {
 			return false
 		}
 	}
-	d.ws()
-	return d.pos == len(d.raw)
+	return true
 }
 
 func (d *docDecoder) truthValue() bool {

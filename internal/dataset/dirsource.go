@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/corpus"
+	"repro/internal/llm"
 	"repro/internal/pdfsim"
 	"repro/internal/record"
 	"repro/internal/schema"
@@ -26,12 +30,53 @@ const TruthSidecar = "_groundtruth.json"
 // DirSource reads every regular file in a directory as one record,
 // reproducing Palimpzest's local-folder datasets. The record schema is
 // chosen from the dominant file extension.
+//
+// The folder is read on the first Records or Stats call, not at
+// registration, and the records are kept as a snapshot together with a
+// stamp (size and modification time) of every registered file and of
+// the truth sidecar. Later calls stat those paths and re-read the folder
+// only when a stamp changed, so they return the same record instances,
+// as DocsSource does. An edit that keeps a file's size and modification
+// time is not seen. The file list is fixed at NewDirSource.
 type DirSource struct {
 	name   string
 	dir    string
 	schema *schema.Schema
 	files  []string
+
+	mu   sync.Mutex
+	snap *dirSnapshot
 }
+
+// dirSnapshot is one read of a DirSource's folder.
+type dirSnapshot struct {
+	// stamps holds the sidecar's stamp, then each file's in files order,
+	// each taken before the read.
+	stamps []stamp
+	recs   []*record.Record
+	stats  SourceStats
+}
+
+// stamp identifies a version of a file: its size and modification time.
+// An absent file has size -1.
+type stamp struct{ size, mtime int64 }
+
+// stampOf stats path. The error is one other than the file's absence.
+func stampOf(path string) (stamp, error) {
+	fi, err := os.Stat(path)
+	switch {
+	case err == nil:
+		return stamp{fi.Size(), fi.ModTime().UnixNano()}, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return stamp{size: -1}, nil
+	default:
+		return stamp{size: -1}, err
+	}
+}
+
+// testHookLoad, when set, is called each time a DirSource reads its
+// folder.
+var testHookLoad func(dir string)
 
 // NewDirSource scans dir (non-recursively) and prepares a source. The
 // schema is auto-selected from the most common file extension; an empty or
@@ -82,15 +127,75 @@ func (d *DirSource) Dir() string { return d.dir }
 func (d *DirSource) NumFiles() int { return len(d.files) }
 
 // Records implements Source: it parses every file with the reader for its
-// extension and re-attaches sidecar ground truth when available.
+// extension and re-attaches sidecar ground truth when available. Calls
+// on an unchanged folder share one snapshot of record instances.
 func (d *DirSource) Records() ([]*record.Record, error) {
-	truths, err := loadSidecar(filepath.Join(d.dir, TruthSidecar))
+	snap, err := d.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(snap.recs), nil
+}
+
+// Stats implements Stater from the snapshot Records returns: the record
+// count, and the mean token size of the first statsSampleDocs records.
+// It is untrusted when the folder cannot be read, so the caller's
+// Records call reports the error.
+func (d *DirSource) Stats() (SourceStats, bool) {
+	snap, err := d.snapshot()
+	if err != nil {
+		return SourceStats{}, false
+	}
+	return snap.stats, true
+}
+
+// snapshot returns the folder's snapshot, reading the folder again when
+// there is none or a stamp changed.
+func (d *DirSource) snapshot() (*dirSnapshot, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.snap != nil && d.fresh(d.snap) {
+		return d.snap, nil
+	}
+	snap, err := d.load()
+	d.snap = snap
+	return snap, err
+}
+
+// fresh reports whether every path snap stamped still has its stamp.
+func (d *DirSource) fresh(snap *dirSnapshot) bool {
+	for i, st := range snap.stamps {
+		name := TruthSidecar
+		if i > 0 {
+			name = d.files[i-1]
+		}
+		if now, err := stampOf(filepath.Join(d.dir, name)); err != nil || now != st {
+			return false
+		}
+	}
+	return true
+}
+
+// load reads the folder. A path's stamp is taken before it is read, so a
+// change during the read shows as a stale stamp on the next call.
+func (d *DirSource) load() (*dirSnapshot, error) {
+	if testHookLoad != nil {
+		testHookLoad(d.dir)
+	}
+	snap := &dirSnapshot{stamps: make([]stamp, 0, 1+len(d.files))}
+	sidecar := filepath.Join(d.dir, TruthSidecar)
+	st, _ := stampOf(sidecar) // loadSidecar reports the error
+	snap.stamps = append(snap.stamps, st)
+	truths, err := loadSidecar(sidecar)
 	if err != nil {
 		return nil, err
 	}
 	var out []*record.Record
 	for _, f := range d.files {
-		data, err := os.ReadFile(filepath.Join(d.dir, f))
+		path := filepath.Join(d.dir, f)
+		st, _ := stampOf(path) // ReadFile reports the error
+		snap.stamps = append(snap.stamps, st)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
@@ -106,7 +211,16 @@ func (d *DirSource) Records() ([]*record.Record, error) {
 			out = append(out, r)
 		}
 	}
-	return out, nil
+	snap.recs = out
+	snap.stats = SourceStats{NumRecords: len(out)}
+	if n := min(len(out), statsSampleDocs); n > 0 {
+		total := 0
+		for _, r := range out[:n] {
+			total += llm.CountTokens(r.Text())
+		}
+		snap.stats.AvgTokens = float64(total) / float64(n)
+	}
+	return snap, nil
 }
 
 // parseFile converts one file into records according to its extension. The
@@ -261,8 +375,8 @@ func loadSidecar(path string) (map[string]*corpus.Truth, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	var entries []sidecarEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
+	entries, err := decodeSidecar(data)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: bad sidecar %s: %w", path, err)
 	}
 	out := make(map[string]*corpus.Truth, len(entries))
@@ -270,6 +384,24 @@ func loadSidecar(path string) (map[string]*corpus.Truth, error) {
 		out[e.Filename] = e.Truth
 	}
 	return out, nil
+}
+
+// decodeSidecar decodes sidecar bytes through the corpus line decoder,
+// or through encoding/json when the decoder declines them: the same
+// entries, or the same error, json.Unmarshal gives.
+func decodeSidecar(data []byte) ([]sidecarEntry, error) {
+	if docs, ok := corpus.DecodeTruths(data); ok {
+		entries := make([]sidecarEntry, len(docs))
+		for i, d := range docs {
+			entries[i] = sidecarEntry{Filename: d.Filename, Truth: d.Truth}
+		}
+		return entries, nil
+	}
+	var entries []sidecarEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return nil, err
+	}
+	return entries, nil
 }
 
 // MaterializeCorpus writes docs (plus the ground-truth sidecar) into dir and

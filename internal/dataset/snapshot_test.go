@@ -1,0 +1,355 @@
+package dataset
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/corpus"
+)
+
+// textFolder writes name→contents as files into a new directory and
+// registers it.
+func textFolder(t *testing.T, files map[string]string) (*DirSource, string) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, contents := range files {
+		writeAt(t, filepath.Join(dir, name), contents, time.Unix(1_700_000_000, 0))
+	}
+	src, err := NewDirSource("notes", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, dir
+}
+
+// writeAt writes contents to path and sets its modification time.
+func writeAt(t *testing.T, path, contents string, mtime time.Time) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(contents), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func contentsOf(t *testing.T, src *DirSource) []string {
+	t.Helper()
+	recs, err := src.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = r.GetString("contents")
+	}
+	return out
+}
+
+// TestDirSourceSnapshotSharesRecords: two Records calls on an unchanged
+// folder return the same record instances, in slices of their own.
+func TestDirSourceSnapshotSharesRecords(t *testing.T) {
+	src, _ := textFolder(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	first, err := src.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := src.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 2 || len(second) != 2 {
+		t.Fatalf("records = %d, %d", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("record %d: a second Records call built a new instance", i)
+		}
+	}
+	first[0] = nil
+	if again, _ := src.Records(); again[0] == nil {
+		t.Error("Records returned the snapshot's own slice")
+	}
+}
+
+// TestDirSourceSnapshotSeesRewrite: a file rewritten with a newer mtime
+// is read again, even when its size did not change.
+func TestDirSourceSnapshotSeesRewrite(t *testing.T) {
+	src, dir := textFolder(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	before, err := src.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAt(t, filepath.Join(dir, "a.txt"), "omega", time.Unix(1_700_000_060, 0))
+	after, err := src.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after[0].GetString("contents"); got != "omega" {
+		t.Fatalf("contents after rewrite = %q, want omega", got)
+	}
+	if after[1] == before[1] {
+		t.Error("a reload kept a record of the old snapshot")
+	}
+}
+
+// TestDirSourceSnapshotKeepsStampedEdit pins the documented limit: an
+// edit that keeps both the size and the mtime is not seen.
+func TestDirSourceSnapshotKeepsStampedEdit(t *testing.T) {
+	src, dir := textFolder(t, map[string]string{"a.txt": "alpha"})
+	if got := contentsOf(t, src); got[0] != "alpha" {
+		t.Fatalf("contents = %q", got)
+	}
+	writeAt(t, filepath.Join(dir, "a.txt"), "omega", time.Unix(1_700_000_000, 0))
+	if got := contentsOf(t, src); got[0] != "alpha" {
+		t.Fatalf("contents = %q, want the snapshot's alpha", got)
+	}
+}
+
+// TestDirSourceSnapshotSeesSidecar: adding, editing and removing the
+// truth sidecar after registration each show on the next call.
+func TestDirSourceSnapshotSeesSidecar(t *testing.T) {
+	dir := t.TempDir()
+	docs := corpus.GenerateLegal(corpus.LegalConfig{NumContracts: 3, IndemnificationRate: 1, Seed: 2})
+	if _, err := corpus.WriteFiles(dir, docs); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewDirSource("legal", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truthOf := func() *corpus.Truth {
+		t.Helper()
+		recs, err := src.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return corpus.TruthOf(recs[0])
+	}
+	if truthOf() != nil {
+		t.Fatal("truth without a sidecar")
+	}
+	sidecar := filepath.Join(dir, TruthSidecar)
+	setSidecar := func(docs []*corpus.Doc, mtime time.Time) {
+		t.Helper()
+		if err := WriteSidecar(dir, docs); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(sidecar, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setSidecar(docs, time.Unix(1_700_000_000, 0))
+	if gt := truthOf(); gt == nil || !gt.Labels[corpus.IndemnificationLabel] {
+		t.Fatalf("added sidecar not seen: %+v", gt)
+	}
+	edited := make([]*corpus.Doc, len(docs))
+	for i, d := range docs {
+		edited[i] = &corpus.Doc{Filename: d.Filename, Truth: &corpus.Truth{Labels: map[string]bool{corpus.IndemnificationLabel: false}}}
+	}
+	setSidecar(edited, time.Unix(1_700_000_060, 0))
+	if gt := truthOf(); gt == nil || gt.Labels[corpus.IndemnificationLabel] {
+		t.Fatalf("edited sidecar not seen: %+v", gt)
+	}
+	if err := os.Remove(sidecar); err != nil {
+		t.Fatal(err)
+	}
+	if gt := truthOf(); gt != nil {
+		t.Fatalf("removed sidecar still seen: %+v", gt)
+	}
+}
+
+// TestDirSourceSnapshotDeletedFileErrors: a registered file deleted
+// after a load makes the next call fail, with the read's error.
+func TestDirSourceSnapshotDeletedFileErrors(t *testing.T) {
+	src, dir := textFolder(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	if _, err := src.Records(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "b.txt")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Records(); err == nil || !strings.Contains(err.Error(), "open ") {
+		t.Fatalf("Records after delete: %v, want the open error", err)
+	}
+	if _, ok := src.Stats(); ok {
+		t.Error("Stats trusted over a deleted file")
+	}
+}
+
+// TestDirSourceStats: Stats counts the records and averages tokens over
+// the first statsSampleDocs of them, without a second load.
+func TestDirSourceStats(t *testing.T) {
+	files := map[string]string{}
+	for i := 0; i < statsSampleDocs+4; i++ {
+		files[string(rune('a'+i))+".txt"] = strings.Repeat("word ", i+1)
+	}
+	src, _ := textFolder(t, files)
+	loads := 0
+	defer SetLoadHook(func(string) { loads++ })()
+	st, ok := src.Stats()
+	if !ok || st.NumRecords != len(files) || st.AvgTokens <= 0 {
+		t.Fatalf("Stats = %+v, %v", st, ok)
+	}
+	if _, err := src.Records(); err != nil {
+		t.Fatal(err)
+	}
+	if loads != 1 {
+		t.Errorf("Stats then Records loaded the folder %d times, want 1", loads)
+	}
+}
+
+// TestDirSourceSnapshotConcurrent: Records and Stats from many
+// goroutines, while files change under them, race on nothing (run with
+// -race) and always see a whole folder.
+func TestDirSourceSnapshotConcurrent(t *testing.T) {
+	src, dir := textFolder(t, map[string]string{"a.txt": "alpha", "b.txt": "beta", "c.txt": "gamma"})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				recs, err := src.Records()
+				if err != nil || len(recs) != 3 {
+					t.Errorf("Records = %d, %v", len(recs), err)
+					return
+				}
+				if st, ok := src.Stats(); !ok || st.NumRecords != 3 {
+					t.Errorf("Stats = %+v, %v", st, ok)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		mtime := time.Unix(1_700_000_000+int64(i), 0)
+		if err := os.Chtimes(filepath.Join(dir, "b.txt"), mtime, mtime); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+}
+
+// sidecarBytes returns what WriteSidecar writes for n documents of the
+// named domain.
+func sidecarBytes(t testing.TB, name string, n int, seed int64) []byte {
+	t.Helper()
+	d, ok := corpus.DomainByName(name)
+	if !ok {
+		t.Fatalf("unknown domain %q", name)
+	}
+	docs, err := corpus.Collect(d.New(n, -1, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteSidecar(dir, docs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, TruthSidecar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+var allDomains = []string{corpus.DomainBiomed, corpus.DomainLegal, corpus.DomainRealEstate, corpus.DomainSupport, corpus.DomainFinance}
+
+// TestSidecarFastPathEveryDomain: the sidecar WriteSidecar writes, in
+// every domain, takes the corpus decoder's fast path and decodes to what
+// json.Unmarshal gives.
+func TestSidecarFastPathEveryDomain(t *testing.T) {
+	for _, name := range allDomains {
+		data := sidecarBytes(t, name, 40, 11)
+		docs, ok := corpus.DecodeTruths(data)
+		if !ok {
+			t.Fatalf("%s: the sidecar takes the fallback", name)
+		}
+		var want []sidecarEntry
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeSidecar(data)
+		if err != nil || len(docs) != len(want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decodeSidecar = %+v, %v\nwant %+v", name, got, err, want)
+		}
+	}
+}
+
+// FuzzDecodeSidecar checks the sidecar reader against encoding/json, the
+// reference: for any bytes, both give reflect.DeepEqual entries, or both
+// fail with the same error. Run longer with
+// `go test -fuzz FuzzDecodeSidecar ./internal/dataset`.
+func FuzzDecodeSidecar(f *testing.F) {
+	for _, name := range allDomains {
+		f.Add(sidecarBytes(f, name, 3, 5))
+	}
+	for _, s := range []string{
+		`[]`,
+		` [ ] `,
+		`[null]`,
+		`null`,
+		`{}`,
+		`[{"filename":"a.txt","truth":null}]`,
+		`[{"filename":"a.txt","truth":{}},{"filename":"b.txt"}]`,
+		`[{"Filename":"a.txt","truth":{}}]`,
+		`[{"filename":"a.txt","text":"alpha","truth":{}}]`,
+		`[{"truth":{"topics":["t"]},"filename":"a.txt"}]`,
+		`[{"filename":"a.txt","filename":"b.txt"}]`,
+		`[{"filename":"a.txt"},{"filename":"a.txt","truth":{"labels":{"x":true}}}]`,
+		`[{"filename":"a.txt","truth":{"numbers":{"big":1e400}}}]`,
+		`[{"filename":"a.txt"},]`,
+		`[{"filename":"a.txt"}] trailing`,
+		`[{"filename":"a.txt"}`,
+		`[1]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []sidecarEntry
+		wantErr := json.Unmarshal(data, &want)
+		if docs, ok := corpus.DecodeTruths(data); ok && wantErr != nil {
+			t.Fatalf("fast path accepts %d entries json.Unmarshal rejects (%v): %q", len(docs), wantErr, data)
+		}
+		got, err := decodeSidecar(data)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("decodeSidecar error %v, json.Unmarshal error %v: %q", err, wantErr, data)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("decodeSidecar error %q, want %q", err, wantErr)
+		case err == nil && !reflect.DeepEqual(got, want):
+			t.Fatalf("decodeSidecar %q gives\n%+v\nwant\n%+v", data, got, want)
+		}
+	})
+}
+
+// BenchmarkDecodeSidecar prices decoding a 40-contract legal sidecar,
+// against json.Unmarshal as the baseline.
+func BenchmarkDecodeSidecar(b *testing.B) {
+	data := sidecarBytes(b, corpus.DomainLegal, 40, 7)
+	b.Run("decoder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeSidecar(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var entries []sidecarEntry
+			if err := json.Unmarshal(data, &entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

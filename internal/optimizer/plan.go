@@ -158,8 +158,9 @@ func New(opts Options) *Optimizer { return &Optimizer{opts: opts} }
 
 // InitialEstimate builds the cost-model seed for a logical chain: the scan
 // source's cardinality and average record size. Sources that know their
-// own statistics (dataset.Stater — e.g. a file-backed corpus with a
-// manifest) are costed without materializing a single record.
+// own statistics (dataset.Stater) are costed from them: a file-backed
+// corpus from its manifest, without reading a record, and a folder from
+// the snapshot its scan then reads.
 func InitialEstimate(chain []ops.Logical) (ops.Estimate, error) {
 	if len(chain) == 0 {
 		return ops.Estimate{}, fmt.Errorf("optimizer: empty plan")

@@ -335,6 +335,26 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
+// ShutdownTimeout is how long a daemon's shutdown lets in-flight
+// requests drain before it closes their connections.
+const ShutdownTimeout = 10 * time.Second
+
+// Shutdown stops a daemon's server: it stops accepting connections,
+// waits up to ShutdownTimeout for in-flight requests to finish, then
+// closes every connection still open. A handler that never returns
+// cannot hold it longer; the error then says the deadline passed.
+func Shutdown(hs *http.Server) error { return shutdown(hs, ShutdownTimeout) }
+
+func shutdown(hs *http.Server, drain time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	err := hs.Shutdown(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		_ = hs.Close() // the listener is closed already; err says what happened
+	}
+	return err
+}
+
 // tenantOf resolves the requesting tenant from the X-PZ-Tenant header.
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get("X-PZ-Tenant"); t != "" {
