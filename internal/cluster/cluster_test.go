@@ -195,8 +195,9 @@ func TestScatterGatherSuffixOps(t *testing.T) {
 }
 
 // abortAfterPartialChunk kills the first n /v1/partition requests after
-// streaming one incomplete chunk — a worker dying mid-partition.
-func abortAfterPartialChunk(n int) func(http.Handler) http.Handler {
+// streaming partial, the bytes a worker got out before dying
+// mid-partition.
+func abortAfterPartialChunk(n int, partial []byte) func(http.Handler) http.Handler {
 	var mu sync.Mutex
 	killed := 0
 	return func(next http.Handler) http.Handler {
@@ -211,7 +212,7 @@ func abortAfterPartialChunk(n int) func(http.Handler) http.Handler {
 				if kill {
 					rw.Header().Set("Content-Type", "application/x-ndjson")
 					rw.WriteHeader(http.StatusOK)
-					fmt.Fprintln(rw, `{"seq":0,"records":[]}`)
+					rw.Write(partial)
 					if f, ok := rw.(http.Flusher); ok {
 						f.Flush()
 					}
@@ -223,32 +224,103 @@ func abortAfterPartialChunk(n int) func(http.Handler) http.Handler {
 	}
 }
 
-// TestWorkerDeathMidPartition: a worker that dies mid-stream (truncated
-// chunk stream, no terminal done chunk) triggers a re-scatter, and the
-// final result is still byte-identical to the sequential scan.
+// cutRecordChunk returns the first half of a real record chunk: three
+// tickets of the corpus at path, as a worker encodes them, cut mid-line.
+func cutRecordChunk(t testing.TB, path string) []byte {
+	t.Helper()
+	r, err := corpus.OpenNDJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var recs []*record.Record
+	for len(recs) < 3 {
+		d, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := corpus.DocRecord(d, schema.TextFile, "tickets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	var enc corpus.ChunkEncoder
+	line, ok := enc.Append(nil, 0, recs)
+	if !ok {
+		t.Fatal("the encoder declines corpus records")
+	}
+	return line[:len(line)/2]
+}
+
+// TestWorkerDeathMidPartition: a worker that dies mid-stream (no
+// terminal done chunk) or streams a line that is not a chunk fails the
+// attempt and triggers a re-scatter, and the final result is still
+// byte-identical to the sequential scan. The worker dies after a whole
+// empty chunk, after half of a record chunk, or after a line that is not
+// JSON.
 func TestWorkerDeathMidPartition(t *testing.T) {
 	path := writeTicketCorpus(t, 80)
-	reg := NewRegistry(RegistryConfig{})
-	startWorker(t, reg, "a", path, abortAfterPartialChunk(2))
-	startWorker(t, reg, "b", path, nil)
-	coord := newTestCoordinator(t, reg, Config{})
-
 	spec := ticketSpec(4)
 	want := sequentialJSON(t, path, spec)
+	for _, tc := range []struct {
+		name    string
+		partial []byte
+	}{
+		{"empty-chunk", []byte(`{"seq":0,"records":[]}` + "\n")},
+		{"cut-record-chunk", cutRecordChunk(t, path)},
+		{"not-json", []byte("worker out of memory\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry(RegistryConfig{})
+			startWorker(t, reg, "a", path, abortAfterPartialChunk(2, tc.partial))
+			startWorker(t, reg, "b", path, nil)
+			coord := newTestCoordinator(t, reg, Config{})
 
-	dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), spec, 4)
-	if err != nil || !ok {
-		t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
+			dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), spec, 4)
+			if err != nil || !ok {
+				t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
+			}
+			if got := distributedJSON(t, dres); !bytes.Equal(got, want) {
+				t.Fatalf("result after worker death diverges:\n got %s\nwant %s", got, want)
+			}
+			c := reg.Counters()
+			if c.Get("cluster_partition_failures") < 2 {
+				t.Errorf("cluster_partition_failures = %d, want >= 2", c.Get("cluster_partition_failures"))
+			}
+			if c.Get("cluster_partitions_rescattered") < 2 {
+				t.Errorf("cluster_partitions_rescattered = %d, want >= 2", c.Get("cluster_partitions_rescattered"))
+			}
+		})
 	}
-	if got := distributedJSON(t, dres); !bytes.Equal(got, want) {
-		t.Fatalf("result after worker death diverges:\n got %s\nwant %s", got, want)
+}
+
+// TestRemoteElapsedMatchesLocal: a partition reports the same simulated
+// Elapsed, to the nanosecond, whether a worker ran it or the coordinator
+// ran it as the local fallback.
+func TestRemoteElapsedMatchesLocal(t *testing.T) {
+	path := writeTicketCorpus(t, 40)
+	reg := NewRegistry(RegistryConfig{})
+	srv := startWorker(t, reg, "a", path, nil)
+	coord := newTestCoordinator(t, reg, Config{})
+	req := &PartitionRequest{Spec: *ticketSpec(0), Partition: 0, Offset: 0, Docs: 40}
+
+	local, err := ExecutePartition(context.Background(), req, path, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := reg.Counters()
-	if c.Get("cluster_partition_failures") < 2 {
-		t.Errorf("cluster_partition_failures = %d, want >= 2", c.Get("cluster_partition_failures"))
+	if len(local.Records) == 0 {
+		t.Fatal("the partition kept no records")
 	}
-	if c.Get("cluster_partitions_rescattered") < 2 {
-		t.Errorf("cluster_partitions_rescattered = %d, want >= 2", c.Get("cluster_partitions_rescattered"))
+	remote, err := coord.remote(context.Background(), WorkerRef{Name: "a", URL: srv.URL}, req, local.Records[0].Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Elapsed != local.Elapsed || remote.Elapsed%time.Millisecond == 0 {
+		t.Errorf("remote Elapsed %v, local %v", remote.Elapsed, local.Elapsed)
+	}
+	if len(remote.Records) != len(local.Records) {
+		t.Errorf("remote partition kept %d records, local %d", len(remote.Records), len(local.Records))
 	}
 }
 
@@ -553,9 +625,38 @@ func TestRegistryHandler(t *testing.T) {
 	}
 }
 
+// TestRemoteGathersChunksInSeqOrder: the coordinator reads a chunk line
+// longer than its read buffer, and gathers chunks that arrive out of seq
+// order in seq order.
+func TestRemoteGathersChunksInSeqOrder(t *testing.T) {
+	recs := domainRecords(t, corpus.DomainSupport, 300)
+	var enc corpus.ChunkEncoder
+	long, _ := enc.Append(nil, 0, recs[:280])
+	if len(long) <= 64<<10 {
+		t.Fatalf("a %d-byte chunk fits the read buffer", len(long))
+	}
+	short, _ := enc.Append(nil, 1, recs[280:])
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Write(short)
+		rw.Write(long)
+		fmt.Fprintln(rw, `{"seq":2,"done":true,"elapsed_sim_ns":5}`)
+	}))
+	defer srv.Close()
+	coord := newTestCoordinator(t, NewRegistry(RegistryConfig{}), Config{})
+	res, err := coord.remote(context.Background(), WorkerRef{Name: "a", URL: srv.URL}, &PartitionRequest{Docs: 1}, schema.TextFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRecords(res.Records, recs) || res.Elapsed != 5 {
+		t.Fatalf("gathered %d records in Elapsed %v, want the %d sent in seq order", len(res.Records), res.Elapsed, len(recs))
+	}
+}
+
 // TestWireRecordRoundTrip pushes every field type (including Bytes, which
-// JSON flattens to base64, and StringList, which comes back as []any)
-// through encode → JSON → decode and requires value identity.
+// JSON flattens to base64, StringList, which encoding/json decodes as
+// []any, and an Int beyond a float64's 53 bits) through the worker's
+// encoder and back through both decoding paths, the fast one and the
+// encoding/json reference, and requires value identity.
 func TestWireRecordRoundTrip(t *testing.T) {
 	s, err := schema.New("everything", "all field types",
 		schema.Field{Name: "name", Type: schema.String, Desc: "a string"},
@@ -568,45 +669,59 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := record.New(s, map[string]any{
-		"name": "r1", "count": int64(7), "ratio": 2.5, "urgent": true,
-		"tags": []string{"x", "y"}, "blob": []byte{0x00, 0xff, 0x10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetSource("tickets")
-	truth := &corpus.Truth{
-		Topics:  []string{"billing"},
-		Labels:  map[string]bool{"urgent": true},
-		Fields:  map[string]string{"customer": "acme"},
-		Numbers: map[string]float64{"score": 0.75},
-	}
-	rec.SetTruth(corpus.TruthKey, truth)
+	for _, count := range []int64{7, 1<<53 + 1} {
+		rec, err := record.New(s, map[string]any{
+			"name": "r1", "count": count, "ratio": 2.5, "urgent": true,
+			"tags": []string{"x", "y"}, "blob": []byte{0x00, 0xff, 0x10},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.SetSource("tickets")
+		truth := &corpus.Truth{
+			Topics:  []string{"billing"},
+			Labels:  map[string]bool{"urgent": true},
+			Fields:  map[string]string{"customer": "acme"},
+			Numbers: map[string]float64{"score": 0.75},
+		}
+		rec.SetTruth(corpus.TruthKey, truth)
+		recs := []*record.Record{rec}
 
-	raw, err := json.Marshal(EncodeRecords([]*record.Record{rec}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire []WireRecord
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRecords(s, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 {
-		t.Fatalf("decoded %d records", len(back))
-	}
-	if got, want := back[0].Values(), rec.Values(); !reflect.DeepEqual(got, want) {
-		t.Errorf("values diverged over the wire:\n got %#v\nwant %#v", got, want)
-	}
-	if back[0].Source() != "tickets" {
-		t.Errorf("source = %q", back[0].Source())
-	}
-	if got := corpus.TruthOf(back[0]); !reflect.DeepEqual(got, truth) {
-		t.Errorf("truth diverged over the wire:\n got %#v\nwant %#v", got, truth)
+		var enc corpus.ChunkEncoder
+		line, ok := enc.Append(nil, 0, recs)
+		if !ok {
+			t.Fatal("the encoder declines the record")
+		}
+		if want := jsonChunk(t, 0, recs); !bytes.Equal(line, want) {
+			t.Fatalf("encoder writes\n%s\nencoding/json\n%s", line, want)
+		}
+		var dec corpus.ChunkDecoder
+		_, fast, ok := dec.Decode(line, s, nil)
+		if !ok {
+			t.Fatalf("the fast path declines %s", line)
+		}
+		ch, err := unmarshalChunk(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := DecodeRecords(s, ch.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, back := range map[string][]*record.Record{"fast": fast, "encoding/json": ref} {
+			if len(back) != 1 {
+				t.Fatalf("%s: decoded %d records", path, len(back))
+			}
+			if got, want := back[0].Values(), rec.Values(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: values diverged over the wire:\n got %#v\nwant %#v", path, got, want)
+			}
+			if back[0].Source() != "tickets" {
+				t.Errorf("%s: source = %q", path, back[0].Source())
+			}
+			if got := corpus.TruthOf(back[0]); !reflect.DeepEqual(got, truth) {
+				t.Errorf("%s: truth diverged over the wire:\n got %#v\nwant %#v", path, got, truth)
+			}
+		}
 	}
 }
 

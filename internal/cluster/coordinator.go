@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -63,6 +64,7 @@ type Coordinator struct {
 	reg      *Registry
 	counters *metrics.Counters
 	client   *http.Client
+	readers  freeList[*chunkReader]
 }
 
 // NewCoordinator builds a Coordinator over a worker registry.
@@ -89,7 +91,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Counters, client: client}, nil
+	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Counters, client: client,
+		readers: make(freeList[*chunkReader], streamsKept)}, nil
 }
 
 // Workers implements serve.Distributor.
@@ -505,33 +508,91 @@ func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRe
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("cluster: worker %s: status %d: %s", w.Name, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	dec := json.NewDecoder(resp.Body)
-	var chunks []PartitionChunk
-	for {
-		var ch PartitionChunk
-		if err := dec.Decode(&ch); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, fmt.Errorf("cluster: worker %s died mid-partition %d (stream truncated)", w.Name, preq.Partition)
-			}
-			return nil, fmt.Errorf("cluster: worker %s: %w", w.Name, err)
-		}
-		if ch.Error != "" {
-			return nil, fmt.Errorf("cluster: worker %s partition %d: %s", w.Name, preq.Partition, ch.Error)
-		}
-		if ch.Done {
-			sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].Seq < chunks[j].Seq })
-			var wire []WireRecord
-			for _, c := range chunks {
-				wire = append(wire, c.Records...)
-			}
-			recs, err := DecodeRecords(s, wire)
-			if err != nil {
-				return nil, err
-			}
-			return &PartitionResult{Records: recs,
-				Elapsed: time.Duration(ch.ElapsedSimMS) * time.Millisecond, CostUSD: ch.CostUSD,
-				Trace: ch.Trace}, nil
-		}
-		chunks = append(chunks, ch)
+	cr, ok := c.readers.get()
+	if !ok {
+		cr = &chunkReader{br: bufio.NewReaderSize(nil, 64<<10)}
 	}
+	cr.br.Reset(resp.Body)
+	defer func() {
+		cr.br.Reset(nil)
+		c.readers.put(cr)
+	}()
+	var (
+		recs   []*record.Record
+		chunks []seqRange
+	)
+	for {
+		line, rerr := cr.next()
+		if len(line) > 0 {
+			n := len(recs)
+			ch, out, err := decodeChunk(&cr.dec, line, s, recs)
+			switch {
+			case err != nil && rerr == nil:
+				return nil, fmt.Errorf("cluster: worker %s: %w", w.Name, err)
+			case err != nil:
+				// A line cut off where the stream ended: reported below.
+			case ch.Error != "":
+				return nil, fmt.Errorf("cluster: worker %s partition %d: %s", w.Name, preq.Partition, ch.Error)
+			case ch.Done:
+				return &PartitionResult{Records: inSeqOrder(recs, chunks),
+					Elapsed: time.Duration(ch.ElapsedSimNS), CostUSD: ch.CostUSD, Trace: ch.Trace}, nil
+			default:
+				recs = out
+				chunks = append(chunks, seqRange{seq: ch.Seq, lo: n, hi: len(recs)})
+			}
+		}
+		if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("cluster: worker %s died mid-partition %d (stream truncated)", w.Name, preq.Partition)
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("cluster: worker %s: %w", w.Name, rerr)
+		}
+	}
+}
+
+// seqRange is where one chunk's records sit in a partition's records.
+type seqRange struct{ seq, lo, hi int }
+
+// inSeqOrder returns recs with its chunks ordered by seq, stably. A
+// worker writes its chunks in seq order, so this is recs itself.
+func inSeqOrder(recs []*record.Record, chunks []seqRange) []*record.Record {
+	bySeq := func(a, b seqRange) int { return cmp.Compare(a.seq, b.seq) }
+	if slices.IsSortedFunc(chunks, bySeq) {
+		return recs
+	}
+	slices.SortStableFunc(chunks, bySeq)
+	out := make([]*record.Record, 0, len(recs))
+	for _, c := range chunks {
+		out = append(out, recs[c.lo:c.hi]...)
+	}
+	return out
+}
+
+// chunkReader reads a partition stream line by line and decodes the
+// lines. Its buffers grow to the size of a chunk and are kept with it for
+// the next stream (see freeList).
+type chunkReader struct {
+	br *bufio.Reader
+	// long holds a line longer than br's buffer.
+	long []byte
+	dec  corpus.ChunkDecoder
+}
+
+// next returns the next line without its newline, valid until the
+// following call. With a nil error the line was whole; otherwise it is
+// what was left, possibly nothing, when the stream ended or failed.
+func (cr *chunkReader) next() ([]byte, error) {
+	line, err := cr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		cr.long = append(cr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = cr.br.ReadSlice('\n')
+			cr.long = append(cr.long, line...)
+		}
+		line = cr.long
+	}
+	if err == nil {
+		line = line[:len(line)-1]
+	}
+	return line, err
 }

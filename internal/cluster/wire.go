@@ -14,10 +14,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/corpus"
@@ -81,14 +84,18 @@ type WireRecord struct {
 // response. Records arrive in seq order; the terminal chunk has Done set
 // and carries the partition's simulated elapsed time and LLM cost. A
 // stream that ends without a Done chunk signals a worker that died
-// mid-partition, and the coordinator re-scatters.
+// mid-partition, and the coordinator re-scatters. A record chunk is
+// written by corpus.ChunkEncoder and read by corpus.ChunkDecoder, with
+// encoding/json behind both as the reference (see handlePartition and
+// decodeChunk).
 type PartitionChunk struct {
 	Seq     int          `json:"seq"`
 	Records []WireRecord `json:"records,omitempty"`
 	Done    bool         `json:"done,omitempty"`
-	// ElapsedSimMS and CostUSD summarize the partition run (Done chunk
-	// only).
-	ElapsedSimMS int64   `json:"elapsed_sim_ms,omitempty"`
+	// ElapsedSimNS and CostUSD summarize the partition run (Done chunk
+	// only). The sim time crosses in nanoseconds, so a remote partition
+	// reports the Elapsed that local execution does.
+	ElapsedSimNS int64   `json:"elapsed_sim_ns,omitempty"`
 	CostUSD      float64 `json:"cost_usd,omitempty"`
 	// Trace is the partition run's span tree (Done chunk only), so the
 	// coordinator can embed worker-side spans under its own partition
@@ -119,22 +126,26 @@ func EncodeRecords(recs []*record.Record) []WireRecord {
 
 // DecodeRecords rebuilds engine records from their wire form under the
 // sub-plan's output schema. record.New's coercion absorbs JSON's type
-// flattening (float64→int64, []any→[]string); Bytes fields come back as
-// base64 strings and are decoded here before coercion sees them.
+// flattening ([]any→[]string); Bytes fields come back as base64 strings
+// and are decoded here before coercion sees them. A value decoded as a
+// json.Number (see unmarshalChunk) is converted by its field's type, so
+// an Int field keeps every bit of its int64.
 func DecodeRecords(s *schema.Schema, wire []WireRecord) ([]*record.Record, error) {
 	out := make([]*record.Record, len(wire))
 	for i, w := range wire {
 		vals := w.Values
 		for _, f := range s.Fields() {
-			if f.Type != schema.Bytes {
-				continue
-			}
-			if str, ok := vals[f.Name].(string); ok {
-				b, err := base64.StdEncoding.DecodeString(str)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: record %d field %s: %w", i, f.Name, err)
+			var err error
+			switch v := vals[f.Name].(type) {
+			case json.Number:
+				vals[f.Name], err = numberValue(f.Type, v)
+			case string:
+				if f.Type == schema.Bytes {
+					vals[f.Name], err = base64.StdEncoding.DecodeString(v)
 				}
-				vals[f.Name] = b
+			}
+			if err != nil {
+				return nil, fmt.Errorf("cluster: record %d field %s: %w", i, f.Name, err)
 			}
 		}
 		rec, err := record.New(s, vals)
@@ -148,6 +159,76 @@ func DecodeRecords(s *schema.Schema, wire []WireRecord) ([]*record.Record, error
 		out[i] = rec
 	}
 	return out, nil
+}
+
+// numberValue converts a JSON number for a field of type t: to int64 for
+// an Int field, which takes integer literals only, and otherwise to the
+// float64 encoding/json decodes a number to.
+func numberValue(t schema.FieldType, n json.Number) (any, error) {
+	if t != schema.Int {
+		return n.Float64()
+	}
+	v, err := strconv.ParseInt(string(n), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("%s is not an int64", n)
+	}
+	return v, nil
+}
+
+// unmarshalChunk is json.Unmarshal of one line of a partition stream,
+// except that it keeps numbers as json.Number for DecodeRecords.
+func unmarshalChunk(line []byte) (PartitionChunk, error) {
+	var ch PartitionChunk
+	if !json.Valid(line) {
+		// The same error json.Unmarshal gives: the syntax error.
+		return ch, json.Unmarshal(line, &ch)
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	return ch, dec.Decode(&ch)
+}
+
+// decodeChunk decodes one line of a partition stream, appending its
+// records, decoded under s, to recs. A record chunk takes dec's fast path;
+// any other line, a done or error chunk among them, goes through
+// unmarshalChunk and DecodeRecords, the reference. The records of a done
+// or error chunk are ignored.
+func decodeChunk(dec *corpus.ChunkDecoder, line []byte, s *schema.Schema, recs []*record.Record) (PartitionChunk, []*record.Record, error) {
+	if seq, out, ok := dec.Decode(line, s, recs); ok {
+		return PartitionChunk{Seq: seq}, out, nil
+	}
+	ch, err := unmarshalChunk(line)
+	if err != nil || ch.Done || ch.Error != "" {
+		return ch, recs, err
+	}
+	more, err := DecodeRecords(s, ch.Records)
+	return ch, append(recs, more...), err
+}
+
+// freeList keeps up to cap(l) values for reuse. Unlike a sync.Pool it
+// survives garbage collections, so the chunk-sized buffers of partition
+// streams grow once, not once per partition.
+type freeList[T any] chan T
+
+// streamsKept is how many partition streams' buffers a worker or a
+// coordinator keeps: as many as it usually serves or reads at once.
+const streamsKept = 4
+
+func (l freeList[T]) get() (T, bool) {
+	select {
+	case v := <-l:
+		return v, true
+	default:
+		var zero T
+		return zero, false
+	}
+}
+
+func (l freeList[T]) put(v T) {
+	select {
+	case l <- v:
+	default:
+	}
 }
 
 // ExecutePartition runs one scattered partition in-process: a fresh

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/corpus"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 )
@@ -38,6 +39,7 @@ type Worker struct {
 	cfg      WorkerConfig
 	counters *metrics.Counters
 	hists    *metrics.Histograms
+	writers  freeList[*chunkWriter]
 }
 
 // NewWorker builds a Worker.
@@ -57,7 +59,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Histograms == nil {
 		cfg.Histograms = metrics.NewHistograms()
 	}
-	return &Worker{cfg: cfg, counters: cfg.Counters, hists: cfg.Histograms}, nil
+	return &Worker{cfg: cfg, counters: cfg.Counters, hists: cfg.Histograms,
+		writers: make(freeList[*chunkWriter], streamsKept)}, nil
 }
 
 // Name returns the worker's label.
@@ -126,27 +129,43 @@ func (w *Worker) handlePartition(rw http.ResponseWriter, r *http.Request) {
 	w.hists.Observe("worker_partition_sim_seconds", metrics.LatencyBuckets, res.Elapsed.Seconds())
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(rw)
 	flusher, _ := rw.(http.Flusher)
+	ref := json.NewEncoder(rw)
+	ref.SetEscapeHTML(false)
+	cw, ok := w.writers.get()
+	if !ok {
+		cw = new(chunkWriter)
+	}
+	defer w.writers.put(cw)
 	seq := 0
 	for start := 0; start < len(res.Records); start += w.cfg.ChunkSize {
-		end := start + w.cfg.ChunkSize
-		if end > len(res.Records) {
-			end = len(res.Records)
+		recs := res.Records[start:min(start+w.cfg.ChunkSize, len(res.Records))]
+		if cw.buf, ok = cw.enc.Append(cw.buf[:0], seq, recs); ok {
+			_, err = rw.Write(cw.buf)
+		} else {
+			err = ref.Encode(PartitionChunk{Seq: seq, Records: EncodeRecords(recs)})
 		}
-		if err := enc.Encode(PartitionChunk{Seq: seq, Records: EncodeRecords(res.Records[start:end])}); err != nil {
-			return // connection gone; the coordinator re-scatters
+		if err != nil {
+			return // connection gone (or a value JSON cannot carry); the coordinator re-scatters
 		}
 		seq++
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	_ = enc.Encode(PartitionChunk{Seq: seq, Done: true,
-		ElapsedSimMS: res.Elapsed.Milliseconds(), CostUSD: res.CostUSD, Trace: res.Trace})
+	_ = ref.Encode(PartitionChunk{Seq: seq, Done: true,
+		ElapsedSimNS: int64(res.Elapsed), CostUSD: res.CostUSD, Trace: res.Trace})
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// chunkWriter encodes the record chunks of a partition stream into buf,
+// which grows to the size of a chunk and is kept with it for the next
+// stream (see freeList).
+type chunkWriter struct {
+	enc corpus.ChunkEncoder
+	buf []byte
 }
 
 func writeJSON(rw http.ResponseWriter, code int, v any) {

@@ -15,7 +15,8 @@ import (
 // IndexNDJSON and ValidateNDJSON all read corpus lines through both, so
 // the reader, the partition index and the validator agree on every line.
 // A folder's ground-truth sidecar, an array of filename and truth
-// objects, decodes through the same parser (DecodeTruths).
+// objects, decodes through the same parser (DecodeTruths), and so does
+// each record's truth in a chunk of the cluster wire (ChunkDecoder).
 //
 // docDecoder has a fast path for the canonical line shape — what
 // WriteNDJSON writes — and hands every other line to encoding/json, which
@@ -108,6 +109,14 @@ const (
 	numberValues
 )
 
+// truthShape locates a parsed truth object: set reports one was read
+// (not null), and its strings fill buf[lo:hi].
+type truthShape struct {
+	set                                       bool
+	lo, hi                                    int
+	topics, mentionList, labels, fields, nums list
+}
+
 // docDecoder decodes corpus lines into Docs. Parsing copies every
 // unescaped string of a line into buf and records where it went; build
 // then turns buf into two strings per document. Filename and Text are
@@ -124,10 +133,7 @@ type docDecoder struct {
 	mentions []mentionShape
 
 	filename, text span
-	// truth records a truth object, whose strings fill buf[tlo:].
-	truth                                     bool
-	tlo                                       int
-	topics, mentionList, labels, fields, nums list
+	truth          truthShape
 }
 
 // of returns the text of sp from s, a string made of buf[base:].
@@ -199,50 +205,59 @@ func (d *docDecoder) reset(raw []byte, pos int) {
 
 // build fills doc from the document parsed last, or reports false.
 func (d *docDecoder) build(doc *Doc) bool {
-	if !d.truth {
-		d.tlo = len(d.buf)
+	tlo := len(d.buf)
+	if d.truth.set {
+		tlo = d.truth.lo
 	}
-	if d.filename.hi > d.tlo || d.text.hi > d.tlo {
+	if d.filename.hi > tlo || d.text.hi > tlo {
 		return false // the truth object came first
 	}
-	s := string(d.buf[:d.tlo])
+	s := string(d.buf[:tlo])
 	doc.Filename, doc.Text = d.filename.of(s, 0), d.text.of(s, 0)
-	if !d.truth {
+	if !d.truth.set {
 		return true
 	}
-	s, base := string(d.buf[d.tlo:]), d.tlo
+	var ok bool
+	doc.Truth, ok = d.buildTruth()
+	return ok
+}
+
+// buildTruth builds the truth object parsed last, whose keys and values
+// all become substrings of one string, or reports false.
+func (d *docDecoder) buildTruth() (*Truth, bool) {
+	ts := &d.truth
+	s, base := string(d.buf[ts.lo:ts.hi]), ts.lo
 	t := &Truth{}
-	if d.topics.set {
-		t.Topics = make([]string, 0, d.topics.hi-d.topics.lo)
-		for _, e := range d.entries[d.topics.lo:d.topics.hi] {
+	if ts.topics.set {
+		t.Topics = make([]string, 0, ts.topics.hi-ts.topics.lo)
+		for _, e := range d.entries[ts.topics.lo:ts.topics.hi] {
 			t.Topics = append(t.Topics, e.val.of(s, base))
 		}
 	}
-	if d.mentionList.set {
-		t.Mentions = make([]Mention, 0, d.mentionList.hi-d.mentionList.lo)
-		for _, m := range d.mentions[d.mentionList.lo:d.mentionList.hi] {
+	if ts.mentionList.set {
+		t.Mentions = make([]Mention, 0, ts.mentionList.hi-ts.mentionList.lo)
+		for _, m := range d.mentions[ts.mentionList.lo:ts.mentionList.hi] {
 			t.Mentions = append(t.Mentions, Mention{Kind: m.kind.of(s, base), Fields: d.stringMap(s, base, m.fields)})
 		}
 	}
-	if d.labels.set {
-		t.Labels = make(map[string]bool, d.labels.hi-d.labels.lo)
-		for _, e := range d.entries[d.labels.lo:d.labels.hi] {
+	if ts.labels.set {
+		t.Labels = make(map[string]bool, ts.labels.hi-ts.labels.lo)
+		for _, e := range d.entries[ts.labels.lo:ts.labels.hi] {
 			t.Labels[e.key.of(s, base)] = e.flag
 		}
 	}
-	t.Fields = d.stringMap(s, base, d.fields)
-	if d.nums.set {
-		t.Numbers = make(map[string]float64, d.nums.hi-d.nums.lo)
-		for _, e := range d.entries[d.nums.lo:d.nums.hi] {
+	t.Fields = d.stringMap(s, base, ts.fields)
+	if ts.nums.set {
+		t.Numbers = make(map[string]float64, ts.nums.hi-ts.nums.lo)
+		for _, e := range d.entries[ts.nums.lo:ts.nums.hi] {
 			v, err := strconv.ParseFloat(e.val.of(s, base), 64)
 			if err != nil {
-				return false
+				return nil, false
 			}
 			t.Numbers[e.key.of(s, base)] = v
 		}
 	}
-	doc.Truth = t
-	return true
+	return t, true
 }
 
 func (d *docDecoder) stringMap(s string, base int, l list) map[string]string {
@@ -302,11 +317,13 @@ func (d *docDecoder) object(names []string) bool {
 	return true
 }
 
+// truthValue parses a truth object, or null, into d.truth.
 func (d *docDecoder) truthValue() bool {
 	if d.lit("null") {
 		return true
 	}
-	d.truth, d.tlo = true, len(d.buf)
+	ts := &d.truth
+	ts.set, ts.lo = true, len(d.buf)
 	var seen uint8
 	if !d.eat('{') {
 		return false
@@ -315,15 +332,15 @@ func (d *docDecoder) truthValue() bool {
 		var ok bool
 		switch d.field(truthKeys, &seen) {
 		case "topics":
-			d.topics, ok = d.strings()
+			ts.topics, ok = d.strings()
 		case "mentions":
-			d.mentionList, ok = d.mentionValues()
+			ts.mentionList, ok = d.mentionValues()
 		case "labels":
-			d.labels, ok = d.members(boolValues)
+			ts.labels, ok = d.members(boolValues)
 		case "fields":
-			d.fields, ok = d.members(stringValues)
+			ts.fields, ok = d.members(stringValues)
 		case "numbers":
-			d.nums, ok = d.members(numberValues)
+			ts.nums, ok = d.members(numberValues)
 		}
 		if !ok {
 			return false
@@ -332,6 +349,7 @@ func (d *docDecoder) truthValue() bool {
 			return false
 		}
 	}
+	ts.hi = len(d.buf)
 	return true
 }
 

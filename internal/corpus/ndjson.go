@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -70,6 +71,16 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// encodeJSON appends v as a json.Encoder with HTML escaping off writes
+// it: the reference the corpus writer falls back to.
+func encodeJSON(dst []byte, v any) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(b)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return b.Bytes(), err
+}
+
 // WriteNDJSON drains g to w as NDJSON and returns the manifest describing
 // what was written (checksum, byte count, label counts). Memory is one
 // document plus the generator's own footprint, so an index-addressable
@@ -81,8 +92,10 @@ func WriteNDJSON(w io.Writer, g Generator) (*Manifest, error) {
 	// lw counts encoded bytes above the buffer, so lw.n is always the byte
 	// offset of the next document line — the partition index checkpoints.
 	lw := &countingWriter{w: bw}
-	enc := json.NewEncoder(lw)
-	enc.SetEscapeHTML(false)
+	var (
+		jw   jsonWriter
+		line []byte
+	)
 
 	m := &Manifest{
 		FormatVersion: NDJSONFormatVersion,
@@ -99,7 +112,14 @@ func WriteNDJSON(w io.Writer, g Generator) (*Manifest, error) {
 			return nil, fmt.Errorf("corpus: generate doc %d: %w", m.NumDocs, err)
 		}
 		ix.note(m.NumDocs, lw.n)
-		if err := enc.Encode(d); err != nil {
+		var ok bool
+		if line, ok = jw.appendDoc(line[:0], d); !ok {
+			line, err = encodeJSON(line[:0], d)
+		}
+		if err == nil {
+			_, err = lw.Write(line)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("corpus: encode doc %d: %w", m.NumDocs, err)
 		}
 		m.NumDocs++
