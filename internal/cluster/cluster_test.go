@@ -245,8 +245,8 @@ func cutRecordChunk(t testing.TB, path string) []byte {
 		}
 		recs = append(recs, rec)
 	}
-	var enc corpus.ChunkEncoder
-	line, ok := enc.Append(nil, 0, recs)
+	var enc corpus.RecordEncoder
+	line, ok := encodeChunk(&enc, 0, recs)
 	if !ok {
 		t.Fatal("the encoder declines corpus records")
 	}
@@ -630,12 +630,12 @@ func TestRegistryHandler(t *testing.T) {
 // order in seq order.
 func TestRemoteGathersChunksInSeqOrder(t *testing.T) {
 	recs := domainRecords(t, corpus.DomainSupport, 300)
-	var enc corpus.ChunkEncoder
-	long, _ := enc.Append(nil, 0, recs[:280])
+	var enc corpus.RecordEncoder
+	long, _ := encodeChunk(&enc, 0, recs[:280])
 	if len(long) <= 64<<10 {
 		t.Fatalf("a %d-byte chunk fits the read buffer", len(long))
 	}
-	short, _ := enc.Append(nil, 1, recs[280:])
+	short, _ := encodeChunk(&enc, 1, recs[280:])
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		rw.Write(short)
 		rw.Write(long)
@@ -652,11 +652,41 @@ func TestRemoteGathersChunksInSeqOrder(t *testing.T) {
 	}
 }
 
+// TestCoordinatorKeepsOneReaderPerWorker: the coordinator keeps the
+// readers of finished streams, whose buffers grew to a chunk's size, for
+// the next streams, up to one per registered worker.
+func TestCoordinatorKeepsOneReaderPerWorker(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{})
+	coord := newTestCoordinator(t, reg, Config{})
+	first := coord.takeReader()
+	coord.keepReader(first)
+	if len(coord.readers) != 0 {
+		t.Fatalf("kept %d readers with no worker registered", len(coord.readers))
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := reg.Register(name, "http://"+name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readers := []*chunkReader{first, coord.takeReader(), coord.takeReader()}
+	for _, cr := range readers {
+		coord.keepReader(cr)
+	}
+	if len(coord.readers) != 2 {
+		t.Fatalf("kept %d readers for 2 workers", len(coord.readers))
+	}
+	if cr := coord.takeReader(); cr != readers[1] {
+		t.Fatal("a stream does not reuse a kept reader")
+	}
+}
+
 // TestWireRecordRoundTrip pushes every field type (including Bytes, which
 // JSON flattens to base64, StringList, which encoding/json decodes as
 // []any, and an Int beyond a float64's 53 bits) through the worker's
 // encoder and back through both decoding paths, the fast one and the
-// encoding/json reference, and requires value identity.
+// encoding/json reference, and requires value identity. An Int that fits
+// a float64 also crosses through plain json.Unmarshal, whose numbers are
+// float64s, into DecodeRecords.
 func TestWireRecordRoundTrip(t *testing.T) {
 	s, err := schema.New("everything", "all field types",
 		schema.Field{Name: "name", Type: schema.String, Desc: "a string"},
@@ -687,16 +717,16 @@ func TestWireRecordRoundTrip(t *testing.T) {
 		rec.SetTruth(corpus.TruthKey, truth)
 		recs := []*record.Record{rec}
 
-		var enc corpus.ChunkEncoder
-		line, ok := enc.Append(nil, 0, recs)
+		var enc corpus.RecordEncoder
+		line, ok := encodeChunk(&enc, 0, recs)
 		if !ok {
 			t.Fatal("the encoder declines the record")
 		}
 		if want := jsonChunk(t, 0, recs); !bytes.Equal(line, want) {
 			t.Fatalf("encoder writes\n%s\nencoding/json\n%s", line, want)
 		}
-		var dec corpus.ChunkDecoder
-		_, fast, ok := dec.Decode(line, s, nil)
+		var dec corpus.RecordsDecoder
+		_, fast, ok := decodeRecordChunk(&dec, line, s, nil)
 		if !ok {
 			t.Fatalf("the fast path declines %s", line)
 		}
@@ -708,7 +738,21 @@ func TestWireRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for path, back := range map[string][]*record.Record{"fast": fast, "encoding/json": ref} {
+		paths := map[string][]*record.Record{"fast": fast, "encoding/json": ref}
+		if count < 1<<53 {
+			data, err := json.Marshal(PartitionChunk{Records: EncodeRecords(recs)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var plain PartitionChunk
+			if err := json.Unmarshal(data, &plain); err != nil {
+				t.Fatal(err)
+			}
+			if paths["json.Unmarshal"], err = DecodeRecords(s, plain.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, back := range paths {
 			if len(back) != 1 {
 				t.Fatalf("%s: decoded %d records", path, len(back))
 			}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/corpus"
@@ -64,7 +65,12 @@ type Coordinator struct {
 	reg      *Registry
 	counters *metrics.Counters
 	client   *http.Client
-	readers  freeList[*chunkReader]
+	// readers keeps chunkReaders between streams, so that their buffers,
+	// which grow to the size of a chunk, grow once. A scatter streams
+	// from each worker one partition at a time, so it needs at most one
+	// reader per registered worker.
+	mu      sync.Mutex
+	readers []*chunkReader
 }
 
 // NewCoordinator builds a Coordinator over a worker registry.
@@ -91,8 +97,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Counters, client: client,
-		readers: make(freeList[*chunkReader], streamsKept)}, nil
+	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Counters, client: client}, nil
 }
 
 // Workers implements serve.Distributor.
@@ -508,15 +513,9 @@ func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRe
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("cluster: worker %s: status %d: %s", w.Name, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	cr, ok := c.readers.get()
-	if !ok {
-		cr = &chunkReader{br: bufio.NewReaderSize(nil, 64<<10)}
-	}
+	cr := c.takeReader()
+	defer c.keepReader(cr)
 	cr.br.Reset(resp.Body)
-	defer func() {
-		cr.br.Reset(nil)
-		c.readers.put(cr)
-	}()
 	var (
 		recs   []*record.Record
 		chunks []seqRange
@@ -568,14 +567,37 @@ func inSeqOrder(recs []*record.Record, chunks []seqRange) []*record.Record {
 	return out
 }
 
-// chunkReader reads a partition stream line by line and decodes the
-// lines. Its buffers grow to the size of a chunk and are kept with it for
-// the next stream (see freeList).
+// chunkReader reads partition streams line by line and decodes the
+// lines, one stream at a time.
 type chunkReader struct {
 	br *bufio.Reader
 	// long holds a line longer than br's buffer.
 	long []byte
-	dec  corpus.ChunkDecoder
+	dec  corpus.RecordsDecoder
+}
+
+// takeReader returns a kept chunkReader, or a new one.
+func (c *Coordinator) takeReader() *chunkReader {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.readers); n > 0 {
+		cr := c.readers[n-1]
+		c.readers = c.readers[:n-1]
+		return cr
+	}
+	return &chunkReader{br: bufio.NewReaderSize(nil, 64<<10)}
+}
+
+// keepReader keeps cr for the next stream, up to one reader per
+// registered worker.
+func (c *Coordinator) keepReader(cr *chunkReader) {
+	cr.br.Reset(nil)
+	workers := c.reg.Len()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.readers) < workers {
+		c.readers = append(c.readers, cr)
+	}
 }
 
 // next returns the next line without its newline, valid until the

@@ -14,10 +14,12 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -71,23 +73,17 @@ func PlanSignature(p *pz.Plan) []string {
 }
 
 // WireRecord is one record crossing the worker→coordinator wire: the
-// schema field values, the hidden ground-truth annotation (downstream
-// LLM operators on the coordinator need it to stay deterministic), and
-// the source label.
-type WireRecord struct {
-	Values map[string]any `json:"values"`
-	Truth  *corpus.Truth  `json:"truth,omitempty"`
-	Source string         `json:"source,omitempty"`
-}
+// schema field values, the hidden ground-truth annotation, and the source
+// label. Its JSON shape is owned by package corpus, beside the truth's.
+type WireRecord = corpus.WireRecord
 
 // PartitionChunk is one NDJSON line of a worker's streamed partition
 // response. Records arrive in seq order; the terminal chunk has Done set
 // and carries the partition's simulated elapsed time and LLM cost. A
 // stream that ends without a Done chunk signals a worker that died
 // mid-partition, and the coordinator re-scatters. A record chunk is
-// written by corpus.ChunkEncoder and read by corpus.ChunkDecoder, with
-// encoding/json behind both as the reference (see handlePartition and
-// decodeChunk).
+// written by writeChunk and read by decodeRecordChunk, with encoding/json
+// as the reference (see decodeChunk).
 type PartitionChunk struct {
 	Seq     int          `json:"seq"`
 	Records []WireRecord `json:"records,omitempty"`
@@ -175,26 +171,98 @@ func numberValue(t schema.FieldType, n json.Number) (any, error) {
 	return v, nil
 }
 
+// A record chunk's frame: the seq and records keys of PartitionChunk, in
+// the order and spelling encoding/json writes them.
+const (
+	chunkSeq     = `{"seq":`
+	chunkRecords = `,"records":`
+)
+
+// writeChunk writes the record chunk of recs numbered seq, with its
+// newline, to w: the bytes a json.Encoder with HTML escaping off writes
+// for PartitionChunk{Seq: seq, Records: EncodeRecords(recs)}. Records are
+// encoded one at a time into w's buffer, so a chunk of any size needs
+// none of its own. A value JSON cannot carry, NaN or an infinity, fails
+// it with part of the chunk written.
+func writeChunk(w *bufio.Writer, enc *corpus.RecordEncoder, seq int, recs []*record.Record) error {
+	b := strconv.AppendInt(append(w.AvailableBuffer(), chunkSeq...), int64(seq), 10)
+	if len(recs) > 0 {
+		b = append(b, chunkRecords+"["...)
+		for i, r := range recs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var ok bool
+			if b, ok = enc.Append(b, r); !ok {
+				return fmt.Errorf("cluster: record %d of chunk %d: unsupported value: NaN or an infinity", i, seq)
+			}
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = w.AvailableBuffer()
+		}
+		b = append(b, ']')
+	}
+	_, err := w.Write(append(b, '}', '\n'))
+	return err
+}
+
+// decodeRecordChunk is the fast path of decodeChunk. It takes a line
+// framed exactly as writeChunk frames one, a seq in its shortest form
+// and records, whose array it decodes under s with dec, appending the
+// records to recs. It reports false, with recs as given, for any other
+// line.
+func decodeRecordChunk(dec *corpus.RecordsDecoder, line []byte, s *schema.Schema, recs []*record.Record) (int, []*record.Record, bool) {
+	rest, ok := bytes.CutPrefix(bytes.TrimRight(line, " \t\r\n"), []byte(chunkSeq))
+	i := bytes.IndexByte(rest, ',')
+	if !ok || i < 0 {
+		return 0, recs, false
+	}
+	seq, err := strconv.Atoi(string(rest[:i]))
+	var short [20]byte
+	if err != nil || !bytes.Equal(rest[:i], strconv.AppendInt(short[:0], int64(seq), 10)) {
+		return 0, recs, false
+	}
+	body, ok := bytes.CutPrefix(rest[i:], []byte(chunkRecords))
+	if body, ok = bytes.CutSuffix(body, []byte("}")); !ok {
+		return 0, recs, false
+	}
+	recs, ok = dec.Decode(body, s, recs)
+	return seq, recs, ok
+}
+
 // unmarshalChunk is json.Unmarshal of one line of a partition stream,
-// except that it keeps numbers as json.Number for DecodeRecords.
+// except that it keeps numbers as json.Number for DecodeRecords, and that
+// it rejects the sim time of a worker of an older version, which sent it
+// in whole milliseconds as elapsed_sim_ms: read as it is, the done chunk
+// would report an Elapsed of zero.
 func unmarshalChunk(line []byte) (PartitionChunk, error) {
-	var ch PartitionChunk
+	var ch struct {
+		PartitionChunk
+		ElapsedSimMS json.RawMessage `json:"elapsed_sim_ms"`
+	}
 	if !json.Valid(line) {
 		// The same error json.Unmarshal gives: the syntax error.
-		return ch, json.Unmarshal(line, &ch)
+		return ch.PartitionChunk, json.Unmarshal(line, &ch.PartitionChunk)
 	}
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()
-	return ch, dec.Decode(&ch)
+	if err := dec.Decode(&ch); err != nil {
+		return ch.PartitionChunk, err
+	}
+	if ch.ElapsedSimMS != nil {
+		return ch.PartitionChunk, errors.New("cluster: chunk carries elapsed_sim_ms: the worker runs an older version; upgrade the coordinator and its workers together")
+	}
+	return ch.PartitionChunk, nil
 }
 
 // decodeChunk decodes one line of a partition stream, appending its
-// records, decoded under s, to recs. A record chunk takes dec's fast path;
-// any other line, a done or error chunk among them, goes through
-// unmarshalChunk and DecodeRecords, the reference. The records of a done
-// or error chunk are ignored.
-func decodeChunk(dec *corpus.ChunkDecoder, line []byte, s *schema.Schema, recs []*record.Record) (PartitionChunk, []*record.Record, error) {
-	if seq, out, ok := dec.Decode(line, s, recs); ok {
+// records, decoded under s, to recs. A record chunk takes the fast path,
+// decodeRecordChunk; any other line, a done or error chunk among them,
+// goes through unmarshalChunk and DecodeRecords, the reference. The
+// records of a done or error chunk are ignored.
+func decodeChunk(dec *corpus.RecordsDecoder, line []byte, s *schema.Schema, recs []*record.Record) (PartitionChunk, []*record.Record, error) {
+	if seq, out, ok := decodeRecordChunk(dec, line, s, recs); ok {
 		return PartitionChunk{Seq: seq}, out, nil
 	}
 	ch, err := unmarshalChunk(line)
@@ -203,32 +271,6 @@ func decodeChunk(dec *corpus.ChunkDecoder, line []byte, s *schema.Schema, recs [
 	}
 	more, err := DecodeRecords(s, ch.Records)
 	return ch, append(recs, more...), err
-}
-
-// freeList keeps up to cap(l) values for reuse. Unlike a sync.Pool it
-// survives garbage collections, so the chunk-sized buffers of partition
-// streams grow once, not once per partition.
-type freeList[T any] chan T
-
-// streamsKept is how many partition streams' buffers a worker or a
-// coordinator keeps: as many as it usually serves or reads at once.
-const streamsKept = 4
-
-func (l freeList[T]) get() (T, bool) {
-	select {
-	case v := <-l:
-		return v, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-func (l freeList[T]) put(v T) {
-	select {
-	case l <- v:
-	default:
-	}
 }
 
 // ExecutePartition runs one scattered partition in-process: a fresh

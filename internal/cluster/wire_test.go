@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -23,6 +24,15 @@ func jsonChunk(t testing.TB, seq int, recs []*record.Record) []byte {
 		t.Fatal(err)
 	}
 	return line
+}
+
+// encodeChunk returns the record chunk of recs numbered seq as the worker
+// writes it (writeChunk), or false where writeChunk fails.
+func encodeChunk(enc *corpus.RecordEncoder, seq int, recs []*record.Record) ([]byte, bool) {
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	ok := writeChunk(w, enc, seq, recs) == nil && w.Flush() == nil
+	return b.Bytes(), ok
 }
 
 func encodeChunkJSON(seq int, recs []*record.Record) ([]byte, error) {
@@ -101,18 +111,18 @@ func TestChunkCodecEveryDomain(t *testing.T) {
 	for _, name := range wireDomains {
 		t.Run(name, func(t *testing.T) {
 			recs := domainRecords(t, name, 40)
-			var enc corpus.ChunkEncoder
-			var dec corpus.ChunkDecoder
+			var enc corpus.RecordEncoder
+			var dec corpus.RecordsDecoder
 			for seq, start := 0, 0; start < len(recs); seq, start = seq+1, start+16 {
 				chunk := recs[start:min(start+16, len(recs))]
-				line, ok := enc.Append(nil, seq, chunk)
+				line, ok := encodeChunk(&enc, seq, chunk)
 				if !ok {
 					t.Fatalf("chunk %d: the encoder declines", seq)
 				}
 				if want := jsonChunk(t, seq, chunk); !bytes.Equal(line, want) {
 					t.Fatalf("chunk %d: encoder writes\n%s\nencoding/json\n%s", seq, line, want)
 				}
-				gotSeq, got, ok := dec.Decode(line, schema.TextFile, nil)
+				gotSeq, got, ok := decodeRecordChunk(&dec, line, schema.TextFile, nil)
 				if !ok {
 					t.Fatalf("chunk %d takes the fallback", seq)
 				}
@@ -140,9 +150,14 @@ func TestDecodeChunkFallback(t *testing.T) {
 		{`{"seq":0,"records":[{"values":{"nope":"x"}}]}`, 0, `no field "nope"`},
 		{`{"seq":0,"records":[{"values":{"blob":"!"}}]}`, 0, "illegal base64"},
 		{`{"seq":0,"records":[`, 0, "unexpected end of JSON input"},
+		{`{"seq":4,"done":true,"elapsed_sim_ms":1500,"cost_usd":0.25}`, 0, "carries elapsed_sim_ms"},
+		{`{"seq":01,"records":[{"values":{"count":3}}]}`, 0, "invalid character"},
+		{`{"seq":+1,"records":[{"values":{"count":3}}]}`, 0, "invalid character"},
+		{` {"seq":1,"records":[{"values":{"count":3}}]}`, 1, ""},
+		{`{"seq":1,"records":[{"values":{"count":3}}],"seq":2}`, 1, ""},
 	} {
-		var dec corpus.ChunkDecoder
-		if _, _, ok := dec.Decode([]byte(tc.line), wireSchema, nil); ok {
+		var dec corpus.RecordsDecoder
+		if _, _, ok := decodeRecordChunk(&dec, []byte(tc.line), wireSchema, nil); ok {
 			t.Errorf("the fast path takes %s", tc.line)
 		}
 		ch, recs, err := decodeChunk(&dec, []byte(tc.line), wireSchema, nil)
@@ -166,8 +181,8 @@ func TestDecodeChunkFallback(t *testing.T) {
 // `go test -fuzz FuzzWireChunk ./internal/cluster`.
 func FuzzWireChunk(f *testing.F) {
 	for _, name := range wireDomains {
-		var enc corpus.ChunkEncoder
-		line, _ := enc.Append(nil, 3, domainRecords(f, name, 2))
+		var enc corpus.RecordEncoder
+		line, _ := encodeChunk(&enc, 3, domainRecords(f, name, 2))
 		f.Add(line)
 	}
 	for _, s := range []string{
@@ -201,22 +216,30 @@ func FuzzWireChunk(f *testing.F) {
 		`{"seq":4,"done":true,"elapsed_sim_ns":1500000001,"cost_usd":0.25}`,
 		`{"seq":0,"error":"boom"}`,
 		`{"seq":0,"records":[]} trailing`,
+		`{"seq":0,"records":[]}}`,
+		`{"seq":0,"records":[],"done":true}`,
+		`{"seq":1,"records":[],"seq":2}`,
+		`{"seq":01,"records":[]}`,
+		`{"seq":+1,"records":[]}`,
+		`{"seq":-1,"records":[]}`,
+		` {"seq":1 ,"records": [] } ` + "\r\n",
+		`{"seq":4,"done":true,"elapsed_sim_ms":1500}`,
 		`{"seq":0,"records":[`,
 	} {
 		f.Add([]byte(s))
 	}
-	var enc corpus.ChunkEncoder
-	canonical, _ := enc.Append(nil, 0, domainRecords(f, corpus.DomainSupport, 3))
+	var enc corpus.RecordEncoder
+	canonical, _ := encodeChunk(&enc, 0, domainRecords(f, corpus.DomainSupport, 3))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		ch, want, err := referenceChunk(wireSchema, line)
 		// Decode after a canonical line, so state left in the reused
 		// buffers cannot leak from one line into the next.
-		var dec corpus.ChunkDecoder
-		if _, _, ok := dec.Decode(canonical, wireSchema, nil); !ok {
+		var dec corpus.RecordsDecoder
+		if _, _, ok := decodeRecordChunk(&dec, canonical, wireSchema, nil); !ok {
 			t.Fatal("the fast path declines a canonical chunk")
 		}
-		seq, got, ok := dec.Decode(line, wireSchema, nil)
+		seq, got, ok := decodeRecordChunk(&dec, line, wireSchema, nil)
 		if !ok {
 			return
 		}
@@ -289,8 +312,8 @@ func FuzzAppendRecord(f *testing.F) {
 		}
 
 		for _, recs := range [][]*record.Record{{rec}, {drec, rec}} {
-			var enc corpus.ChunkEncoder
-			line, ok := enc.Append(nil, int(domain), recs)
+			var enc corpus.RecordEncoder
+			line, ok := encodeChunk(&enc, int(domain), recs)
 			want, err := encodeChunkJSON(int(domain), recs)
 			switch {
 			case ok != (err == nil):
@@ -304,8 +327,8 @@ func FuzzAppendRecord(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dec corpus.ChunkDecoder
-			seq, got, ok := dec.Decode(line, wireSchema, nil)
+			var dec corpus.RecordsDecoder
+			seq, got, ok := decodeRecordChunk(&dec, line, wireSchema, nil)
 			if !ok || seq != ch.Seq || !sameRecords(got, ref) {
 				t.Fatalf("fast path (ok=%v) decodes %q to seq %d, %v; the reference to seq %d, %v",
 					ok, line, seq, got, ch.Seq, ref)
@@ -339,14 +362,19 @@ func BenchmarkWireChunk(b *testing.B) {
 	}
 	b.Run("codec", func(b *testing.B) {
 		var (
-			enc  corpus.ChunkEncoder
-			dec  corpus.ChunkDecoder
-			line []byte
+			enc  corpus.RecordEncoder
+			dec  corpus.RecordsDecoder
+			buf  bytes.Buffer
 			back []*record.Record
 		)
+		w := bufio.NewWriterSize(&buf, 64<<10)
 		perRecord(b, func() error {
-			line, _ = enc.Append(line[:0], 0, recs)
-			_, back, _ = dec.Decode(line[:len(line)-1], s, back[:0])
+			buf.Reset()
+			if err := writeChunk(w, &enc, 0, recs); err != nil || w.Flush() != nil {
+				return err
+			}
+			line := buf.Bytes()
+			_, back, _ = decodeRecordChunk(&dec, line[:len(line)-1], s, back[:0])
 			if len(back) != len(recs) {
 				b.Fatalf("decoded %d records of %d", len(back), len(recs))
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -39,7 +40,6 @@ type Worker struct {
 	cfg      WorkerConfig
 	counters *metrics.Counters
 	hists    *metrics.Histograms
-	writers  freeList[*chunkWriter]
 }
 
 // NewWorker builds a Worker.
@@ -59,8 +59,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Histograms == nil {
 		cfg.Histograms = metrics.NewHistograms()
 	}
-	return &Worker{cfg: cfg, counters: cfg.Counters, hists: cfg.Histograms,
-		writers: make(freeList[*chunkWriter], streamsKept)}, nil
+	return &Worker{cfg: cfg, counters: cfg.Counters, hists: cfg.Histograms}, nil
 }
 
 // Name returns the worker's label.
@@ -130,42 +129,27 @@ func (w *Worker) handlePartition(rw http.ResponseWriter, r *http.Request) {
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := rw.(http.Flusher)
-	ref := json.NewEncoder(rw)
-	ref.SetEscapeHTML(false)
-	cw, ok := w.writers.get()
-	if !ok {
-		cw = new(chunkWriter)
-	}
-	defer w.writers.put(cw)
+	bw := bufio.NewWriterSize(rw, 64<<10)
+	var enc corpus.RecordEncoder
 	seq := 0
 	for start := 0; start < len(res.Records); start += w.cfg.ChunkSize {
 		recs := res.Records[start:min(start+w.cfg.ChunkSize, len(res.Records))]
-		if cw.buf, ok = cw.enc.Append(cw.buf[:0], seq, recs); ok {
-			_, err = rw.Write(cw.buf)
-		} else {
-			err = ref.Encode(PartitionChunk{Seq: seq, Records: EncodeRecords(recs)})
-		}
-		if err != nil {
-			return // connection gone (or a value JSON cannot carry); the coordinator re-scatters
+		if err := writeChunk(bw, &enc, seq, recs); err != nil || bw.Flush() != nil {
+			// The connection is gone, or a value JSON cannot carry cut
+			// the chunk short. The stream ends without a done chunk,
+			// and the coordinator re-scatters.
+			return
 		}
 		seq++
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	_ = ref.Encode(PartitionChunk{Seq: seq, Done: true,
+	_ = json.NewEncoder(rw).Encode(PartitionChunk{Seq: seq, Done: true,
 		ElapsedSimNS: int64(res.Elapsed), CostUSD: res.CostUSD, Trace: res.Trace})
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// chunkWriter encodes the record chunks of a partition stream into buf,
-// which grows to the size of a chunk and is kept with it for the next
-// stream (see freeList).
-type chunkWriter struct {
-	enc corpus.ChunkEncoder
-	buf []byte
 }
 
 func writeJSON(rw http.ResponseWriter, code int, v any) {

@@ -10,12 +10,13 @@ import (
 
 // The truth shape's writer: this file appends, without reflection, the
 // bytes a json.Encoder with SetEscapeHTML(false) writes for a corpus line
-// (WriteNDJSON) and for a record chunk of the cluster wire (ChunkEncoder):
+// (WriteNDJSON) and for the records of the cluster wire (RecordEncoder):
 // sorted map keys, omitempty as Truth's tags say, encoding/json's float
-// format and string escapes, and a newline after each value. docDecoder
-// reads both back. A value the writer does not cover, NaN, an infinity
-// or a field value of a non-canonical Go type, makes it decline, and the
-// caller encodes with encoding/json, which stays the reference.
+// format and string escapes. docDecoder reads both back. A value the
+// writer does not cover makes it decline: NaN or an infinity, which
+// encoding/json cannot encode either, or a field value of a Go type
+// record.New does not store. The caller then fails; encoding/json stays
+// the reference in the tests.
 
 // jsonWriter appends JSON. keys is scratch for sorting one map's keys.
 type jsonWriter struct{ keys []string }

@@ -2,15 +2,27 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 )
 
+// encodeJSON appends v as a json.Encoder with HTML escaping off writes
+// it: the reference for the corpus writer's appenders.
+func encodeJSON(dst []byte, v any) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(b)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return b.Bytes(), err
+}
+
 // TestAppendDocMatchesEncoder: the corpus writer's appenders write what a
 // json.Encoder with HTML escaping off writes, for the documents of every
 // domain and for strings and numbers at the edges of encoding/json's
-// escaping and float format; a NaN or an infinity makes them decline.
+// escaping and float format. A NaN or an infinity, which encoding/json
+// cannot encode either, makes them decline, and WriteNDJSON fail.
 func TestAppendDocMatchesEncoder(t *testing.T) {
 	var docs []*Doc
 	for _, name := range allDomains {
@@ -53,9 +65,12 @@ func TestAppendDocMatchesEncoder(t *testing.T) {
 		if _, ok := w.appendDoc(nil, d); ok {
 			t.Errorf("appender writes %v", x)
 		}
+		if _, err := encodeJSON(nil, d); err == nil {
+			t.Errorf("encoding/json writes %v", x)
+		}
 		_, err := WriteNDJSON(&bytes.Buffer{}, NewSliceGenerator(DomainSupport, []*Doc{d}))
-		if err == nil || !strings.Contains(err.Error(), "corpus: encode doc 0: json: unsupported value") {
-			t.Errorf("WriteNDJSON of %v: error %v, want encoding/json's", x, err)
+		if err == nil || !strings.Contains(err.Error(), "corpus: encode doc 0: unsupported value") {
+			t.Errorf("WriteNDJSON of %v: error %v, want an unsupported value", x, err)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // the reader, the partition index and the validator agree on every line.
 // A folder's ground-truth sidecar, an array of filename and truth
 // objects, decodes through the same parser (DecodeTruths), and so does
-// each record's truth in a chunk of the cluster wire (ChunkDecoder).
+// each record's truth on the cluster wire (RecordsDecoder).
 //
 // docDecoder has a fast path for the canonical line shape — what
 // WriteNDJSON writes — and hands every other line to encoding/json, which

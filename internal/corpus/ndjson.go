@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,16 +70,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeJSON appends v as a json.Encoder with HTML escaping off writes
-// it: the reference the corpus writer falls back to.
-func encodeJSON(dst []byte, v any) ([]byte, error) {
-	b := bytes.NewBuffer(dst)
-	enc := json.NewEncoder(b)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(v)
-	return b.Bytes(), err
-}
-
 // WriteNDJSON drains g to w as NDJSON and returns the manifest describing
 // what was written (checksum, byte count, label counts). Memory is one
 // document plus the generator's own footprint, so an index-addressable
@@ -114,12 +103,9 @@ func WriteNDJSON(w io.Writer, g Generator) (*Manifest, error) {
 		ix.note(m.NumDocs, lw.n)
 		var ok bool
 		if line, ok = jw.appendDoc(line[:0], d); !ok {
-			line, err = encodeJSON(line[:0], d)
+			return nil, fmt.Errorf("corpus: encode doc %d: unsupported value: a truth number is NaN or infinite", m.NumDocs)
 		}
-		if err == nil {
-			_, err = lw.Write(line)
-		}
-		if err != nil {
+		if _, err := lw.Write(line); err != nil {
 			return nil, fmt.Errorf("corpus: encode doc %d: %w", m.NumDocs, err)
 		}
 		m.NumDocs++

@@ -10,19 +10,31 @@ import (
 	"repro/internal/schema"
 )
 
-// Record chunks: the lines of a cluster worker's partition stream, which
-// carry records whose truth is this package's Truth. A chunk is
+// Wire records: records with their truth as JSON, the form in which the
+// cluster wire carries them. An array of wire records is
 //
-//	{"seq":N,"records":[{"values":{...},"truth":{...},"source":"..."},...]}
+//	[{"values":{...},"truth":{...},"source":"..."},...]
 //
-// with the records key left out when there are none, a record's truth
-// left out when it has none and its source when it is empty: what
-// encoding/json writes for cluster.PartitionChunk, with HTML escaping
-// off. ChunkEncoder writes chunks with the corpus writer's appenders, and
-// ChunkDecoder reads them with the corpus line decoder, so one encoder
-// and one decoder own the truth's JSON on disk and on the wire. Both
-// decline what they do not cover, and the caller falls back to
+// with a record's truth left out when it has none and its source when it
+// is empty: what encoding/json writes for a []WireRecord, with HTML
+// escaping off. RecordEncoder writes each record with the corpus writer's
+// appenders, and RecordsDecoder reads arrays of them with the corpus line
+// decoder, so one encoder and one decoder own the truth's JSON on disk
+// and on the wire. What frames the records is the caller's. The decoder
+// declines what it does not cover, and the caller falls back to
 // encoding/json, which stays the reference.
+
+// WireRecord is one record as JSON: the schema field values, the hidden
+// ground-truth annotation (LLM operators downstream of the wire need it
+// to stay deterministic), and the source label.
+type WireRecord struct {
+	Values map[string]any `json:"values"`
+	Truth  *Truth         `json:"truth,omitempty"`
+	Source string         `json:"source,omitempty"`
+}
+
+// recordKeys are WireRecord's keys, for field.
+var recordKeys = []string{"values", "truth", "source"}
 
 // sortedFields returns s's fields ordered by name, the order in which
 // encoding/json writes a record's values map.
@@ -32,42 +44,21 @@ func sortedFields(s *schema.Schema) []schema.Field {
 	return fields
 }
 
-// ChunkEncoder appends record chunks. The zero value is ready to use; an
+// RecordEncoder appends wire records. The zero value is ready to use; an
 // encoder keeps scratch between calls and is not safe for concurrent use.
-type ChunkEncoder struct {
+type RecordEncoder struct {
 	w jsonWriter
 	// fields are schema's fields, sorted by name.
 	schema *schema.Schema
 	fields []schema.Field
 }
 
-// Append appends the chunk of recs numbered seq, with its newline, to
-// dst. It reports false when a value is NaN, infinite, or of a Go type
-// record.New does not store, and the caller then encodes the chunk with
-// encoding/json.
-func (e *ChunkEncoder) Append(dst []byte, seq int, recs []*record.Record) ([]byte, bool) {
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendInt(dst, int64(seq), 10)
-	if len(recs) > 0 {
-		dst = append(dst, `,"records":[`...)
-		for i, r := range recs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var ok bool
-			if dst, ok = e.appendRecord(dst, r); !ok {
-				return dst, false
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}', '\n'), true
-}
-
-// appendRecord appends one wire record. A record holds a value for every
-// field of its schema and no other (record.New), so its values object
-// is the schema's fields in name order.
-func (e *ChunkEncoder) appendRecord(dst []byte, r *record.Record) ([]byte, bool) {
+// Append appends r to dst as a wire record. It reports false when a value
+// is NaN or infinite, which JSON cannot carry, or of a Go type record.New
+// does not store. A record holds a value for every field of its schema
+// and no other (record.New), so its values object is the schema's fields
+// in name order.
+func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 	if s := r.Schema(); s != e.schema {
 		e.schema, e.fields = s, sortedFields(s)
 	}
@@ -96,25 +87,18 @@ func (e *ChunkEncoder) appendRecord(dst []byte, r *record.Record) ([]byte, bool)
 	return append(dst, '}'), true
 }
 
-// Keys of a chunk and of a wire record, for field.
-var (
-	chunkKeys  = []string{"seq", "records"}
-	recordKeys = []string{"values", "truth", "source"}
-)
-
-// ChunkDecoder decodes record chunks into records under a schema. Its
-// fast path takes a chunk made only of the keys seq and records, and
-// records made only of values, truth and source, each at most once and
-// spelled exactly. A values object may name each field of the schema at
-// most once, with null or the JSON kind of the field's type: a string,
-// an integer literal for an Int field, a number for a Float field, true
-// or false, an array of strings for a string list, and base64 in a string
-// for bytes. A truth takes the corpus line's fast path. Any other line
-// (the done chunk, an error chunk, a wrong kind, an unknown field, a
+// RecordsDecoder decodes arrays of wire records into records under a
+// schema. Its fast path takes records made only of the keys values, truth
+// and source, each at most once and spelled exactly. A values object may
+// name each field of the schema at most once, with null or the JSON kind
+// of the field's type: a string, an integer literal for an Int field, a
+// number for a Float field, true or false, an array of strings for a
+// string list, and base64 in a string for bytes. A truth takes the corpus
+// line's fast path. Anything else (a wrong kind, an unknown field, a
 // duplicate key, a null record, a string with a \u surrogate escape) is
 // declined. The zero value is ready to use; a decoder keeps scratch
 // between calls and is not safe for concurrent use.
-type ChunkDecoder struct {
+type RecordsDecoder struct {
 	d docDecoder
 	// fields are schema's fields, sorted by name; seen marks those the
 	// record being decoded has named, and next is where to look first.
@@ -139,12 +123,12 @@ type valueItem struct {
 	elems list
 }
 
-// Decode decodes the record chunk raw under s and appends its records to
-// recs, returning the chunk's seq. It reports false, with recs as given,
-// for any line outside the fast path's shape, and the caller then decodes
-// it with encoding/json. Records built before a decline are dropped; they
-// have only used up record IDs.
-func (c *ChunkDecoder) Decode(raw []byte, s *schema.Schema, recs []*record.Record) (int, []*record.Record, bool) {
+// Decode decodes raw, one array of wire records and nothing else but
+// whitespace, under s and appends its records to recs. It reports false,
+// with recs as given, for anything outside the fast path's shape, and the
+// caller then decodes it with encoding/json. Records built before a
+// decline are dropped; they have only used up record IDs.
+func (c *RecordsDecoder) Decode(raw []byte, s *schema.Schema, recs []*record.Record) ([]*record.Record, bool) {
 	if s != c.schema {
 		c.schema, c.fields = s, sortedFields(s)
 		c.seen = make([]bool, len(c.fields))
@@ -153,48 +137,19 @@ func (c *ChunkDecoder) Decode(raw []byte, s *schema.Schema, recs []*record.Recor
 		c.vals = make(map[string]any, len(c.fields))
 	}
 	n := len(recs)
-	seq, recs, ok := c.chunk(raw, recs)
+	c.d.reset(raw, 0)
+	recs, ok := c.records(recs)
+	ok = ok && c.d.end()
 	c.d.raw = nil
 	clear(c.vals)
 	if !ok {
 		clear(recs[n:])
-		return 0, recs[:n], false
+		return recs[:n], false
 	}
-	return seq, recs, true
+	return recs, true
 }
 
-func (c *ChunkDecoder) chunk(raw []byte, recs []*record.Record) (int, []*record.Record, bool) {
-	d := &c.d
-	d.reset(raw, 0)
-	seq := 0
-	var seen uint8
-	if !d.eat('{') {
-		return 0, recs, false
-	}
-	for more := !d.eat('}'); more; {
-		var ok bool
-		switch d.field(chunkKeys, &seen) {
-		case "seq":
-			var lit span
-			if lit, ok = d.number(); ok {
-				var err error
-				seq, err = strconv.Atoi(string(d.buf[lit.lo:lit.hi]))
-				ok = err == nil
-			}
-		case "records":
-			recs, ok = c.records(recs)
-		}
-		if !ok {
-			return 0, recs, false
-		}
-		if more, ok = d.sep('}'); !ok {
-			return 0, recs, false
-		}
-	}
-	return seq, recs, d.end()
-}
-
-func (c *ChunkDecoder) records(recs []*record.Record) ([]*record.Record, bool) {
+func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool) {
 	d := &c.d
 	if !d.eat('[') {
 		return recs, false
@@ -215,7 +170,7 @@ func (c *ChunkDecoder) records(recs []*record.Record) ([]*record.Record, bool) {
 // record decodes one wire record. Its value strings become substrings of
 // one string, its truth's of another (see docDecoder), and a source equal
 // to the last one shares its string.
-func (c *ChunkDecoder) record() (*record.Record, bool) {
+func (c *RecordsDecoder) record() (*record.Record, bool) {
 	d := &c.d
 	d.reset(d.raw, d.pos)
 	clear(c.vals)
@@ -263,7 +218,7 @@ func (c *ChunkDecoder) record() (*record.Record, bool) {
 }
 
 // values parses a values object into c.vals.
-func (c *ChunkDecoder) values() bool {
+func (c *RecordsDecoder) values() bool {
 	d := &c.d
 	if !d.eat('{') {
 		return false
@@ -349,7 +304,7 @@ func (c *ChunkDecoder) values() bool {
 // fieldIndex returns the index in c.fields of the field named key, or -1
 // if there is none or the record named it already. Fields come in name
 // order, so the search starts after the last field found.
-func (c *ChunkDecoder) fieldIndex(key []byte) int {
+func (c *RecordsDecoder) fieldIndex(key []byte) int {
 	for j := range c.fields {
 		i := (c.next + j) % len(c.fields)
 		if c.fields[i].Name == string(key) {
