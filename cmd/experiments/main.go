@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -16,8 +18,23 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (e1..e8,ablations); empty = all")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run executes the selected experiments, printing their tables to stdout
+// and each failure to stderr; it fails if any experiment failed.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated experiment ids (e1..e8,ablations); empty = all")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -28,28 +45,28 @@ func main() {
 	run := func(id string) bool { return len(want) == 0 || want[id] }
 	failed := false
 	fail := func(id string, err error) {
-		fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
+		fmt.Fprintf(stderr, "%s failed: %v\n", id, err)
 		failed = true
 	}
 
 	if run("e1") {
-		fmt.Println("## E1 — Scientific discovery (paper §3, Figure 5)")
+		fmt.Fprintln(stdout, "## E1 — Scientific discovery (paper §3, Figure 5)")
 		r, err := experiments.RunE1()
 		if err != nil {
 			fail("e1", err)
 		} else {
-			fmt.Println(r.Table())
-			fmt.Println("Chosen plan:", r.Plan)
-			fmt.Println()
-			fmt.Println("```")
-			fmt.Print(r.Report)
-			fmt.Println("```")
+			fmt.Fprintln(stdout, r.Table())
+			fmt.Fprintln(stdout, "Chosen plan:", r.Plan)
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, "```")
+			fmt.Fprint(stdout, r.Report)
+			fmt.Fprintln(stdout, "```")
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e2") {
-		fmt.Println("## E2 — Chat pipeline construction (Figures 3-4)")
+		fmt.Fprintln(stdout, "## E2 — Chat pipeline construction (Figures 3-4)")
 		dir, err := os.MkdirTemp("", "palimpchat-e2-")
 		if err != nil {
 			fail("e2", err)
@@ -59,14 +76,14 @@ func main() {
 			if err != nil {
 				fail("e2", err)
 			} else {
-				fmt.Println(r.Table())
+				fmt.Fprintln(stdout, r.Table())
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e3") {
-		fmt.Println("## E3 — Generated pipeline code (Figure 6)")
+		fmt.Fprintln(stdout, "## E3 — Generated pipeline code (Figure 6)")
 		dir, err := os.MkdirTemp("", "palimpchat-e3-")
 		if err != nil {
 			fail("e3", err)
@@ -76,18 +93,18 @@ func main() {
 			if err != nil {
 				fail("e3", err)
 			} else {
-				fmt.Println(r.Table())
-				fmt.Printf("Missing elements: %d/%d\n\n", r.Missing, len(experiments.Figure6Elements))
-				fmt.Println("```python")
-				fmt.Print(r.Code)
-				fmt.Println("```")
+				fmt.Fprintln(stdout, r.Table())
+				fmt.Fprintf(stdout, "Missing elements: %d/%d\n\n", r.Missing, len(experiments.Figure6Elements))
+				fmt.Fprintln(stdout, "```python")
+				fmt.Fprint(stdout, r.Code)
+				fmt.Fprintln(stdout, "```")
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e4") {
-		fmt.Println("## E4 — Additional demo scenarios (legal discovery, real estate)")
+		fmt.Fprintln(stdout, "## E4 — Additional demo scenarios (legal discovery, real estate)")
 		legal, err := experiments.RunE4Legal()
 		if err != nil {
 			fail("e4", err)
@@ -97,85 +114,86 @@ func main() {
 			fail("e4", err)
 		}
 		if legal != nil && re != nil {
-			fmt.Println(experiments.E4Table([]*experiments.E4Result{legal, re}))
+			fmt.Fprintln(stdout, experiments.E4Table([]*experiments.E4Result{legal, re}))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e5") {
-		fmt.Println("## E5 — Optimizer policy sweep (paper §2.1)")
+		fmt.Fprintln(stdout, "## E5 — Optimizer policy sweep (paper §2.1)")
 		rows, err := experiments.RunE5()
 		if err != nil {
 			fail("e5", err)
 		} else {
-			fmt.Println(experiments.E5Table(rows))
+			fmt.Fprintln(stdout, experiments.E5Table(rows))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e6") {
-		fmt.Println("## E6 — Physical plan space and Pareto pruning")
+		fmt.Fprintln(stdout, "## E6 — Physical plan space and Pareto pruning")
 		rows, err := experiments.RunE6()
 		if err != nil {
 			fail("e6", err)
 		} else {
-			fmt.Println(experiments.E6Table(rows))
+			fmt.Fprintln(stdout, experiments.E6Table(rows))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e7") {
-		fmt.Println("## E7 — Sentinel (sample-based) calibration")
+		fmt.Fprintln(stdout, "## E7 — Sentinel (sample-based) calibration")
 		rows, err := experiments.RunE7()
 		if err != nil {
 			fail("e7", err)
 		} else {
-			fmt.Println(experiments.E7Table(rows))
+			fmt.Fprintln(stdout, experiments.E7Table(rows))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e8") {
-		fmt.Println("## E8 — Docstring-driven tool routing")
+		fmt.Fprintln(stdout, "## E8 — Docstring-driven tool routing")
 		r, err := experiments.RunE8()
 		if err != nil {
 			fail("e8", err)
 		} else {
-			fmt.Println(r.Table())
+			fmt.Fprintln(stdout, r.Table())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("e9") {
-		fmt.Println("## E9 — Library-size scaling")
+		fmt.Fprintln(stdout, "## E9 — Library-size scaling")
 		rows, err := experiments.RunScale([]int{11, 33, 66, 110})
 		if err != nil {
 			fail("e9", err)
 		} else {
-			fmt.Println(experiments.ScaleTable(rows))
+			fmt.Fprintln(stdout, experiments.ScaleTable(rows))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if run("ablations") {
-		fmt.Println("## Ablation — conversion strategy (bonded vs field-at-a-time)")
+		fmt.Fprintln(stdout, "## Ablation — conversion strategy (bonded vs field-at-a-time)")
 		conv, err := experiments.RunAblationConvert()
 		if err != nil {
 			fail("ablations", err)
 		} else {
-			fmt.Println(experiments.AblationConvertTable(conv))
+			fmt.Fprintln(stdout, experiments.AblationConvertTable(conv))
 		}
-		fmt.Println()
-		fmt.Println("## Ablation — embedding pre-filter")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "## Ablation — embedding pre-filter")
 		pre, err := experiments.RunAblationPrefilter()
 		if err != nil {
 			fail("ablations", err)
 		} else {
-			fmt.Println(experiments.AblationPrefilterTable(pre))
+			fmt.Fprintln(stdout, experiments.AblationPrefilterTable(pre))
 		}
 	}
 
 	if failed {
-		os.Exit(1)
+		return errors.New("experiments failed")
 	}
+	return nil
 }
