@@ -268,11 +268,12 @@ func BenchmarkE9Scaling(b *testing.B) {
 	}
 }
 
-// BenchmarkExecEngines is the sequential-vs-pipelined executor pair: the
-// same 3-LLM-operator, 100-record plan at Parallelism=8 on both engines
-// (the shared internal/workloads workload the executor acceptance test
-// also runs). The pipelined run also reports its speedup over the
-// sequential engine (simulated clock; the acceptance bar is >= 2x).
+// BenchmarkExecEngines is the sequential-vs-pipelined run pair: the same
+// 3-LLM-operator, 100-record plan at Parallelism=8 as one batch per stage
+// and with overlapping streamed stages (the shared internal/workloads
+// workload the executor acceptance test also runs). The pipelined run
+// also reports its speedup over the one-batch run (simulated clock; the
+// acceptance bar is >= 2x).
 func BenchmarkExecEngines(b *testing.B) {
 	phys, err := workloads.StreamPlan(100)
 	if err != nil {
@@ -293,11 +294,11 @@ func BenchmarkExecEngines(b *testing.B) {
 		}
 		return res
 	}
-	seq := runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunSequential(phys) })
+	seq := runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunSequential(context.Background(), phys) })
 	b.Run("sequential", func(b *testing.B) {
 		var res *exec.Result
 		for i := 0; i < b.N; i++ {
-			res = runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunSequential(phys) })
+			res = runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunSequential(context.Background(), phys) })
 		}
 		b.ReportMetric(res.Elapsed.Seconds(), "sim_s")
 		b.ReportMetric(float64(len(res.Records)), "records")
@@ -305,7 +306,7 @@ func BenchmarkExecEngines(b *testing.B) {
 	b.Run("pipelined", func(b *testing.B) {
 		var res *exec.Result
 		for i := 0; i < b.N; i++ {
-			res = runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunPipelined(phys) })
+			res = runOn(b, func(e *exec.Executor) (*exec.Result, error) { return e.RunPipelined(context.Background(), phys) })
 		}
 		speedup := seq.Elapsed.Seconds() / res.Elapsed.Seconds()
 		if speedup < 2 {

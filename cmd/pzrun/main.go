@@ -79,7 +79,7 @@ func main() {
 	flag.StringVar(&opts.policy, "policy", "max-quality", "optimization policy (spec-file policy wins when set)")
 	flag.Float64Var(&opts.param, "param", 0, "parameter for constrained policies")
 	flag.IntVar(&opts.maxRecords, "records", 10, "output records to display")
-	flag.IntVar(&opts.parallelism, "parallelism", 4, "max concurrent LLM calls per operator (>1 selects the pipelined streaming engine)")
+	flag.IntVar(&opts.parallelism, "parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
 	flag.IntVar(&opts.partitions, "partitions", 0, "partition fan-out for indexed NDJSON datasets (0 = single reader locally / server default with -server; spec-file partitions win)")
 	flag.IntVar(&opts.batch, "batch", 0, "record batch size between pipeline stages (0 = auto; floored at -parallelism)")
 	flag.BoolVar(&opts.progress, "progress", false, "print per-stage progress events to stderr")

@@ -67,7 +67,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	parallelism := flag.Int("parallelism", 4, "max concurrent LLM calls per operator (>1 selects the pipelined streaming engine)")
+	parallelism := flag.Int("parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
 	partitions := flag.Int("partitions", 0, "default partition fan-out for indexed NDJSON datasets (0 = single reader; per-query specs override)")
 	batch := flag.Int("batch", 0, "record batch size between pipeline stages (0 = auto)")
 	sample := flag.Int("sample", 0, "sentinel calibration sample size")

@@ -32,8 +32,8 @@ func main() {
 	}
 	fmt.Printf("corpus: %s (%d tickets)\n\n", path, cfg.NumTickets)
 
-	// Register the file-backed corpus; Parallelism > 1 selects the
-	// pipelined engine, which streams records straight from the file.
+	// Register the file-backed corpus; with Parallelism > 1 the engine
+	// streams batches of records straight from the file.
 	ctx, err := pz.NewContext(pz.Config{Parallelism: 8})
 	if err != nil {
 		log.Fatal(err)

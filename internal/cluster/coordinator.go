@@ -294,7 +294,7 @@ func (c *Coordinator) runSuffix(ctx context.Context, name string, s *schema.Sche
 	if err != nil {
 		return nil, err
 	}
-	return e.RunPhysicalContext(ctx, append([]ops.Physical{&ops.ScanExec{Source: src}}, suffix...))
+	return e.Run(ctx, append([]ops.Physical{&ops.ScanExec{Source: src}}, suffix...))
 }
 
 // attemptOutcome is one finished partition attempt (remote or local).

@@ -20,7 +20,7 @@ var ErrStop = errors.New("dataset: stop iteration")
 
 // RecordIterator is an optional Source capability: sources that can yield
 // records incrementally, without materializing the whole dataset. The
-// pipelined executor streams such sources from disk batch by batch, and
+// executor streams such sources from disk batch by batch, and
 // the optimizer samples them without a full load.
 type RecordIterator interface {
 	// IterateRecords calls yield for every record in dataset order. A
@@ -51,7 +51,7 @@ type Stater interface {
 // PartitionedSource is an optional Source capability: datasets that can
 // be read as independent contiguous partitions, each by its own range
 // reader (e.g. an NDJSON corpus whose manifest carries a byte-offset
-// partition index). The pipelined executor fans one source+map pipeline
+// partition index). The executor fans one source+map pipeline
 // out per partition and merges the results back into exact dataset order,
 // so a partitioned read is observably identical to IterateRecords — just
 // spread across parallel readers.
@@ -85,9 +85,9 @@ const statsSampleDocs = 16
 
 // NDJSONSource is a file-backed dataset over an on-disk NDJSON corpus
 // (see internal/corpus: one JSON document + embedded ground truth per
-// line, manifest alongside). Records yields everything for the sequential
-// engine, but the source's point is the streaming capabilities: it
-// implements RecordIterator, so the pipelined executor reads the file
+// line, manifest alongside). Records yields everything at once, but the
+// source's point is the streaming capabilities: it implements
+// RecordIterator, so the executor reads the file
 // batch by batch in constant memory, and Stater, so the optimizer costs a
 // pipeline without loading the corpus at all.
 type NDJSONSource struct {
@@ -275,7 +275,7 @@ func (n *NDJSONSource) IteratePartition(parts, part int, yield func(*record.Reco
 }
 
 // Records implements Source by draining IterateRecords — the
-// materializing path the sequential engine and quality scoring take.
+// materializing path quality scoring takes.
 func (n *NDJSONSource) Records() ([]*record.Record, error) {
 	out := make([]*record.Record, 0, n.stats.NumRecords)
 	err := n.IterateRecords(func(r *record.Record) error {

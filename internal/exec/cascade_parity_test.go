@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestCascadeDegenerateParityProperty(t *testing.T) {
 					}
 				}
 				// A fresh operator per run: the cascade carries per-run
-				// init state, and sharing across engines would blur which
+				// init state, and sharing across run shapes would blur which
 				// run produced which accounting.
 				cascPlan := func() []ops.Physical {
 					return []ops.Physical{
@@ -87,14 +88,14 @@ func TestCascadeDegenerateParityProperty(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						return e.RunSequential(p)
+						return e.RunSequential(context.Background(), p)
 					},
 					"pipelined": func(p []ops.Physical) (*Result, error) {
 						e, err := NewExecutor(Config{Parallelism: 4})
 						if err != nil {
 							t.Fatal(err)
 						}
-						return e.RunPipelined(p)
+						return e.RunPipelined(context.Background(), p)
 					},
 				}
 				var want []string
@@ -124,7 +125,7 @@ func TestCascadeDegenerateParityProperty(t *testing.T) {
 					if want == nil {
 						want = ck
 					} else if fmt.Sprint(want) != fmt.Sprint(ck) {
-						t.Errorf("%s cascade output diverges across engines", engine)
+						t.Errorf("%s cascade output diverges across run shapes", engine)
 					}
 				}
 			})

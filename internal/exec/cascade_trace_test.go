@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -33,7 +34,7 @@ func embedNdjsonSource(t *testing.T, n int) *dataset.NDJSONSource {
 }
 
 // TestCascadeTierSpansReconcile runs an end-to-end optimized cascade query
-// on both engines and checks the trace's tier spans against their parent
+// on both run shapes and checks the trace's tier spans against their parent
 // stage: records chain prefilter → verify → resolve, settled outputs sum
 // to the stage's output, and tier costs and calls sum to the stage's.
 func TestCascadeTierSpansReconcile(t *testing.T) {
@@ -50,7 +51,7 @@ func TestCascadeTierSpansReconcile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Execute(chain, optimizer.MinCostAtQuality{Floor: 0.95}, optimizer.Options{})
+			res, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.95}, optimizer.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func (s iterSource) IterateRecords(yield func(*record.Record) error) error {
 
 // TestPipelinedEmptyScan: a zero-record scan streams as one empty batch.
 // Every downstream stage still executes and records its stats row, the
-// rows equal the sequential engine's, and the scan reports exactly one
+// rows equal the one-batch run's, and the scan reports exactly one
 // progress event — with or without a requested partition fan-out, over
 // both the materialized and the incremental read path.
 func TestPipelinedEmptyScan(t *testing.T) {
@@ -51,7 +52,7 @@ func TestPipelinedEmptyScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqExec, _ := NewExecutor(Config{})
-		seq, err := seqExec.RunSequential(phys)
+		seq, err := seqExec.RunSequential(context.Background(), phys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestPipelinedEmptyScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pipe, err := e.RunPipelined(phys)
+			pipe, err := e.RunPipelined(context.Background(), phys)
 			if err != nil {
 				t.Fatalf("%s, partitions=%d: %v", name, parts, err)
 			}
@@ -84,7 +85,7 @@ func TestPipelinedEmptyScan(t *testing.T) {
 	}
 }
 
-// TestPipelinedRequiresScan: the pipelined engine's source is the plan's
+// TestPipelinedRequiresScan: the pipelined run's source is the plan's
 // scan, so a plan that starts anywhere else is rejected up front.
 func TestPipelinedRequiresScan(t *testing.T) {
 	phys, err := optimizer.ChampionPlan(demoChain(t))
@@ -92,7 +93,7 @@ func TestPipelinedRequiresScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := NewExecutor(Config{Parallelism: 4})
-	_, err = e.RunPipelined(phys[1:])
+	_, err = e.RunPipelined(context.Background(), phys[1:])
 	if err == nil || !strings.Contains(err.Error(), "must start with a scan") {
 		t.Fatalf("plan without a scan: err = %v, want a must-start-with-a-scan error", err)
 	}

@@ -5,17 +5,15 @@
 // how much runtime was needed to produce the output, and how much the LLM
 // invocations costed").
 //
-// Two engines share the operator implementations. At Parallelism <= 1,
-// RunPhysical runs operators strictly sequentially with full
-// materialization between stages. At Parallelism > 1 it switches to the
-// pipelined streaming engine (pipeline.go): operator stages connected by
+// One engine runs every plan (pipeline.go): operator stages connected by
 // bounded channels of sequence-tagged record batches, with per-stage
 // worker pools, backpressure, first-error cancellation, and deterministic
-// output ordering. Both engines produce identical records and identical
-// per-operator call/token/cost statistics; only the modeled wall-clock
-// differs (pipelined stages overlap, so a segment of streamable stages
-// costs its slowest stage, not the sum). See docs/architecture.md for the
-// full dataflow.
+// output ordering. At Parallelism <= 1 with no partition fan-out the plan
+// runs as one batch per stage: no two stages overlap, so the modeled
+// wall-clock is the sum of the operator times. Otherwise the scan streams
+// batches and a segment of streamable stages costs its slowest stage, not
+// the sum. Records and per-operator call/token/cost statistics are the
+// same either way. See docs/architecture.md for the full dataflow.
 //
 // LLM latency is modeled on a virtual clock (internal/simclock), so the
 // reported runtime has the paper's magnitude (hundreds of seconds for the
@@ -40,11 +38,12 @@ import (
 // Config configures an Executor.
 type Config struct {
 	// Parallelism is the maximum concurrent LLM calls per operator
-	// (default 1 = strictly sequential).
+	// (default 1). Beyond 1, stages overlap: the scan streams batches of
+	// StreamBatchSize records through them.
 	Parallelism int
 	// Partitions is the partition fan-out for partitionable scans (an
 	// NDJSON corpus whose manifest carries a byte-offset index): when > 1,
-	// the pipelined engine runs one source+map pipeline per partition —
+	// the engine runs one source+map pipeline per partition —
 	// each with its own range reader and Parallelism-wide worker pools,
 	// modeling shard scale-out — and merges the results back into exact
 	// dataset order. 0/1 keeps the single streaming reader; a plan whose
@@ -65,15 +64,16 @@ type Config struct {
 	// serving deployments should set it so sustained traffic cannot grow
 	// the cache without limit.
 	CacheCapacity int
-	// StreamBatchSize is the record batch size flowing between stages of
-	// the pipelined engine (default 8; ignored at Parallelism <= 1).
-	// Values below Parallelism are raised to it so a small batch cannot
-	// starve the per-stage worker pools.
+	// StreamBatchSize is the record batch size flowing between stages
+	// when they overlap (default 8). A run whose stages cannot overlap
+	// (see Run) is one batch per stage and ignores it. Values below
+	// Parallelism are raised to it so a small batch cannot starve the
+	// per-stage worker pools.
 	StreamBatchSize int
 	// OnProgress, when set, receives progress events: one per completed
-	// batch per stage on the pipelined engine, one per completed operator
-	// on the sequential engine. Events are serialized; the callback never
-	// runs concurrently with itself.
+	// batch per stage — so one per operator, in plan order, on a
+	// one-batch run. Events are serialized; the callback never runs
+	// concurrently with itself.
 	OnProgress func(Progress)
 }
 
@@ -178,98 +178,52 @@ type Result struct {
 	Reopt *ReoptInfo
 }
 
-// RunPhysical executes an explicit physical operator sequence, selecting
-// the engine from the configuration: strictly sequential at
-// Parallelism <= 1 (full materialization between stages, elapsed time is
-// the sum of operator times), pipelined streaming otherwise (see
-// pipeline.go). Both engines produce identical records and per-operator
-// call/token/cost statistics.
-func (e *Executor) RunPhysical(phys []ops.Physical) (*Result, error) {
-	return e.RunPhysicalContext(context.Background(), phys)
+// Run executes an explicit physical operator sequence. When the run
+// overlaps stages (see pipelined) it streams batches of
+// Config.StreamBatchSize records; otherwise it is RunSequential.
+// Canceling ctx aborts the run between records and batches and returns
+// the context error.
+func (e *Executor) Run(ctx context.Context, phys []ops.Physical) (*Result, error) {
+	return e.run(ctx, phys, nil, !e.pipelined(scanParts(phys)))
 }
 
-// RunPhysicalContext is RunPhysical with cancellation: canceling ctx
-// aborts the run between records/batches and returns the context error.
-func (e *Executor) RunPhysicalContext(ctx context.Context, phys []ops.Physical) (*Result, error) {
-	if e.usePipelined(phys) {
-		return e.RunPipelinedContext(ctx, phys)
-	}
-	return e.RunSequentialContext(ctx, phys)
+// RunSequential executes the plan as one batch per stage at the
+// configured parallelism, ignoring partition fan-out: each operator runs
+// once over its full input, so elapsed time is the sum of the operators'
+// times. It is what Run does when no stages can overlap, exported so
+// benchmarks and tests can compare against the overlapping fold at equal
+// parallelism.
+func (e *Executor) RunSequential(ctx context.Context, phys []ops.Physical) (*Result, error) {
+	return e.run(ctx, phys, nil, true)
 }
 
-// usePipelined selects the streaming engine: configured parallelism or
-// partition fan-out beyond 1, or a plan whose scan carries its own
-// partition hint (a cached plan optimized for fan-out must not silently
-// run sequentially).
-func (e *Executor) usePipelined(phys []ops.Physical) bool {
-	if e.cfg.Parallelism > 1 || e.cfg.Partitions > 1 {
-		return true
-	}
-	if len(phys) == 0 {
-		return false
-	}
-	sc, ok := phys[0].(*ops.ScanExec)
-	return ok && sc.Parts > 1
+// pipelined reports whether a run's stages overlap: configured
+// parallelism or partition fan-out beyond 1, or a plan whose scan carries
+// its own fan-out parts beyond 1 (a cached plan optimized for fan-out must
+// not silently run as one batch). The engine then streams batches and
+// folds stage clocks with ops.PipelinedWallTime; otherwise it runs one
+// batch per stage and sums them. The optimizer's Options.Pipelined reads
+// the same predicate, so plans are judged by the fold that runs them.
+func (e *Executor) pipelined(parts int) bool {
+	return e.cfg.Parallelism > 1 || e.cfg.Partitions > 1 || parts > 1
 }
 
-// RunSequential executes the plan one operator at a time with full
-// materialization between stages — the engine RunPhysical uses at
-// Parallelism <= 1, exported so benchmarks and tests can compare engines
-// at equal parallelism.
-func (e *Executor) RunSequential(phys []ops.Physical) (*Result, error) {
-	return e.RunSequentialContext(context.Background(), phys)
-}
-
-// RunSequentialContext is RunSequential with cancellation.
-//
-// Accounting is run-local so that concurrent runs over one Executor (the
-// serving layer) never bleed into each other: simulated time accrues on a
-// per-run Tally (folded into the shared clock once at the end) and cost
-// comes from the run's own per-operator statistics rather than a diff of
-// the shared service totals.
-func (e *Executor) RunSequentialContext(ctx context.Context, phys []ops.Physical) (*Result, error) {
-	if len(phys) == 0 {
-		return nil, fmt.Errorf("exec: empty physical plan")
-	}
-	tally := simclock.NewTally(e.clock.Now())
-	rctx := e.NewCtx()
-	rctx.Clock = tally
-	rctx.Context = ctx
-	var recs []*record.Record
-	var err error
-	for i, op := range phys {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("exec: operator %d (%s): %w", i, op.ID(), cerr)
+// scanParts is the fan-out stamped on a plan's scan, 0 when there is
+// none.
+func scanParts(phys []ops.Physical) int {
+	if len(phys) > 0 {
+		if sc, ok := phys[0].(*ops.ScanExec); ok {
+			return sc.Parts
 		}
-		rctx.SetCurrentOp(i)
-		recs, err = ops.Run(rctx, op, recs)
-		if err != nil {
-			return nil, fmt.Errorf("exec: operator %d (%s): %w", i, op.ID(), err)
-		}
-		e.progress(i, op, 1, len(recs))
 	}
-	elapsed := tally.Total()
-	e.clock.Sleep(elapsed)
-	cost := rctx.Stats.TotalCost()
-	return &Result{
-		Records: recs,
-		Stats:   rctx.Stats,
-		Elapsed: elapsed,
-		CostUSD: cost,
-		Trace:   buildRunTrace("sequential", rctx.Stats, elapsed, cost, nil),
-	}, nil
+	return 0
 }
 
 // Execute optimizes the logical chain under policy and runs the chosen
 // plan: the engine behind pz.Execute (paper Figure 6: records,
-// execution_stats = Execute(output, policy)).
-func (e *Executor) Execute(chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Result, error) {
-	return e.ExecuteContext(context.Background(), chain, policy, opts)
-}
-
-// ExecuteContext is Execute with cancellation: ctx aborts sentinel
-// calibration, plan execution, and in-flight operator batches.
-func (e *Executor) ExecuteContext(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Result, error) {
+// execution_stats = Execute(output, policy)). Canceling ctx aborts
+// sentinel calibration, plan execution, and in-flight operator batches.
+func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Result, error) {
 	// Calibration (sentinel sampling) runs on a run-local tally so that
 	// concurrent Execute calls cannot pollute each other's optimization
 	// elapsed time; its LLM cost lands in optCtx's stats.
@@ -277,15 +231,15 @@ func (e *Executor) ExecuteContext(ctx context.Context, chain []ops.Logical, poli
 	optCtx := e.NewCtx()
 	optCtx.Clock = optTally
 	optCtx.Context = ctx
-	// Time-sensitive policies should judge plans by the engine that will
-	// actually run them; an explicit caller request for the streaming
+	// Time-sensitive policies should judge plans by the fold that will
+	// actually run them; an explicit caller request for the overlapping
 	// model is honored either way. The partition fan-out defaults to the
 	// engine's configured value so the optimizer stamps the same count
 	// onto the plan's scan that the engine would fan out to.
 	if opts.Partitions == 0 {
 		opts.Partitions = e.cfg.Partitions
 	}
-	opts.Pipelined = opts.Pipelined || e.cfg.Parallelism > 1 || e.cfg.Partitions > 1 || opts.Partitions > 1
+	opts.Pipelined = opts.Pipelined || e.pipelined(opts.Partitions)
 	opt := optimizer.New(opts)
 	plan, candidates, err := opt.Optimize(chain, policy, optCtx)
 	if err != nil {
@@ -293,57 +247,43 @@ func (e *Executor) ExecuteContext(ctx context.Context, chain []ops.Logical, poli
 	}
 	optElapsed := optTally.Total()
 	e.clock.Sleep(optElapsed)
-	res, err := e.runPlanContext(ctx, plan)
+	res, err := e.runPlan(ctx, plan, policy.Describe())
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
 	res.Candidates = len(candidates)
-	res.Policy = policy.Describe()
 	// Fold optimization-time (sentinel) cost and time into the run totals.
 	// Both sides are run-local (tally fold + per-run stats), so the sum is
-	// immune to concurrent runs and keeps the pipelined engine's
-	// single-count backoff accounting intact (see RunPipelined).
+	// immune to concurrent runs and keeps the engine's single-count
+	// backoff accounting intact (see run).
 	res.Elapsed = optElapsed + res.Elapsed
 	res.CostUSD = optCtx.Stats.TotalCost() + res.CostUSD
-	if res.Trace != nil {
-		opt := &trace.Span{
-			Kind:     trace.KindOptimize,
-			Name:     "optimize",
-			SimMS:    optElapsed.Milliseconds(),
-			CostUSD:  optCtx.Stats.TotalCost(),
-			LLMCalls: optCtx.Stats.TotalLLMCalls(),
-		}
-		res.Trace.Children = append([]*trace.Span{opt}, res.Trace.Children...)
-		res.Trace.SimMS = res.Elapsed.Milliseconds()
-		res.Trace.CostUSD = res.CostUSD
-		res.Trace.SetAttr("policy", res.Policy)
-		res.Trace.SetAttr("plan", plan.String())
-		res.Trace.SetAttr("candidates", fmt.Sprint(res.Candidates))
-		appendReoptSpan(res.Trace, res.Reopt)
+	optSpan := &trace.Span{
+		Kind:     trace.KindOptimize,
+		Name:     "optimize",
+		SimMS:    optElapsed.Milliseconds(),
+		CostUSD:  optCtx.Stats.TotalCost(),
+		LLMCalls: optCtx.Stats.TotalLLMCalls(),
 	}
+	res.Trace.Children = append([]*trace.Span{optSpan}, res.Trace.Children...)
+	res.Trace.SimMS = res.Elapsed.Milliseconds()
+	res.Trace.CostUSD = res.CostUSD
+	res.Trace.SetAttr("candidates", fmt.Sprint(res.Candidates))
 	return res, nil
 }
 
-// ExecutePlanContext runs an already-optimized plan, skipping enumeration
-// and selection entirely — the serving layer's plan-cache hit path.
+// ExecutePlan runs an already-optimized plan, skipping enumeration and
+// selection entirely — the serving layer's plan-cache hit path.
 // policyDesc labels the run's Policy field in reports.
-func (e *Executor) ExecutePlanContext(ctx context.Context, plan *optimizer.Plan, policyDesc string) (*Result, error) {
+func (e *Executor) ExecutePlan(ctx context.Context, plan *optimizer.Plan, policyDesc string) (*Result, error) {
 	if plan == nil || len(plan.Ops) == 0 {
 		return nil, fmt.Errorf("exec: nil or empty plan")
 	}
-	res, err := e.runPlanContext(ctx, plan)
+	res, err := e.runPlan(ctx, plan, policyDesc)
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
-	res.Policy = policyDesc
-	if res.Trace != nil {
-		res.Trace.SetAttr("policy", policyDesc)
-		res.Trace.SetAttr("plan", plan.String())
-		res.Trace.SetAttr("plan_cached", "true")
-		appendReoptSpan(res.Trace, res.Reopt)
-	}
+	res.Trace.SetAttr("plan_cached", "true")
 	return res, nil
 }
 

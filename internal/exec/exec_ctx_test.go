@@ -11,7 +11,7 @@ import (
 )
 
 // TestSequentialContextDeadline: an already-expired deadline aborts the
-// sequential engine before any operator runs, surfacing the context error.
+// one-batch run before any operator runs, surfacing the context error.
 func TestSequentialContextDeadline(t *testing.T) {
 	e, err := NewExecutor(Config{})
 	if err != nil {
@@ -20,14 +20,14 @@ func TestSequentialContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err = e.ExecuteContext(ctx, demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	_, err = e.Execute(ctx, demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
 
 // TestPipelinedContextCancelMidRun: canceling the caller's context while
-// the streaming engine is mid-flight tears down every stage and returns
+// the engine is mid-flight tears down every stage and returns
 // the cancellation, without deadlock or goroutine leak (the -race run
 // would flag unsynchronized teardown).
 func TestPipelinedContextCancelMidRun(t *testing.T) {
@@ -52,7 +52,7 @@ func TestPipelinedContextCancelMidRun(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.RunPipelinedContext(ctx, phys)
+		_, err := e.RunPipelined(ctx, phys)
 		done <- err
 	}()
 	select {
@@ -77,7 +77,7 @@ func TestConcurrentExecuteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Execute(chain, optimizer.MinCost{}, optimizer.Options{})
+	want, err := ref.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestConcurrentExecuteAccounting(t *testing.T) {
 	donech := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			results[i], errs[i] = e.Execute(chain, optimizer.MinCost{}, optimizer.Options{})
+			results[i], errs[i] = e.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
 			donech <- i
 		}(i)
 	}
@@ -132,11 +132,11 @@ func TestExecutePlanContextMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.Execute(chain, optimizer.MaxQuality{}, optimizer.Options{})
+	full, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := e.ExecutePlanContext(context.Background(), full.Plan, "replayed")
+	replay, err := e.ExecutePlan(context.Background(), full.Plan, "replayed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExecutePlanContextMatchesExecute(t *testing.T) {
 	if replay.Policy != "replayed" || replay.Plan != full.Plan {
 		t.Error("replay metadata not carried")
 	}
-	if _, err := e.ExecutePlanContext(context.Background(), nil, "x"); err == nil {
+	if _, err := e.ExecutePlan(context.Background(), nil, "x"); err == nil {
 		t.Error("nil plan accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func TestPermanentFailureSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	_, err = e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err == nil {
 		t.Fatal("pipeline succeeded despite 100% failure rate")
 	}
@@ -36,7 +37,7 @@ func TestParallelismDoesNotChangeOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestBackoffChargedToRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRes, err := clean.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	cleanRes, err := clean.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBackoffChargedToRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flakyRes, err := flaky.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	flakyRes, err := flaky.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestUsageTracksFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(demoChain(t), optimizer.MinCost{}, optimizer.Options{}); err != nil {
+	if _, err := e.Execute(context.Background(), demoChain(t), optimizer.MinCost{}, optimizer.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var failures int

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestE1ScientificDiscoveryMaxQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExecuteMinCostCheaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(demoChain(t), p, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), p, optimizer.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestRunPhysicalDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunPhysical(phys)
+	res, err := e.Run(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRunPhysicalDirect(t *testing.T) {
 	if res.Plan != nil {
 		t.Error("direct run should have nil Plan")
 	}
-	if _, err := e.RunPhysical(nil); err == nil {
+	if _, err := e.Run(context.Background(), nil); err == nil {
 		t.Error("empty plan accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestRunPhysicalDirect(t *testing.T) {
 func TestParallelismReducesElapsed(t *testing.T) {
 	run := func(par int) time.Duration {
 		e, _ := NewExecutor(Config{Parallelism: par})
-		res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestFailureInjectionRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatalf("pipeline failed despite retries: %v", err)
 	}
@@ -157,12 +158,12 @@ func TestFailureInjectionRecovered(t *testing.T) {
 
 func TestSentinelSamplingChargesCost(t *testing.T) {
 	e1, _ := NewExecutor(Config{})
-	plain, err := e1.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	plain, err := e1.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := NewExecutor(Config{})
-	sampled, err := e2.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{SampleSize: 4})
+	sampled, err := e2.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{SampleSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestSentinelSamplingChargesCost(t *testing.T) {
 
 func TestReportContents(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestReportContents(t *testing.T) {
 
 func TestStatsPerOperator(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestStatsPerOperator(t *testing.T) {
 
 func TestUsageMatchesResultCost(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestRelationalTailOperators(t *testing.T) {
 		&ops.Limit{N: 5},
 	}
 	e, _ := NewExecutor(Config{Parallelism: 4})
-	res, err := e.Execute(chain, optimizer.MinCost{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func supportPhys(t *testing.T, n int) []ops.Physical {
 // TestPartitionedScanParity is the engine-level acceptance check: the
 // partition-parallel run (per-partition source+map pipelines, merged by
 // seq tags) produces byte-identical records and matching per-operator
-// stats totals versus the sequential engine, and — because partitions
+// stats totals versus the one-batch run, and — because partitions
 // model independent shards — finishes faster on the simulated clock than
 // the single-reader pipelined run.
 func TestPartitionedScanParity(t *testing.T) {
@@ -44,15 +44,15 @@ func TestPartitionedScanParity(t *testing.T) {
 		}
 		return e
 	}
-	seq, err := newExec(0).RunSequential(phys)
+	seq, err := newExec(0).RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := newExec(1).RunPipelined(phys)
+	single, err := newExec(1).RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parted, err := newExec(8).RunPipelined(phys)
+	parted, err := newExec(8).RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestPartitionedBarrierMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	partExec, _ := NewExecutor(Config{Parallelism: 2, Partitions: 5})
-	part, err := partExec.RunPipelined(phys)
+	part, err := partExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestPartitionedBarrierMerge(t *testing.T) {
 
 // TestPartitionPlanHintWins: a plan whose scan carries a fan-out stamp
 // (as the optimizer leaves it for the serving plan cache) partitions even
-// when the executor config doesn't ask for it — and RunPhysical routes it
-// to the pipelined engine.
+// when the executor config doesn't ask for it — and Run streams it with
+// overlapping stages instead of one batch.
 func TestPartitionPlanHintWins(t *testing.T) {
 	phys := supportPhys(t, 48)
 	phys[0].(*ops.ScanExec).Parts = 4
@@ -123,15 +123,15 @@ func TestPartitionPlanHintWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.usePipelined(phys) {
-		t.Fatal("plan-carried partition hint did not select the pipelined engine")
+	if !e.pipelined(scanParts(phys)) {
+		t.Fatal("plan-carried partition hint did not select overlapping stages")
 	}
-	res, err := e.RunPhysical(phys)
+	res, err := e.Run(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestPartitionedFallbackUnpartitionable(t *testing.T) {
 		t.Fatal(err)
 	}
 	partExec, _ := NewExecutor(Config{Parallelism: 4, Partitions: 8})
-	res, err := partExec.RunPipelined(phys)
+	res, err := partExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{Parallelism: 4})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPartitionedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the run starts: every stage must unwind
-	if _, err := e.RunPipelinedContext(ctx, phys); !errors.Is(err, context.Canceled) {
+	if _, err := e.RunPipelined(ctx, phys); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -213,7 +213,7 @@ func TestPartitionedProgressTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunPipelined(phys)
+	res, err := e.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}

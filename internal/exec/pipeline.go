@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -12,20 +13,22 @@ import (
 	"repro/internal/simclock"
 )
 
-// The pipelined streaming executor. Operators are connected by bounded
-// channels of sequence-tagged record batches; every stage runs in its own
-// goroutine, processing batches with the worker-pool width resolved by
+// The execution engine. Operators are connected by bounded channels of
+// sequence-tagged record batches; every stage runs in its own goroutine,
+// processing batches with the worker-pool width resolved by
 // ops.StageParallelism. Bounded channels give backpressure (a fast scan
 // cannot run arbitrarily far ahead of a slow convert), a context cancels
 // all stages on the first error, and the sink reassembles batches by
-// sequence number so output order is identical to the sequential engine's.
+// sequence number so output order is dataset order.
 //
 // Simulated time: each stage accrues latency on its own simclock.Tally.
 // Stages that stream overlap, so a run of consecutive streamable stages
 // costs the maximum of their stage times; a blocking stage (sort,
 // aggregate, retrieve, ...) is a barrier that must wait for all upstream
-// work and then contributes its full time. The shared clock advances by
-// that combined wall-clock once at the end of the run.
+// work and then contributes its full time. A one-batch run (no
+// parallelism, no fan-out) has nothing to overlap: it costs the sum of
+// its stage times. The shared clock advances by that combined wall-clock
+// once at the end of the run.
 
 // pipelineDepth bounds each inter-stage channel: at most this many batches
 // buffer between adjacent stages before the producer blocks (backpressure).
@@ -36,7 +39,7 @@ const pipelineDepth = 2
 const defaultStreamBatch = 8
 
 // Progress is one pipeline progress event, reported per completed batch
-// (pipelined engine) or per completed operator (sequential engine).
+// of a stage (per operator on a one-batch run).
 type Progress struct {
 	// OpIndex is the operator's position in the physical plan.
 	OpIndex int
@@ -63,8 +66,8 @@ type batch struct {
 // batchSize resolves the configured stream batch size. The result is never
 // below Parallelism: a smaller batch would cap the per-stage worker pool at
 // the batch size (runParallel clamps to the batch length), serializing LLM
-// calls inside every stage and making the pipelined engine slower than the
-// sequential one it replaces.
+// calls inside every stage and making the overlapping run slower than a
+// one-batch run.
 func (e *Executor) batchSize() int {
 	size := e.cfg.StreamBatchSize
 	if size <= 0 {
@@ -90,37 +93,31 @@ func (e *Executor) progress(pos int, op ops.Physical, batches, records int) {
 	e.progressMu.Unlock()
 }
 
-// RunPipelined executes a physical plan on the streaming engine regardless
-// of the configured parallelism. Most callers should use RunPhysical, which
-// picks the engine from Config.Parallelism.
-func (e *Executor) RunPipelined(phys []ops.Physical) (*Result, error) {
-	return e.RunPipelinedContext(context.Background(), phys)
+// RunPipelined executes a physical plan streaming batches of
+// Config.StreamBatchSize records with overlapping stages, whatever the
+// configured parallelism. Most callers should use Run.
+func (e *Executor) RunPipelined(ctx context.Context, phys []ops.Physical) (*Result, error) {
+	return e.run(ctx, phys, nil, false)
 }
 
-// RunPipelinedContext is RunPipelined with cancellation: the engine's
-// internal first-error cancellation context derives from parent, so a
-// canceled caller tears down every stage the same way an operator error
-// does, and the run reports the parent's context error.
-func (e *Executor) RunPipelinedContext(parent context.Context, phys []ops.Physical) (*Result, error) {
-	return e.runPipelined(parent, phys, nil)
-}
-
-// runPipelined is the engine body. rc, when non-nil, arms mid-flight
-// re-optimization over the plan's filter window (see reopt.go); it is
-// disarmed below on partitioned runs, whose interleaved per-partition
-// batch order has no single swap point.
-func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc *reoptController) (*Result, error) {
+// run is the engine body. oneBatch runs the plan as one batch per stage
+// with no partition fan-out, folding stage clocks as a sum. rc, when
+// non-nil, arms mid-flight re-optimization over the plan's filter window
+// (see reopt.go); it is disarmed below on one-batch runs, which have no
+// batch after the decision, and on partitioned runs, whose interleaved
+// per-partition batch order has no single swap point. The engine's
+// first-error cancellation context derives from parent, so a canceled
+// caller tears down every stage the same way an operator error does, and
+// the run reports the parent's context error.
+func (e *Executor) run(parent context.Context, phys []ops.Physical, rc *reoptController, oneBatch bool) (*Result, error) {
 	if len(phys) == 0 {
 		return nil, fmt.Errorf("exec: empty physical plan")
 	}
 	scan, ok := phys[0].(*ops.ScanExec)
 	if !ok {
-		return nil, fmt.Errorf("exec: pipelined plan must start with a scan, not %s", phys[0].ID())
+		return nil, fmt.Errorf("exec: plan must start with a scan, not %s", phys[0].ID())
 	}
 	root := e.NewCtx()
-	if rc != nil {
-		rc.stats = root.Stats
-	}
 	start := e.clock.Now()
 
 	cctx, cancel := context.WithCancel(parent)
@@ -142,16 +139,27 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 	if scan.Parts > 0 {
 		parts = scan.Parts
 	}
+	size := e.batchSize()
+	if oneBatch {
+		// The scan emits the whole dataset as one batch, and every stage
+		// runs once over its full input.
+		parts, size = 1, math.MaxInt
+	}
 	layout := scan.Layout(parts)
 	// When the scan splits, its stream prefix runs once per partition;
 	// the first blocking stage (or the sink) is where the partitions merge.
 	prefixEnd := 1
 	if len(layout) > 1 {
-		// Partitioned prefixes run the window once per partition with
-		// interleaved batch order — no coherent swap point. The caller
-		// falls back to the post-run estimate correction.
-		rc = nil
 		prefixEnd = ops.StreamPrefix(phys)
+	}
+	// Without a batch after the K-th there is nothing to swap, and
+	// partitioned prefixes run the window once per partition with
+	// interleaved batch order — no coherent swap point. The caller falls
+	// back to the post-run estimate correction.
+	if rc != nil && !oneBatch && len(layout) == 1 {
+		rc.stats = root.Stats
+	} else {
+		rc = nil
 	}
 
 	// chans[i] carries stage i's output batches.
@@ -167,7 +175,6 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 			return false
 		}
 	}
-	size := e.batchSize()
 	var wg sync.WaitGroup
 
 	// Source: one source+map sub-pipeline per partition over stages
@@ -241,12 +248,12 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 			err := func() (err error) {
 				defer ops.Recover(&err)
 				return scan.Stream(sctx, len(layout), p, size, func(recs []*record.Record) error {
+					partOut[p][0] += len(recs)
+					note(0, len(recs))
 					if !send(out, batch{seq: seq, recs: recs}) {
 						return cctx.Err() // sends only fail on cancellation
 					}
 					seq++
-					partOut[p][0] += len(recs)
-					note(0, len(recs))
 					return nil
 				})
 			}()
@@ -273,12 +280,12 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 						fail(pos, op, err)
 						return
 					}
-					if !send(out, batch{seq: b.seq, recs: outRecs}) {
-						return
-					}
 					partIn[p][pos] += len(b.recs)
 					partOut[p][pos] += len(outRecs)
 					note(pos, len(outRecs))
+					if !send(out, batch{seq: b.seq, recs: outRecs}) {
+						return
+					}
 				}
 			}(i, local[i-1], local[i], pctxs[i])
 		}
@@ -324,12 +331,12 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 						fail(pos, runOp, err)
 						return
 					}
-					if !send(chans[pos], batch{seq: b.seq, recs: out, epoch: epoch}) {
-						return
-					}
 					batches++
 					emitted += len(out)
 					e.progress(pos, runOp, batches, emitted)
+					if !send(chans[pos], batch{seq: b.seq, recs: out, epoch: epoch}) {
+						return
+					}
 					if inWindow && batches <= rc.k {
 						winIn += len(b.recs)
 						winOut += len(out)
@@ -375,11 +382,8 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 			// batch so every downstream stage executes and records stats.
 			for seq, off := 0, 0; ; seq, off = seq+1, off+size {
 				end := min(off+size, len(out))
-				if !send(chans[pos], batch{seq: seq, recs: out[off:end:end]}) {
-					return
-				}
 				e.progress(pos, op, seq+1, end)
-				if end == len(out) {
+				if !send(chans[pos], batch{seq: seq, recs: out[off:end:end]}) || end == len(out) {
 					return
 				}
 			}
@@ -412,8 +416,8 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 	}
 
 	// Fold the stage clocks into the run's wall-clock (overlapping
-	// streamable segments cost their maximum; barriers add in full) and
-	// advance the shared clock once. Elapsed is the fold itself, not a
+	// streamable segments cost their maximum, barriers add in full, and a
+	// one-batch run adds every stage) and advance the shared clock once. Elapsed is the fold itself, not a
 	// shared-clock diff: retry backoff is already inside each response's
 	// Latency (and therefore inside the tallies), while the retry client
 	// additionally sleeps backoff on the shared clock — a diff would
@@ -431,10 +435,16 @@ func (e *Executor) runPipelined(parent context.Context, phys []ops.Physical, rc 
 			stageTimes[i] = max(stageTimes[i], partTallies[p][i].Total())
 		}
 	}
-	wall := ops.PipelinedWallTime(phys, stageTimes)
+	wall, shape := ops.PipelinedWallTime(phys, stageTimes), "pipelined"
+	if oneBatch {
+		wall, shape = 0, "sequential"
+		for _, t := range stageTimes {
+			wall += t
+		}
+	}
 	e.clock.Sleep(wall)
 	cost := root.Stats.TotalCost()
-	tr := buildRunTrace("pipelined", root.Stats, wall, cost, stageTimes)
+	tr := buildRunTrace(shape, root.Stats, wall, cost, stageTimes)
 	if len(layout) > 1 {
 		attachPartitionSpans(tr, prefixEnd, partIn, partOut, partTallies)
 	}

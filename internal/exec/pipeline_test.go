@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -62,9 +64,9 @@ func assertSameStats(t *testing.T, seq, pipe *ops.RunStats) {
 
 // TestPipelinedSpeedupAndIdenticalOutputs is the PR's acceptance check: on
 // a 3-LLM-operator, 100-record workload at Parallelism=8 the pipelined
-// engine is at least 2x faster on the simulated clock than the sequential
-// engine, with byte-identical output records and matching per-operator
-// stats totals.
+// run is at least 2x faster on the simulated clock than the one-batch
+// run, with byte-identical output records and matching per-operator stats
+// totals.
 func TestPipelinedSpeedupAndIdenticalOutputs(t *testing.T) {
 	phys, err := workloads.StreamPlan(100)
 	if err != nil {
@@ -72,12 +74,12 @@ func TestPipelinedSpeedupAndIdenticalOutputs(t *testing.T) {
 	}
 
 	seqExec, _ := NewExecutor(Config{Parallelism: 8})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipeExec, _ := NewExecutor(Config{Parallelism: 8})
-	pipe, err := pipeExec.RunPipelined(phys)
+	pipe, err := pipeExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +105,8 @@ func TestPipelinedSpeedupAndIdenticalOutputs(t *testing.T) {
 
 // TestPipelinedOrderingDeterministic: with Parallelism > 1 and a small
 // batch size, repeated pipelined runs of the demo chain (filter + OneToMany
-// convert) produce the same records in the same order as the sequential
-// engine.
+// convert) produce the same records in the same order as the one-batch
+// run.
 func TestPipelinedOrderingDeterministic(t *testing.T) {
 	chain := demoChain(t)
 	phys, err := optimizer.ChampionPlan(chain)
@@ -112,7 +114,7 @@ func TestPipelinedOrderingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestPipelinedOrderingDeterministic(t *testing.T) {
 	// over several batches and cross-batch reassembly is exercised.
 	for trial := 0; trial < 3; trial++ {
 		e, _ := NewExecutor(Config{Parallelism: 2, StreamBatchSize: 3})
-		res, err := e.RunPipelined(phys)
+		res, err := e.RunPipelined(context.Background(), phys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +142,7 @@ func TestPipelinedOrderingDeterministic(t *testing.T) {
 }
 
 // TestPipelinedBlockingOperators: a plan mixing streamable and blocking
-// stages (sort, limit are barriers) still matches the sequential engine.
+// stages (sort, limit are barriers) still matches the one-batch run.
 func TestPipelinedBlockingOperators(t *testing.T) {
 	chain := append(demoChain(t),
 		&ops.Sort{Field: "name", Descending: false},
@@ -151,12 +153,12 @@ func TestPipelinedBlockingOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipeExec, _ := NewExecutor(Config{Parallelism: 4, StreamBatchSize: 2})
-	pipe, err := pipeExec.RunPipelined(phys)
+	pipe, err := pipeExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestPipelineErrorCancelsInFlightWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := NewExecutor(Config{Parallelism: 2, StreamBatchSize: 1})
-	_, err = e.RunPipelined(phys)
+	_, err = e.RunPipelined(context.Background(), phys)
 	if err == nil {
 		t.Fatal("pipeline succeeded despite erroring operator")
 	}
@@ -202,8 +204,9 @@ func TestPipelineErrorCancelsInFlightWork(t *testing.T) {
 	}
 }
 
-// TestProgressCallback: both engines report progress, and the final stage's
-// cumulative record count equals the run's output size.
+// TestProgressCallback: both run shapes report progress, and the final
+// stage's cumulative record count equals the run's output size. A
+// one-batch run reports exactly one event per operator, in plan order.
 func TestProgressCallback(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -214,10 +217,14 @@ func TestProgressCallback(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			maxRecords := map[int]int{}
+			var order []int
 			events := 0
 			cfg := tc.cfg
 			cfg.OnProgress = func(p Progress) {
 				events++
+				if p.Batches == 1 {
+					order = append(order, p.OpIndex)
+				}
 				if p.Records > maxRecords[p.OpIndex] {
 					maxRecords[p.OpIndex] = p.Records
 				}
@@ -226,7 +233,7 @@ func TestProgressCallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+			res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,6 +242,9 @@ func TestProgressCallback(t *testing.T) {
 			}
 			if got := maxRecords[2]; got != len(res.Records) {
 				t.Errorf("final stage progress reported %d records, run produced %d", got, len(res.Records))
+			}
+			if tc.cfg.Parallelism == 1 && (events != len(res.Plan.Ops) || !slices.IsSorted(order)) {
+				t.Errorf("one-batch run: %d events, first batches in op order %v; want one per operator in plan order", events, order)
 			}
 		})
 	}
@@ -249,7 +259,7 @@ func TestPipelinedBackoffChargedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanExec, _ := NewExecutor(Config{Parallelism: 8})
-	clean, err := cleanExec.RunPipelined(phys)
+	clean, err := cleanExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestPipelinedBackoffChargedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky, err := flakyExec.RunPipelined(phys)
+	flaky, err := flakyExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +295,7 @@ func TestExecuteElapsedSingleCountsBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +314,7 @@ func TestExecuteElapsedSingleCountsBackoff(t *testing.T) {
 
 // TestPipelinedStatsRowsSurviveEmptyStages: when a stage drops every
 // record, all downstream operators still execute (on empty input) and
-// record their statistics rows, matching the sequential engine.
+// record their statistics rows, matching the one-batch run.
 func TestPipelinedStatsRowsSurviveEmptyStages(t *testing.T) {
 	chain := []ops.Logical{
 		&ops.Scan{Source: streamSource(t, 20)},
@@ -317,12 +327,12 @@ func TestPipelinedStatsRowsSurviveEmptyStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipeExec, _ := NewExecutor(Config{Parallelism: 4})
-	pipe, err := pipeExec.RunPipelined(phys)
+	pipe, err := pipeExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +345,7 @@ func TestPipelinedStatsRowsSurviveEmptyStages(t *testing.T) {
 	assertSameStats(t, seq.Stats, pipe.Stats)
 }
 
-// TestRunPhysicalDispatch: RunPhysical selects the engine by configured
+// TestRunPhysicalDispatch: Run picks the run shape by configured
 // parallelism and both paths reject empty plans.
 func TestRunPhysicalDispatch(t *testing.T) {
 	phys, err := optimizer.ChampionPlan(demoChain(t))
@@ -344,21 +354,21 @@ func TestRunPhysicalDispatch(t *testing.T) {
 	}
 	seqExec, _ := NewExecutor(Config{Parallelism: 1})
 	pipeExec, _ := NewExecutor(Config{Parallelism: 8})
-	seq, err := seqExec.RunPhysical(phys)
+	seq, err := seqExec.Run(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := pipeExec.RunPhysical(phys)
+	pipe, err := pipeExec.Run(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Records) != len(pipe.Records) {
-		t.Errorf("engines disagree: %d vs %d records", len(seq.Records), len(pipe.Records))
+		t.Errorf("run shapes disagree: %d vs %d records", len(seq.Records), len(pipe.Records))
 	}
 	if pipe.Elapsed >= seq.Elapsed {
 		t.Errorf("pipelined run %v not faster than sequential %v", pipe.Elapsed, seq.Elapsed)
 	}
-	if _, err := pipeExec.RunPipelined(nil); err == nil {
-		t.Error("empty plan accepted by pipelined engine")
+	if _, err := pipeExec.RunPipelined(context.Background(), nil); err == nil {
+		t.Error("empty plan accepted by pipelined run")
 	}
 }

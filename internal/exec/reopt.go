@@ -12,7 +12,7 @@ import (
 )
 
 // Mid-flight re-optimization, exec side (ROADMAP item 3). When a plan was
-// optimized with ReoptAfterBatches > 0, the pipelined engine arms a
+// optimized with ReoptAfterBatches > 0, an overlapping run arms a
 // reoptController over the plan's re-orderable filter window (a run of
 // adjacent record-wise NL filters, see optimizer.ReorderableWindow). Each
 // window stage reports its observed record flow and cost after completing
@@ -26,8 +26,9 @@ import (
 // hand. Because the window operators are order-commuting filters, the
 // output stays byte-identical to a never-swapped run; only the cost of
 // producing it changes. Partitioned prefixes run the window once per
-// partition with interleaved batch order, so in-flight swapping is
-// restricted to non-partitioned runs — those still get the post-run
+// partition with interleaved batch order, and a one-batch run has no
+// batch after the K-th, so in-flight swapping is restricted to
+// non-partitioned overlapping runs — the others still get the post-run
 // estimate correction below.
 
 // ReoptInfo summarizes a run's re-optimization check on the Result.
@@ -42,7 +43,7 @@ type ReoptInfo struct {
 	// filter ordering was actually adopted.
 	Triggered bool
 	Swapped   bool
-	// Phase is "inflight" when the pipelined engine decided mid-run,
+	// Phase is "inflight" when the engine decided mid-run,
 	// "postrun" when only the full-run estimate correction applied.
 	Phase string
 	// OldPlan and NewPlan are plan displays (equal unless Swapped).
@@ -55,7 +56,7 @@ type ReoptInfo struct {
 	CorrectedPlan *optimizer.Plan
 }
 
-// reoptController coordinates one pipelined run's mid-flight check.
+// reoptController coordinates one overlapping run's mid-flight check.
 type reoptController struct {
 	plan   *optimizer.Plan
 	k      int // batches each window stage observes before reporting
@@ -71,8 +72,8 @@ type reoptController struct {
 }
 
 // newReoptController arms a controller for a plan, or returns nil when the
-// plan has no re-optimization knob or no re-orderable window. The caller
-// (runPipelined) fills in stats before stages start.
+// plan has no re-optimization knob or no re-orderable window. The engine
+// (run) fills in stats before stages start.
 func newReoptController(plan *optimizer.Plan) *reoptController {
 	if plan == nil || plan.Opts.ReoptAfterBatches <= 0 {
 		return nil
@@ -174,28 +175,23 @@ func observationsFromStats(stats *ops.RunStats) []optimizer.StageObservation {
 	return obs
 }
 
-// runPlanContext executes an optimized plan with re-optimization armed
-// when the plan carries the knob: the pipelined engine gets the in-flight
-// hot-swap controller, every other path (sequential, partitioned, or a
-// run too short to decide mid-flight) falls back to a post-run estimate
-// correction so the plan cache still inherits observed statistics.
-func (e *Executor) runPlanContext(ctx context.Context, plan *optimizer.Plan) (*Result, error) {
-	reoptOn := plan.Opts.ReoptAfterBatches > 0
-	var rc *reoptController
-	var res *Result
-	var err error
-	if e.usePipelined(plan.Ops) {
-		if reoptOn {
-			rc = newReoptController(plan)
-		}
-		res, err = e.runPipelined(ctx, plan.Ops, rc)
-	} else {
-		res, err = e.RunSequentialContext(ctx, plan.Ops)
-	}
+// runPlan executes an optimized plan, labeling the result and its trace
+// with the plan and policyDesc. Re-optimization is armed when the plan
+// carries the knob: an overlapping run gets the in-flight hot-swap
+// controller, and every run the engine disarms it on (one-batch,
+// partitioned, or too short to decide mid-flight) falls back to a post-run
+// estimate correction so the plan cache still inherits observed
+// statistics.
+func (e *Executor) runPlan(ctx context.Context, plan *optimizer.Plan, policyDesc string) (*Result, error) {
+	rc := newReoptController(plan)
+	res, err := e.run(ctx, plan.Ops, rc, !e.pipelined(scanParts(plan.Ops)))
 	if err != nil {
 		return nil, err
 	}
-	if !reoptOn {
+	res.Plan, res.Policy = plan, policyDesc
+	res.Trace.SetAttr("policy", policyDesc)
+	res.Trace.SetAttr("plan", plan.String())
+	if plan.Opts.ReoptAfterBatches <= 0 {
 		return res, nil
 	}
 
@@ -220,6 +216,7 @@ func (e *Executor) runPlanContext(ctx context.Context, plan *optimizer.Plan) (*R
 		info.CorrectedPlan = dec.Corrected
 	}
 	res.Reopt = info
+	appendReoptSpan(res.Trace, info)
 	return res, nil
 }
 
@@ -249,9 +246,6 @@ func predicateSnippet(pred string) string {
 
 // appendReoptSpan attaches the run's re-optimization check to its trace.
 func appendReoptSpan(tr *trace.Span, ri *ReoptInfo) {
-	if tr == nil || ri == nil {
-		return
-	}
 	sp := &trace.Span{Kind: trace.KindReopt, Name: "reopt"}
 	sp.SetAttr("phase", ri.Phase)
 	sp.SetAttr("divergence", fmt.Sprintf("%.4f", ri.Divergence))

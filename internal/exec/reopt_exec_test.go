@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestReoptInflightSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := seqExec.Execute(reoptChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	seqRes, err := seqExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestReoptInflightSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeExec.Execute(reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
+	res, err := pipeExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestReoptSequentialPostrun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
+	res, err := e.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestReoptPlanCacheHitPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecutePlanContext(t.Context(), plan, "max quality")
+	res, err := e.ExecutePlan(t.Context(), plan, "max quality")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -28,10 +30,10 @@ func ndjsonSource(t testing.TB, n int) *dataset.NDJSONSource {
 }
 
 // TestStreamingScanParity runs the support-triage workload over a
-// file-backed NDJSON corpus on both engines. The pipelined engine's
+// file-backed NDJSON corpus on both run shapes. The pipelined run's
 // source stage streams the file incrementally (ScanExec.Stream over a
 // dataset.RecordIterator); its outputs and per-operator statistics must
-// match the sequential engine's materializing scan exactly.
+// match the one-batch run's materializing scan exactly.
 func TestStreamingScanParity(t *testing.T) {
 	src := ndjsonSource(t, 90)
 	chain, err := workloads.SupportTriageChain(src)
@@ -53,11 +55,11 @@ func TestStreamingScanParity(t *testing.T) {
 		}
 		return e
 	}
-	seq, err := newExec().RunSequential(phys)
+	seq, err := newExec().RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := newExec().RunPipelined(phys)
+	pipe, err := newExec().RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestStreamingScanEmitsIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunPipelined(phys)
+	res, err := e.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestStreamingScanEmitsIncrementally(t *testing.T) {
 
 // TestStreamingScanDropAllStats checks stats parity on the streaming
 // path when a downstream stage drops every record: each stage must still
-// record a row matching the sequential engine's.
+// record a row matching the one-batch run's.
 func TestStreamingScanDropAllStats(t *testing.T) {
 	src := ndjsonSource(t, 8)
 	chain := []ops.Logical{
@@ -140,11 +142,11 @@ func TestStreamingScanDropAllStats(t *testing.T) {
 		}
 		return e
 	}
-	seq, err := newExec().RunSequential(phys)
+	seq, err := newExec().RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := newExec().RunPipelined(phys)
+	pipe, err := newExec().RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,4 +154,29 @@ func TestStreamingScanDropAllStats(t *testing.T) {
 		t.Fatalf("drop-all kept %d/%d records", len(seq.Records), len(pipe.Records))
 	}
 	assertSameStats(t, seq.Stats, pipe.Stats)
+}
+
+// TestStreamHugeBatchAllocatesByData runs a file-backed scan with a
+// batch size far above the corpus: the scan's batch buffer must be sized
+// by the records it will actually hold, not preallocated at the batch
+// size (which, at 1<<22 pointers, is 32 MB per buffer).
+func TestStreamHugeBatchAllocatesByData(t *testing.T) {
+	src := ndjsonSource(t, 10)
+	e, err := NewExecutor(Config{Parallelism: 2, StreamBatchSize: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.Run(context.Background(), []ops.Physical{&ops.ScanExec{Source: src}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 10 {
+		t.Fatalf("got %d records, want 10", len(res.Records))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("a 10-record scan allocated %d bytes", grew)
+	}
 }

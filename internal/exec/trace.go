@@ -9,32 +9,27 @@ import (
 	"repro/internal/trace"
 )
 
-// Trace assembly. Both engines build a query-rooted span tree from the
+// Trace assembly. The engine builds a query-rooted span tree from the
 // run's per-operator statistics: one stage span per physical operator,
-// and (on the pipelined engine's partitioned prefix) one partition span
-// per (partition, stage) cell. ExecuteContext prepends the optimize
-// span and stamps plan/policy attributes, and ExecutePlanContext stamps
-// the plan it was handed; callers read the finished tree from
-// Result.Trace.
+// and (on a partitioned prefix) one partition span per (partition,
+// stage) cell. Execute prepends the optimize span and stamps plan/policy
+// attributes, and ExecutePlan stamps the plan it was handed; callers
+// read the finished tree from Result.Trace.
 
-// buildRunTrace assembles the root query span and its per-stage
-// children. stageTimes, when non-nil, overrides each stage span's
-// simulated duration with the engine's folded per-stage wall
-// contribution (the pipelined engine); otherwise the operator's own
-// accumulated time is used (the sequential engine).
-func buildRunTrace(engine string, stats *ops.RunStats, elapsed time.Duration, cost float64, stageTimes []time.Duration) *trace.Span {
+// buildRunTrace assembles the root query span, named for the run's shape
+// ("sequential" for one batch per stage, "pipelined" otherwise), and its
+// per-stage children. Each stage span's simulated duration is the stage's
+// clock as folded into the run: the slowest partition's on a partitioned
+// prefix.
+func buildRunTrace(shape string, stats *ops.RunStats, elapsed time.Duration, cost float64, stageTimes []time.Duration) *trace.Span {
 	root := &trace.Span{
 		Kind:    trace.KindQuery,
-		Name:    engine,
+		Name:    shape,
 		SimMS:   elapsed.Milliseconds(),
 		CostUSD: cost,
 	}
 	opStats := stats.Ops()
 	for i, op := range opStats {
-		simMS := op.Time.Milliseconds()
-		if stageTimes != nil && op.Position < len(stageTimes) {
-			simMS = stageTimes[op.Position].Milliseconds()
-		}
 		stage := &trace.Span{
 			Kind:         trace.KindStage,
 			Name:         op.OpID,
@@ -43,7 +38,7 @@ func buildRunTrace(engine string, stats *ops.RunStats, elapsed time.Duration, co
 			RecordsIn:    op.InRecords,
 			RecordsOut:   op.OutRecords,
 			Selectivity:  trace.Selectivity(op.InRecords, op.OutRecords),
-			SimMS:        simMS,
+			SimMS:        stageTimes[op.Position].Milliseconds(),
 			CostUSD:      op.CostUSD,
 			LLMCalls:     op.LLMCalls,
 			InputTokens:  op.InputTokens,

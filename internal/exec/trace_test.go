@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -8,24 +9,24 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestTraceSpanParity: the partitioned engine's trace must reconcile
-// with the sequential engine's — same stage spans in plan order with
+// TestTraceSpanParity: the partitioned run's trace must reconcile
+// with the one-batch run's — same stage spans in plan order with
 // identical record counts, and each partitioned stage's per-partition
 // children summing to the stage totals.
 func TestTraceSpanParity(t *testing.T) {
 	phys := supportPhys(t, 96)
 	seqExec, _ := NewExecutor(Config{})
-	seq, err := seqExec.RunSequential(phys)
+	seq, err := seqExec.RunSequential(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	partExec, _ := NewExecutor(Config{Parallelism: 4, Partitions: 8})
-	part, err := partExec.RunPipelined(phys)
+	part, err := partExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Trace == nil || part.Trace == nil {
-		t.Fatal("engines returned no trace")
+		t.Fatal("runs returned no trace")
 	}
 	if seq.Trace.Kind != trace.KindQuery || part.Trace.Kind != trace.KindQuery {
 		t.Fatalf("roots = %q/%q, want query spans", seq.Trace.Kind, part.Trace.Kind)
@@ -97,7 +98,7 @@ func TestExecuteTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(chain, optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -587,7 +588,7 @@ func RunAblationConvert() ([]AblationConvert, error) {
 			&ops.LLMFilterExec{Filter: chain[1].(*ops.Filter), Model: "atlas-large"},
 			&ops.LLMConvertExec{Convert: chain[2].(*ops.Convert), Model: "pigeon-7b", Bonded: bonded},
 		}
-		res, err := ctx.Executor().RunPhysical(phys)
+		res, err := ctx.Executor().Run(context.Background(), phys)
 		if err != nil {
 			return nil, err
 		}

@@ -152,17 +152,3 @@ func fnvAdd(h uint64, s string) uint64 {
 	}
 	return h
 }
-
-// CosineVec is the cosine similarity of two equal-length vectors.
-func CosineVec(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/record"
 	"repro/internal/schema"
+	"repro/internal/vector"
 )
 
 // demoRecords returns the paper-demo biomedical records.
@@ -495,10 +496,10 @@ func TestEmbedSimilarityStructure(t *testing.T) {
 	a := EmbedVector("colorectal cancer gene mutation study")
 	b := EmbedVector("a study of gene mutation in colorectal cancer")
 	c := EmbedVector("modern renovated kitchen with quartz countertops")
-	if CosineVec(a, b) <= CosineVec(a, c) {
-		t.Errorf("similar texts score %.3f, dissimilar %.3f", CosineVec(a, b), CosineVec(a, c))
+	if vector.Cosine(a, b) <= vector.Cosine(a, c) {
+		t.Errorf("similar texts score %.3f, dissimilar %.3f", vector.Cosine(a, b), vector.Cosine(a, c))
 	}
-	if sim := CosineVec(a, a); math.Abs(sim-1) > 1e-9 {
+	if sim := vector.Cosine(a, a); math.Abs(sim-1) > 1e-9 {
 		t.Errorf("self-similarity = %v", sim)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/record"
 	"repro/internal/schema"
+	"repro/internal/vector"
 )
 
 const cascadePredicate = "The ticket is urgent and needs immediate attention"
@@ -65,7 +66,7 @@ func calibrateProbe(t *testing.T, recs []*record.Record, ix *corpus.EmbedIndex, 
 	}
 	lo := 1.0
 	for _, v := range pos {
-		if s := CascadeScore(llm.CosineVec(probe, v)); s < lo {
+		if s := CascadeScore(vector.Cosine(probe, v)); s < lo {
 			lo = s
 		}
 	}
@@ -323,7 +324,7 @@ func TestCascadeLSHModeDeterministic(t *testing.T) {
 	exactSurvivors := 0
 	for _, r := range recs {
 		if v, ok := ix.Vector(r.GetString("filename")); ok {
-			if CascadeScore(llm.CosineVec(probe, v)) >= threshold {
+			if CascadeScore(vector.Cosine(probe, v)) >= threshold {
 				exactSurvivors++
 			}
 		}

@@ -170,7 +170,7 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 		}
 		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		latencies = append(latencies, resp.Latency)
-		sims[i] = llm.CosineVec(qv, rv)
+		sims[i] = vector.Cosine(qv, rv)
 	}
 	threshold := f.Threshold
 	if threshold <= 0 && len(in) > 0 {

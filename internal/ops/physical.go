@@ -47,7 +47,7 @@ type Physical interface {
 // Streamer is an optional Physical capability. A streamable operator's
 // Execute is batch-decomposable: running it over any partition of the input
 // and concatenating the outputs (in partition order) is equivalent to one
-// call over the whole input. The pipelined executor (internal/exec) streams
+// call over the whole input. The engine (internal/exec) streams
 // record batches through streamable operators and treats every other
 // operator as a barrier that materializes its full input first.
 type Streamer interface {
@@ -158,12 +158,13 @@ func (c *Ctx) Canceled() error {
 }
 
 // SetCurrentOp tells the context which plan position is executing; the
-// sequential executor calls this before each operator. The pipelined
-// executor uses ForOp instead, because its stages run concurrently.
+// optimizer's sentinel calibration calls this before each operator it
+// samples. The engine uses ForOp instead, because its stages run
+// concurrently.
 func (c *Ctx) SetCurrentOp(idx int) { c.curOp = idx }
 
 // ForOp returns a copy of the context pinned to plan position pos, with its
-// own clock and parallelism. The pipelined executor derives one per
+// own clock and parallelism. The engine derives one per
 // operator stage so that concurrent stages never share the mutable
 // current-operator field and each stage's simulated time accrues on its own
 // clock. Stats (mutex-protected) and the LLM client remain shared.
@@ -285,7 +286,7 @@ func (s *RunStats) noteTime(pos int, p Physical, d time.Duration) {
 }
 
 // noteTier accumulates one batch's tier-level accounting onto an operator,
-// merging by tier name (the pipelined engine calls this once per tier per
+// merging by tier name (the engine calls this once per tier per
 // batch). Tier order in OpStats.Tiers is first-recorded order, which is
 // the cascade's fixed tier order because every batch records its tiers
 // front to back.

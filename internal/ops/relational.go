@@ -28,8 +28,8 @@ func (s *ScanExec) ID() string { return fmt.Sprintf("scan(%s)", s.Source.Name())
 // Kind implements Physical.
 func (s *ScanExec) Kind() string { return "scan" }
 
-// Streamable implements Streamer. The pipelined executor never calls
-// Execute on a scan: it is the pipeline source, read through Stream.
+// Streamable implements Streamer. The engine never calls Execute on a
+// scan: it is the pipeline source, read through Stream.
 func (s *ScanExec) Streamable() bool { return true }
 
 // Estimate implements Physical. Scan sets the initial cardinality; the
@@ -63,7 +63,7 @@ func (s *ScanExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, err
 // in dataset order, for a fan-out of at most max. It always has at least
 // one entry: a source that cannot split (no dataset.PartitionedSource
 // index, a corpus too small, max < 2) streams as one partition, reported
-// as {-1} because its size is unknown until read. The pipelined engine
+// as {-1} because its size is unknown until read. The engine
 // numbers batches from the counts of the partitions before the last, so
 // the lone entry is never consulted.
 func (s *ScanExec) Layout(max int) []int {
@@ -86,6 +86,10 @@ func (s *ScanExec) Partitions() int {
 	return len(s.Layout(s.Parts))
 }
 
+// unknownCountBatchCap bounds a scan batch buffer's initial capacity when
+// the source does not know its record count.
+const unknownCountBatchCap = 1024
+
 // Stream emits partition part of the scan's parts-way Layout in dataset
 // order, in batches of up to size records, calling emit once per batch;
 // parts = 1 streams the whole dataset. A source that supports incremental
@@ -94,23 +98,35 @@ func (s *ScanExec) Partitions() int {
 // rather than the corpus size; any other source is materialized once and
 // emitted as sub-slices of its records. An empty partition emits one
 // empty batch, so every downstream stage still executes and records its
-// stats row, as it does on the sequential engine. Per-batch statistics
-// sum to exactly what Execute records. An error from emit aborts the
-// stream and is returned verbatim.
+// stats row. Per-batch statistics sum to exactly what Execute records.
+// An error from emit aborts the stream and is returned verbatim.
 func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.Record) error) error {
 	if size < 1 {
 		size = 1
 	}
+	// left is how many records are still to come when the source knows
+	// its count (-1 when it does not). Batch buffers start at
+	// min(size, left) and grow by append, so a batch size far above the
+	// data never preallocates beyond it.
+	left := -1
 	var iterate func(func(*record.Record) error) error
 	if parts > 1 {
 		ps, ok := s.Source.(dataset.PartitionedSource)
 		if !ok {
 			return fmt.Errorf("ops: scan source %s is not partitionable", s.Source.Name())
 		}
+		if layout := ps.PartitionLayout(parts); part < len(layout) {
+			left = layout[part]
+		}
 		iterate = func(yield func(*record.Record) error) error {
 			return ps.IteratePartition(parts, part, yield)
 		}
 	} else if it, ok := s.Source.(dataset.RecordIterator); ok {
+		if st, ok := s.Source.(dataset.Stater); ok {
+			if stats, ok := st.Stats(); ok {
+				left = stats.NumRecords
+			}
+		}
 		iterate = it.IterateRecords
 	} else {
 		recs, err := s.Source.Records()
@@ -125,13 +141,23 @@ func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.R
 			}
 		}
 	}
-	buf := make([]*record.Record, 0, size)
+	newBuf := func() []*record.Record {
+		n := min(size, unknownCountBatchCap)
+		if left >= 0 {
+			n = min(size, left)
+		}
+		return make([]*record.Record, 0, n)
+	}
+	buf := newBuf()
 	emitted := false
 	flush := func() error {
 		ctx.Stats.noteBatch(ctx.curOp, s, 0, len(buf))
 		out := buf
 		emitted = true
-		buf = make([]*record.Record, 0, size)
+		if left >= 0 {
+			left = max(0, left-len(out))
+		}
+		buf = newBuf()
 		return emit(out)
 	}
 	err := iterate(func(r *record.Record) error {

@@ -11,11 +11,11 @@
 // fan-out before full enumeration (the sample's LLM calls are charged to
 // usage, as in the real system).
 //
-// Runtime estimates come in two flavors matching internal/exec's two
-// engines: the default sequential sum of per-operator times, and — with
-// Options.Pipelined — the streaming model, where consecutive streamable
-// stages overlap and cost only their slowest member (see
-// docs/architecture.md for the pipeline dataflow).
+// Runtime estimates come in two flavors matching internal/exec's two run
+// shapes: the default sequential sum of per-operator times (one batch per
+// stage), and — with Options.Pipelined — the streaming model, where
+// consecutive streamable stages overlap and cost only their slowest
+// member (see docs/architecture.md for the pipeline dataflow).
 package optimizer
 
 import (
@@ -102,7 +102,7 @@ func (p *Plan) Cost() float64 { return p.Final.CostUSD }
 
 // Time returns the plan's estimated runtime in seconds: the sequential
 // sum of operator times by default, or the pipelined estimate
-// (TimePipelined) when the optimizer targeted the streaming engine.
+// (TimePipelined) when the optimizer targeted overlapping stages.
 func (p *Plan) Time() float64 {
 	if p.pipelined {
 		return p.TimePipelined
@@ -134,12 +134,13 @@ type Options struct {
 	// executor defaults it from its own Partitions config.
 	Partitions int
 	// ReoptAfterBatches, when > 0, arms mid-flight re-optimization on the
-	// pipelined engine: after this many batches have crossed each
+	// engine's overlapping runs: after this many batches have crossed each
 	// re-orderable filter stage, observed selectivity and cost are
 	// compared against the plan's estimates, and past ReoptDivergence the
 	// remaining work is re-planned and hot-swapped at a stage boundary
-	// (see internal/exec). Sequential runs apply the same check after the
-	// run to correct the cached plan's estimates.
+	// (see internal/exec). Runs that cannot swap (one batch per stage,
+	// partitioned) apply the same check after the run to correct the
+	// cached plan's estimates.
 	ReoptAfterBatches int
 	// Priors seeds per-position selectivity/fan-out estimates without
 	// running sentinel calibration — the way corrected estimates from an

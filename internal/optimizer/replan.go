@@ -214,7 +214,7 @@ type ReplanDecision struct {
 // crosses ReoptDivergence and [lo, hi) is a valid re-orderable
 // window — re-ranks the window's orderings by (cost, time) and proposes
 // the best. Pass lo = hi = 0 to skip re-ordering (estimate correction
-// only, the sequential engine's post-run path).
+// only, the engine's post-run path).
 func Replan(plan *Plan, observations []StageObservation, lo, hi int) *ReplanDecision {
 	dec := &ReplanDecision{
 		Threshold: ReoptDivergence,

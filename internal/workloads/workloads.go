@@ -17,7 +17,7 @@ import (
 // StreamPredicates are the three balanced filter predicates of the
 // streaming-engine comparison workload; every generated record's text
 // satisfies all of them (modulo per-model noise), keeping the stages
-// balanced so they overlap fully under the pipelined engine.
+// balanced so they overlap fully when stages stream.
 var StreamPredicates = [3]string{
 	"alpha beta study",
 	"gamma delta cohort",

@@ -62,7 +62,7 @@ func TestPartitionedExecutionIdentical(t *testing.T) {
 		}
 		return renderRecords(res.Records)
 	}
-	want := run(Config{}, 0)                                   // sequential engine
+	want := run(Config{}, 0)                                   // one-batch run
 	viaConfig := run(Config{Parallelism: 4, Partitions: 6}, 0) // context-wide fan-out
 	viaDataset := run(Config{Parallelism: 4}, 6)               // per-pipeline fan-out
 	for name, got := range map[string][]string{"Config.Partitions": viaConfig, "WithPartitions": viaDataset} {

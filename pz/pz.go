@@ -5,12 +5,14 @@
 // enumerates physical plans, selects one under the policy, runs it, and
 // reports execution statistics.
 //
-// Execution is handled by internal/exec: sequential at
-// Config.Parallelism <= 1, and the pipelined streaming engine otherwise —
-// operator stages run concurrently over bounded channels of record
-// batches (Config.StreamBatchSize), with progress reported through
-// Config.OnProgress. Outputs and per-operator statistics are identical
-// across both engines; only wall-clock changes. See docs/architecture.md.
+// Execution is handled by internal/exec's one engine: operator stages run
+// concurrently over bounded channels of record batches, with progress
+// reported through Config.OnProgress. At Config.Parallelism <= 1 with no
+// partition fan-out the plan runs as one batch per stage, so the modeled
+// runtime is the sum of the operator times; otherwise the scan streams
+// batches of Config.StreamBatchSize records and stages overlap. Outputs
+// and per-operator statistics are the same either way; only the modeled
+// runtime changes. See docs/architecture.md.
 //
 // The package mirrors the pipeline shape of the paper's Figure 6:
 //
@@ -161,11 +163,13 @@ func Frontier(plans []*Plan) []*Plan { return optimizer.Frontier(plans) }
 
 // Config configures a Context.
 type Config struct {
-	// Parallelism is the maximum concurrent LLM calls per operator.
+	// Parallelism is the maximum concurrent LLM calls per operator
+	// (default 1). Beyond 1, stages overlap: the scan streams batches of
+	// StreamBatchSize records through them.
 	Parallelism int
 	// Partitions is the partition fan-out for partitionable scans — an
 	// NDJSON corpus whose manifest carries a byte-offset partition index
-	// (see docs/howto-corpus.md). When > 1 the pipelined engine runs one
+	// (see docs/howto-corpus.md). When > 1 the engine runs one
 	// source+map pipeline per partition, each reading its own byte range
 	// of the file, and merges results back into exact dataset order, so
 	// outputs stay byte-identical to a sequential scan. 0/1 keeps the
@@ -176,12 +180,12 @@ type Config struct {
 	SampleSize int
 	// ReoptAfterBatches enables adaptive mid-flight re-optimization: after
 	// every re-orderable filter stage has processed this many batches, the
-	// pipelined engine compares observed selectivity and cost against the
+	// engine compares observed selectivity and cost against the
 	// plan's estimates and — past optimizer.ReoptDivergence — hot-swaps the
 	// remaining batches onto a cheaper filter ordering. Outputs stay
 	// byte-identical; only cost/time change. 0 disables (default).
-	// Runs that cannot swap mid-flight (sequential, partitioned, or
-	// shorter than the observation window) still fold observed statistics
+	// Runs that cannot swap mid-flight (one batch per stage, partitioned,
+	// or shorter than the observation window) still fold observed statistics
 	// into the corrected plan the serving plan cache keeps.
 	ReoptAfterBatches int
 	// EstimatePriors seeds the optimizer's per-position cost-model
@@ -197,13 +201,13 @@ type Config struct {
 	// (LRU eviction; 0 = unbounded). Only meaningful with EnableCache.
 	CacheCapacity int
 	// StreamBatchSize is the record batch size flowing between operator
-	// stages of the pipelined streaming engine, which runs whenever
-	// Parallelism > 1 (default 8; values below Parallelism are raised to
-	// it so batches keep every stage's worker pool full).
+	// stages when they overlap (default 8; values below Parallelism are
+	// raised to it so batches keep every stage's worker pool full). A run
+	// whose stages cannot overlap is one batch per stage and ignores it.
 	StreamBatchSize int
 	// OnProgress, when set, receives execution progress events: one per
-	// completed batch per stage (pipelined engine) or one per completed
-	// operator (sequential engine). Events are serialized.
+	// completed batch per stage — so one per operator, in plan order, on a
+	// one-batch run. Events are serialized.
 	OnProgress func(Progress)
 }
 
@@ -538,7 +542,7 @@ func (c *Context) ExecuteContext(ctx context.Context, d *Dataset, policy Policy)
 	if d.err != nil {
 		return nil, d.err
 	}
-	res, err := c.executor.ExecuteContext(ctx, d.chain, policy, c.optimizerOptions(d))
+	res, err := c.executor.Execute(ctx, d.chain, policy, c.optimizerOptions(d))
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +553,7 @@ func (c *Context) ExecuteContext(ctx context.Context, d *Dataset, policy Policy)
 // enumeration and selection — the fast path a serving layer takes on a
 // plan-cache hit. policyDesc labels the plan's policy in reports.
 func (c *Context) ExecutePlanContext(ctx context.Context, plan *Plan, policyDesc string) (*Result, error) {
-	res, err := c.executor.ExecutePlanContext(ctx, plan, policyDesc)
+	res, err := c.executor.ExecutePlan(ctx, plan, policyDesc)
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func TestOptimizeOnly(t *testing.T) {
 }
 
 // TestOptimizeOnlyMatchesExecute: explaining a plan and running it must
-// optimize the same problem, so for every policy on both engines the
+// optimize the same problem, so for every policy on both run shapes the
 // champion OptimizeOnly reports is the plan Execute runs.
 func TestOptimizeOnlyMatchesExecute(t *testing.T) {
 	policies := []Policy{
@@ -302,7 +302,7 @@ func TestFilterUDFZeroCost(t *testing.T) {
 
 // TestOperatorPanicFailsOnlyItsQuery: a UDF that panics fails the query
 // it runs in, naming the operator and the panic value, and leaves the
-// Context able to run the next query, on both engines.
+// Context able to run the next query, on both run shapes.
 func TestOperatorPanicFailsOnlyItsQuery(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ctx, ds := demoContext(t, Config{Parallelism: par})

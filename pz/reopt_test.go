@@ -105,7 +105,7 @@ func reoptRun(t *testing.T, domain string, docs []*corpus.Doc, cfg Config, reopt
 // across every corpus domain and two generator seeds, a pipelined run
 // whose mis-seeded priors force a hot swap must (a) actually swap
 // mid-flight, (b) stay byte-identical to the never-swapped pipelined run
-// and to the sequential engine, and (c) cost strictly less than the
+// and to the one-batch run, and (c) cost strictly less than the
 // never-swapped run — the swap prunes earlier, it never changes answers.
 // CI runs this under -race, exercising the swap protocol's concurrency.
 func TestReoptHotSwapParityProperty(t *testing.T) {
@@ -145,7 +145,7 @@ func TestReoptHotSwapParityProperty(t *testing.T) {
 						len(swapRecs), len(plainRecs))
 				}
 				if fmt.Sprint(swapRecs) != fmt.Sprint(seqRecs) {
-					t.Fatalf("hot-swapped output diverges from sequential engine: %d vs %d records",
+					t.Fatalf("hot-swapped output diverges from one-batch run: %d vs %d records",
 						len(swapRecs), len(seqRecs))
 				}
 				if swapRes.CostUSD >= plainRes.CostUSD {
@@ -157,7 +157,7 @@ func TestReoptHotSwapParityProperty(t *testing.T) {
 	}
 }
 
-// TestReoptSequentialPostrunCorrection: the sequential engine cannot swap
+// TestReoptSequentialPostrunCorrection: the one-batch run cannot swap
 // mid-flight, so with re-optimization enabled it must fall back to the
 // post-run path — divergence is still detected and the corrected plan is
 // still produced (the serving layer caches it), but nothing swaps and the
@@ -178,7 +178,7 @@ func TestReoptSequentialPostrunCorrection(t *testing.T) {
 		t.Fatalf("mis-seeded priors not detected post-run: divergence=%.3f threshold=%.3f", ri.Divergence, ri.Threshold)
 	}
 	if ri.Swapped {
-		t.Fatal("sequential engine must never hot-swap")
+		t.Fatal("one-batch run must never hot-swap")
 	}
 	if ri.CorrectedPlan == nil {
 		t.Fatal("post-run correction produced no corrected plan")
