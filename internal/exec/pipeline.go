@@ -417,11 +417,11 @@ func (e *Executor) run(parent context.Context, phys []ops.Physical, rc *reoptCon
 
 	// Fold the stage clocks into the run's wall-clock (overlapping
 	// streamable segments cost their maximum, barriers add in full, and a
-	// one-batch run adds every stage) and advance the shared clock once. Elapsed is the fold itself, not a
-	// shared-clock diff: retry backoff is already inside each response's
-	// Latency (and therefore inside the tallies), while the retry client
-	// additionally sleeps backoff on the shared clock — a diff would
-	// count it twice whenever FailureRate > 0.
+	// one-batch run adds every stage) and advance the shared clock once.
+	// Elapsed is the fold itself, not a shared-clock diff: retry backoff
+	// is already inside each response's Latency (and therefore inside the
+	// tallies), while the retry client additionally sleeps backoff on the
+	// shared clock — a diff would count it twice whenever FailureRate > 0.
 	// Prefix stages ran once per partition, concurrently: the stage's
 	// contribution to the fold is the slowest partition's clock, which is
 	// how fan-out shortens the modeled wall-clock.

@@ -86,10 +86,6 @@ func (s *ScanExec) Partitions() int {
 	return len(s.Layout(s.Parts))
 }
 
-// unknownCountBatchCap bounds a scan batch buffer's initial capacity when
-// the source does not know its record count.
-const unknownCountBatchCap = 1024
-
 // Stream emits partition part of the scan's parts-way Layout in dataset
 // order, in batches of up to size records, calling emit once per batch;
 // parts = 1 streams the whole dataset. A source that supports incremental
@@ -106,8 +102,9 @@ func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.R
 	}
 	// left is how many records are still to come when the source knows
 	// its count (-1 when it does not). Batch buffers start at
-	// min(size, left) and grow by append, so a batch size far above the
-	// data never preallocates beyond it.
+	// min(size, left), empty when the count is unknown, and grow by
+	// append, so a batch size far above the data never preallocates
+	// beyond it.
 	left := -1
 	var iterate func(func(*record.Record) error) error
 	if parts > 1 {
@@ -142,11 +139,7 @@ func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.R
 		}
 	}
 	newBuf := func() []*record.Record {
-		n := min(size, unknownCountBatchCap)
-		if left >= 0 {
-			n = min(size, left)
-		}
-		return make([]*record.Record, 0, n)
+		return make([]*record.Record, 0, min(size, max(left, 0)))
 	}
 	buf := newBuf()
 	emitted := false
