@@ -16,7 +16,10 @@ import (
 // writer does not cover makes it decline: NaN or an infinity, which
 // encoding/json cannot encode either, or a field value of a Go type
 // record.New does not store. The caller then fails; encoding/json stays
-// the reference in the tests.
+// the reference in the tests. AppendString and AppendFloat are also the
+// HTTP responses' string escaper (with HTML escaping on) and number
+// format (internal/serve), so one escaper owns the JSON strings on disk,
+// on the wire and over HTTP.
 
 // jsonWriter appends JSON. keys is scratch for sorting one map's keys.
 type jsonWriter struct{ keys []string }
@@ -35,9 +38,9 @@ func sorted[V any](keys *[]string, m map[string]V) []string {
 // appendDoc appends d as one corpus line.
 func (w *jsonWriter) appendDoc(dst []byte, d *Doc) ([]byte, bool) {
 	dst = append(dst, `{"filename":`...)
-	dst = appendString(dst, d.Filename)
+	dst = AppendString(dst, d.Filename, false)
 	dst = append(dst, `,"text":`...)
-	dst = appendString(dst, d.Text)
+	dst = AppendString(dst, d.Text, false)
 	dst = append(dst, `,"truth":`...)
 	dst, ok := w.appendTruth(dst, d.Truth)
 	return append(dst, '}', '\n'), ok
@@ -62,7 +65,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, topic)
+			dst = AppendString(dst, topic, false)
 		}
 		dst = append(dst, ']')
 	}
@@ -73,7 +76,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"kind":`...)
-			dst = appendString(dst, m.Kind)
+			dst = AppendString(dst, m.Kind, false)
 			dst = append(dst, `,"fields":`...)
 			dst = append(w.appendStringMap(dst, m.Fields), '}')
 		}
@@ -85,7 +88,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(appendString(dst, k), ':')
+			dst = append(AppendString(dst, k, false), ':')
 			dst = strconv.AppendBool(dst, t.Labels[k])
 		}
 		dst = append(dst, '}')
@@ -100,7 +103,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 				dst = append(dst, ',')
 			}
 			var ok bool
-			if dst, ok = appendFloat(append(appendString(dst, k), ':'), t.Numbers[k]); !ok {
+			if dst, ok = AppendFloat(append(AppendString(dst, k, false), ':'), t.Numbers[k]); !ok {
 				return dst, false
 			}
 		}
@@ -119,8 +122,8 @@ func (w *jsonWriter) appendStringMap(dst []byte, m map[string]string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(appendString(dst, k), ':')
-		dst = appendString(dst, m[k])
+		dst = append(AppendString(dst, k, false), ':')
+		dst = AppendString(dst, m[k], false)
 	}
 	return append(dst, '}')
 }
@@ -132,11 +135,11 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 	case nil:
 		return append(dst, "null"...), true
 	case string:
-		return appendString(dst, x), true
+		return AppendString(dst, x, false), true
 	case int64:
 		return strconv.AppendInt(dst, x, 10), true
 	case float64:
-		return appendFloat(dst, x)
+		return AppendFloat(dst, x)
 	case bool:
 		return strconv.AppendBool(dst, x), true
 	case []string:
@@ -148,7 +151,7 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, s)
+			dst = AppendString(dst, s, false)
 		}
 		return append(dst, ']'), true
 	case []byte:
@@ -161,11 +164,11 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 	return dst, false
 }
 
-// appendFloat appends f in encoding/json's format: the shortest decimal
+// AppendFloat appends f in encoding/json's format: the shortest decimal
 // that round-trips, in exponent form below 1e-6 and from 1e21 up, with a
 // one-digit negative exponent unpadded. NaN and the infinities have no
 // JSON form.
-func appendFloat(dst []byte, f float64) ([]byte, bool) {
+func AppendFloat(dst []byte, f float64) ([]byte, bool) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, false
 	}
@@ -183,16 +186,29 @@ func appendFloat(dst []byte, f float64) ([]byte, bool) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string, escaped as encoding/json does
-// with HTML escaping off: '"', '\\' and control characters, invalid
-// UTF-8 as \ufffd, and U+2028 and U+2029, which JavaScript reads as line
-// ends.
-func appendString(dst []byte, s string) []byte {
+// plainHTML is plain without '<', '>' and '&', which encoding/json
+// escapes when HTML escaping is on.
+var plainHTML = func() [256]bool {
+	t := plain
+	t['<'], t['>'], t['&'] = false, false, false
+	return t
+}()
+
+// AppendString appends s as a JSON string, escaped as encoding/json does:
+// '"', '\\' and control characters, invalid UTF-8 as \ufffd, and U+2028
+// and U+2029, which JavaScript reads as line ends. With escapeHTML it
+// also escapes '<', '>' and '&' as \u003c, \u003e and \u0026, as
+// json.Marshal and a default json.Encoder do.
+func AppendString(dst []byte, s string, escapeHTML bool) []byte {
+	safe := &plain
+	if escapeHTML {
+		safe = &plainHTML
+	}
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
-		if plain[c] {
+		if safe[c] {
 			i++
 			continue
 		}

@@ -74,3 +74,20 @@ func TestAppendDocMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendStringHTML: with HTML escaping on, the string escaper writes
+// what json.Marshal writes, and with it off what a json.Encoder with
+// SetEscapeHTML(false) writes.
+func TestAppendStringHTML(t *testing.T) {
+	for _, s := range []string{"", "plain", `<a href="x?a=1&b=2">&amp;</a>`, "\u2028\u2029 \x00\x1f\x7f \b\f\n\r\t \\ /",
+		"bad \xff \xed\xa0\x80 \xf0\x9f \U0001F600 \ufffd \u00e9"} {
+		want, _ := json.Marshal(s)
+		if got := AppendString(nil, s, true); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q, html) = %q, json.Marshal %q", s, got, want)
+		}
+		want, _ = encodeJSON(nil, s)
+		if got := AppendString(nil, s, false); !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("AppendString(%q) = %q, encoding/json %q", s, got, want)
+		}
+	}
+}

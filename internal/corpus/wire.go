@@ -67,7 +67,7 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(appendString(dst, f.Name), ':')
+		dst = append(AppendString(dst, f.Name, false), ':')
 		v, _ := r.Get(f.Name)
 		var ok bool
 		if dst, ok = appendValue(dst, v); !ok {
@@ -82,7 +82,7 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 		}
 	}
 	if src := r.Source(); src != "" {
-		dst = appendString(append(dst, `,"source":`...), src)
+		dst = AppendString(append(dst, `,"source":`...), src, false)
 	}
 	return append(dst, '}'), true
 }

@@ -153,7 +153,8 @@ func (j *Job) Trace() *trace.Span {
 type QueryResult struct {
 	// Records is the deterministic JSON rendering of the output records
 	// (see RecordsJSON) — byte-identical to a direct Context.Execute of
-	// the same spec.
+	// the same spec. The response writer splices it in as it is, which
+	// takes RecordsJSON's compact, HTML-escaped bytes.
 	Records json.RawMessage `json:"records"`
 	// Count is len(Records).
 	Count int `json:"count"`
@@ -293,12 +294,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -827,20 +822,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", metrics.PromContentType)
 	metrics.RenderProm(w, "pz", s.counters, s.hists, gauges)
-}
-
-// RecordsJSON renders records deterministically: one JSON object per
-// record with the schema's fields as keys. encoding/json sorts map keys,
-// so equal record sets always render to identical bytes — the property
-// the serving acceptance test uses to compare against direct Execute.
-func RecordsJSON(recs []*pz.Record) (json.RawMessage, error) {
-	out := make([]map[string]string, len(recs))
-	for i, r := range recs {
-		m := make(map[string]string, len(r.Schema().Fields()))
-		for _, f := range r.Schema().Fields() {
-			m[f.Name] = r.GetString(f.Name)
-		}
-		out[i] = m
-	}
-	return json.Marshal(out)
 }
