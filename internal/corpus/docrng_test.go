@@ -121,3 +121,19 @@ func FuzzDocRNG(f *testing.F) {
 		sameStream(t, "reseeded", r, rand.New(rand.NewSource(raw)), ops)
 	})
 }
+
+// TestIndexGeneratorReusesRNG checks that an index generator re-seeds one
+// RNG in place: producing a document that makes draws allocates nothing
+// beyond what the document function itself allocates.
+func TestIndexGeneratorReusesRNG(t *testing.T) {
+	doc := &Doc{}
+	g := NewIndexGenerator("t", 1<<30, 7, func(rng *rand.Rand, i int) *Doc {
+		for k := 0; k < 8; k++ {
+			rng.Intn(1000)
+		}
+		return doc
+	})
+	if allocs := testing.AllocsPerRun(1000, func() { g.Next() }); allocs != 0 {
+		t.Fatalf("Next allocates %.1f times per document; want 0", allocs)
+	}
+}

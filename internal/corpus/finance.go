@@ -53,14 +53,11 @@ var financeSuffix = []string{"Corp", "Inc", "Group", "Ltd"}
 // NumFilings), and exactly round(NumFilings*ProfitableRate) filings are
 // profitable, scattered deterministically across the corpus.
 func NewFinanceGenerator(cfg FinanceConfig) Generator {
-	if cfg.NumFilings <= 0 {
-		return &indexGen{domain: DomainFinance}
-	}
 	profitable := int(float64(cfg.NumFilings)*cfg.ProfitableRate + 0.5)
 	sc := newScatter(cfg.Seed, cfg.NumFilings)
-	return &indexGen{domain: DomainFinance, n: cfg.NumFilings, gen: func(i int) *Doc {
-		return genFiling(docRNG(cfg.Seed, i), i, sc.pos(i) < profitable)
-	}}
+	return newIndexGen(DomainFinance, cfg.NumFilings, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
+		return genFiling(rng, i, sc.pos(i) < profitable)
+	})
 }
 
 // GenerateFinance materializes the filings corpus — byte-identical to

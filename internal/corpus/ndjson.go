@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // The NDJSON corpus format: one JSON-encoded Doc per line (filename, full
@@ -128,40 +129,85 @@ func WriteNDJSON(w io.Writer, g Generator) (*Manifest, error) {
 
 // SaveNDJSON writes g's corpus to path and the manifest next to it. seed
 // and config document provenance (config may be nil; it is stored
-// verbatim as JSON). Returns the written manifest.
+// verbatim as JSON). Returns the written manifest. The corpus is written
+// to a temporary file beside path and renamed over it only once every
+// document is written, so a failed save leaves an existing corpus and its
+// manifest as they were.
 func SaveNDJSON(path string, g Generator, seed int64, config any) (*Manifest, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	m, err := WriteNDJSON(f, g)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.Seed = seed
+	var raw json.RawMessage
 	if config != nil {
-		raw, err := json.Marshal(config)
-		if err != nil {
+		var err error
+		if raw, err = json.Marshal(config); err != nil {
 			return nil, fmt.Errorf("corpus: marshal config: %w", err)
 		}
-		m.Config = raw
 	}
+	var m *Manifest
+	write := func(w io.Writer) (err error) {
+		m, err = WriteNDJSON(w, g)
+		return err
+	}
+	// The old manifest goes before the new corpus lands: until the new
+	// manifest is written, readers find the old corpus or a manifest-less
+	// new one (which they count for themselves), never a manifest that
+	// describes other bytes.
+	dropManifest := func() error {
+		if err := os.Remove(path + ManifestSuffix); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("corpus: %w", err)
+		}
+		return nil
+	}
+	if err := replaceFile(path, write, dropManifest); err != nil {
+		return nil, err
+	}
+	m.Seed, m.Config = seed, raw
 	if err := WriteManifest(path, m); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// WriteManifest stores m next to the corpus at path.
+// WriteManifest stores m next to the corpus at path, replacing any
+// previous manifest whole.
 func WriteManifest(path string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	return os.WriteFile(path+ManifestSuffix, append(data, '\n'), 0o644)
+	return replaceFile(path+ManifestSuffix, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}, nil)
+}
+
+// replaceFile writes path's new contents through write into a temporary
+// file in path's directory, then runs ready (when non-nil) and renames the
+// file over path. If any step fails, path is left as it was and the
+// temporary file is removed.
+func replaceFile(path string, write func(io.Writer) error, ready func() error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("corpus: %w", err)
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("corpus: %w", cerr)
+	}
+	if err == nil && ready != nil {
+		err = ready()
+	}
+	if err == nil {
+		if rerr := os.Rename(f.Name(), path); rerr != nil {
+			err = fmt.Errorf("corpus: %w", rerr)
+		}
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	return nil
 }
 
 // ReadManifest loads the manifest of the corpus at path. os.IsNotExist
@@ -202,24 +248,27 @@ const maxNDJSONLine = 8 << 20
 // time. It implements Generator, so a file-backed corpus flows through
 // the same API as a synthetic one (Collect, WriteNDJSON, validation).
 // Close it when done; Next returns io.EOF at end of file — or, for a
-// range reader (OpenNDJSONRange), after the range's document count.
+// range reader (OpenNDJSONRange), after the range's document count. A
+// file that ends before the promised count (the manifest's, the counting
+// pre-pass's, or the range's) is an error, not a clean end.
 type DocReader struct {
 	domain string
 	n      int
-	// remaining is the document budget of a range reader; -1 means
-	// unlimited (a whole-file reader).
-	remaining int
-	manifest  *Manifest
-	f         *os.File
-	lines     *lineReader
-	dec       docDecoder
+	read   int
+	// ranged marks a range reader, which stops after n documents; a
+	// whole-file reader reads to the end of the file.
+	ranged   bool
+	manifest *Manifest
+	f        *os.File
+	lines    *lineReader
+	dec      docDecoder
 }
 
 // OpenNDJSON opens the corpus at path. Domain and document count come
 // from the manifest when present; a manifest-less file is counted with
 // one streaming pre-pass so Len stays exact.
 func OpenNDJSON(path string) (*DocReader, error) {
-	r := &DocReader{remaining: -1}
+	r := &DocReader{}
 	m, err := ReadManifest(path)
 	switch {
 	case err == nil:
@@ -270,7 +319,7 @@ func (r *DocReader) Len() int { return r.n }
 // Next implements Generator: it decodes the next non-empty line (stopping
 // at the range's document budget for a range reader).
 func (r *DocReader) Next() (*Doc, error) {
-	if r.remaining == 0 {
+	if r.ranged && r.read == r.n {
 		return nil, io.EOF
 	}
 	if raw, ok := r.lines.next(); ok {
@@ -278,13 +327,14 @@ func (r *DocReader) Next() (*Doc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s line %d: %w", r.f.Name(), r.lines.line, err)
 		}
-		if r.remaining > 0 {
-			r.remaining--
-		}
+		r.read++
 		return d, nil
 	}
 	if err := r.lines.err(); err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", r.f.Name(), err)
+	}
+	if r.read < r.n {
+		return nil, fmt.Errorf("corpus: %s: file ends after %d of %d documents: %w", r.f.Name(), r.read, r.n, io.ErrUnexpectedEOF)
 	}
 	return nil, io.EOF
 }

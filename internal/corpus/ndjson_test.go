@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,4 +210,111 @@ func TestValidateNDJSONCatchesCorruption(t *testing.T) {
 			t.Fatalf("missing-manifest note absent: %v", rep.Notes)
 		}
 	})
+}
+
+// failAfter yields the first n documents of its generator, then fails.
+type failAfter struct {
+	Generator
+	n int
+}
+
+func (f *failAfter) Next() (*Doc, error) {
+	if f.n == 0 {
+		return nil, errors.New("generator broke")
+	}
+	f.n--
+	return f.Generator.Next()
+}
+
+// A save that fails part way must leave the corpus it would have replaced,
+// and that corpus's manifest, exactly as they were.
+func TestSaveNDJSONFailureKeepsPreviousCorpus(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "support.ndjson")
+	want, err := SaveNDJSON(path, NewSupportGenerator(SupportConfig{NumTickets: 1000, UrgentRate: 0.3, Seed: 3}), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := &failAfter{Generator: NewSupportGenerator(SupportConfig{NumTickets: 1000, UrgentRate: 0.3, Seed: 4}), n: 10}
+	if _, err := SaveNDJSON(path, broken, 4, nil); err == nil {
+		t.Fatal("save through a failing generator succeeded")
+	}
+
+	r, err := OpenNDJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 1000 || len(r.Manifest().Partitions(4)) != 4 || r.Manifest().Seed != 3 {
+		t.Fatalf("manifest after failed save: len %d, seed %d", r.Len(), r.Manifest().Seed)
+	}
+	docs, err := Collect(r)
+	if err != nil || len(docs) != 1000 {
+		t.Fatalf("read %d docs (err %v) after failed save, want the previous 1000", len(docs), err)
+	}
+	rep, err := ValidateNDJSON(path)
+	if err != nil || !rep.OK() || rep.SHA256 != want.SHA256 {
+		t.Fatalf("previous corpus no longer validates: %+v, %v", rep, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("files left beside the corpus: %v", names)
+	}
+}
+
+// A corpus cut short by whole lines must fail to scan, both as one file
+// (against the manifest's count) and as a partition (against the range's).
+func TestShortCorpusIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "support.ndjson")
+	m, err := SaveNDJSON(path, NewSupportGenerator(SupportConfig{NumTickets: 400, UrgentRate: 0.3, Seed: 5}), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	cut := bytes.Join(lines[:len(lines)-6], nil) // 5 documents and the empty tail
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenNDJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if docs, err := Collect(r); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "395 of 400") {
+		t.Fatalf("whole-file scan of a short corpus: %d docs, err %v", len(docs), err)
+	}
+
+	parts := m.Partitions(4)
+	last := parts[len(parts)-1]
+	pr, err := OpenNDJSONRange(path, last.Offset, last.Docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if docs, err := Collect(pr); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("partition scan of a short corpus: %d docs, err %v", len(docs), err)
+	}
+	for _, p := range parts[:len(parts)-1] {
+		pr, err := OpenNDJSONRange(path, p.Offset, p.Docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := Collect(pr)
+		pr.Close()
+		if err != nil || len(docs) != p.Docs {
+			t.Fatalf("intact partition %d: %d docs, err %v", p.Ordinal, len(docs), err)
+		}
+	}
 }

@@ -17,16 +17,17 @@ import (
 // generators: document i's stream depends only on (seed, i), never on how
 // many documents were generated before it. Domains built on DocRNG are
 // constant-memory at any corpus size and can be range-partitioned freely.
+// The stream is exactly rand.New(rand.NewSource(mix64(seed, i)))'s, from a
+// source that computes its register words on first read.
 func DocRNG(seed int64, i int) *rand.Rand { return docRNG(seed, i) }
 
 // NewIndexGenerator builds a streaming generator over an index-addressable
-// document function: gen(i) must be a pure function of i (derive all
-// randomness from DocRNG). n <= 0 yields an empty generator.
-func NewIndexGenerator(domain string, n int, gen func(i int) *Doc) Generator {
-	if n <= 0 {
-		return &indexGen{domain: domain}
-	}
-	return &indexGen{domain: domain, n: n, gen: gen}
+// document function: gen(rng, i) must be a pure function of i and the
+// draws it makes from rng, which yields DocRNG(seed, i)'s stream. The
+// generator owns one RNG and re-seeds it in place for every document, so
+// gen must not keep rng past the call. n <= 0 yields an empty generator.
+func NewIndexGenerator(domain string, n int, seed int64, gen func(rng *rand.Rand, i int) *Doc) Generator {
+	return newIndexGen(domain, n, seed, gen)
 }
 
 // PositiveScatter marks exactly round(n*rate) of n documents as the

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"io"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,8 +17,8 @@ func TestDocRNGMatchesInternal(t *testing.T) {
 }
 
 func TestNewIndexGenerator(t *testing.T) {
-	g := NewIndexGenerator("t", 3, func(i int) *Doc {
-		return &Doc{Filename: strings.Repeat("x", i+1)}
+	g := NewIndexGenerator("t", 3, 17, func(rng *rand.Rand, i int) *Doc {
+		return &Doc{Filename: strings.Repeat("x", i+1), Text: strconv.FormatInt(rng.Int63(), 10)}
 	})
 	if g.Domain() != "t" || g.Len() != 3 {
 		t.Fatalf("domain %q len %d", g.Domain(), g.Len())
@@ -27,11 +28,15 @@ func TestNewIndexGenerator(t *testing.T) {
 		if err != nil || len(d.Filename) != want {
 			t.Fatalf("doc %d: %v %v", want, d, err)
 		}
+		// The generator's re-seeded RNG is document i's DocRNG stream.
+		if v := strconv.FormatInt(DocRNG(17, want-1).Int63(), 10); d.Text != v {
+			t.Fatalf("doc %d: drew %s, DocRNG draws %s", want, d.Text, v)
+		}
 	}
 	if _, err := g.Next(); err != io.EOF {
 		t.Fatalf("want io.EOF after the last doc, got %v", err)
 	}
-	empty := NewIndexGenerator("t", 0, nil)
+	empty := NewIndexGenerator("t", 0, 17, nil)
 	if empty.Len() != 0 {
 		t.Fatalf("empty generator has Len %d", empty.Len())
 	}
@@ -84,10 +89,10 @@ func TestRegisterDomainErrors(t *testing.T) {
 	// text): the registry-wide determinism test sweeps every entry.
 	name := "sdk-test-domain"
 	if err := RegisterDomain(Domain{Name: name, DefaultDocs: 1, New: func(n int, rate float64, seed int64) Generator {
-		return NewIndexGenerator(name, n, func(i int) *Doc {
+		return NewIndexGenerator(name, n, seed, func(rng *rand.Rand, i int) *Doc {
 			return &Doc{
 				Filename: "d",
-				Text:     strconv.FormatInt(DocRNG(seed, i).Int63(), 10),
+				Text:     strconv.FormatInt(rng.Int63(), 10),
 				Truth:    &Truth{Topics: []string{"t"}},
 			}
 		})

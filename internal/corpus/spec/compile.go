@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -164,9 +165,9 @@ func (c *Compiled) Generator(n int, rate float64, seed int64) corpus.Generator {
 		}
 		ps = corpus.NewPositiveScatter(seed, n, rate)
 	}
-	return corpus.NewIndexGenerator(c.spec.Name, n, func(i int) *corpus.Doc {
+	return corpus.NewIndexGenerator(c.spec.Name, n, seed, func(rng *rand.Rand, i int) *corpus.Doc {
 		positive := c.spec.Positive != nil && ps.Positive(i)
-		return c.doc(seed, i, positive)
+		return c.doc(rng, i, positive)
 	})
 }
 
@@ -190,11 +191,11 @@ type fieldVal struct {
 	row   []string
 }
 
-// doc realizes document i. Draw order is the package determinism
-// contract: base draws in field order, then positive overrides in field
-// order, then (draw-free) template fields, filename, text, and truth.
-func (c *Compiled) doc(seed int64, i int, positive bool) *corpus.Doc {
-	rng := corpus.DocRNG(seed, i)
+// doc realizes document i from rng, document i's DocRNG stream. Draw
+// order is the package determinism contract: base draws in field order,
+// then positive overrides in field order, then (draw-free) template
+// fields, filename, text, and truth.
+func (c *Compiled) doc(rng *rand.Rand, i int, positive bool) *corpus.Doc {
 	vals := make([]fieldVal, len(c.fields))
 	for fi := range c.fields {
 		f := c.fields[fi].spec

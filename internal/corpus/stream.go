@@ -86,14 +86,24 @@ func (g *SliceGenerator) Next() (*Doc, error) {
 }
 
 // indexGen is the constant-memory generator base of the scale domains:
-// document i is produced by gen(i) from a per-index RNG (see docRNG), so
-// the stream holds no state beyond a cursor and any prefix of the corpus
-// is independent of the rest.
+// document i is produced by gen from its own RNG stream (see docRNG), so
+// the stream holds no state beyond a cursor and one RNG, and any prefix of
+// the corpus is independent of the rest. The RNG is re-seeded in place for
+// every document, so generating allocates no RNG state per document.
 type indexGen struct {
 	domain string
 	n      int
 	next   int
-	gen    func(i int) *Doc
+	seed   int64
+	rng    *rand.Rand
+	gen    func(rng *rand.Rand, i int) *Doc
+}
+
+func newIndexGen(domain string, n int, seed int64, gen func(rng *rand.Rand, i int) *Doc) *indexGen {
+	if n <= 0 {
+		return &indexGen{domain: domain}
+	}
+	return &indexGen{domain: domain, n: n, seed: seed, rng: rand.New(new(lazySource)), gen: gen}
 }
 
 // Domain implements Generator.
@@ -107,7 +117,8 @@ func (g *indexGen) Next() (*Doc, error) {
 	if g.next >= g.n {
 		return nil, io.EOF
 	}
-	d := g.gen(g.next)
+	g.rng.Seed(mix64(g.seed, g.next))
+	d := g.gen(g.rng, g.next)
 	g.next++
 	return d, nil
 }
@@ -123,9 +134,13 @@ func mix64(seed int64, i int) int64 {
 
 // docRNG is the per-document RNG of the index-addressable generators:
 // document i's content depends only on (seed, i), never on how many
-// documents were generated before it.
+// documents were generated before it. Its stream is exactly
+// rand.New(rand.NewSource(mix64(seed, i)))'s, from a lazily seeded source
+// (see lazySource).
 func docRNG(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(mix64(seed, i)))
+	s := new(lazySource)
+	s.Seed(mix64(seed, i))
+	return rand.New(s)
 }
 
 // scatter maps document indices to pseudo-random positions in [0, n) via

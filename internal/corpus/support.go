@@ -83,14 +83,11 @@ var routinePhrases = []string{
 // NumTickets), and exactly round(NumTickets*UrgentRate) tickets are
 // urgent, scattered deterministically across the corpus.
 func NewSupportGenerator(cfg SupportConfig) Generator {
-	if cfg.NumTickets <= 0 {
-		return &indexGen{domain: DomainSupport}
-	}
 	urgent := int(float64(cfg.NumTickets)*cfg.UrgentRate + 0.5)
 	sc := newScatter(cfg.Seed, cfg.NumTickets)
-	return &indexGen{domain: DomainSupport, n: cfg.NumTickets, gen: func(i int) *Doc {
-		return genTicket(docRNG(cfg.Seed, i), i, sc.pos(i) < urgent)
-	}}
+	return newIndexGen(DomainSupport, cfg.NumTickets, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
+		return genTicket(rng, i, sc.pos(i) < urgent)
+	})
 }
 
 // GenerateSupport materializes the support corpus — byte-identical to
