@@ -55,7 +55,7 @@ var financeSuffix = []string{"Corp", "Inc", "Group", "Ltd"}
 func NewFinanceGenerator(cfg FinanceConfig) Generator {
 	profitable := int(float64(cfg.NumFilings)*cfg.ProfitableRate + 0.5)
 	sc := newScatter(cfg.Seed, cfg.NumFilings)
-	return newIndexGen(DomainFinance, cfg.NumFilings, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
+	return NewIndexGenerator(DomainFinance, cfg.NumFilings, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
 		return genFiling(rng, i, sc.pos(i) < profitable)
 	})
 }

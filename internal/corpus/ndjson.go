@@ -183,29 +183,33 @@ func WriteManifest(path string, m *Manifest) error {
 // file in path's directory, then runs ready (when non-nil) and renames the
 // file over path. If any step fails, path is left as it was and the
 // temporary file is removed.
-func replaceFile(path string, write func(io.Writer) error, ready func() error) error {
+func replaceFile(path string, write func(io.Writer) error, ready func() error) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	err = write(f)
-	if err == nil {
-		err = f.Chmod(0o644)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err := write(f); err != nil {
+		return err
 	}
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("corpus: %w", cerr)
+	if err := f.Chmod(0o644); err != nil {
+		return fmt.Errorf("corpus: %w", err)
 	}
-	if err == nil && ready != nil {
-		err = ready()
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("corpus: %w", err)
 	}
-	if err == nil {
-		if rerr := os.Rename(f.Name(), path); rerr != nil {
-			err = fmt.Errorf("corpus: %w", rerr)
+	if ready != nil {
+		if err := ready(); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		os.Remove(f.Name())
-		return err
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("corpus: %w", err)
 	}
 	return nil
 }

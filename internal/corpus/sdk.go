@@ -27,7 +27,10 @@ func DocRNG(seed int64, i int) *rand.Rand { return docRNG(seed, i) }
 // generator owns one RNG and re-seeds it in place for every document, so
 // gen must not keep rng past the call. n <= 0 yields an empty generator.
 func NewIndexGenerator(domain string, n int, seed int64, gen func(rng *rand.Rand, i int) *Doc) Generator {
-	return newIndexGen(domain, n, seed, gen)
+	if n <= 0 {
+		return &indexGen{domain: domain}
+	}
+	return &indexGen{domain: domain, n: n, seed: seed, rng: rand.New(new(lazySource)), gen: gen}
 }
 
 // PositiveScatter marks exactly round(n*rate) of n documents as the

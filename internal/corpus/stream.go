@@ -85,11 +85,12 @@ func (g *SliceGenerator) Next() (*Doc, error) {
 	return d, nil
 }
 
-// indexGen is the constant-memory generator base of the scale domains:
-// document i is produced by gen from its own RNG stream (see docRNG), so
-// the stream holds no state beyond a cursor and one RNG, and any prefix of
-// the corpus is independent of the rest. The RNG is re-seeded in place for
-// every document, so generating allocates no RNG state per document.
+// indexGen is the constant-memory generator base of the scale domains
+// (see NewIndexGenerator): document i is produced by gen from its own RNG
+// stream (see docRNG), so the stream holds no state beyond a cursor and
+// one RNG, and any prefix of the corpus is independent of the rest. The
+// RNG is re-seeded in place for every document, so generating allocates
+// no RNG state per document.
 type indexGen struct {
 	domain string
 	n      int
@@ -97,13 +98,6 @@ type indexGen struct {
 	seed   int64
 	rng    *rand.Rand
 	gen    func(rng *rand.Rand, i int) *Doc
-}
-
-func newIndexGen(domain string, n int, seed int64, gen func(rng *rand.Rand, i int) *Doc) *indexGen {
-	if n <= 0 {
-		return &indexGen{domain: domain}
-	}
-	return &indexGen{domain: domain, n: n, seed: seed, rng: rand.New(new(lazySource)), gen: gen}
 }
 
 // Domain implements Generator.

@@ -85,7 +85,7 @@ var routinePhrases = []string{
 func NewSupportGenerator(cfg SupportConfig) Generator {
 	urgent := int(float64(cfg.NumTickets)*cfg.UrgentRate + 0.5)
 	sc := newScatter(cfg.Seed, cfg.NumTickets)
-	return newIndexGen(DomainSupport, cfg.NumTickets, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
+	return NewIndexGenerator(DomainSupport, cfg.NumTickets, cfg.Seed, func(rng *rand.Rand, i int) *Doc {
 		return genTicket(rng, i, sc.pos(i) < urgent)
 	})
 }
