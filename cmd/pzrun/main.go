@@ -58,19 +58,15 @@ import (
 
 // options collects the flag-derived run configuration.
 type options struct {
-	policy      string
-	param       float64
-	maxRecords  int
-	parallelism int
-	partitions  int
-	batch       int
-	sample      int
-	reoptAfter  int
-	progress    bool
-	timeout     time.Duration
-	server      string
-	tenant      string
-	tracePath   string
+	policy     string
+	param      float64
+	maxRecords int
+	engine     pz.Config
+	progress   bool
+	timeout    time.Duration
+	server     string
+	tenant     string
+	tracePath  string
 }
 
 func main() {
@@ -79,12 +75,8 @@ func main() {
 	flag.StringVar(&opts.policy, "policy", "max-quality", "optimization policy (spec-file policy wins when set)")
 	flag.Float64Var(&opts.param, "param", 0, "parameter for constrained policies")
 	flag.IntVar(&opts.maxRecords, "records", 10, "output records to display")
-	flag.IntVar(&opts.parallelism, "parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
-	flag.IntVar(&opts.partitions, "partitions", 0, "partition fan-out for indexed NDJSON datasets (0 = single reader locally / server default with -server; spec-file partitions win)")
-	flag.IntVar(&opts.batch, "batch", 0, "record batch size between pipeline stages (0 = auto; floored at -parallelism)")
+	serve.EngineFlags(flag.CommandLine, &opts.engine)
 	flag.BoolVar(&opts.progress, "progress", false, "print per-stage progress events to stderr")
-	flag.IntVar(&opts.sample, "sample", 0, "sentinel calibration sample size")
-	flag.IntVar(&opts.reoptAfter, "reopt-after", 0, "batches each filter stage observes before the engine checks for a mid-flight re-plan (0 = disabled; spec-file reopt_after wins)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "abort the run after this long (0 = no timeout)")
 	flag.StringVar(&opts.server, "server", "", "submit the spec to a running pzserve at this base URL instead of executing locally")
 	flag.StringVar(&opts.tenant, "tenant", "", "tenant name sent to -server via X-PZ-Tenant")
@@ -94,16 +86,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if opts.parallelism < 1 {
-		fmt.Fprintf(os.Stderr, "pzrun: -parallelism must be >= 1, got %d\n", opts.parallelism)
-		os.Exit(2)
-	}
-	if opts.partitions < 0 {
-		fmt.Fprintf(os.Stderr, "pzrun: -partitions must be >= 0, got %d\n", opts.partitions)
-		os.Exit(2)
-	}
-	if opts.reoptAfter < 0 {
-		fmt.Fprintf(os.Stderr, "pzrun: -reopt-after must be >= 0, got %d\n", opts.reoptAfter)
+	if err := serve.CheckEngineFlags(opts.engine); err != nil {
+		fmt.Fprintln(os.Stderr, "pzrun:", err)
 		os.Exit(2)
 	}
 	if err := run(*specPath, opts); err != nil {
@@ -128,15 +112,15 @@ func run(specPath string, opts options) error {
 		sp.Policy = opts.policy
 		sp.PolicyParam = opts.param
 	}
-	// A partition fan-out in the spec file wins, so a spec submitted to
-	// pzserve behaves identically here; the flag fills the gap either way
-	// (Build applies it locally, the JSON body carries it remotely).
+	// A partition fan-out or re-optimization window in the spec file
+	// wins, so a spec submitted to pzserve behaves identically here; the
+	// flag fills the gap either way (Build applies it locally, the JSON
+	// body carries it remotely).
 	if sp.Partitions == 0 {
-		sp.Partitions = opts.partitions
+		sp.Partitions = opts.engine.Partitions
 	}
-	// Same precedence for the re-optimization window.
 	if sp.ReoptAfter == 0 {
-		sp.ReoptAfter = opts.reoptAfter
+		sp.ReoptAfter = opts.engine.ReoptAfterBatches
 	}
 	ctx := context.Background()
 	if opts.timeout > 0 {
@@ -153,7 +137,10 @@ func run(specPath string, opts options) error {
 // runLocal optimizes and executes the pipeline in-process over a fresh
 // pz.Context, honoring ctx cancellation via ExecuteContext.
 func runLocal(ctx context.Context, sp *serve.Spec, opts options) error {
-	cfg := pz.Config{Parallelism: opts.parallelism, StreamBatchSize: opts.batch, SampleSize: opts.sample}
+	// The spec carries the fan-out and window (run fills them from the
+	// flags), so the context keeps neither as a default.
+	cfg := opts.engine
+	cfg.Partitions, cfg.ReoptAfterBatches = 0, 0
 	if opts.progress {
 		cfg.OnProgress = func(p pz.Progress) {
 			fmt.Fprintf(os.Stderr, "pzrun: op %d %-30s batches=%d records=%d\n",

@@ -40,7 +40,7 @@ func demoCorpusDir(t *testing.T) string {
 // baseOptions mirrors the test defaults the old positional run() calls
 // used: small display, modest parallelism, no sampling.
 func baseOptions(policy string) options {
-	return options{policy: policy, maxRecords: 3, parallelism: 2, sample: 0}
+	return options{policy: policy, maxRecords: 3, engine: pz.Config{Parallelism: 2}}
 }
 
 func TestRunDemoSpec(t *testing.T) {
@@ -59,7 +59,7 @@ func TestRunDemoSpec(t *testing.T) {
 	  ]
 	}`
 	opts := baseOptions("max-quality")
-	opts.batch = 3
+	opts.engine.StreamBatchSize = 3
 	if err := run(writeSpec(t, spec), opts); err != nil {
 		t.Fatal(err)
 	}

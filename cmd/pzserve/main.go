@@ -67,31 +67,28 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	parallelism := flag.Int("parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
-	partitions := flag.Int("partitions", 0, "default partition fan-out for indexed NDJSON datasets (0 = single reader; per-query specs override)")
-	batch := flag.Int("batch", 0, "record batch size between pipeline stages (0 = auto)")
-	sample := flag.Int("sample", 0, "sentinel calibration sample size")
-	reoptAfter := flag.Int("reopt-after", 0, "default mid-flight re-optimization batch window (0 = disabled; per-query specs override)")
-	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing queries")
-	maxQueue := flag.Int("max-queue", 16, "max queries waiting for a slot before load-shedding with 429")
-	planCache := flag.Int("plan-cache", 128, "cross-query plan cache capacity")
-	llmCache := flag.Bool("llm-cache", true, "memoize LLM responses across queries")
-	llmCacheCap := flag.Int("llm-cache-capacity", 4096, "LLM cache entry bound (0 = unbounded)")
-	budget := flag.Float64("budget", 0, "default per-tenant cost budget in USD (0 = unlimited)")
-	slowQuerySec := flag.Float64("slow-query-sim-sec", 30, "slow-query log threshold in simulated seconds (0 disables /v1/debug/slowlog retention)")
-	clusterMode := flag.Bool("cluster", false, "act as a scatter/gather coordinator (mounts /v1/workers; implied by -worker)")
-	healthInterval := flag.Duration("health-interval", 5*time.Second, "worker health-check probe interval (cluster mode)")
-	partitionTimeout := flag.Duration("partition-timeout", 60*time.Second, "per-partition worker request timeout (cluster mode)")
-	partitionRetries := flag.Int("partition-retries", 3, "max attempts per partition before forcing local execution (cluster mode)")
-	stragglerAfter := flag.Duration("straggler-after", 30*time.Second, "re-issue a partition still in flight after this long (cluster mode)")
+	var opts serveOptions
+	serve.EngineFlags(flag.CommandLine, &opts.engine)
+	flag.IntVar(&opts.maxInflight, "max-inflight", 8, "max concurrently executing queries")
+	flag.IntVar(&opts.maxQueue, "max-queue", 16, "max queries waiting for a slot before load-shedding with 429")
+	flag.IntVar(&opts.planCache, "plan-cache", 128, "cross-query plan cache capacity")
+	flag.BoolVar(&opts.engine.EnableCache, "llm-cache", true, "memoize LLM responses across queries")
+	flag.IntVar(&opts.engine.CacheCapacity, "llm-cache-capacity", 4096, "LLM cache entry bound (0 = unbounded)")
+	flag.Float64Var(&opts.budget, "budget", 0, "default per-tenant cost budget in USD (0 = unlimited)")
+	flag.Float64Var(&opts.slowQuerySec, "slow-query-sim-sec", 30, "slow-query log threshold in simulated seconds (0 disables /v1/debug/slowlog retention)")
+	flag.BoolVar(&opts.cluster, "cluster", false, "act as a scatter/gather coordinator (mounts /v1/workers; implied by -worker)")
+	flag.DurationVar(&opts.healthInterval, "health-interval", 5*time.Second, "worker health-check probe interval (cluster mode)")
+	flag.DurationVar(&opts.partitionTimeout, "partition-timeout", 60*time.Second, "per-partition worker request timeout (cluster mode)")
+	flag.IntVar(&opts.partitionRetries, "partition-retries", 3, "max attempts per partition before forcing local execution (cluster mode)")
+	flag.DurationVar(&opts.stragglerAfter, "straggler-after", 30*time.Second, "re-issue a partition still in flight after this long (cluster mode)")
 
-	workers := map[string]string{}
+	opts.workers = map[string]string{}
 	flag.Func("worker", "name=url static worker registration; implies -cluster (repeatable)", func(v string) error {
 		name, url, ok := strings.Cut(v, "=")
 		if !ok || name == "" || url == "" {
 			return fmt.Errorf("want name=url, got %q", v)
 		}
-		workers[name] = url
+		opts.workers[name] = url
 		return nil
 	})
 	datasets := map[string]string{}
@@ -117,29 +114,19 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	opts.cluster = opts.cluster || len(opts.workers) > 0
 
-	if err := run(*addr, datasets, budgets, serveOptions{
-		parallelism: *parallelism, partitions: *partitions, batch: *batch, sample: *sample,
-		reoptAfter:  *reoptAfter,
-		maxInflight: *maxInflight, maxQueue: *maxQueue, planCache: *planCache,
-		llmCache: *llmCache, llmCacheCap: *llmCacheCap, budget: *budget,
-		slowQuerySec: *slowQuerySec,
-		cluster:      *clusterMode || len(workers) > 0, workers: workers,
-		healthInterval: *healthInterval, partitionTimeout: *partitionTimeout,
-		partitionRetries: *partitionRetries, stragglerAfter: *stragglerAfter,
-	}); err != nil {
+	if err := run(*addr, datasets, budgets, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "pzserve:", err)
 		os.Exit(1)
 	}
 }
 
 type serveOptions struct {
-	parallelism, partitions          int
-	batch, sample                    int
-	reoptAfter                       int
+	// engine holds the shared engine flags and -llm-cache,
+	// -llm-cache-capacity.
+	engine                           pz.Config
 	maxInflight, maxQueue, planCache int
-	llmCache                         bool
-	llmCacheCap                      int
 	budget                           float64
 	slowQuerySec                     float64
 
@@ -151,14 +138,8 @@ type serveOptions struct {
 }
 
 func run(addr string, datasets map[string]string, budgets map[string]float64, opts serveOptions) error {
-	if opts.parallelism < 1 {
-		return fmt.Errorf("-parallelism must be >= 1, got %d", opts.parallelism)
-	}
-	if opts.partitions < 0 {
-		return fmt.Errorf("-partitions must be >= 0, got %d", opts.partitions)
-	}
-	if opts.reoptAfter < 0 {
-		return fmt.Errorf("-reopt-after must be >= 0, got %d", opts.reoptAfter)
+	if err := serve.CheckEngineFlags(opts.engine); err != nil {
+		return err
 	}
 	if opts.cluster && opts.partitionRetries < 1 {
 		return fmt.Errorf("-partition-retries must be >= 1, got %d", opts.partitionRetries)
@@ -172,15 +153,7 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 	if opts.slowQuerySec < 0 {
 		return fmt.Errorf("-slow-query-sim-sec must be >= 0, got %v", opts.slowQuerySec)
 	}
-	ctx, err := pz.NewContext(pz.Config{
-		Parallelism:       opts.parallelism,
-		Partitions:        opts.partitions,
-		StreamBatchSize:   opts.batch,
-		SampleSize:        opts.sample,
-		EnableCache:       opts.llmCache,
-		CacheCapacity:     opts.llmCacheCap,
-		ReoptAfterBatches: opts.reoptAfter,
-	})
+	ctx, err := pz.NewContext(opts.engine)
 	if err != nil {
 		return err
 	}
@@ -217,7 +190,7 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 		coord, err = cluster.NewCoordinator(cluster.Config{
 			Registry:         reg,
 			Counters:         counters,
-			Parallelism:      opts.parallelism,
+			Parallelism:      opts.engine.Parallelism,
 			MaxAttempts:      opts.partitionRetries,
 			PartitionTimeout: opts.partitionTimeout,
 			StragglerAfter:   opts.stragglerAfter,

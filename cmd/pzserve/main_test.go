@@ -17,6 +17,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/serve"
 	"repro/internal/workloads"
+	"repro/pz"
 )
 
 func writeCorpus(t *testing.T, n int) string {
@@ -42,7 +43,7 @@ func freeAddr(t *testing.T) string {
 
 func baseOptions() serveOptions {
 	return serveOptions{
-		parallelism: 2, maxInflight: 2, maxQueue: 4, planCache: 8,
+		engine: pz.Config{Parallelism: 2}, maxInflight: 2, maxQueue: 4, planCache: 8,
 		healthInterval: time.Second, partitionTimeout: time.Minute,
 		stragglerAfter: time.Minute, partitionRetries: 3,
 	}
@@ -59,9 +60,11 @@ func TestRunValidation(t *testing.T) {
 		datasets map[string]string
 		mutate   func(*serveOptions)
 	}{
-		{"zero parallelism", nil, func(o *serveOptions) { o.parallelism = 0 }},
-		{"negative partitions", nil, func(o *serveOptions) { o.partitions = -1 }},
-		{"negative reopt after", nil, func(o *serveOptions) { o.reoptAfter = -1 }},
+		{"zero parallelism", nil, func(o *serveOptions) { o.engine.Parallelism = 0 }},
+		{"negative partitions", nil, func(o *serveOptions) { o.engine.Partitions = -1 }},
+		{"negative reopt after", nil, func(o *serveOptions) { o.engine.ReoptAfterBatches = -1 }},
+		{"negative batch", nil, func(o *serveOptions) { o.engine.StreamBatchSize = -1 }},
+		{"negative sample", nil, func(o *serveOptions) { o.engine.SampleSize = -1 }},
 		{"cluster zero retries", nil, func(o *serveOptions) { o.cluster = true; o.partitionRetries = 0 }},
 		{"cluster zero partition timeout", nil, func(o *serveOptions) { o.cluster = true; o.partitionTimeout = 0 }},
 		{"cluster zero straggler after", nil, func(o *serveOptions) { o.cluster = true; o.stragglerAfter = 0 }},
@@ -105,7 +108,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	addr := freeAddr(t)
 	opts := baseOptions()
 	opts.cluster = true
-	opts.partitions = 4
+	opts.engine.Partitions = 4
 	opts.workers = map[string]string{"w1": worker.URL}
 	done := make(chan error, 1)
 	go func() {

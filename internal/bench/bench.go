@@ -26,6 +26,7 @@ import (
 	"repro/internal/corpus/spec"
 	"repro/internal/llm"
 	"repro/internal/metrics"
+	"repro/internal/optimizer"
 	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/pz"
@@ -107,17 +108,10 @@ type TrackDataset struct {
 	// position (1 = the first op after the scan) — how a track stages the
 	// mis-estimation scenarios re-optimization recovers from. Local mode
 	// only; server cells ignore priors (they cannot cross the wire).
-	Priors map[int]PriorSpec `json:"priors,omitempty"`
+	Priors optimizer.Calibration `json:"priors,omitempty"`
 	// ReoptAfter enables adaptive mid-flight re-optimization for the
 	// dataset's cells: the observation window in batches (0 = off).
 	ReoptAfter int `json:"reopt_after,omitempty"`
-}
-
-// PriorSpec is one seeded cost-model estimate: selectivity for a filter
-// position, fan-out for a convert position.
-type PriorSpec struct {
-	Selectivity float64 `json:"selectivity,omitempty"`
-	Fanout      float64 `json:"fanout,omitempty"`
 }
 
 func (d *TrackDataset) rate() float64 {
@@ -125,18 +119,6 @@ func (d *TrackDataset) rate() float64 {
 		return -1
 	}
 	return *d.Rate
-}
-
-// priors converts the dataset's seeded estimates into the engine's form.
-func (d *TrackDataset) priors() map[int]pz.OpEstimate {
-	if len(d.Priors) == 0 {
-		return nil
-	}
-	out := make(map[int]pz.OpEstimate, len(d.Priors))
-	for pos, p := range d.Priors {
-		out[pos] = pz.OpEstimate{Selectivity: p.Selectivity, Fanout: p.Fanout}
-	}
-	return out
 }
 
 // Assertion kinds.
@@ -770,7 +752,7 @@ func runCell(t *Track, d *TrackDataset, domain, corpusPath string, par, parts in
 func runCellLocal(cell *Cell, d *TrackDataset, pspec *serve.Spec, par, parts int, corpusPath string) error {
 	ctx, err := pz.NewContext(pz.Config{
 		Parallelism: par, Partitions: parts,
-		EstimatePriors: d.priors(),
+		EstimatePriors: d.Priors,
 	})
 	if err != nil {
 		return err

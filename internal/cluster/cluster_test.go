@@ -626,8 +626,10 @@ func TestRegistryHandler(t *testing.T) {
 }
 
 // TestRemoteGathersChunksInSeqOrder: the coordinator reads a chunk line
-// longer than its read buffer, and gathers chunks that arrive out of seq
-// order in seq order.
+// longer than its read buffer and gathers chunks sent in seq order, and
+// fails the attempt when a record chunk arrives out of seq (reordered,
+// repeated, or skipped) or the done chunk's seq is not the number of
+// record chunks.
 func TestRemoteGathersChunksInSeqOrder(t *testing.T) {
 	recs := domainRecords(t, corpus.DomainSupport, 300)
 	var enc corpus.RecordEncoder
@@ -636,19 +638,81 @@ func TestRemoteGathersChunksInSeqOrder(t *testing.T) {
 		t.Fatalf("a %d-byte chunk fits the read buffer", len(long))
 	}
 	short, _ := encodeChunk(&enc, 1, recs[280:])
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rw.Write(short)
-		rw.Write(long)
-		fmt.Fprintln(rw, `{"seq":2,"done":true,"elapsed_sim_ns":5}`)
-	}))
-	defer srv.Close()
+	done := func(seq int) []byte { return fmt.Appendf(nil, `{"seq":%d,"done":true,"elapsed_sim_ns":5}`+"\n", seq) }
 	coord := newTestCoordinator(t, NewRegistry(RegistryConfig{}), Config{})
-	res, err := coord.remote(context.Background(), WorkerRef{Name: "a", URL: srv.URL}, &PartitionRequest{Docs: 1}, schema.TextFile)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		stream [][]byte
+		ok     bool
+	}{
+		{"in-order", [][]byte{long, short, done(2)}, true},
+		{"reordered", [][]byte{short, long, done(2)}, false},
+		{"repeated", [][]byte{long, long, short, done(3)}, false},
+		{"first-skipped", [][]byte{short, done(2)}, false},
+		{"last-skipped", [][]byte{long, done(2)}, false},
+		{"done-early", [][]byte{long, short, done(1)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				rw.Write(bytes.Join(tc.stream, nil))
+			}))
+			defer srv.Close()
+			res, err := coord.remote(context.Background(), WorkerRef{Name: "a", URL: srv.URL}, &PartitionRequest{Docs: 1}, schema.TextFile)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("gathered %d records from an out-of-seq stream", len(res.Records))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecords(res.Records, recs) || res.Elapsed != 5 {
+				t.Fatalf("gathered %d records in Elapsed %v, want the %d sent", len(res.Records), res.Elapsed, len(recs))
+			}
+		})
 	}
-	if !sameRecords(res.Records, recs) || res.Elapsed != 5 {
-		t.Fatalf("gathered %d records in Elapsed %v, want the %d sent in seq order", len(res.Records), res.Elapsed, len(recs))
+}
+
+// repeatFirstChunk makes every partition stream send its first line,
+// record chunk 0, twice, as a worker that re-sends a chunk would.
+func repeatFirstChunk(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/v1/partition") {
+			next.ServeHTTP(rw, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		next.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		first, _, _ := bytes.Cut(body, []byte("\n"))
+		rw.WriteHeader(rec.Code)
+		rw.Write(append(append(first, '\n'), body...))
+	})
+}
+
+// TestRepeatedChunkIsRescattered: a worker that sends a record chunk
+// twice fails the attempt, like a truncated stream, and the partition is
+// re-scattered, so the query's records are exactly the sequential scan's
+// rather than carrying the chunk's records twice.
+func TestRepeatedChunkIsRescattered(t *testing.T) {
+	path := writeTicketCorpus(t, 80)
+	spec := ticketSpec(4)
+	want := sequentialJSON(t, path, spec)
+	reg := NewRegistry(RegistryConfig{})
+	startWorker(t, reg, "a", path, repeatFirstChunk)
+	startWorker(t, reg, "b", path, nil)
+	coord := newTestCoordinator(t, reg, Config{})
+
+	dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), spec, 4)
+	if err != nil || !ok {
+		t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
+	}
+	if got := distributedJSON(t, dres); !bytes.Equal(got, want) {
+		t.Fatalf("result with a repeated chunk diverges:\n got %s\nwant %s", got, want)
+	}
+	if n := reg.Counters().Get("cluster_partition_failures"); n < 1 {
+		t.Errorf("cluster_partition_failures = %d, want >= 1", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -490,8 +489,10 @@ func (c *Coordinator) scatter(ctx context.Context, prefixSpec *serve.Spec, planS
 // remote performs one partition attempt against a worker: POST the
 // request, stream the NDJSON chunk response, and rebuild records under
 // the prefix schema. A stream that ends without a done chunk means the
-// worker died mid-partition; the error sends the scheduler back to
-// re-scatter.
+// worker died mid-partition, and a chunk out of sequence (repeated or
+// skipped; the worker writes them in order, and its done chunk carries
+// the count) means the records cannot be trusted; either error sends
+// the scheduler back to re-scatter.
 func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRequest, s *schema.Schema) (*PartitionResult, error) {
 	body, err := json.Marshal(preq)
 	if err != nil {
@@ -517,13 +518,12 @@ func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRe
 	defer c.keepReader(cr)
 	cr.br.Reset(resp.Body)
 	var (
-		recs   []*record.Record
-		chunks []seqRange
+		recs []*record.Record
+		seq  int
 	)
 	for {
 		line, rerr := cr.next()
 		if len(line) > 0 {
-			n := len(recs)
 			ch, out, err := decodeChunk(&cr.dec, line, s, recs)
 			switch {
 			case err != nil && rerr == nil:
@@ -532,12 +532,14 @@ func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRe
 				// A line cut off where the stream ended: reported below.
 			case ch.Error != "":
 				return nil, fmt.Errorf("cluster: worker %s partition %d: %s", w.Name, preq.Partition, ch.Error)
+			case ch.Seq != seq:
+				return nil, fmt.Errorf("cluster: worker %s partition %d: chunk seq %d, want %d", w.Name, preq.Partition, ch.Seq, seq)
 			case ch.Done:
-				return &PartitionResult{Records: inSeqOrder(recs, chunks),
+				return &PartitionResult{Records: recs,
 					Elapsed: time.Duration(ch.ElapsedSimNS), CostUSD: ch.CostUSD, Trace: ch.Trace}, nil
 			default:
 				recs = out
-				chunks = append(chunks, seqRange{seq: ch.Seq, lo: n, hi: len(recs)})
+				seq++
 			}
 		}
 		if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
@@ -547,24 +549,6 @@ func (c *Coordinator) remote(ctx context.Context, w WorkerRef, preq *PartitionRe
 			return nil, fmt.Errorf("cluster: worker %s: %w", w.Name, rerr)
 		}
 	}
-}
-
-// seqRange is where one chunk's records sit in a partition's records.
-type seqRange struct{ seq, lo, hi int }
-
-// inSeqOrder returns recs with its chunks ordered by seq, stably. A
-// worker writes its chunks in seq order, so this is recs itself.
-func inSeqOrder(recs []*record.Record, chunks []seqRange) []*record.Record {
-	bySeq := func(a, b seqRange) int { return cmp.Compare(a.seq, b.seq) }
-	if slices.IsSortedFunc(chunks, bySeq) {
-		return recs
-	}
-	slices.SortStableFunc(chunks, bySeq)
-	out := make([]*record.Record, 0, len(recs))
-	for _, c := range chunks {
-		out = append(out, recs[c.lo:c.hi]...)
-	}
-	return out
 }
 
 // chunkReader reads partition streams line by line and decodes the

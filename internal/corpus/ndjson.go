@@ -251,17 +251,15 @@ const maxNDJSONLine = 8 << 20
 // DocReader streams documents from an NDJSON corpus file one line at a
 // time. It implements Generator, so a file-backed corpus flows through
 // the same API as a synthetic one (Collect, WriteNDJSON, validation).
-// Close it when done; Next returns io.EOF at end of file — or, for a
-// range reader (OpenNDJSONRange), after the range's document count. A
-// file that ends before the promised count (the manifest's, the counting
-// pre-pass's, or the range's) is an error, not a clean end.
+// Close it when done; Next returns io.EOF after the promised count of
+// documents (the manifest's, the counting pre-pass's, or the range's). A
+// file that ends before that count is an error, not a clean end, and so
+// is a document past the manifest's count, so a whole-file scan reads
+// exactly what its partitions' range readers do.
 type DocReader struct {
-	domain string
-	n      int
-	read   int
-	// ranged marks a range reader, which stops after n documents; a
-	// whole-file reader reads to the end of the file.
-	ranged   bool
+	domain   string
+	n        int
+	read     int
 	manifest *Manifest
 	f        *os.File
 	lines    *lineReader
@@ -320,10 +318,17 @@ func (r *DocReader) Manifest() *Manifest { return r.manifest }
 // Len implements Generator.
 func (r *DocReader) Len() int { return r.n }
 
-// Next implements Generator: it decodes the next non-empty line (stopping
-// at the range's document budget for a range reader).
+// Next implements Generator: it decodes the next non-empty line, up to
+// the promised count.
 func (r *DocReader) Next() (*Doc, error) {
-	if r.ranged && r.read == r.n {
+	if r.read == r.n {
+		// A manifest counts the whole file; a range reader stops where
+		// the next range begins.
+		if r.manifest != nil {
+			if _, more := r.lines.next(); more {
+				return nil, fmt.Errorf("corpus: %s: holds more than the %d documents its manifest declares (document %d at line %d)", r.f.Name(), r.n, r.n+1, r.lines.line)
+			}
+		}
 		return nil, io.EOF
 	}
 	if raw, ok := r.lines.next(); ok {

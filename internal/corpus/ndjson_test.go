@@ -318,3 +318,52 @@ func TestShortCorpusIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestLongCorpusIsAnError: whole lines appended past the manifest's count
+// fail a whole-file scan after the declared documents, naming both
+// counts, while the partitions' range readers still scan exactly the
+// declared documents — so a query's input does not depend on whether it
+// is partitioned.
+func TestLongCorpusIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "support.ndjson")
+	m, err := SaveNDJSON(path, NewSupportGenerator(SupportConfig{NumTickets: 100, UrgentRate: 0.3, Seed: 5}), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	long := append(data, bytes.Join(lines[:5], nil)...)
+	if err := os.WriteFile(path, long, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenNDJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	docs, err := Collect(r)
+	if err == nil || !strings.Contains(err.Error(), "100 documents") || !strings.Contains(err.Error(), "document 101") {
+		t.Fatalf("whole-file scan of a long corpus: %d docs, err %v", len(docs), err)
+	}
+
+	total := 0
+	for _, p := range m.Partitions(4) {
+		pr, err := OpenNDJSONRange(path, p.Offset, p.Docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := Collect(pr)
+		pr.Close()
+		if err != nil {
+			t.Fatalf("partition %d: %v", p.Ordinal, err)
+		}
+		total += len(docs)
+	}
+	if total != 100 {
+		t.Fatalf("partitions scanned %d docs, want 100", total)
+	}
+}

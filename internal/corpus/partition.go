@@ -165,7 +165,7 @@ func OpenNDJSONRange(path string, offset int64, docs int) (*DocReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("corpus: seek %s to %d: %w", path, offset, err)
 	}
-	return &DocReader{n: docs, ranged: true, f: f, lines: newLineReader(f)}, nil
+	return &DocReader{n: docs, f: f, lines: newLineReader(f)}, nil
 }
 
 // IndexNDJSON back-fills the byte-offset partition index of the corpus at

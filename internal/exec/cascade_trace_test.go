@@ -51,7 +51,7 @@ func TestCascadeTierSpansReconcile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.95}, optimizer.Options{})
+			res, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.95}, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

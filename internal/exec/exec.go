@@ -23,6 +23,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -35,32 +36,50 @@ import (
 	"repro/internal/trace"
 )
 
-// Config configures an Executor.
+// Config is the engine configuration: every run knob, declared once.
+// pz.Config is an alias of it, and Validate, which NewExecutor calls, is
+// the one check of its values. A pipeline may override Partitions and
+// ReoptAfterBatches for its own run (pz's WithPartitions and WithReopt);
+// OptimizerOptions folds those overrides in.
 type Config struct {
 	// Parallelism is the maximum concurrent LLM calls per operator
 	// (default 1). Beyond 1, stages overlap: the scan streams batches of
 	// StreamBatchSize records through them.
 	Parallelism int
-	// Partitions is the partition fan-out for partitionable scans (an
-	// NDJSON corpus whose manifest carries a byte-offset index): when > 1,
-	// the engine runs one source+map pipeline per partition —
-	// each with its own range reader and Parallelism-wide worker pools,
-	// modeling shard scale-out — and merges the results back into exact
-	// dataset order. 0/1 keeps the single streaming reader; a plan whose
-	// scan carries its own fan-out (ops.ScanExec.Parts, stamped by the
-	// optimizer) overrides this default.
+	// Partitions is the partition fan-out for partitionable scans — an
+	// NDJSON corpus whose manifest carries a byte-offset partition index
+	// (see docs/howto-corpus.md). When > 1 the engine runs one
+	// source+map pipeline per partition, each reading its own byte range
+	// of the file with Parallelism-wide worker pools, and merges results
+	// back into exact dataset order, so outputs stay byte-identical to a
+	// sequential scan. 0/1 keeps the single streaming reader; a plan
+	// whose scan carries its own fan-out (ops.ScanExec.Parts, stamped by
+	// the optimizer) overrides this default.
 	Partitions int
-	// MaxAttempts bounds LLM retries per call (default 3).
-	MaxAttempts int
-	// Backoff is the base retry backoff (default 200ms).
-	Backoff time.Duration
-	// FailureRate injects transient LLM failures (default 0).
-	FailureRate float64
+	// SampleSize enables sentinel calibration over that many records.
+	SampleSize int
+	// ReoptAfterBatches enables adaptive mid-flight re-optimization: after
+	// every re-orderable filter stage has processed this many batches, the
+	// engine compares observed selectivity and cost against the
+	// plan's estimates and — past optimizer.ReoptDivergence — hot-swaps the
+	// remaining batches onto a cheaper filter ordering. Outputs stay
+	// byte-identical; only cost/time change. 0 disables (default).
+	// Runs that cannot swap mid-flight (one batch per stage, partitioned,
+	// or shorter than the observation window) still fold observed statistics
+	// into the corrected plan the serving plan cache keeps.
+	ReoptAfterBatches int
+	// EstimatePriors seeds the optimizer's per-position cost-model
+	// estimates (selectivity for filters, fan-out for converts) when
+	// sentinel sampling is off — the operating point re-optimization
+	// recovers from when the priors turn out wrong. Keyed by logical
+	// plan position; ignored when SampleSize > 0 (measured statistics
+	// beat seeded priors).
+	EstimatePriors optimizer.Calibration
 	// EnableCache memoizes LLM responses across runs: re-executing a
 	// pipeline over unchanged data costs (almost) nothing.
 	EnableCache bool
 	// CacheCapacity bounds the LLM response cache to that many entries
-	// (LRU eviction). Zero keeps the historical unbounded behavior;
+	// (LRU eviction; 0 = unbounded). Only meaningful with EnableCache;
 	// serving deployments should set it so sustained traffic cannot grow
 	// the cache without limit.
 	CacheCapacity int
@@ -88,39 +107,55 @@ type Executor struct {
 	progressMu sync.Mutex
 }
 
-// NewExecutor builds an executor.
+// faults configures the LLM retry loop and injected transient failures.
+type faults struct {
+	maxAttempts int
+	backoff     time.Duration
+	failureRate float64
+}
+
+// Validate rejects a negative knob; zero selects each one's default.
+func (c Config) Validate() error {
+	for _, k := range []struct {
+		name string
+		v    int
+	}{
+		{"Parallelism", c.Parallelism}, {"Partitions", c.Partitions},
+		{"SampleSize", c.SampleSize}, {"ReoptAfterBatches", c.ReoptAfterBatches},
+		{"CacheCapacity", c.CacheCapacity}, {"StreamBatchSize", c.StreamBatchSize},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("exec: negative %s %d", k.name, k.v)
+		}
+	}
+	return nil
+}
+
+// NewExecutor builds an executor for a valid cfg (see Validate).
 func NewExecutor(cfg Config) (*Executor, error) {
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("exec: parallelism %d", cfg.Parallelism)
-	}
-	if cfg.StreamBatchSize < 0 {
-		return nil, fmt.Errorf("exec: stream batch size %d", cfg.StreamBatchSize)
-	}
-	if cfg.Partitions < 0 {
-		return nil, fmt.Errorf("exec: partitions %d", cfg.Partitions)
+	return newExecutor(cfg, faults{maxAttempts: 3, backoff: 200 * time.Millisecond})
+}
+
+func newExecutor(cfg Config, f faults) (*Executor, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = 1
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 200 * time.Millisecond
-	}
+	// The engine keeps its own priors, so a caller editing its map later
+	// cannot change what a cached plan's fingerprint claims.
+	cfg.EstimatePriors = maps.Clone(cfg.EstimatePriors)
 	svc := llm.NewService()
-	if cfg.FailureRate > 0 {
-		svc.WithFailureRate(cfg.FailureRate)
+	if f.failureRate > 0 {
+		svc.WithFailureRate(f.failureRate)
 	}
 	clock := simclock.NewSim()
-	retry, err := llm.NewRetryClient(svc, clock, cfg.MaxAttempts, cfg.Backoff)
+	retry, err := llm.NewRetryClient(svc, clock, f.maxAttempts, f.backoff)
 	if err != nil {
 		return nil, err
 	}
 	e := &Executor{svc: svc, clock: clock, client: retry, cfg: cfg}
-	if cfg.CacheCapacity < 0 {
-		return nil, fmt.Errorf("exec: cache capacity %d", cfg.CacheCapacity)
-	}
 	if cfg.EnableCache {
 		e.cache = llm.NewCacheLRU(cfg.CacheCapacity)
 		cached, err := llm.NewCachedClient(retry, e.cache)
@@ -202,10 +237,35 @@ func (e *Executor) RunSequential(ctx context.Context, phys []ops.Physical) (*Res
 // its own fan-out parts beyond 1 (a cached plan optimized for fan-out must
 // not silently run as one batch). The engine then streams batches and
 // folds stage clocks with ops.PipelinedWallTime; otherwise it runs one
-// batch per stage and sums them. The optimizer's Options.Pipelined reads
-// the same predicate, so plans are judged by the fold that runs them.
+// batch per stage and sums them. OptimizerOptions sets Pipelined from the
+// same predicate, so plans are judged by the fold that runs them.
 func (e *Executor) pipelined(parts int) bool {
 	return e.cfg.Parallelism > 1 || e.cfg.Partitions > 1 || parts > 1
+}
+
+// OptimizerOptions is the one place the engine configuration becomes
+// optimizer options, with a pipeline's overrides applied: partitions > 0
+// replaces Config.Partitions (pz's WithPartitions) and reoptAfter > 0
+// replaces Config.ReoptAfterBatches (WithReopt). Execute optimizes with
+// it, and pz's OptimizeOnly and serving fingerprint call it too, so
+// explaining a plan, caching it and running it optimize the same problem.
+// A fan-out request selects the overlapping model, and a configured one
+// keeps it selected even when the pipeline opts back down to one reader.
+func (e *Executor) OptimizerOptions(partitions, reoptAfter int) optimizer.Options {
+	o := optimizer.Options{
+		SampleSize:        e.cfg.SampleSize,
+		Partitions:        e.cfg.Partitions,
+		ReoptAfterBatches: e.cfg.ReoptAfterBatches,
+		Priors:            e.cfg.EstimatePriors,
+	}
+	if partitions > 0 {
+		o.Partitions = partitions
+	}
+	if reoptAfter > 0 {
+		o.ReoptAfterBatches = reoptAfter
+	}
+	o.Pipelined = e.pipelined(o.Partitions)
+	return o
 }
 
 // scanParts is the fan-out stamped on a plan's scan, 0 when there is
@@ -219,11 +279,12 @@ func scanParts(phys []ops.Physical) int {
 	return 0
 }
 
-// Execute optimizes the logical chain under policy and runs the chosen
-// plan: the engine behind pz.Execute (paper Figure 6: records,
+// Execute optimizes the logical chain under policy, with the options
+// OptimizerOptions resolves for the pipeline's overrides, and runs the
+// chosen plan: the engine behind pz.Execute (paper Figure 6: records,
 // execution_stats = Execute(output, policy)). Canceling ctx aborts
 // sentinel calibration, plan execution, and in-flight operator batches.
-func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Result, error) {
+func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, partitions, reoptAfter int) (*Result, error) {
 	// Calibration (sentinel sampling) runs on a run-local tally so that
 	// concurrent Execute calls cannot pollute each other's optimization
 	// elapsed time; its LLM cost lands in optCtx's stats.
@@ -231,16 +292,7 @@ func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy opti
 	optCtx := e.NewCtx()
 	optCtx.Clock = optTally
 	optCtx.Context = ctx
-	// Time-sensitive policies should judge plans by the fold that will
-	// actually run them; an explicit caller request for the overlapping
-	// model is honored either way. The partition fan-out defaults to the
-	// engine's configured value so the optimizer stamps the same count
-	// onto the plan's scan that the engine would fan out to.
-	if opts.Partitions == 0 {
-		opts.Partitions = e.cfg.Partitions
-	}
-	opts.Pipelined = opts.Pipelined || e.pipelined(opts.Partitions)
-	opt := optimizer.New(opts)
+	opt := optimizer.New(e.OptimizerOptions(partitions, reoptAfter))
 	plan, candidates, err := opt.Optimize(chain, policy, optCtx)
 	if err != nil {
 		return nil, err

@@ -16,14 +16,14 @@ func TestCachedRerunIsNearlyFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := demoChain(t)
-	first, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	first, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CostUSD <= 0.1 {
 		t.Fatalf("first run suspiciously cheap: $%.4f", first.CostUSD)
 	}
-	second, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	second, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,16 +50,16 @@ func TestCacheSharedAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := demoChain(t)
-	if _, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{}); err != nil {
+	if _, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Quality-floor policy picks a different (cheaper) plan: different
 	// models, so misses; then re-running it hits.
-	mid, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.85}, optimizer.Options{})
+	mid, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.85}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	midAgain, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.85}, optimizer.Options{})
+	midAgain, err := e.Execute(context.Background(), chain, optimizer.MinCostAtQuality{Floor: 0.85}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestCacheDisabledByDefault(t *testing.T) {
 		t.Fatal("cache present without EnableCache")
 	}
 	chain := demoChain(t)
-	a, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	a, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	b, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

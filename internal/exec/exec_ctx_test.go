@@ -20,7 +20,7 @@ func TestSequentialContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err = e.Execute(ctx, demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	_, err = e.Execute(ctx, demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -77,7 +77,7 @@ func TestConcurrentExecuteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
+	want, err := ref.Execute(context.Background(), chain, optimizer.MinCost{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestConcurrentExecuteAccounting(t *testing.T) {
 	donech := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			results[i], errs[i] = e.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
+			results[i], errs[i] = e.Execute(context.Background(), chain, optimizer.MinCost{}, 0, 0)
 			donech <- i
 		}(i)
 	}
@@ -132,7 +132,7 @@ func TestExecutePlanContextMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	full, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,11 @@ import (
 // TestPermanentFailureSurfacesError: with a 100% failure rate, retries
 // exhaust and the pipeline reports which operator failed.
 func TestPermanentFailureSurfacesError(t *testing.T) {
-	e, err := NewExecutor(Config{FailureRate: 1.0, MaxAttempts: 3, Backoff: 10 * time.Millisecond})
+	e, err := newExecutor(Config{}, faults{failureRate: 1.0, maxAttempts: 3, backoff: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	_, err = e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err == nil {
 		t.Fatal("pipeline succeeded despite 100% failure rate")
 	}
@@ -37,7 +37,7 @@ func TestParallelismDoesNotChangeOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,15 +65,15 @@ func TestBackoffChargedToRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRes, err := clean.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	cleanRes, err := clean.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky, err := NewExecutor(Config{FailureRate: 0.3, MaxAttempts: 10, Backoff: 500 * time.Millisecond})
+	flaky, err := newExecutor(Config{}, faults{failureRate: 0.3, maxAttempts: 10, backoff: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flakyRes, err := flaky.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	flakyRes, err := flaky.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestBackoffChargedToRuntime(t *testing.T) {
 // TestUsageTracksFailures: injected failures are visible in per-model
 // usage.
 func TestUsageTracksFailures(t *testing.T) {
-	e, err := NewExecutor(Config{FailureRate: 0.3, MaxAttempts: 10, Backoff: time.Millisecond})
+	e, err := newExecutor(Config{}, faults{failureRate: 0.3, maxAttempts: 10, backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(context.Background(), demoChain(t), optimizer.MinCost{}, optimizer.Options{}); err != nil {
+	if _, err := e.Execute(context.Background(), demoChain(t), optimizer.MinCost{}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	var failures int

@@ -41,11 +41,16 @@ func TestExecutorConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Parallelism != 1 || e.cfg.MaxAttempts != 3 || e.cfg.Backoff <= 0 {
+	if e.cfg.Parallelism != 1 {
 		t.Errorf("defaults = %+v", e.cfg)
 	}
-	if _, err := NewExecutor(Config{Parallelism: -1}); err == nil {
-		t.Error("negative parallelism accepted")
+	for _, cfg := range []Config{
+		{Parallelism: -1}, {Partitions: -1}, {SampleSize: -1},
+		{ReoptAfterBatches: -1}, {CacheCapacity: -1}, {StreamBatchSize: -1},
+	} {
+		if _, err := NewExecutor(cfg); err == nil {
+			t.Errorf("NewExecutor accepted %+v", cfg)
+		}
 	}
 }
 
@@ -54,7 +59,7 @@ func TestE1ScientificDiscoveryMaxQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestExecuteMinCostCheaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(context.Background(), demoChain(t), p, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), p, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +128,7 @@ func TestRunPhysicalDirect(t *testing.T) {
 func TestParallelismReducesElapsed(t *testing.T) {
 	run := func(par int) time.Duration {
 		e, _ := NewExecutor(Config{Parallelism: par})
-		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+		res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +140,11 @@ func TestParallelismReducesElapsed(t *testing.T) {
 }
 
 func TestFailureInjectionRecovered(t *testing.T) {
-	e, err := NewExecutor(Config{FailureRate: 0.2, MaxAttempts: 10, Backoff: 50 * time.Millisecond})
+	e, err := newExecutor(Config{}, faults{failureRate: 0.2, maxAttempts: 10, backoff: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatalf("pipeline failed despite retries: %v", err)
 	}
@@ -158,12 +163,12 @@ func TestFailureInjectionRecovered(t *testing.T) {
 
 func TestSentinelSamplingChargesCost(t *testing.T) {
 	e1, _ := NewExecutor(Config{})
-	plain, err := e1.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	plain, err := e1.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := NewExecutor(Config{})
-	sampled, err := e2.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{SampleSize: 4})
+	e2, _ := NewExecutor(Config{SampleSize: 4})
+	sampled, err := e2.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,7 @@ func TestSentinelSamplingChargesCost(t *testing.T) {
 
 func TestReportContents(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +201,7 @@ func TestReportContents(t *testing.T) {
 
 func TestStatsPerOperator(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +222,7 @@ func TestStatsPerOperator(t *testing.T) {
 
 func TestUsageMatchesResultCost(t *testing.T) {
 	e, _ := NewExecutor(Config{})
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestRelationalTailOperators(t *testing.T) {
 		&ops.Limit{N: 5},
 	}
 	e, _ := NewExecutor(Config{Parallelism: 4})
-	res, err := e.Execute(context.Background(), chain, optimizer.MinCost{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), chain, optimizer.MinCost{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func TestProgressCallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+			res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestPipelinedBackoffChargedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flakyExec, err := NewExecutor(Config{Parallelism: 8, FailureRate: 0.3, MaxAttempts: 10, Backoff: 500 * time.Millisecond})
+	flakyExec, err := newExecutor(Config{Parallelism: 8}, faults{failureRate: 0.3, maxAttempts: 10, backoff: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestPipelinedBackoffChargedOnce(t *testing.T) {
 // re-diffing the shared clock, so the retry client's direct backoff
 // sleeps are not counted a second time.
 func TestExecuteElapsedSingleCountsBackoff(t *testing.T) {
-	e, err := NewExecutor(Config{Parallelism: 8, FailureRate: 0.3, MaxAttempts: 10, Backoff: 500 * time.Millisecond})
+	e, err := newExecutor(Config{Parallelism: 8}, faults{failureRate: 0.3, maxAttempts: 10, backoff: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), demoChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

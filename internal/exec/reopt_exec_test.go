@@ -23,14 +23,14 @@ func reoptChain(t *testing.T) []ops.Logical {
 	}
 }
 
-// misSeededReoptOpts inverts the true selectivities: the broad filter is
-// claimed selective and the narrow one permissive, so the champion runs
-// broad-first — the order the hot swap must recover from.
-func misSeededReoptOpts() optimizer.Options {
-	return optimizer.Options{
-		ReoptAfterBatches: 2,
-		Priors:            optimizer.Calibration{1: {Selectivity: 0.05}, 2: {Selectivity: 0.95}},
-	}
+// misSeeded arms re-optimization on cfg and inverts the true
+// selectivities: the broad filter is claimed selective and the narrow one
+// permissive, so the champion runs broad-first — the order the hot swap
+// must recover from.
+func misSeeded(cfg Config) Config {
+	cfg.ReoptAfterBatches = 2
+	cfg.EstimatePriors = optimizer.Calibration{1: {Selectivity: 0.05}, 2: {Selectivity: 0.95}}
+	return cfg
 }
 
 func reoptSpanOf(t *testing.T, res *Result) *trace.Span {
@@ -56,16 +56,16 @@ func TestReoptInflightSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := seqExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, optimizer.Options{})
+	seqRes, err := seqExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pipeExec, err := NewExecutor(Config{Parallelism: 4, StreamBatchSize: 8})
+	pipeExec, err := NewExecutor(misSeeded(Config{Parallelism: 4, StreamBatchSize: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
+	res, err := pipeExec.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestReoptInflightSwap(t *testing.T) {
 // TestReoptSequentialPostrun exercises the fallback: a sequential run
 // cannot swap mid-flight but must still correct the cached estimates.
 func TestReoptSequentialPostrun(t *testing.T) {
-	e, err := NewExecutor(Config{})
+	e, err := NewExecutor(misSeeded(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, misSeededReoptOpts())
+	res, err := e.Execute(context.Background(), reoptChain(t), optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +138,11 @@ func TestReoptSequentialPostrun(t *testing.T) {
 // ExecutePlanContext on a reopt-armed plan runs the same loop and stamps
 // the reopt span alongside the plan_cached attribute.
 func TestReoptPlanCacheHitPath(t *testing.T) {
-	e, err := NewExecutor(Config{Parallelism: 4, StreamBatchSize: 8})
+	e, err := NewExecutor(misSeeded(Config{Parallelism: 4, StreamBatchSize: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := misSeededReoptOpts()
-	opts.Pipelined = true
-	opt := optimizer.New(opts)
+	opt := optimizer.New(e.OptimizerOptions(0, 0))
 	plan, _, err := opt.Optimize(reoptChain(t), optimizer.MaxQuality{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestExecuteTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, optimizer.Options{})
+	res, err := e.Execute(context.Background(), chain, optimizer.MaxQuality{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

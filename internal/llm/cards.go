@@ -160,34 +160,6 @@ func MustCard(name string) ModelCard {
 	return c
 }
 
-// BestModel returns the highest-quality completion model.
-func BestModel() ModelCard { return CompletionModels()[0] }
-
-// CheapestModel returns the completion model with the lowest blended price.
-func CheapestModel() ModelCard {
-	models := CompletionModels()
-	best := models[0]
-	for _, c := range models[1:] {
-		if c.Cost(1000, 1000) < best.Cost(1000, 1000) {
-			best = c
-		}
-	}
-	return best
-}
-
-// FastestModel returns the completion model with the lowest latency for a
-// nominal 100-token response.
-func FastestModel() ModelCard {
-	models := CompletionModels()
-	best := models[0]
-	for _, c := range models[1:] {
-		if c.Latency(500, 100) < best.Latency(500, 100) {
-			best = c
-		}
-	}
-	return best
-}
-
 // CountTokens estimates the token count of text using the standard ~4
 // characters-per-token heuristic (minimum 1 for non-empty text).
 func CountTokens(text string) int {

@@ -59,18 +59,6 @@ func TestCardLookup(t *testing.T) {
 	}
 }
 
-func TestBestCheapestFastest(t *testing.T) {
-	if BestModel().Name != "atlas-large" {
-		t.Errorf("BestModel = %s", BestModel().Name)
-	}
-	if CheapestModel().Name != "pigeon-7b" {
-		t.Errorf("CheapestModel = %s", CheapestModel().Name)
-	}
-	if FastestModel().Name != "pigeon-7b" {
-		t.Errorf("FastestModel = %s", FastestModel().Name)
-	}
-}
-
 func TestCostAndLatencyMonotone(t *testing.T) {
 	large, small := MustCard("atlas-large"), MustCard("atlas-small")
 	if large.Cost(1000, 500) <= small.Cost(1000, 500) {

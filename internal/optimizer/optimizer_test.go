@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -147,11 +148,16 @@ func TestConstrainedPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summarize(plans)
+	minCost, maxCost := math.Inf(1), math.Inf(-1)
+	minTime, maxTime := math.Inf(1), math.Inf(-1)
+	for _, p := range plans {
+		minCost, maxCost = math.Min(minCost, p.Cost()), math.Max(maxCost, p.Cost())
+		minTime, maxTime = math.Min(minTime, p.Time()), math.Max(maxTime, p.Time())
+	}
 
 	// A budget between min and max cost must be met and beat pure min-cost
 	// quality.
-	budget := (s.MinCost + s.MaxCost) / 2
+	budget := (minCost + maxCost) / 2
 	bp, err := MaxQualityAtCost{BudgetUSD: budget}.Choose(plans)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +174,7 @@ func TestConstrainedPolicies(t *testing.T) {
 	}
 
 	// An impossible budget falls back and flags.
-	ip, err := MaxQualityAtCost{BudgetUSD: s.MinCost / 2}.Choose(plans)
+	ip, err := MaxQualityAtCost{BudgetUSD: minCost / 2}.Choose(plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestConstrainedPolicies(t *testing.T) {
 	}
 
 	// Time cap.
-	cap := (s.MinTime + s.MaxTime) / 2
+	cap := (minTime + maxTime) / 2
 	tp, err := MaxQualityAtTime{CapSec: cap}.Choose(plans)
 	if err != nil {
 		t.Fatal(err)

@@ -399,15 +399,16 @@ func equalEst(a, b *Plan) bool {
 }
 
 // Calibration holds per-logical-position measurements from sentinel
-// sampling.
+// sampling, or seeded estimates (Options.Priors; a benchmark track's
+// "priors").
 type Calibration map[int]OpCalibration
 
-// OpCalibration is one operator's measured behaviour on the sample.
+// OpCalibration is one operator's measured or seeded behaviour.
 type OpCalibration struct {
 	// Selectivity is out/in for filters.
-	Selectivity float64
+	Selectivity float64 `json:"selectivity,omitempty"`
 	// Fanout is out/in for converts.
-	Fanout float64
+	Fanout float64 `json:"fanout,omitempty"`
 }
 
 // apply pushes calibrated parameters into a physical operator instance.

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 )
 
 // Policy selects a plan from candidates (paper §2.1: "Users can specify
@@ -265,31 +264,4 @@ func normalize(s string) string {
 // curve.
 func Frontier(plans []*Plan) []*Plan {
 	return paretoPrune(plans)
-}
-
-// Spread summarizes a candidate set: min/max of each dimension. Useful in
-// experiment output.
-type Spread struct {
-	MinCost, MaxCost       float64
-	MinTime, MaxTime       float64
-	MinQuality, MaxQuality float64
-	NumPlans               int
-}
-
-// Summarize computes the Spread of a candidate set.
-func Summarize(plans []*Plan) Spread {
-	s := Spread{
-		MinCost: math.Inf(1), MinTime: math.Inf(1), MinQuality: math.Inf(1),
-		MaxCost: math.Inf(-1), MaxTime: math.Inf(-1), MaxQuality: math.Inf(-1),
-		NumPlans: len(plans),
-	}
-	for _, p := range plans {
-		s.MinCost = math.Min(s.MinCost, p.Cost())
-		s.MaxCost = math.Max(s.MaxCost, p.Cost())
-		s.MinTime = math.Min(s.MinTime, p.Time())
-		s.MaxTime = math.Max(s.MaxTime, p.Time())
-		s.MinQuality = math.Min(s.MinQuality, p.Quality())
-		s.MaxQuality = math.Max(s.MaxQuality, p.Quality())
-	}
-	return s
 }

@@ -8,7 +8,6 @@ package record
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -17,10 +16,6 @@ import (
 )
 
 var nextID atomic.Int64
-
-// ResetIDs resets the process-wide record ID counter. Only tests should
-// call this; it keeps golden outputs deterministic.
-func ResetIDs() { nextID.Store(0) }
 
 // Record is one data item flowing through a pipeline. Records are created
 // with New and should be treated as immutable once handed to an operator;
@@ -418,16 +413,6 @@ func (r *Record) SetTruth(key string, v any) {
 func (r *Record) Truth(key string) (any, bool) {
 	v, ok := r.truth[key]
 	return v, ok
-}
-
-// TruthKeys returns the sorted ground-truth keys (for tests).
-func (r *Record) TruthKeys() []string {
-	out := make([]string, 0, len(r.truth))
-	for k := range r.truth {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String renders the record compactly for logs and chat output.

@@ -194,15 +194,6 @@ func TestStringTruncates(t *testing.T) {
 	}
 }
 
-func TestTruthKeysSorted(t *testing.T) {
-	r := MustNew(paperSchema, nil)
-	r.SetTruth("b", 1)
-	r.SetTruth("a", 2)
-	if got := r.TruthKeys(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("TruthKeys = %v", got)
-	}
-}
-
 func TestValuesIsCopy(t *testing.T) {
 	r := MustNew(paperSchema, map[string]any{"filename": "a"})
 	v := r.Values()

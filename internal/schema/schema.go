@@ -5,16 +5,15 @@
 // consists of the attribute names, types, and descriptions used to process
 // the dataset").
 //
-// Schemas are immutable after construction: derivation operations (Project,
-// Union, WithField) return new schemas. This mirrors the paper's dynamic
-// schema generation — `type(class_name, (pz.Schema,), fields)` in the demo's
-// Figure 2 — while staying idiomatic Go.
+// Schemas are immutable after construction; Project returns a new schema.
+// Derive builds one from parallel name and description lists, mirroring
+// the paper's dynamic schema generation — `type(class_name, (pz.Schema,),
+// fields)` in the demo's Figure 2 — while staying idiomatic Go.
 package schema
 
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -219,28 +218,6 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return New(s.name+"_proj", s.doc, fields...)
 }
 
-// WithField returns a new schema with an additional field appended.
-func (s *Schema) WithField(f Field) (*Schema, error) {
-	return New(s.name, s.doc, append(s.Fields(), f)...)
-}
-
-// Union merges two schemas: the result contains s's fields followed by
-// fields of o that s does not declare. Conflicting declarations (same name,
-// different type) are an error.
-func (s *Schema) Union(o *Schema, name string) (*Schema, error) {
-	fields := s.Fields()
-	for _, f := range o.fields {
-		if have, ok := s.Field(f.Name); ok {
-			if have.Type != f.Type {
-				return nil, fmt.Errorf("schema union: field %q declared %s and %s", f.Name, have.Type, f.Type)
-			}
-			continue
-		}
-		fields = append(fields, f)
-	}
-	return New(name, strings.TrimSpace(s.doc+" "+o.doc), fields...)
-}
-
 // NewFields returns the fields of target that are not declared by s. These
 // are the fields a Convert operator must compute (paper §2.1: Convert
 // "transforms an object of schema A into an object of schema B by computing
@@ -373,12 +350,4 @@ func (t FieldType) CheckValue(v any) bool {
 	default:
 		return false
 	}
-}
-
-// SortedFieldNames returns the field names sorted lexicographically; useful
-// for deterministic iteration in tests and reports.
-func (s *Schema) SortedFieldNames() []string {
-	out := s.FieldNames()
-	sort.Strings(out)
-	return out
 }

@@ -75,36 +75,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestWithField(t *testing.T) {
-	s := clinical(t)
-	s2, err := s.WithField(Field{Name: "year", Type: Int, Desc: "Publication year"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 4 || s.Len() != 3 {
-		t.Fatalf("WithField mutated original: %d/%d", s.Len(), s2.Len())
-	}
-	if _, err := s.WithField(Field{Name: "url"}); err == nil {
-		t.Error("duplicate WithField should error")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := MustNew("A", "", Field{Name: "x", Type: String}, Field{Name: "y", Type: Int})
-	b := MustNew("B", "", Field{Name: "y", Type: Int}, Field{Name: "z", Type: Bool})
-	u, err := a.Union(b, "AB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := u.FieldNames(); !reflect.DeepEqual(got, []string{"x", "y", "z"}) {
-		t.Fatalf("union fields = %v", got)
-	}
-	conflict := MustNew("C", "", Field{Name: "y", Type: String})
-	if _, err := a.Union(conflict, "AC"); err == nil {
-		t.Error("type-conflicting union should error")
-	}
-}
-
 func TestNewFields(t *testing.T) {
 	src := MustNew("PDFFile", "", Field{Name: "filename", Type: String}, Field{Name: "contents", Type: String})
 	dst := clinical(t)
@@ -123,7 +93,7 @@ func TestEqual(t *testing.T) {
 	if !Equal(a, b) {
 		t.Error("identical schemas not Equal")
 	}
-	c, _ := b.WithField(Field{Name: "extra"})
+	c := MustNew(b.Name(), b.Doc(), append(b.Fields(), Field{Name: "extra"})...)
 	if Equal(a, c) {
 		t.Error("different schemas Equal")
 	}
@@ -278,13 +248,5 @@ func TestBuiltinsAndForExtension(t *testing.T) {
 	}
 	if s, ok := ForExtension(".csv"); !ok || s.Name() != "CSVRow" {
 		t.Errorf("ForExtension(.csv) = %v", s.Name())
-	}
-}
-
-func TestSortedFieldNames(t *testing.T) {
-	s := clinical(t)
-	got := s.SortedFieldNames()
-	if !reflect.DeepEqual(got, []string{"description", "name", "url"}) {
-		t.Fatalf("SortedFieldNames = %v", got)
 	}
 }

@@ -12,6 +12,7 @@ package serve
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"strings"
 
@@ -47,6 +48,28 @@ type Spec struct {
 	// optimizer.ReoptDivergence. 0 defers to the server's -reopt-after
 	// default.
 	ReoptAfter int `json:"reopt_after,omitempty"`
+}
+
+// EngineFlags declares on fs the engine flags cmd/pzrun and cmd/pzserve
+// share, bound to cfg's fields: -parallelism (default 4), -partitions,
+// -batch, -sample and -reopt-after (default 0 each). A spec's own
+// partitions and reopt_after win over -partitions and -reopt-after. Check
+// the parsed values with CheckEngineFlags.
+func EngineFlags(fs *flag.FlagSet, cfg *pz.Config) {
+	fs.IntVar(&cfg.Parallelism, "parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
+	fs.IntVar(&cfg.Partitions, "partitions", 0, "default partition fan-out for indexed NDJSON datasets (0 = single reader, or the server's default when submitting to one)")
+	fs.IntVar(&cfg.StreamBatchSize, "batch", 0, "record batch size between pipeline stages (0 = auto; floored at -parallelism)")
+	fs.IntVar(&cfg.SampleSize, "sample", 0, "sentinel calibration sample size")
+	fs.IntVar(&cfg.ReoptAfterBatches, "reopt-after", 0, "default batches each filter stage observes before the engine checks for a mid-flight re-plan (0 = disabled)")
+}
+
+// CheckEngineFlags rejects what NewContext would (a negative knob) and a
+// -parallelism below 1, which a command line must spell out.
+func CheckEngineFlags(cfg pz.Config) error {
+	if cfg.Parallelism < 1 {
+		return fmt.Errorf("-parallelism must be >= 1, got %d", cfg.Parallelism)
+	}
+	return cfg.Validate()
 }
 
 // DatasetSpec identifies a dataset by registered name, or by a local

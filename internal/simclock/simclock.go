@@ -64,10 +64,6 @@ func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Advance is an alias for Sleep, provided for call sites where "advance"
-// reads better than "sleep" (e.g. the executor accounting for parallelism).
-func (s *Sim) Advance(d time.Duration) { s.Sleep(d) }
-
 // Elapsed returns the virtual time elapsed since the epoch.
 func (s *Sim) Elapsed() time.Duration {
 	s.mu.Lock()

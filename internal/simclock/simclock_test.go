@@ -28,7 +28,7 @@ func TestSimSleepNonPositive(t *testing.T) {
 func TestSimElapsed(t *testing.T) {
 	c := NewSim()
 	c.Sleep(90 * time.Second)
-	c.Advance(30 * time.Second)
+	c.Sleep(30 * time.Second)
 	if got := c.Elapsed(); got != 120*time.Second {
 		t.Fatalf("Elapsed = %v, want 2m", got)
 	}

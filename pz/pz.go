@@ -161,55 +161,13 @@ func ParsePolicy(name string, param float64) (Policy, error) {
 // dominated on cost, time, and quality).
 func Frontier(plans []*Plan) []*Plan { return optimizer.Frontier(plans) }
 
-// Config configures a Context.
-type Config struct {
-	// Parallelism is the maximum concurrent LLM calls per operator
-	// (default 1). Beyond 1, stages overlap: the scan streams batches of
-	// StreamBatchSize records through them.
-	Parallelism int
-	// Partitions is the partition fan-out for partitionable scans — an
-	// NDJSON corpus whose manifest carries a byte-offset partition index
-	// (see docs/howto-corpus.md). When > 1 the engine runs one
-	// source+map pipeline per partition, each reading its own byte range
-	// of the file, and merges results back into exact dataset order, so
-	// outputs stay byte-identical to a sequential scan. 0/1 keeps the
-	// single streaming reader. Dataset.WithPartitions overrides per
-	// pipeline.
-	Partitions int
-	// SampleSize enables sentinel calibration over that many records.
-	SampleSize int
-	// ReoptAfterBatches enables adaptive mid-flight re-optimization: after
-	// every re-orderable filter stage has processed this many batches, the
-	// engine compares observed selectivity and cost against the
-	// plan's estimates and — past optimizer.ReoptDivergence — hot-swaps the
-	// remaining batches onto a cheaper filter ordering. Outputs stay
-	// byte-identical; only cost/time change. 0 disables (default).
-	// Runs that cannot swap mid-flight (one batch per stage, partitioned,
-	// or shorter than the observation window) still fold observed statistics
-	// into the corrected plan the serving plan cache keeps.
-	ReoptAfterBatches int
-	// EstimatePriors seeds the optimizer's per-position cost-model
-	// estimates (selectivity for filters, fan-out for converts) when
-	// sentinel sampling is off — the operating point re-optimization
-	// recovers from when the priors turn out wrong. Keyed by logical
-	// plan position; ignored when SampleSize > 0 (measured statistics
-	// beat seeded priors).
-	EstimatePriors map[int]OpEstimate
-	// EnableCache memoizes LLM responses across Execute calls.
-	EnableCache bool
-	// CacheCapacity bounds the LLM response cache to that many entries
-	// (LRU eviction; 0 = unbounded). Only meaningful with EnableCache.
-	CacheCapacity int
-	// StreamBatchSize is the record batch size flowing between operator
-	// stages when they overlap (default 8; values below Parallelism are
-	// raised to it so batches keep every stage's worker pool full). A run
-	// whose stages cannot overlap is one batch per stage and ignores it.
-	StreamBatchSize int
-	// OnProgress, when set, receives execution progress events: one per
-	// completed batch per stage — so one per operator, in plan order, on a
-	// one-batch run. Events are serialized.
-	OnProgress func(Progress)
-}
+// Config configures a Context: the engine's run knobs (parallelism,
+// partition fan-out, sentinel sampling, re-optimization window, seeded
+// priors, LLM cache, batch size, progress callback). It is the engine's
+// own exec.Config, declared, documented and checked there once: NewContext
+// rejects negative values. Dataset.WithPartitions and WithReopt override
+// Partitions and ReoptAfterBatches for one pipeline.
+type Config = exec.Config
 
 // Progress is one execution progress event (see Config.OnProgress).
 type Progress = exec.Progress
@@ -223,25 +181,17 @@ type ReoptInfo = exec.ReoptInfo
 // Context owns a dataset registry and an execution engine. LLM usage
 // accumulates across Execute calls until ResetUsage.
 type Context struct {
-	cfg      Config
 	registry *dataset.Registry
 	executor *exec.Executor
 }
 
 // NewContext builds a Context.
 func NewContext(cfg Config) (*Context, error) {
-	e, err := exec.NewExecutor(exec.Config{
-		Parallelism:     cfg.Parallelism,
-		Partitions:      cfg.Partitions,
-		EnableCache:     cfg.EnableCache,
-		CacheCapacity:   cfg.CacheCapacity,
-		StreamBatchSize: cfg.StreamBatchSize,
-		OnProgress:      cfg.OnProgress,
-	})
+	e, err := exec.NewExecutor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Context{cfg: cfg, registry: dataset.NewRegistry(), executor: e}, nil
+	return &Context{registry: dataset.NewRegistry(), executor: e}, nil
 }
 
 // Register adds a dataset source to the context registry.
@@ -542,7 +492,7 @@ func (c *Context) ExecuteContext(ctx context.Context, d *Dataset, policy Policy)
 	if d.err != nil {
 		return nil, d.err
 	}
-	res, err := c.executor.Execute(ctx, d.chain, policy, c.optimizerOptions(d))
+	res, err := c.executor.Execute(ctx, d.chain, policy, d.partitions, d.reoptAfter)
 	if err != nil {
 		return nil, err
 	}
@@ -563,60 +513,19 @@ func (c *Context) ExecutePlanContext(ctx context.Context, plan *Plan, policyDesc
 // OptimizerOptions is the optimizer configuration derived from a Context.
 type OptimizerOptions = optimizer.Options
 
-// OptimizerOptions returns the options ExecuteContext hands the optimizer,
-// with the engine choice resolved (Pipelined reflects Parallelism and the
-// partition fan-out). The serving layer fingerprints queries with these so
-// cached plans are only reused under identical optimization settings.
-func (c *Context) OptimizerOptions() OptimizerOptions { return c.optimizerOptions(nil) }
-
-// optimizerOptions is the one place a Context's configuration becomes
-// optimizer options, with d's per-pipeline overrides (WithPartitions,
-// WithReopt) applied when d is non-nil. Execute, OptimizeOnly and the
-// serving fingerprint all resolve through it, so explaining a plan and
-// running it optimize the same problem.
-func (c *Context) optimizerOptions(d *Dataset) optimizer.Options {
-	o := optimizer.Options{
-		SampleSize:        c.cfg.SampleSize,
-		Partitions:        c.cfg.Partitions,
-		Pipelined:         c.cfg.Parallelism > 1 || c.cfg.Partitions > 1,
-		ReoptAfterBatches: c.cfg.ReoptAfterBatches,
-		Priors:            c.priors(),
-	}
-	if d == nil {
-		return o
-	}
-	if d.partitions != 0 {
-		o.Partitions = d.partitions
-		// Mirrors the executor's resolution: a per-pipeline fan-out
-		// request selects the streaming model, and a context-level one
-		// keeps it selected even when the pipeline opts back down to a
-		// single reader.
-		o.Pipelined = o.Pipelined || d.partitions > 1
-	}
-	if d.reoptAfter > 0 {
-		o.ReoptAfterBatches = d.reoptAfter
-	}
-	return o
-}
-
-// priors converts Config.EstimatePriors into the optimizer's calibration
-// form (nil when unset, keeping fingerprints stable for the common case).
-func (c *Context) priors() optimizer.Calibration {
-	if len(c.cfg.EstimatePriors) == 0 {
-		return nil
-	}
-	out := make(optimizer.Calibration, len(c.cfg.EstimatePriors))
-	for pos, est := range c.cfg.EstimatePriors {
-		out[pos] = est
-	}
-	return out
-}
+// OptimizerOptions returns the options ExecuteContext hands the optimizer
+// for a pipeline without overrides, with the engine choice resolved
+// (Pipelined reflects Parallelism and the partition fan-out).
+func (c *Context) OptimizerOptions() OptimizerOptions { return c.executor.OptimizerOptions(0, 0) }
 
 // OptimizerOptionsFor is OptimizerOptions with the dataset's per-pipeline
-// overrides applied (WithPartitions) — the exact options ExecuteContext
-// will resolve for d, which is what the serving layer must fingerprint so
-// queries with different fan-outs never share a cached plan.
-func (c *Context) OptimizerOptionsFor(d *Dataset) OptimizerOptions { return c.optimizerOptions(d) }
+// overrides applied (WithPartitions, WithReopt) — the exact options
+// ExecuteContext will resolve for d, which is what the serving layer must
+// fingerprint so queries with different fan-outs never share a cached
+// plan.
+func (c *Context) OptimizerOptionsFor(d *Dataset) OptimizerOptions {
+	return c.executor.OptimizerOptions(d.partitions, d.reoptAfter)
+}
 
 func wrapResult(res *exec.Result) *Result {
 	return &Result{
@@ -642,5 +551,5 @@ func (c *Context) OptimizeOnly(d *Dataset, policy Policy) (*Plan, []*Plan, error
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	return optimizer.New(c.optimizerOptions(d)).Optimize(d.chain, policy, c.executor.NewCtx())
+	return optimizer.New(c.OptimizerOptionsFor(d)).Optimize(d.chain, policy, c.executor.NewCtx())
 }

@@ -331,3 +331,13 @@ func TestOperatorPanicFailsOnlyItsQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestNewContextRejectsNegativeKnobs: a negative sample size or
+// re-optimization window is an error, not a silent "off".
+func TestNewContextRejectsNegativeKnobs(t *testing.T) {
+	for _, cfg := range []Config{{SampleSize: -1}, {ReoptAfterBatches: -2}} {
+		if _, err := NewContext(cfg); err == nil {
+			t.Errorf("NewContext accepted %+v", cfg)
+		}
+	}
+}
