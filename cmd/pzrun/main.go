@@ -112,16 +112,6 @@ func run(specPath string, opts options) error {
 		sp.Policy = opts.policy
 		sp.PolicyParam = opts.param
 	}
-	// A partition fan-out or re-optimization window in the spec file
-	// wins, so a spec submitted to pzserve behaves identically here; the
-	// flag fills the gap either way (Build applies it locally, the JSON
-	// body carries it remotely).
-	if sp.Partitions == 0 {
-		sp.Partitions = opts.engine.Partitions
-	}
-	if sp.ReoptAfter == 0 {
-		sp.ReoptAfter = opts.engine.ReoptAfterBatches
-	}
 	ctx := context.Background()
 	if opts.timeout > 0 {
 		var cancel context.CancelFunc
@@ -137,21 +127,7 @@ func run(specPath string, opts options) error {
 // runLocal optimizes and executes the pipeline in-process over a fresh
 // pz.Context, honoring ctx cancellation via ExecuteContext.
 func runLocal(ctx context.Context, sp *serve.Spec, opts options) error {
-	// The spec carries the fan-out and window (run fills them from the
-	// flags), so the context keeps neither as a default.
-	cfg := opts.engine
-	cfg.Partitions, cfg.ReoptAfterBatches = 0, 0
-	if opts.progress {
-		cfg.OnProgress = func(p pz.Progress) {
-			fmt.Fprintf(os.Stderr, "pzrun: op %d %-30s batches=%d records=%d\n",
-				p.OpIndex, p.OpID, p.Batches, p.Records)
-		}
-	}
-	pzctx, err := pz.NewContext(cfg)
-	if err != nil {
-		return err
-	}
-	ds, err := sp.Build(pzctx)
+	pzctx, ds, err := localPipeline(sp, opts)
 	if err != nil {
 		return err
 	}
@@ -182,6 +158,31 @@ func runLocal(ctx context.Context, sp *serve.Spec, opts options) error {
 	return nil
 }
 
+// localPipeline builds the spec's pipeline over a fresh pz.Context
+// configured by the engine flags, as pzserve builds a query over its
+// context: the -partitions and -reopt-after flags stay the context's
+// defaults, and a nonzero fan-out or window in the spec overrides them
+// for this pipeline. So a spec plans the same here as on a pzserve
+// started with the same flags.
+func localPipeline(sp *serve.Spec, opts options) (*pz.Context, *pz.Dataset, error) {
+	cfg := opts.engine
+	if opts.progress {
+		cfg.OnProgress = func(p pz.Progress) {
+			fmt.Fprintf(os.Stderr, "pzrun: op %d %-30s batches=%d records=%d\n",
+				p.OpIndex, p.OpID, p.Batches, p.Records)
+		}
+	}
+	pzctx, err := pz.NewContext(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := sp.Build(pzctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pzctx, ds, nil
+}
+
 // writeTrace renders a trace document to a file as indented JSON.
 func writeTrace(path string, doc *trace.Document) error {
 	data, err := doc.MarshalIndent()
@@ -199,6 +200,14 @@ func writeTrace(path string, doc *trace.Document) error {
 // (/v1/query?wait=1) and renders the returned result. Canceling ctx drops
 // the connection, which aborts the job server-side.
 func runRemote(ctx context.Context, sp *serve.Spec, opts options) error {
+	// A partition fan-out or re-optimization window in the spec file
+	// wins; the flag fills the gap, carried in the body.
+	if sp.Partitions == 0 {
+		sp.Partitions = opts.engine.Partitions
+	}
+	if sp.ReoptAfter == 0 {
+		sp.ReoptAfter = opts.engine.ReoptAfterBatches
+	}
 	body, err := json.Marshal(sp)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,7 +153,14 @@ func TestRunTimeoutAborts(t *testing.T) {
 // registered under "papers" and returns its base URL.
 func serveForTest(t *testing.T, onStart func(context.Context, *serve.Job)) string {
 	t.Helper()
-	pzctx, err := pz.NewContext(pz.Config{Parallelism: 2})
+	return serveWith(t, pz.Config{Parallelism: 2}, onStart)
+}
+
+// serveWith is serveForTest over a context made from engine, as pzserve
+// makes one from its engine flags.
+func serveWith(t *testing.T, engine pz.Config, onStart func(context.Context, *serve.Job)) string {
+	t.Helper()
+	pzctx, err := pz.NewContext(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,4 +265,68 @@ func TestRunTraceArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkArtifact(opts.tracePath)
+}
+
+// TestLocalPlansAsServe: a spec's partition fan-out overrides the
+// -partitions flag for its pipeline and leaves the flag the context's
+// default, in pzrun as in pzserve. With -parallelism 1 -partitions 4 and
+// a spec asking for one reader, both resolve the same optimizer options
+// and run the query overlapping (trace root "pipelined").
+func TestLocalPlansAsServe(t *testing.T) {
+	engine := pz.Config{Parallelism: 1, Partitions: 4}
+	spec := `{
+	  "dataset": {"name": "papers", "dir": "` + demoCorpusDir(t) + `"},
+	  "partitions": 1,
+	  "ops": [{"op": "filter", "predicate": "The papers are about colorectal cancer"}]
+	}`
+	sp, err := serve.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := baseOptions("max-quality")
+	opts.engine = engine
+	local, lds, err := localPipeline(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pzserve builds every query over the one context its flags make.
+	served, err := pz.NewContext(engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sds, err := sp.Build(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, so := local.OptimizerOptionsFor(lds), served.OptimizerOptionsFor(sds)
+	if !reflect.DeepEqual(lo, so) || !lo.Pipelined || lo.Partitions != 1 {
+		t.Errorf("pzrun resolves %+v, pzserve %+v; want equal, pipelined, one partition", lo, so)
+	}
+
+	root := func(path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc trace.Document
+		if err := json.Unmarshal(data, &doc); err != nil || doc.Trace == nil {
+			t.Fatalf("trace %s: %v", path, err)
+		}
+		return doc.Trace.Name
+	}
+	specPath := writeSpec(t, spec)
+	opts.tracePath = filepath.Join(t.TempDir(), "local.json")
+	if err := run(specPath, opts); err != nil {
+		t.Fatal(err)
+	}
+	localRoot := root(opts.tracePath)
+	opts.server = serveWith(t, engine, nil)
+	opts.tracePath = filepath.Join(t.TempDir(), "remote.json")
+	if err := run(specPath, opts); err != nil {
+		t.Fatal(err)
+	}
+	if remoteRoot := root(opts.tracePath); localRoot != "pipelined" || remoteRoot != "pipelined" {
+		t.Errorf("trace roots: pzrun %q, pzserve %q; want both pipelined", localRoot, remoteRoot)
+	}
 }

@@ -778,7 +778,7 @@ func TestWireRecordRoundTrip(t *testing.T) {
 			Fields:  map[string]string{"customer": "acme"},
 			Numbers: map[string]float64{"score": 0.75},
 		}
-		rec.SetTruth(corpus.TruthKey, truth)
+		rec.SetTruth(truth)
 		recs := []*record.Record{rec}
 
 		var enc corpus.RecordEncoder

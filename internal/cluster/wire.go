@@ -150,7 +150,7 @@ func DecodeRecords(s *schema.Schema, wire []WireRecord) ([]*record.Record, error
 		}
 		rec.SetSource(w.Source)
 		if w.Truth != nil {
-			rec.SetTruth(corpus.TruthKey, w.Truth)
+			rec.SetTruth(w.Truth)
 		}
 		out[i] = rec
 	}

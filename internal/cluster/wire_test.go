@@ -303,7 +303,7 @@ func FuzzAppendRecord(f *testing.F) {
 			"tags": []string{key, text}, "blob": []byte(text),
 		})
 		rec.SetSource(key)
-		rec.SetTruth(corpus.TruthKey, withInputs(&corpus.Truth{}, key, text, x))
+		rec.SetTruth(withInputs(&corpus.Truth{}, key, text, x))
 		doc := docs[int(domain)%len(docs)]
 		drec, err := corpus.DocRecord(&corpus.Doc{Filename: doc.Filename, Text: text,
 			Truth: withInputs(doc.Truth, key, text, float64(n))}, schema.TextFile, key)

@@ -63,10 +63,6 @@ type Mention struct {
 	Fields map[string]string `json:"fields"`
 }
 
-// TruthKey is the record truth-annotation key under which a *Truth is
-// stored.
-const TruthKey = "gt"
-
 // Doc is one generated document before it is wrapped in a record: a
 // filename, full text, and its ground truth. A Doc is also one line of
 // the NDJSON corpus format (see WriteNDJSON), which the JSON tags define.

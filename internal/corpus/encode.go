@@ -200,6 +200,16 @@ var plainHTML = func() [256]bool {
 // also escapes '<', '>' and '&' as \u003c, \u003e and \u0026, as
 // json.Marshal and a default json.Encoder do.
 func AppendString(dst []byte, s string, escapeHTML bool) []byte {
+	return appendString(dst, s, escapeHTML)
+}
+
+// AppendBytes appends b, taken as text, as AppendString appends a string.
+func AppendBytes(dst []byte, b []byte, escapeHTML bool) []byte {
+	return appendString(dst, b, escapeHTML)
+}
+
+// appendString is AppendString over the bytes of a string or a slice.
+func appendString[T string | []byte](dst []byte, s T, escapeHTML bool) []byte {
 	safe := &plain
 	if escapeHTML {
 		safe = &plainHTML
@@ -213,7 +223,7 @@ func AppendString(dst []byte, s string, escapeHTML bool) []byte {
 			continue
 		}
 		if c >= utf8.RuneSelf {
-			r, n := utf8.DecodeRuneInString(s[i:])
+			r, n := decodeRune(s[i:])
 			if r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || n != 1) {
 				i += n
 				continue
@@ -250,4 +260,14 @@ func AppendString(dst []byte, s string, escapeHTML bool) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// decodeRune is utf8.DecodeRune over a string or a slice.
+func decodeRune[T string | []byte](s T) (rune, int) {
+	switch x := any(s).(type) {
+	case string:
+		return utf8.DecodeRuneInString(x)
+	default:
+		return utf8.DecodeRune(x.([]byte))
+	}
 }

@@ -37,8 +37,8 @@ func WriteFiles(dir string, docs []*Doc) ([]string, error) {
 
 // Records wraps docs into records of the given schema. The schema must have
 // "filename" and "contents" string fields (the built-in file schemas do).
-// Each record carries the document's ground truth under TruthKey and its
-// source set to sourceName.
+// Each record carries the document's ground truth and its source set to
+// sourceName.
 func Records(docs []*Doc, s *schema.Schema, sourceName string) ([]*record.Record, error) {
 	out := make([]*record.Record, 0, len(docs))
 	for _, d := range docs {
@@ -53,28 +53,33 @@ func Records(docs []*Doc, s *schema.Schema, sourceName string) ([]*record.Record
 
 // DocRecord wraps one document into a record of the given schema (which
 // must have "filename" and "contents" string fields), carrying the
-// document's ground truth under TruthKey — the per-document unit behind
-// Records, used by streaming sources that never hold a whole corpus.
+// document's ground truth — the per-document unit behind Records, used by
+// streaming sources that never hold a whole corpus. It fills the record's
+// slots directly: a record costs its slots, its two boxed strings and
+// itself.
 func DocRecord(d *Doc, s *schema.Schema, sourceName string) (*record.Record, error) {
-	r, err := record.New(s, map[string]any{
-		"filename": d.Filename,
-		"contents": d.Text,
-	})
+	if s == nil {
+		return nil, fmt.Errorf("corpus: record: nil schema")
+	}
+	name, okName := s.Index("filename")
+	text, okText := s.Index("contents")
+	if !okName || !okText {
+		return nil, fmt.Errorf("corpus: record: schema %s needs filename and contents fields", s.Name())
+	}
+	vals := make([]any, s.Len())
+	vals[name], vals[text] = d.Filename, d.Text
+	r, err := record.NewSlots(s, vals)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	r.SetSource(sourceName)
-	r.SetTruth(TruthKey, d.Truth)
+	r.SetTruth(d.Truth)
 	return r, nil
 }
 
 // TruthOf retrieves the ground truth attached to a record (nil when the
 // record has none, e.g. user-supplied data).
 func TruthOf(r *record.Record) *Truth {
-	v, ok := r.Truth(TruthKey)
-	if !ok {
-		return nil
-	}
-	t, _ := v.(*Truth)
+	t, _ := r.Truth().(*Truth)
 	return t
 }

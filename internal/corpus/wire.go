@@ -1,9 +1,7 @@
 package corpus
 
 import (
-	"cmp"
 	"encoding/base64"
-	"slices"
 	"strconv"
 
 	"repro/internal/record"
@@ -36,21 +34,13 @@ type WireRecord struct {
 // recordKeys are WireRecord's keys, for field.
 var recordKeys = []string{"values", "truth", "source"}
 
-// sortedFields returns s's fields ordered by name, the order in which
-// encoding/json writes a record's values map.
-func sortedFields(s *schema.Schema) []schema.Field {
-	fields := s.Fields()
-	slices.SortFunc(fields, func(a, b schema.Field) int { return cmp.Compare(a.Name, b.Name) })
-	return fields
-}
-
 // RecordEncoder appends wire records. The zero value is ready to use; an
 // encoder keeps scratch between calls and is not safe for concurrent use.
 type RecordEncoder struct {
 	w jsonWriter
-	// fields are schema's fields, sorted by name.
+	// order is schema's slots, sorted by field name.
 	schema *schema.Schema
-	fields []schema.Field
+	order  []int
 }
 
 // Append appends r to dst as a wire record. It reports false when a value
@@ -60,17 +50,16 @@ type RecordEncoder struct {
 // in name order.
 func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 	if s := r.Schema(); s != e.schema {
-		e.schema, e.fields = s, sortedFields(s)
+		e.schema, e.order = s, s.AppendSlotsByName(nil)
 	}
 	dst = append(dst, `{"values":{`...)
-	for i, f := range e.fields {
+	for i, slot := range e.order {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(AppendString(dst, f.Name, false), ':')
-		v, _ := r.Get(f.Name)
+		dst = append(AppendString(dst, e.schema.FieldAt(slot).Name, false), ':')
 		var ok bool
-		if dst, ok = appendValue(dst, v); !ok {
+		if dst, ok = appendValue(dst, r.At(slot)); !ok {
 			return dst, false
 		}
 	}
@@ -100,21 +89,23 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 // between calls and is not safe for concurrent use.
 type RecordsDecoder struct {
 	d docDecoder
-	// fields are schema's fields, sorted by name; seen marks those the
-	// record being decoded has named, and next is where to look first.
+	// order is schema's slots, sorted by field name; seen marks the slots
+	// the record being decoded has named, and next is where in order to
+	// look first.
 	schema *schema.Schema
-	fields []schema.Field
+	order  []int
 	seen   []bool
 	next   int
 
-	items  []valueItem
-	vals   map[string]any
+	items []valueItem
+	// vals are the slots of the record being decoded, handed over to it.
+	vals   []any
 	source string
 }
 
-// valueItem is one parsed member of a values object: the field it names
-// and its value, as a string or number literal in val, a bool in flag,
-// or a string list's elements.
+// valueItem is one parsed member of a values object: the slot of the
+// field it names and its value, as a string or number literal in val, a
+// bool in flag, or a string list's elements.
 type valueItem struct {
 	field int
 	null  bool
@@ -130,18 +121,15 @@ type valueItem struct {
 // decline are dropped; they have only used up record IDs.
 func (c *RecordsDecoder) Decode(raw []byte, s *schema.Schema, recs []*record.Record) ([]*record.Record, bool) {
 	if s != c.schema {
-		c.schema, c.fields = s, sortedFields(s)
-		c.seen = make([]bool, len(c.fields))
-	}
-	if c.vals == nil {
-		c.vals = make(map[string]any, len(c.fields))
+		c.schema, c.order = s, s.AppendSlotsByName(nil)
+		c.seen = make([]bool, len(c.order))
 	}
 	n := len(recs)
 	c.d.reset(raw, 0)
 	recs, ok := c.records(recs)
 	ok = ok && c.d.end()
 	c.d.raw = nil
-	clear(c.vals)
+	c.vals = nil
 	if !ok {
 		clear(recs[n:])
 		return recs[:n], false
@@ -173,7 +161,7 @@ func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool)
 func (c *RecordsDecoder) record() (*record.Record, bool) {
 	d := &c.d
 	d.reset(d.raw, d.pos)
-	clear(c.vals)
+	c.vals = make([]any, c.schema.Len())
 	var src span
 	var seen uint8
 	if !d.eat('{') {
@@ -203,7 +191,8 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 			return nil, false
 		}
 	}
-	r, err := record.New(c.schema, c.vals)
+	r, err := record.NewSlots(c.schema, c.vals)
+	c.vals = nil
 	if err != nil {
 		return nil, false
 	}
@@ -212,7 +201,7 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 	}
 	r.SetSource(c.source)
 	if t != nil {
-		r.SetTruth(TruthKey, t)
+		r.SetTruth(t)
 	}
 	return r, true
 }
@@ -237,7 +226,7 @@ func (c *RecordsDecoder) values() bool {
 			return false
 		}
 		if it.null = d.lit("null"); !it.null {
-			switch c.fields[it.field].Type {
+			switch c.schema.FieldAt(it.field).Type {
 			case schema.String, schema.Bytes:
 				it.val, ok = d.str()
 			case schema.Int, schema.Float:
@@ -262,11 +251,10 @@ func (c *RecordsDecoder) values() bool {
 	s := string(d.buf[lo:])
 	for _, it := range c.items {
 		if it.null {
-			continue // record.New gives a field it is not passed its zero value
+			continue // record.NewSlots gives a nil slot its field's zero value
 		}
-		f := c.fields[it.field]
 		var v any
-		switch f.Type {
+		switch c.schema.FieldAt(it.field).Type {
 		case schema.String:
 			v = it.val.of(s, lo)
 		case schema.Int:
@@ -296,23 +284,24 @@ func (c *RecordsDecoder) values() bool {
 			}
 			v = b
 		}
-		c.vals[f.Name] = v
+		c.vals[it.field] = v
 	}
 	return true
 }
 
-// fieldIndex returns the index in c.fields of the field named key, or -1
-// if there is none or the record named it already. Fields come in name
-// order, so the search starts after the last field found.
+// fieldIndex returns the slot of the field named key, or -1 if there is
+// none or the record named it already. Fields come in name order, so the
+// search starts after the last field found.
 func (c *RecordsDecoder) fieldIndex(key []byte) int {
-	for j := range c.fields {
-		i := (c.next + j) % len(c.fields)
-		if c.fields[i].Name == string(key) {
-			if c.seen[i] {
+	for j := range c.order {
+		k := (c.next + j) % len(c.order)
+		slot := c.order[k]
+		if c.schema.FieldAt(slot).Name == string(key) {
+			if c.seen[slot] {
 				return -1
 			}
-			c.seen[i], c.next = true, i+1
-			return i
+			c.seen[slot], c.next = true, k+1
+			return slot
 		}
 	}
 	return -1

@@ -206,7 +206,7 @@ func (d *DirSource) load() (*dirSnapshot, error) {
 		for _, r := range recs {
 			r.SetSource(d.name)
 			if gt, ok := truths[f]; ok {
-				r.SetTruth(corpus.TruthKey, gt)
+				r.SetTruth(gt)
 			}
 			out = append(out, r)
 		}

@@ -49,6 +49,11 @@ func TestRequestPathAllocs(t *testing.T) {
 	if _, err := cached.Complete(filter); err != nil {
 		t.Fatal(err)
 	}
+	card, err := llm.Card(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp llm.Response
 	complete := func(c llm.Completer, req llm.Request) func() {
 		return func() {
 			if _, err := c.Complete(req); err != nil {
@@ -62,9 +67,12 @@ func TestRequestPathAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"ops.FilterRequest", 2, func() { _ = ops.FilterRequest(model, workloads.SupportPredicate, r) }},
-		{"uncached filter Service.Complete", 5, complete(svc, filter)},
+		{"uncached filter Service.Complete", 1, complete(svc, filter)},
 		{"bonded extract Service.Complete", 6, complete(svc, extract)},
 		{"filter cache hit", 1, complete(cached, filter)},
+		// The service has seen the predicate and the ticket's labels, so
+		// the oracle tokenizes nothing again.
+		{"warmed filter oracle", 0, func() { llm.Decide(svc, card, filter, &resp) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.max {
 			t.Errorf("%s: %.0f allocs per call, want <= %.0f", tc.name, got, tc.max)

@@ -31,7 +31,7 @@ func TestFilterConfidenceCalibration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetTruth(corpus.TruthKey, truth)
+			r.SetTruth(truth)
 			resp, err := svc.Complete(Request{
 				Model: model, Task: TaskFilter,
 				Prompt:    "p " + fmt.Sprint(i),

@@ -3,7 +3,6 @@ package llm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/textutil"
 )
@@ -14,53 +13,17 @@ import (
 // property semantic prefilters depend on.
 const EmbedDim = 256
 
-// embedMemoBytes bounds a Service's embedding memo, counting each entry as
+// embedMemo maps a text to its embedding vector, counting each entry as
 // its vector (EmbedDim float64s, 2 KiB) plus its key text.
-const embedMemoBytes = 4 << 20
-
-// embedMemo maps a text to its embedding vector. Once it holds
-// embedMemoBytes it evicts its oldest entries first. Safe for concurrent
-// use.
-type embedMemo struct {
-	mu    sync.RWMutex
-	vecs  map[string][]float64
-	order []string // keys of vecs, oldest first
-	bytes int
-}
+type embedMemo struct{ memo[[]float64] }
 
 // vector returns EmbedVector(text), computing it only when text is not
 // memoized. The result is shared between callers.
 func (m *embedMemo) vector(text string) []float64 {
-	m.mu.RLock()
-	vec, ok := m.vecs[text]
-	m.mu.RUnlock()
-	if ok {
+	if vec, ok := m.get(text); ok {
 		return vec
 	}
-	vec = EmbedVector(text)
-	size := EmbedDim*8 + len(text)
-	if size > embedMemoBytes {
-		return vec
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prior, ok := m.vecs[text]; ok {
-		return prior
-	}
-	for m.bytes+size > embedMemoBytes {
-		oldest := m.order[0]
-		m.order[0] = ""
-		m.order = m.order[1:]
-		m.bytes -= EmbedDim*8 + len(oldest)
-		delete(m.vecs, oldest)
-	}
-	if m.vecs == nil {
-		m.vecs = map[string][]float64{}
-	}
-	m.vecs[text] = vec
-	m.order = append(m.order, text)
-	m.bytes += size
-	return vec
+	return m.put(text, EmbedVector(text), EmbedDim*8+len(text))
 }
 
 // Embed produces a deterministic embedding of text with the named embedding

@@ -79,35 +79,35 @@ func TestEmbedMemoSharesAndCharges(t *testing.T) {
 func TestEmbedMemoBounded(t *testing.T) {
 	svc := NewService()
 	text := func(i int) string { return fmt.Sprintf("document %d about colorectal cancer", i) }
-	n := embedMemoBytes/(EmbedDim*8) + 100
+	n := memoBytes/(EmbedDim*8) + 100
 	for i := 0; i < n; i++ {
 		if _, _, err := svc.Embed("atlas-embed", text(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m := &svc.embeds
-	if m.bytes > embedMemoBytes {
-		t.Fatalf("memo holds %d bytes, bound %d", m.bytes, embedMemoBytes)
+	if m.bytes > memoBytes {
+		t.Fatalf("memo holds %d bytes, bound %d", m.bytes, memoBytes)
 	}
 	total := 0
 	for _, k := range m.order {
-		total += EmbedDim*8 + len(k)
+		total += EmbedDim*8 + len(k.text)
 	}
-	if len(m.vecs) != len(m.order) || total != m.bytes {
+	if len(m.vals) != len(m.order) || total != m.bytes {
 		t.Fatalf("memo has %d vectors, %d keys in order, %d bytes counted, %d held",
-			len(m.vecs), len(m.order), m.bytes, total)
+			len(m.vals), len(m.order), m.bytes, total)
 	}
-	if _, ok := m.vecs[text(0)]; ok {
+	if _, ok := m.vals[text(0)]; ok {
 		t.Error("oldest entry was not evicted")
 	}
-	if _, ok := m.vecs[text(n-1)]; !ok {
+	if _, ok := m.vals[text(n-1)]; !ok {
 		t.Error("newest entry is missing")
 	}
-	big := strings.Repeat("colorectal ", embedMemoBytes/10)
+	big := strings.Repeat("colorectal ", memoBytes/10)
 	if _, _, err := svc.Embed("atlas-embed", big); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.vecs[big]; ok || m.bytes > embedMemoBytes {
+	if _, ok := m.vals[big]; ok || m.bytes > memoBytes {
 		t.Errorf("a text larger than the memo was memoized (%d bytes held)", m.bytes)
 	}
 }

@@ -505,7 +505,7 @@ func TestKeysMatch(t *testing.T) {
 		{"name", "description", false},
 	}
 	for _, c := range cases {
-		if got := keysMatch(c.a, c.b); got != c.want {
+		if got := keysMatch(nil, c.a, c.b); got != c.want {
 			t.Errorf("keysMatch(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

@@ -14,13 +14,14 @@ import (
 
 // decide implements TaskFilter: consult the corpus ground truth when the
 // record carries it, otherwise fall back to lexical semantics over the
-// record text; then apply deterministic model-quality noise.
-func decide(card ModelCard, req Request, resp *Response) {
+// record text; then apply deterministic model-quality noise. It tokenizes
+// through tm.
+func decide(tm *termsMemo, card ModelCard, req Request, resp *Response) {
 	truth := corpus.TruthOf(req.Record)
 	var want bool
 	switch {
 	case truth != nil:
-		want = GoldFilterDecision(truth, req.Predicate)
+		want = goldFilterDecision(tm, truth, req.Predicate)
 	default:
 		want = textutil.Overlap(req.Predicate, req.Record.Text()) >= 0.6
 	}
@@ -56,10 +57,15 @@ func decide(card ModelCard, req Request, resp *Response) {
 // gold answer the simulated models approximate and the metrics package
 // scores against.
 func GoldFilterDecision(truth *corpus.Truth, predicate string) bool {
-	predTerms := textutil.Terms(predicate)
+	return goldFilterDecision(nil, truth, predicate)
+}
+
+// goldFilterDecision is GoldFilterDecision tokenizing through tm.
+func goldFilterDecision(tm *termsMemo, truth *corpus.Truth, predicate string) bool {
+	predTerms := tm.terms(predicate)
 	matched, answer := false, true
 	for label, val := range truth.Labels {
-		terms := textutil.Terms(label)
+		terms := tm.terms(label)
 		if len(terms) == 0 || !containsAll(predTerms, terms) {
 			continue
 		}
@@ -85,12 +91,12 @@ func containsAll(have, want []string) bool {
 // extract implements TaskExtract. With ground truth, it pulls entity
 // mentions or scalar fields matching the requested schema fields and
 // applies per-entity/per-field model noise; without truth it falls back to
-// heuristic extraction from the record text.
-func extract(card ModelCard, req Request, resp *Response) {
+// heuristic extraction from the record text. It tokenizes through tm.
+func extract(tm *termsMemo, card ModelCard, req Request, resp *Response) {
 	truth := corpus.TruthOf(req.Record)
 	var exs []map[string]string
 	if truth != nil {
-		exs = truthExtract(card, req, truth)
+		exs = truthExtract(tm, card, req, truth)
 	} else {
 		exs = heuristicExtract(req)
 	}
@@ -103,7 +109,7 @@ func extract(card ModelCard, req Request, resp *Response) {
 
 // truthExtract matches the requested fields against ground-truth mentions
 // first, then scalar fields.
-func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string]string {
+func truthExtract(tm *termsMemo, card ModelCard, req Request, truth *corpus.Truth) []map[string]string {
 	acc := card.ExtractAccuracy() + req.QualityBoost
 	if acc > 1 {
 		acc = 1
@@ -119,7 +125,7 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 	}
 
 	// Choose the mention kind with the best coverage of requested fields.
-	kind, coverage := bestMentionKind(req.Fields, truth)
+	kind, coverage := bestMentionKind(tm, req.Fields, truth)
 	if coverage >= 0.5 {
 		var out []map[string]string
 		for i, m := range truth.MentionsOfKind(kind) {
@@ -133,7 +139,7 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 			}
 			ex := map[string]string{}
 			for _, f := range req.Fields {
-				v, ok := matchField(f, m.Fields, truth)
+				v, ok := matchField(tm, f, m.Fields, truth)
 				if !ok {
 					v = fallback(f)
 				}
@@ -156,7 +162,7 @@ func truthExtract(card ModelCard, req Request, truth *corpus.Truth) []map[string
 	ex := make(map[string]string, len(req.Fields))
 	found := false
 	for _, f := range req.Fields {
-		v, ok := matchField(f, nil, truth)
+		v, ok := matchField(tm, f, nil, truth)
 		if !ok {
 			v = fallback(f)
 		} else {
@@ -185,7 +191,7 @@ func allEmpty(m map[string]string) bool {
 
 // bestMentionKind returns the mention kind whose field names cover the
 // largest fraction of the requested fields.
-func bestMentionKind(fields []schema.Field, truth *corpus.Truth) (string, float64) {
+func bestMentionKind(tm *termsMemo, fields []schema.Field, truth *corpus.Truth) (string, float64) {
 	if len(fields) == 0 {
 		return "", 0
 	}
@@ -196,7 +202,7 @@ func bestMentionKind(fields []schema.Field, truth *corpus.Truth) (string, float6
 		}
 		n := 0
 		for _, f := range fields {
-			if _, ok := matchKey(f.Name, m.Fields); ok {
+			if _, ok := matchKey(tm, f.Name, m.Fields); ok {
 				n++
 			}
 		}
@@ -217,18 +223,18 @@ func bestMentionKind(fields []schema.Field, truth *corpus.Truth) (string, float6
 // matchField resolves a requested schema field against mention fields
 // and/or the truth's scalar fields and numbers, using stemmed-name fuzzy
 // matching ("dataset_name" matches "name", "public_url" matches "url").
-func matchField(f schema.Field, mention map[string]string, truth *corpus.Truth) (string, bool) {
+func matchField(tm *termsMemo, f schema.Field, mention map[string]string, truth *corpus.Truth) (string, bool) {
 	if mention != nil {
-		if v, ok := matchKey(f.Name, mention); ok {
+		if v, ok := matchKey(tm, f.Name, mention); ok {
 			return v, true
 		}
 	}
 	if truth != nil {
-		if v, ok := matchKey(f.Name, truth.Fields); ok {
+		if v, ok := matchKey(tm, f.Name, truth.Fields); ok {
 			return v, true
 		}
 		for k, n := range truth.Numbers {
-			if keysMatch(f.Name, k) {
+			if keysMatch(tm, f.Name, k) {
 				if f.Type == schema.Int {
 					return fmt.Sprintf("%d", int64(n)), true
 				}
@@ -239,14 +245,14 @@ func matchField(f schema.Field, mention map[string]string, truth *corpus.Truth) 
 	return "", false
 }
 
-func matchKey(want string, m map[string]string) (string, bool) {
+func matchKey(tm *termsMemo, want string, m map[string]string) (string, bool) {
 	// Exact first, then fuzzy; iterate deterministically.
 	if v, ok := m[want]; ok {
 		return v, true
 	}
 	bestKey := ""
 	for k := range m {
-		if keysMatch(want, k) && (bestKey == "" || k < bestKey) {
+		if keysMatch(tm, want, k) && (bestKey == "" || k < bestKey) {
 			bestKey = k
 		}
 	}
@@ -257,28 +263,17 @@ func matchKey(want string, m map[string]string) (string, bool) {
 }
 
 // keysMatch reports whether two field names refer to the same attribute:
-// equal after sanitization, or one's stemmed term set contains the other's.
-func keysMatch(a, b string) bool {
+// equal, or one's stemmed term set contains the other's. An underscore
+// separates terms as a space does. It tokenizes through tm.
+func keysMatch(tm *termsMemo, a, b string) bool {
 	if a == b {
 		return true
 	}
-	ta, tb := textutil.Terms(strings.ReplaceAll(a, "_", " ")), textutil.Terms(strings.ReplaceAll(b, "_", " "))
+	ta, tb := tm.terms(a), tm.terms(b)
 	if len(ta) == 0 || len(tb) == 0 {
 		return false
 	}
-	contains := func(xs, ys []string) bool {
-		set := map[string]bool{}
-		for _, x := range xs {
-			set[x] = true
-		}
-		for _, y := range ys {
-			if !set[y] {
-				return false
-			}
-		}
-		return true
-	}
-	return contains(ta, tb) || contains(tb, ta)
+	return containsAll(ta, tb) || containsAll(tb, ta)
 }
 
 // garble corrupts a value the way a weak model does: it keeps the shape but

@@ -112,6 +112,7 @@ type Service struct {
 	calls    uint64
 	failRate float64
 	embeds   embedMemo
+	terms    termsMemo
 }
 
 // NewService returns a fresh provider with no usage.
@@ -179,9 +180,9 @@ func (s *Service) Complete(req Request) (*Response, error) {
 	resp := &Response{Model: card.Name, InputTokens: inTok}
 	switch req.Task {
 	case TaskFilter:
-		decide(card, req, resp)
+		decide(&s.terms, card, req, resp)
 	case TaskExtract:
-		extract(card, req, resp)
+		extract(&s.terms, card, req, resp)
 	default:
 		return nil, fmt.Errorf("llm: unknown task %v", req.Task)
 	}

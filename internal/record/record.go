@@ -8,6 +8,7 @@ package record
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -18,20 +19,24 @@ import (
 var nextID atomic.Int64
 
 // Record is one data item flowing through a pipeline. Records are created
-// with New and should be treated as immutable once handed to an operator;
-// derive new records with Derive or Project instead of mutating.
+// with New or NewSlots and should be treated as immutable once handed to
+// an operator; derive new records with Derive or Project instead of
+// mutating.
 type Record struct {
 	id     int64
 	schema *schema.Schema
-	values map[string]any
+	// values holds one value per schema field, in declaration order
+	// (schema.Index gives a field's slot), each in its type's canonical
+	// Go form.
+	values []any
 	// parents are the IDs of the records this one was derived from.
 	parents []int64
 	// source names the dataset or file this record originated from.
 	source string
-	// truth carries hidden ground-truth annotations attached by the
+	// truth carries the hidden ground-truth annotation attached by the
 	// synthetic corpus generators. The simulated LLM reads it through the
 	// oracle interface; real operators never touch it.
-	truth map[string]any
+	truth any
 }
 
 // New creates a record of the given schema. Missing fields default to the
@@ -40,29 +45,45 @@ func New(s *schema.Schema, values map[string]any) (*Record, error) {
 	if s == nil {
 		return nil, fmt.Errorf("record: nil schema")
 	}
-	r := &Record{
-		id:     nextID.Add(1),
-		schema: s,
-		values: make(map[string]any, s.Len()),
+	vals := make([]any, s.Len())
+	if err := assign(s, vals, values); err != nil {
+		return nil, err
 	}
-	for name, v := range values {
-		f, ok := s.Field(name)
-		if !ok {
-			return nil, fmt.Errorf("record: schema %s has no field %q", s.Name(), name)
-		}
+	return NewSlots(s, vals)
+}
+
+// NewSlots creates a record of schema s from vals, one value per field in
+// declaration order (a nil entry takes its field's zero value), coercing
+// each as New does. The record keeps vals as its slots, so the caller
+// hands it over and must not use it afterwards.
+func NewSlots(s *schema.Schema, vals []any) (*Record, error) {
+	if s == nil {
+		return nil, fmt.Errorf("record: nil schema")
+	}
+	if len(vals) != s.Len() {
+		return nil, fmt.Errorf("record: schema %s has %d fields, got %d values", s.Name(), s.Len(), len(vals))
+	}
+	for i, v := range vals {
+		f := s.FieldAt(i)
 		cv, err := coerce(f.Type, v)
 		if err != nil {
-			return nil, fmt.Errorf("record: field %q: %w", name, err)
+			return nil, fmt.Errorf("record: field %q: %w", f.Name, err)
 		}
-		r.values[name] = cv
+		vals[i] = cv
 	}
-	for i := 0; i < s.Len(); i++ {
-		f := s.FieldAt(i)
-		if _, ok := r.values[f.Name]; !ok {
-			r.values[f.Name] = f.Type.Zero()
+	return &Record{id: nextID.Add(1), schema: s, values: vals}, nil
+}
+
+// assign stores each of values in the slot of vals its name has in s.
+func assign(s *schema.Schema, vals []any, values map[string]any) error {
+	for name, v := range values {
+		i, ok := s.Index(name)
+		if !ok {
+			return fmt.Errorf("record: schema %s has no field %q", s.Name(), name)
 		}
+		vals[i] = v
 	}
-	return r, nil
+	return nil
 }
 
 // MustNew is New that panics on error, for tests and generators.
@@ -76,7 +97,9 @@ func MustNew(s *schema.Schema, values map[string]any) *Record {
 
 // coerce converts common alternative Go representations into the canonical
 // one for a field type (int -> int64, float32 -> float64, numeric strings
-// for Int/Float fields produced by LLM extraction).
+// for Int/Float fields produced by LLM extraction). A value already in
+// its canonical type comes back as the interface it came in, so storing it
+// boxes nothing again.
 func coerce(t schema.FieldType, v any) (any, error) {
 	if v == nil {
 		return t.Zero(), nil
@@ -84,10 +107,10 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	switch t {
 	case schema.Int:
 		switch x := v.(type) {
+		case int64:
+			return v, nil
 		case int:
 			return int64(x), nil
-		case int64:
-			return x, nil
 		case float64:
 			return int64(x), nil
 		case string:
@@ -100,7 +123,7 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	case schema.Float:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case float32:
 			return float64(x), nil
 		case int:
@@ -117,7 +140,7 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	case schema.Bool:
 		switch x := v.(type) {
 		case bool:
-			return x, nil
+			return v, nil
 		case string:
 			b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(x)))
 			if err != nil {
@@ -128,7 +151,7 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	case schema.String:
 		switch x := v.(type) {
 		case string:
-			return x, nil
+			return v, nil
 		case fmt.Stringer:
 			return x.String(), nil
 		case int:
@@ -143,7 +166,7 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	case schema.StringList:
 		switch x := v.(type) {
 		case []string:
-			return x, nil
+			return v, nil
 		case []any:
 			out := make([]string, len(x))
 			for i, e := range x {
@@ -160,7 +183,7 @@ func coerce(t schema.FieldType, v any) (any, error) {
 	case schema.Bytes:
 		switch x := v.(type) {
 		case []byte:
-			return x, nil
+			return v, nil
 		case string:
 			return []byte(x), nil
 		}
@@ -192,23 +215,46 @@ func (r *Record) Parents() []int64 {
 
 // Get returns the value of the named field.
 func (r *Record) Get(name string) (any, bool) {
-	v, ok := r.values[name]
-	return v, ok
+	i, ok := r.schema.Index(name)
+	if !ok {
+		return nil, false
+	}
+	return r.values[i], true
 }
+
+// get returns the named field's value, nil when the schema has no such
+// field.
+func (r *Record) get(name string) any {
+	v, _ := r.Get(name)
+	return v
+}
+
+// At returns the value in slot i, the i'th field of the record's schema in
+// declaration order.
+func (r *Record) At(i int) any { return r.values[i] }
 
 // GetString returns the string form of the named field ("" when absent).
 func (r *Record) GetString(name string) string {
 	var buf [64]byte
-	s, b := fieldText(r.values[name], buf[:0])
+	s, b := fieldText(r.get(name), buf[:0])
 	if len(b) > 0 {
 		return string(b)
 	}
 	return s
 }
 
+// TextAt renders the value in slot i as GetString does, as a string or as
+// bytes (at most one non-empty). Strings and byte slices come back as the
+// record holds them; numbers and string lists are appended to scratch, so
+// reading a field allocates only when scratch must grow. The bytes must
+// not be modified.
+func (r *Record) TextAt(i int, scratch []byte) (string, []byte) {
+	return fieldText(r.values[i], scratch)
+}
+
 // GetInt returns the named field as int64 (0 when absent or non-numeric).
 func (r *Record) GetInt(name string) int64 {
-	switch x := r.values[name].(type) {
+	switch x := r.get(name).(type) {
 	case int64:
 		return x
 	case float64:
@@ -220,7 +266,7 @@ func (r *Record) GetInt(name string) int64 {
 
 // GetFloat returns the named field as float64 (0 when absent/non-numeric).
 func (r *Record) GetFloat(name string) float64 {
-	switch x := r.values[name].(type) {
+	switch x := r.get(name).(type) {
 	case float64:
 		return x
 	case int64:
@@ -232,21 +278,21 @@ func (r *Record) GetFloat(name string) float64 {
 
 // GetBool returns the named field as bool (false when absent).
 func (r *Record) GetBool(name string) bool {
-	b, _ := r.values[name].(bool)
+	b, _ := r.get(name).(bool)
 	return b
 }
 
 // Set assigns a field value, coercing to the schema's declared type.
 func (r *Record) Set(name string, v any) error {
-	f, ok := r.schema.Field(name)
+	i, ok := r.schema.Index(name)
 	if !ok {
 		return fmt.Errorf("record: schema %s has no field %q", r.schema.Name(), name)
 	}
-	cv, err := coerce(f.Type, v)
+	cv, err := coerce(r.schema.FieldAt(i).Type, v)
 	if err != nil {
 		return fmt.Errorf("record: field %q: %w", name, err)
 	}
-	r.values[name] = cv
+	r.values[i] = cv
 	return nil
 }
 
@@ -257,8 +303,8 @@ func (r *Record) Set(name string, v any) error {
 func (r *Record) Text() string {
 	var buf [64]byte
 	n := 0
-	for i := 0; i < r.schema.Len(); i++ {
-		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+	for _, v := range r.values {
+		s, b := fieldText(v, buf[:0])
 		if m := len(s) + len(b); m > 0 {
 			if n > 0 {
 				n++
@@ -271,8 +317,8 @@ func (r *Record) Text() string {
 	}
 	var t strings.Builder
 	t.Grow(n)
-	for i := 0; i < r.schema.Len(); i++ {
-		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+	for _, v := range r.values {
+		s, b := fieldText(v, buf[:0])
 		if len(s)+len(b) == 0 {
 			continue
 		}
@@ -294,8 +340,8 @@ func (r *Record) Digest() uint64 {
 	var buf [64]byte
 	h := uint64(offset64)
 	wrote := false
-	for i := 0; i < r.schema.Len(); i++ {
-		s, b := fieldText(r.values[r.schema.FieldAt(i).Name], buf[:0])
+	for _, v := range r.values {
+		s, b := fieldText(v, buf[:0])
 		if len(s)+len(b) == 0 {
 			continue
 		}
@@ -314,9 +360,10 @@ func (r *Record) Digest() uint64 {
 }
 
 // fieldText renders a field value as text, as a string or as bytes (at
-// most one non-empty): GetString, Text and Digest all read values through
-// it. Strings and byte slices come back as they are; numbers and string
-// lists are rendered into scratch, so the common types cost no allocation.
+// most one non-empty): GetString, TextAt, Text and Digest all read values
+// through it. Strings and byte slices come back as they are; numbers and
+// string lists are rendered into scratch, so the common types cost no
+// allocation.
 func fieldText(v any, scratch []byte) (string, []byte) {
 	switch x := v.(type) {
 	case nil:
@@ -346,26 +393,32 @@ func fieldText(v any, scratch []byte) (string, []byte) {
 
 // Derive creates a record of schema s derived from r: values are the given
 // map, lineage points at r, and source/ground-truth annotations carry over.
+// A field of s that r has and values does not set carries over too,
+// coerced to s's type for it.
 func (r *Record) Derive(s *schema.Schema, values map[string]any) (*Record, error) {
-	// Carry over any field of s that r already has and values does not set.
-	merged := make(map[string]any, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		name := s.FieldAt(i).Name
-		if v, ok := r.values[name]; ok {
-			merged[name] = v
+	vals := make([]any, s.Len())
+	for i := range vals {
+		if j, ok := r.schema.Index(s.FieldAt(i).Name); ok {
+			vals[i] = r.values[j]
 		}
 	}
-	for k, v := range values {
-		merged[k] = v
+	if err := assign(s, vals, values); err != nil {
+		return nil, err
 	}
-	child, err := New(s, merged)
+	return r.child(s, vals)
+}
+
+// child builds a record of s over vals (see NewSlots) whose lineage,
+// source and truth come from r.
+func (r *Record) child(s *schema.Schema, vals []any) (*Record, error) {
+	c, err := NewSlots(s, vals)
 	if err != nil {
 		return nil, err
 	}
-	child.parents = []int64{r.id}
-	child.source = r.source
-	child.truth = r.truth
-	return child, nil
+	c.parents = []int64{r.id}
+	c.source = r.source
+	c.truth = r.truth
+	return c, nil
 }
 
 // Project returns a new record restricted to the projected schema.
@@ -374,60 +427,52 @@ func (r *Record) Project(names ...string) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make(map[string]any, len(names))
-	for _, n := range names {
-		vals[n] = r.values[n]
+	vals := make([]any, len(names))
+	for i, n := range names {
+		j, _ := r.schema.Index(n) // Project checked every name
+		vals[i] = r.values[j]
 	}
-	return r.Derive(ps, vals)
+	return r.child(ps, vals)
 }
 
 // Clone returns a deep-enough copy of the record with a fresh id and
 // lineage pointing at the original.
 func (r *Record) Clone() *Record {
-	vals := make(map[string]any, len(r.values))
-	for k, v := range r.values {
-		vals[k] = v
-	}
-	c := &Record{
+	return &Record{
 		id:      nextID.Add(1),
 		schema:  r.schema,
-		values:  vals,
+		values:  slices.Clone(r.values),
 		parents: []int64{r.id},
 		source:  r.source,
 		truth:   r.truth,
 	}
-	return c
 }
 
-// SetTruth attaches a hidden ground-truth annotation. Only the synthetic
+// SetTruth attaches the hidden ground-truth annotation. Only the synthetic
 // corpus generators call this.
-func (r *Record) SetTruth(key string, v any) {
-	if r.truth == nil {
-		r.truth = map[string]any{}
-	}
-	r.truth[key] = v
-}
+func (r *Record) SetTruth(v any) { r.truth = v }
 
-// Truth reads a hidden ground-truth annotation. Only the simulated LLM
-// oracle and the metrics package call this.
-func (r *Record) Truth(key string) (any, bool) {
-	v, ok := r.truth[key]
-	return v, ok
-}
+// Truth reads the hidden ground-truth annotation (nil when there is none).
+// Only the simulated LLM oracle and the metrics package call this.
+func (r *Record) Truth() any { return r.truth }
 
 // String renders the record compactly for logs and chat output.
 func (r *Record) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s#%d{", r.schema.Name(), r.id)
-	for i, f := range r.schema.Fields() {
+	var buf [64]byte
+	for i, v := range r.values {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		v := r.GetString(f.Name)
-		if len(v) > 40 {
-			v = v[:40] + "…"
+		s, t := fieldText(v, buf[:0])
+		if len(t) > 0 {
+			s = string(t)
 		}
-		fmt.Fprintf(&b, "%s=%q", f.Name, v)
+		if len(s) > 40 {
+			s = s[:40] + "…"
+		}
+		fmt.Fprintf(&b, "%s=%q", r.schema.FieldAt(i).Name, s)
 	}
 	b.WriteString("}")
 	return b.String()
@@ -436,8 +481,8 @@ func (r *Record) String() string {
 // Values returns a copy of the record's field values keyed by field name.
 func (r *Record) Values() map[string]any {
 	out := make(map[string]any, len(r.values))
-	for k, v := range r.values {
-		out[k] = v
+	for i, v := range r.values {
+		out[r.schema.FieldAt(i).Name] = v
 	}
 	return out
 }

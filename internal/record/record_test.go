@@ -1,10 +1,14 @@
 package record
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/schema"
 )
@@ -124,7 +128,7 @@ func TestSet(t *testing.T) {
 func TestDeriveLineageAndCarryOver(t *testing.T) {
 	p := MustNew(paperSchema, map[string]any{"filename": "p1.pdf", "contents": "text"})
 	p.SetSource("sigmod-demo")
-	p.SetTruth("relevant", true)
+	p.SetTruth(true)
 	c, err := p.Derive(clinicalSchema, map[string]any{"name": "TCGA-COAD", "url": "https://x"})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +143,8 @@ func TestDeriveLineageAndCarryOver(t *testing.T) {
 	if c.GetString("filename") != "p1.pdf" {
 		t.Errorf("carried filename = %q", c.GetString("filename"))
 	}
-	if v, ok := c.Truth("relevant"); !ok || v != true {
-		t.Errorf("truth not carried: %v %v", v, ok)
+	if v := c.Truth(); v != true {
+		t.Errorf("truth not carried: %v", v)
 	}
 }
 
@@ -223,4 +227,427 @@ func TestIntRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// refRecord is Record as it was before it held its values in slots: a
+// map keyed by field name, rebuilt on every New, Derive, Project and
+// Clone. FuzzRecordSlots checks Record against it.
+type refRecord struct {
+	schema *schema.Schema
+	values map[string]any
+}
+
+func refNew(s *schema.Schema, values map[string]any) (*refRecord, error) {
+	r := &refRecord{schema: s, values: make(map[string]any, s.Len())}
+	for name, v := range values {
+		f, ok := s.Field(name)
+		if !ok {
+			return nil, fmt.Errorf("record: schema %s has no field %q", s.Name(), name)
+		}
+		cv, err := refCoerce(f.Type, v)
+		if err != nil {
+			return nil, fmt.Errorf("record: field %q: %w", name, err)
+		}
+		r.values[name] = cv
+	}
+	for i := 0; i < s.Len(); i++ {
+		f := s.FieldAt(i)
+		if _, ok := r.values[f.Name]; !ok {
+			r.values[f.Name] = f.Type.Zero()
+		}
+	}
+	return r, nil
+}
+
+func refCoerce(t schema.FieldType, v any) (any, error) {
+	if v == nil {
+		return t.Zero(), nil
+	}
+	switch t {
+	case schema.Int:
+		switch x := v.(type) {
+		case int:
+			return int64(x), nil
+		case int64:
+			return x, nil
+		case float64:
+			return int64(x), nil
+		case string:
+			n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("cannot parse %q as int", x)
+			}
+			return n, nil
+		}
+	case schema.Float:
+		switch x := v.(type) {
+		case float64:
+			return x, nil
+		case float32:
+			return float64(x), nil
+		case int:
+			return float64(x), nil
+		case int64:
+			return float64(x), nil
+		case string:
+			f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
+			if err != nil {
+				return nil, fmt.Errorf("cannot parse %q as float", x)
+			}
+			return f, nil
+		}
+	case schema.Bool:
+		switch x := v.(type) {
+		case bool:
+			return x, nil
+		case string:
+			b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(x)))
+			if err != nil {
+				return nil, fmt.Errorf("cannot parse %q as bool", x)
+			}
+			return b, nil
+		}
+	case schema.String:
+		switch x := v.(type) {
+		case string:
+			return x, nil
+		case fmt.Stringer:
+			return x.String(), nil
+		case int:
+			return strconv.Itoa(x), nil
+		case int64:
+			return strconv.FormatInt(x, 10), nil
+		case float64:
+			return strconv.FormatFloat(x, 'g', -1, 64), nil
+		case bool:
+			return strconv.FormatBool(x), nil
+		}
+	case schema.StringList:
+		switch x := v.(type) {
+		case []string:
+			return x, nil
+		case []any:
+			out := make([]string, len(x))
+			for i, e := range x {
+				s, ok := e.(string)
+				if !ok {
+					return nil, fmt.Errorf("list element %d is %T, not string", i, e)
+				}
+				out[i] = s
+			}
+			return out, nil
+		case string:
+			return []string{x}, nil
+		}
+	case schema.Bytes:
+		switch x := v.(type) {
+		case []byte:
+			return x, nil
+		case string:
+			return []byte(x), nil
+		}
+	}
+	if t.CheckValue(v) {
+		return v, nil
+	}
+	return nil, fmt.Errorf("value %v (%T) not assignable to %s", v, v, t)
+}
+
+func (r *refRecord) Get(name string) (any, bool) {
+	v, ok := r.values[name]
+	return v, ok
+}
+
+func (r *refRecord) GetString(name string) string {
+	var buf [64]byte
+	s, b := fieldText(r.values[name], buf[:0])
+	if len(b) > 0 {
+		return string(b)
+	}
+	return s
+}
+
+func (r *refRecord) Set(name string, v any) error {
+	f, ok := r.schema.Field(name)
+	if !ok {
+		return fmt.Errorf("record: schema %s has no field %q", r.schema.Name(), name)
+	}
+	cv, err := refCoerce(f.Type, v)
+	if err != nil {
+		return fmt.Errorf("record: field %q: %w", name, err)
+	}
+	r.values[name] = cv
+	return nil
+}
+
+func (r *refRecord) Text() string {
+	var parts []string
+	for i := 0; i < r.schema.Len(); i++ {
+		if s := r.GetString(r.schema.FieldAt(i).Name); s != "" {
+			parts = append(parts, s)
+		}
+	}
+	return strings.Join(parts, "\n")
+}
+
+func (r *refRecord) Digest() uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(r.Text()))
+	return h.Sum64()
+}
+
+func (r *refRecord) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s#{", r.schema.Name())
+	for i, f := range r.schema.Fields() {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		v := r.GetString(f.Name)
+		if len(v) > 40 {
+			v = v[:40] + "…"
+		}
+		fmt.Fprintf(&b, "%s=%q", f.Name, v)
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+func (r *refRecord) Values() map[string]any {
+	out := make(map[string]any, len(r.values))
+	for k, v := range r.values {
+		out[k] = v
+	}
+	return out
+}
+
+func (r *refRecord) Derive(s *schema.Schema, values map[string]any) (*refRecord, error) {
+	merged := make(map[string]any, s.Len())
+	for i := 0; i < s.Len(); i++ {
+		name := s.FieldAt(i).Name
+		if v, ok := r.values[name]; ok {
+			merged[name] = v
+		}
+	}
+	for k, v := range values {
+		merged[k] = v
+	}
+	return refNew(s, merged)
+}
+
+func (r *refRecord) Project(names ...string) (*refRecord, error) {
+	ps, err := r.schema.Project(names...)
+	if err != nil {
+		return nil, err
+	}
+	vals := make(map[string]any, len(names))
+	for _, n := range names {
+		vals[n] = r.values[n]
+	}
+	return r.Derive(ps, vals)
+}
+
+func (r *refRecord) Clone() *refRecord {
+	return &refRecord{schema: r.schema, values: r.Values()}
+}
+
+// fuzzInput draws the choices of one FuzzRecordSlots case from its bytes;
+// past their end every draw is 0.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) next(n int) int {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := int(in.b[0])
+	in.b = in.b[1:]
+	return c % n
+}
+
+// fieldPool names the fields random schemas draw from, so that two
+// schemas share some names, often with different types.
+var fieldPool = []string{"a", "b", "c", "d", "e", "f", "g"}
+
+// schema draws a schema of up to five distinct fields of any type.
+func (in *fuzzInput) schema(name string) *schema.Schema {
+	var fields []schema.Field
+	for _, i := range in.perm(1 + in.next(5)) {
+		fields = append(fields, schema.Field{Name: fieldPool[i], Type: schema.FieldType(in.next(6))})
+	}
+	return schema.MustNew(name, "", fields...)
+}
+
+// perm draws n distinct indices into fieldPool.
+func (in *fuzzInput) perm(n int) []int {
+	idx := make([]int, len(fieldPool))
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < n; i++ {
+		j := i + in.next(len(idx)-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:n]
+}
+
+// value draws a value for a field of type t: usually its canonical type,
+// otherwise one that New coerces, or one it rejects.
+func (in *fuzzInput) value(t schema.FieldType) any {
+	words := []string{"", "x", "42", " -7 ", "2.5", "true", "FALSE", "héllo <b>", "1e3"}
+	w := words[in.next(len(words))]
+	n := in.next(200) - 100
+	if in.next(2) == 0 {
+		switch t {
+		case schema.String:
+			return w
+		case schema.Int:
+			return int64(n)
+		case schema.Float:
+			return float64(n) / 4
+		case schema.Bool:
+			return n%2 == 0
+		case schema.StringList:
+			return strings.Fields(w + " y z")[:in.next(3)]
+		case schema.Bytes:
+			return []byte(w)
+		}
+	}
+	switch in.next(11) {
+	case 0:
+		return nil
+	case 1:
+		return w
+	case 2:
+		return n
+	case 3:
+		return int64(n)
+	case 4:
+		return float64(n) / 8
+	case 5:
+		return float32(n) / 2
+	case 6:
+		return n > 0
+	case 7:
+		return []string{w, "q"}
+	case 8:
+		if n%3 == 0 {
+			return []any{w, n}
+		}
+		return []any{w, "q"}
+	case 9:
+		return []byte(w)
+	default:
+		return time.Duration(n) * time.Second
+	}
+}
+
+// values draws a values map over s's fields, now and then naming a field
+// s does not have.
+func (in *fuzzInput) values(s *schema.Schema) map[string]any {
+	vals := map[string]any{}
+	for i := 0; i < s.Len(); i++ {
+		if f := s.FieldAt(i); in.next(4) != 0 {
+			vals[f.Name] = in.value(f.Type)
+		}
+	}
+	if in.next(16) == 0 {
+		vals["zz"] = "unknown"
+	}
+	return vals
+}
+
+// sameRecord fails unless r reads as ref does through every accessor.
+func sameRecord(t *testing.T, what string, r *Record, ref *refRecord) {
+	t.Helper()
+	if !schema.Equal(r.Schema(), ref.schema) {
+		t.Fatalf("%s: schema %v, want %v", what, r.Schema(), ref.schema)
+	}
+	for _, name := range append(fieldPool, "zz") {
+		gv, gok := r.Get(name)
+		wv, wok := ref.Get(name)
+		if gok != wok || !reflect.DeepEqual(gv, wv) {
+			t.Fatalf("%s: Get(%q) = %#v, %v; want %#v, %v", what, name, gv, gok, wv, wok)
+		}
+		if got, want := r.GetString(name), ref.GetString(name); got != want {
+			t.Fatalf("%s: GetString(%q) = %q, want %q", what, name, got, want)
+		}
+	}
+	if got, want := r.Text(), ref.Text(); got != want {
+		t.Fatalf("%s: Text = %q, want %q", what, got, want)
+	}
+	if got, want := r.Digest(), ref.Digest(); got != want {
+		t.Fatalf("%s: Digest = %x, want %x", what, got, want)
+	}
+	if got, want := r.Values(), ref.Values(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Values = %#v, want %#v", what, got, want)
+	}
+	if got, want := strings.Replace(r.String(), fmt.Sprintf("#%d{", r.ID()), "#{", 1), ref.String(); got != want {
+		t.Fatalf("%s: String = %q, want %q", what, got, want)
+	}
+}
+
+// FuzzRecordSlots checks the slot-indexed Record against refRecord, the
+// map-based Record it replaced, over random schemas of all six field types
+// and values New coerces or rejects: New, the accessors, Set, Clone,
+// Derive and Project must agree on every value and every error.
+func FuzzRecordSlots(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("slot-indexed records"))
+	f.Add([]byte{4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
+	f.Add([]byte{255, 254, 253, 1, 1, 1, 0, 0, 0, 9, 9, 9, 3, 3, 3, 200, 100, 50, 25, 12, 6, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzInput{b: data}
+		s := in.schema("S")
+		vals := in.values(s)
+		r, err := New(s, vals)
+		ref, refErr := refNew(s, vals)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("New(%v, %#v): error %v, want %v", s, vals, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		sameRecord(t, "New", r, ref)
+
+		c, cref := r.Clone(), ref.Clone()
+		if c.ID() == r.ID() || !reflect.DeepEqual(c.Parents(), []int64{r.ID()}) {
+			t.Fatalf("Clone: id %d, parents %v of record %d", c.ID(), c.Parents(), r.ID())
+		}
+		for i := 0; i < 3; i++ {
+			name := fieldPool[in.next(len(fieldPool))]
+			v := in.value(schema.FieldType(in.next(6)))
+			if err, refErr := c.Set(name, v), cref.Set(name, v); (err == nil) != (refErr == nil) {
+				t.Fatalf("Set(%q, %#v): error %v, want %v", name, v, err, refErr)
+			}
+		}
+		sameRecord(t, "Clone+Set", c, cref)
+		sameRecord(t, "New after its clone's Set", r, ref)
+
+		ds := in.schema("D")
+		dvals := in.values(ds)
+		d, err := r.Derive(ds, dvals)
+		dref, refErr := ref.Derive(ds, dvals)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Derive(%v, %#v): error %v, want %v", ds, dvals, err, refErr)
+		}
+		if err == nil {
+			sameRecord(t, "Derive", d, dref)
+			if !reflect.DeepEqual(d.Parents(), []int64{r.ID()}) {
+				t.Fatalf("Derive: parents %v, want [%d]", d.Parents(), r.ID())
+			}
+		}
+
+		var names []string
+		for _, i := range in.perm(in.next(4)) {
+			names = append(names, fieldPool[i])
+		}
+		p, err := r.Project(names...)
+		pref, refErr := ref.Project(names...)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Project(%q): error %v, want %v", names, err, refErr)
+		}
+		if err == nil {
+			sameRecord(t, "Project", p, pref)
+		}
+	})
 }

@@ -12,8 +12,10 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -187,6 +189,24 @@ func (s *Schema) Field(name string) (Field, bool) {
 		return Field{}, false
 	}
 	return s.fields[i], true
+}
+
+// Index returns the position of the named field in declaration order, the
+// slot a record of this schema holds its value in.
+func (s *Schema) Index(name string) (int, bool) {
+	i, ok := s.index[name]
+	return i, ok
+}
+
+// AppendSlotsByName appends the slots of s's fields to dst, ordered by
+// field name: the order in which encoding/json writes a map keyed by them.
+func (s *Schema) AppendSlotsByName(dst []int) []int {
+	n := len(dst)
+	for i := range s.fields {
+		dst = append(dst, i)
+	}
+	slices.SortFunc(dst[n:], func(a, b int) int { return cmp.Compare(s.fields[a].Name, s.fields[b].Name) })
+	return dst
 }
 
 // Has reports whether the schema declares the named field.

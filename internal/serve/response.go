@@ -20,12 +20,14 @@ import (
 // corpus writer's escaper. Every other response goes through
 // encoding/json, which also stays the reference in the tests.
 
-// responseBuf is scratch for rendering one response: the bytes, and a
-// schema's field names in key order. Buffers are reused through
-// responseBufs, so a response costs no allocation past its final copy.
+// responseBuf is scratch for rendering one response: the bytes, a
+// schema's slots in key order, and room to render a field's text in.
+// Buffers are reused through responseBufs, so a response costs no
+// allocation past its final copy.
 type responseBuf struct {
-	b     []byte
-	names []string
+	b       []byte
+	order   []int
+	scratch []byte
 }
 
 var responseBufs = sync.Pool{New: func() any { return new(responseBuf) }}
@@ -152,7 +154,9 @@ func RecordsJSON(recs []*pz.Record) (json.RawMessage, error) {
 	return slices.Clone(rb.b), nil
 }
 
-// appendRecords appends recs as RecordsJSON renders them.
+// appendRecords appends recs as RecordsJSON renders them. Each field's
+// text goes from its slot into dst: a string or bytes field as it is, any
+// other rendered in rb's scratch first.
 func (rb *responseBuf) appendRecords(dst []byte, recs []*pz.Record) []byte {
 	var s *pz.Schema
 	dst = append(dst, '[')
@@ -162,19 +166,24 @@ func (rb *responseBuf) appendRecords(dst []byte, recs []*pz.Record) []byte {
 		}
 		if r.Schema() != s {
 			s = r.Schema()
-			rb.names = rb.names[:0]
-			for j := 0; j < s.Len(); j++ {
-				rb.names = append(rb.names, s.FieldAt(j).Name)
-			}
-			slices.Sort(rb.names)
+			rb.order = s.AppendSlotsByName(rb.order[:0])
 		}
 		dst = append(dst, '{')
-		for j, name := range rb.names {
+		for j, slot := range rb.order {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(corpus.AppendString(dst, name, true), ':')
-			dst = corpus.AppendString(dst, r.GetString(name), true)
+			f := s.FieldAt(slot)
+			dst = append(corpus.AppendString(dst, f.Name, true), ':')
+			text, b := r.TextAt(slot, rb.scratch[:0])
+			if b == nil {
+				dst = corpus.AppendString(dst, text, true)
+				continue
+			}
+			dst = corpus.AppendBytes(dst, b, true)
+			if f.Type != pz.Bytes {
+				rb.scratch = b // rendered into the scratch, which it may have grown
+			}
 		}
 		dst = append(dst, '}')
 	}

@@ -198,8 +198,9 @@ func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestResponseAllocs bounds the allocations of a query response: at most
-// one per record for RecordsJSON, amortized (maps or reflection per
-// record take more), and at most two for writing one ?wait=1 envelope
+// one per record for RecordsJSON of text records, amortized (maps or
+// reflection per record take more), and at most 0.05 per record, its
+// final copy only, when every field type is present; and at most two for writing one ?wait=1 envelope
 // (boxing the view and the Content-Type header; encoding/json takes
 // more).
 func TestResponseAllocs(t *testing.T) {
@@ -212,6 +213,22 @@ func TestResponseAllocs(t *testing.T) {
 		t.Errorf("RecordsJSON: %.2f allocs per record, want <= 1", perRecord)
 	} else {
 		t.Logf("RecordsJSON: %.2f allocs per record", perRecord)
+	}
+	// One field of each type: ints, floats, lists and bytes render from
+	// their slots into the response, not through a string per field.
+	typed := make([]*pz.Record, 100)
+	for i := range typed {
+		typed[i] = record.MustNew(everyType, map[string]any{
+			"filename": "t.txt", "contents": "<b>ticket</b>", "count": int64(1000 + i), "ratio": 0.25 * float64(i),
+			"urgent": i%2 == 0, "tags": []string{"billing", "urgent & open"}, "blob": []byte("raw \xff bytes"), "Zeta": "z",
+		})
+	}
+	checkRecords(t, typed)
+	perRecord = testing.AllocsPerRun(100, func() { _, _ = RecordsJSON(typed) }) / float64(len(typed))
+	if perRecord > 0.05 {
+		t.Errorf("RecordsJSON of every field type: %.2f allocs per record, want <= 0.05", perRecord)
+	} else {
+		t.Logf("RecordsJSON of every field type: %.2f allocs per record", perRecord)
 	}
 	records, _ := RecordsJSON(recs)
 	view := JobView{ID: "job-000001", Tenant: "tenant-0", Status: StatusDone, Result: &QueryResult{
