@@ -189,7 +189,6 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 		}
 		coord, err = cluster.NewCoordinator(cluster.Config{
 			Registry:         reg,
-			Counters:         counters,
 			Parallelism:      opts.engine.Parallelism,
 			MaxAttempts:      opts.partitionRetries,
 			PartitionTimeout: opts.partitionTimeout,
@@ -210,7 +209,6 @@ func run(addr string, datasets map[string]string, budgets map[string]float64, op
 		DefaultBudgetUSD: opts.budget,
 		TenantBudgets:    budgets,
 		Counters:         counters,
-		Histograms:       metrics.NewHistograms(),
 		SlowQuerySimSec:  opts.slowQuerySec,
 	}
 	if coord != nil {

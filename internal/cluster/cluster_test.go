@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -191,6 +192,79 @@ func TestScatterGatherSuffixOps(t *testing.T) {
 	}
 	if !strings.Contains(dres.Plan, "1 suffix") {
 		t.Errorf("plan %q does not report the suffix split", dres.Plan)
+	}
+}
+
+// TestClusteredQueryChargesCalibration: a clustered query reports the
+// cost of its sentinel calibration, as a local run of the same query
+// does, and its trace carries the optimize span.
+func TestClusteredQueryChargesCalibration(t *testing.T) {
+	path := writeTicketCorpus(t, 200)
+	newContext := func() *pz.Context {
+		ctx, err := pz.NewContext(pz.Config{Parallelism: 2, SampleSize: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.RegisterNDJSON("tickets", path); err != nil {
+			t.Fatal(err)
+		}
+		return ctx
+	}
+	spec := ticketSpec(4)
+	policy, err := spec.ParsePolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	localCtx := newContext()
+	ds, err := spec.Build(localCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := localCtx.Execute(ds, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry(RegistryConfig{})
+	startWorker(t, reg, "a", path, nil)
+	startWorker(t, reg, "b", path, nil)
+	coord := newTestCoordinator(t, reg, Config{})
+	dres, ok, err := coord.TryExecute(context.Background(), newContext(), spec, 4)
+	if err != nil || !ok {
+		t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
+	}
+	if len(dres.Records) != len(local.Records) {
+		t.Fatalf("clustered run kept %d records, local %d", len(dres.Records), len(local.Records))
+	}
+	if math.Abs(dres.CostUSD-local.CostUSD) > 1e-9 {
+		t.Errorf("clustered cost $%.6f, local $%.6f", dres.CostUSD, local.CostUSD)
+	}
+	if opt := dres.Trace.Children[0]; opt.Kind != trace.KindOptimize || opt.CostUSD <= 0 {
+		t.Errorf("first root child %s %q costs $%.6f, want the charged optimize span", opt.Kind, opt.Name, opt.CostUSD)
+	}
+}
+
+// TestClusteredElapsedRepeatable: the same clustered query reports the
+// same simulated Elapsed on every run, whichever worker happened to run
+// each partition.
+func TestClusteredElapsedRepeatable(t *testing.T) {
+	path := writeTicketCorpus(t, 120)
+	reg := NewRegistry(RegistryConfig{})
+	for _, name := range []string{"a", "b", "c"} {
+		startWorker(t, reg, name, path, nil)
+	}
+	coord := newTestCoordinator(t, reg, Config{})
+	var first time.Duration
+	for run := 0; run < 5; run++ {
+		dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), ticketSpec(6), 6)
+		if err != nil || !ok {
+			t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
+		}
+		if run == 0 {
+			first = dres.Elapsed
+		} else if dres.Elapsed != first {
+			t.Fatalf("run %d: Elapsed %v, run 0 reported %v", run, dres.Elapsed, first)
+		}
 	}
 }
 
@@ -843,7 +917,7 @@ func TestServeDistributedQuery(t *testing.T) {
 	reg := NewRegistry(RegistryConfig{Counters: counters})
 	startWorker(t, reg, "a", path, nil)
 	startWorker(t, reg, "b", path, nil)
-	coord := newTestCoordinator(t, reg, Config{Counters: counters})
+	coord := newTestCoordinator(t, reg, Config{})
 
 	pzctx := coordinatorContext(t, path)
 	srv, err := serve.New(serve.Config{Context: pzctx, Cluster: coord, Counters: counters})

@@ -28,12 +28,9 @@ import (
 
 // Config configures a Coordinator.
 type Config struct {
-	// Registry is the worker pool (required).
+	// Registry is the worker pool (required). The coordinator counts into
+	// its metrics registry, so /metrics shows one merged view.
 	Registry *Registry
-	// Counters optionally shares a metrics registry (typically the
-	// Registry's, so /metrics shows one merged view); nil adopts the
-	// Registry's.
-	Counters *metrics.Counters
 	// Parallelism is the per-operator LLM concurrency for coordinator-side
 	// execution: suffix operators and local partition fallback (default 4).
 	Parallelism int
@@ -48,8 +45,6 @@ type Config struct {
 	// result wins, the duplicate is discarded (default 30s; the hard
 	// PartitionTimeout still backstops it).
 	StragglerAfter time.Duration
-	// Client performs partition requests; nil uses a dedicated client.
-	Client *http.Client
 }
 
 // Coordinator implements serve.Distributor: it optimizes a query once,
@@ -89,14 +84,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.StragglerAfter <= 0 {
 		cfg.StragglerAfter = 30 * time.Second
 	}
-	if cfg.Counters == nil {
-		cfg.Counters = cfg.Registry.Counters()
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Counters, client: client}, nil
+	return &Coordinator{cfg: cfg, reg: cfg.Registry, counters: cfg.Registry.Counters(), client: &http.Client{}}, nil
 }
 
 // Workers implements serve.Distributor.
@@ -156,11 +144,13 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	// and pin the prefix's physical operators onto every partition
 	// request: a worker picking a different model over its local
 	// statistics would break byte-identity, because model noise is keyed
-	// on model + record content.
-	plan, _, err := pzctx.OptimizeOnly(ds, policy)
+	// on model + record content. The optimize step's calibration cost and
+	// time count toward the query, as they do for a local run.
+	opt, err := pzctx.Executor().Optimize(ctx, ds.Chain(), policy, pzctx.OptimizerOptionsFor(ds))
 	if err != nil {
 		return nil, false, err
 	}
+	plan := opt.Plan
 	k := scatterable(plan)
 	if k == 1 {
 		c.counters.Inc("cluster_queries_not_streamable")
@@ -178,6 +168,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	}
 	name := prefixSpec.Dataset.Name
 
+	pool := max(c.reg.Len(), 1)
 	done, execBy, err := c.scatter(ctx, prefixSpec, PlanSignature(plan)[:k], ranges, prefixSchema, nsrc.Path())
 	if err != nil {
 		return nil, false, err
@@ -192,7 +183,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	var merged []*record.Record
 	var cost float64
 	var totalDocs int
-	perExec := map[string]time.Duration{}
+	partElapsed := make([]time.Duration, len(ranges))
 	workers := map[string]bool{}
 	scatterSpan := &trace.Span{Kind: trace.KindScatter, Name: "scatter"}
 	for part := range ranges {
@@ -200,7 +191,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 		merged = append(merged, res.Records...)
 		cost += res.CostUSD
 		totalDocs += ranges[part].Docs
-		perExec[execBy[part]] += res.Elapsed
+		partElapsed[part] = res.Elapsed
 		if execBy[part] != "local" {
 			workers[execBy[part]] = true
 		}
@@ -223,15 +214,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 		}
 		scatterSpan.Add(pspan)
 	}
-	// Cluster clock model: each executor worked through its partitions
-	// serially while executors ran in parallel, so the scatter phase
-	// costs the slowest executor's total.
-	var elapsed time.Duration
-	for _, d := range perExec {
-		if d > elapsed {
-			elapsed = d
-		}
-	}
+	elapsed := scatterElapsed(partElapsed, pool)
 	scatterSpan.RecordsIn = totalDocs
 	scatterSpan.RecordsOut = len(merged)
 	scatterSpan.Selectivity = trace.Selectivity(totalDocs, len(merged))
@@ -239,7 +222,10 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	scatterSpan.CostUSD = cost
 
 	root := &trace.Span{Kind: trace.KindQuery, Name: "cluster-scatter", RecordsIn: totalDocs}
+	root.Add(opt.Span)
 	root.Add(scatterSpan)
+	cost += opt.CostUSD
+	elapsed += opt.Elapsed
 
 	records := merged
 	suffix := plan.Ops[k:]
@@ -278,6 +264,21 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 		Partitions: len(ranges),
 		Trace:      root,
 	}, true, nil
+}
+
+// scatterElapsed is the cluster clock model for the scatter phase: W
+// executors work through partitions serially and in parallel with each
+// other, each partition in order going to the least-loaded of pool
+// executors, and the phase costs the largest load. It is a function of
+// the partitions' own sim times and the pool size alone, not of which
+// worker happened to run which partition, so the same query reports the
+// same sim time on every run.
+func scatterElapsed(parts []time.Duration, pool int) time.Duration {
+	loads := make([]time.Duration, pool)
+	for _, d := range parts {
+		loads[slices.Index(loads, slices.Min(loads))] += d
+	}
+	return slices.Max(loads)
 }
 
 // runSuffix runs the plan's operators after the scattered prefix over

@@ -23,8 +23,6 @@ type RegistryConfig struct {
 	CheckTimeout time.Duration
 	// Counters optionally shares a metrics registry; nil allocates one.
 	Counters *metrics.Counters
-	// Client performs health probes; nil uses a dedicated default client.
-	Client *http.Client
 }
 
 // workerEntry is one registered worker's live state.
@@ -69,11 +67,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.Counters == nil {
 		cfg.Counters = metrics.NewCounters()
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Registry{cfg: cfg, counters: cfg.Counters, client: client,
+	return &Registry{cfg: cfg, counters: cfg.Counters, client: &http.Client{},
 		workers: map[string]*workerEntry{}, stop: make(chan struct{})}
 }
 

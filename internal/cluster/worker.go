@@ -25,11 +25,6 @@ type WorkerConfig struct {
 	// corpus files. A partition request for an unknown name is rejected;
 	// coordinator and worker must agree on names, not paths.
 	Datasets map[string]string
-	// Counters optionally shares a metrics registry; nil allocates one.
-	Counters *metrics.Counters
-	// Histograms optionally shares a distribution registry; nil
-	// allocates one.
-	Histograms *metrics.Histograms
 }
 
 // Worker executes scattered partitions for a coordinator: each
@@ -53,13 +48,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 256
 	}
-	if cfg.Counters == nil {
-		cfg.Counters = metrics.NewCounters()
-	}
-	if cfg.Histograms == nil {
-		cfg.Histograms = metrics.NewHistograms()
-	}
-	return &Worker{cfg: cfg, counters: cfg.Counters, hists: cfg.Histograms}, nil
+	return &Worker{cfg: cfg, counters: metrics.NewCounters(), hists: metrics.NewHistograms()}, nil
 }
 
 // Name returns the worker's label.

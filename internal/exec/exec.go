@@ -97,7 +97,7 @@ type Config struct {
 }
 
 // Executor owns the LLM service, virtual clock, and retry client for a
-// sequence of pipeline runs. Usage accumulates across runs until Reset.
+// sequence of pipeline runs. Usage accumulates across runs.
 type Executor struct {
 	svc        *llm.Service
 	clock      *simclock.Sim
@@ -279,45 +279,74 @@ func scanParts(phys []ops.Physical) int {
 	return 0
 }
 
+// Optimized is one accounted optimize step: the chosen plan, every
+// candidate, and what sentinel calibration spent choosing.
+type Optimized struct {
+	Plan       *optimizer.Plan
+	Candidates []*optimizer.Plan
+	// Elapsed and CostUSD are the calibration's simulated time and LLM
+	// cost; Span is the optimize span that reports them in a trace.
+	Elapsed time.Duration
+	CostUSD float64
+	Span    *trace.Span
+}
+
+// Optimize optimizes the logical chain under policy with opts and
+// accounts the step. Calibration (sentinel sampling) runs on a run-local
+// tally and stats, so concurrent calls cannot pollute each other's
+// figures; the engine clock then advances by the calibration time.
+// Execute, pz's OptimizeOnly and the cluster coordinator all optimize
+// through it, so a query reports the same calibration spend whichever
+// door it came in by. Canceling ctx aborts calibration.
+func (e *Executor) Optimize(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Optimized, error) {
+	tally := simclock.NewTally(e.clock.Now())
+	optCtx := e.NewCtx()
+	optCtx.Clock = tally
+	optCtx.Context = ctx
+	plan, candidates, err := optimizer.New(opts).Optimize(chain, policy, optCtx)
+	if err != nil {
+		return nil, err
+	}
+	elapsed := tally.Total()
+	e.clock.Sleep(elapsed)
+	cost := optCtx.Stats.TotalCost()
+	return &Optimized{
+		Plan:       plan,
+		Candidates: candidates,
+		Elapsed:    elapsed,
+		CostUSD:    cost,
+		Span: &trace.Span{
+			Kind:     trace.KindOptimize,
+			Name:     "optimize",
+			SimMS:    elapsed.Milliseconds(),
+			CostUSD:  cost,
+			LLMCalls: optCtx.Stats.TotalLLMCalls(),
+		},
+	}, nil
+}
+
 // Execute optimizes the logical chain under policy, with the options
 // OptimizerOptions resolves for the pipeline's overrides, and runs the
 // chosen plan: the engine behind pz.Execute (paper Figure 6: records,
 // execution_stats = Execute(output, policy)). Canceling ctx aborts
 // sentinel calibration, plan execution, and in-flight operator batches.
 func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, partitions, reoptAfter int) (*Result, error) {
-	// Calibration (sentinel sampling) runs on a run-local tally so that
-	// concurrent Execute calls cannot pollute each other's optimization
-	// elapsed time; its LLM cost lands in optCtx's stats.
-	optTally := simclock.NewTally(e.clock.Now())
-	optCtx := e.NewCtx()
-	optCtx.Clock = optTally
-	optCtx.Context = ctx
-	opt := optimizer.New(e.OptimizerOptions(partitions, reoptAfter))
-	plan, candidates, err := opt.Optimize(chain, policy, optCtx)
+	opt, err := e.Optimize(ctx, chain, policy, e.OptimizerOptions(partitions, reoptAfter))
 	if err != nil {
 		return nil, err
 	}
-	optElapsed := optTally.Total()
-	e.clock.Sleep(optElapsed)
-	res, err := e.runPlan(ctx, plan, policy.Describe())
+	res, err := e.runPlan(ctx, opt.Plan, policy.Describe())
 	if err != nil {
 		return nil, err
 	}
-	res.Candidates = len(candidates)
+	res.Candidates = len(opt.Candidates)
 	// Fold optimization-time (sentinel) cost and time into the run totals.
 	// Both sides are run-local (tally fold + per-run stats), so the sum is
 	// immune to concurrent runs and keeps the engine's single-count
 	// backoff accounting intact (see run).
-	res.Elapsed = optElapsed + res.Elapsed
-	res.CostUSD = optCtx.Stats.TotalCost() + res.CostUSD
-	optSpan := &trace.Span{
-		Kind:     trace.KindOptimize,
-		Name:     "optimize",
-		SimMS:    optElapsed.Milliseconds(),
-		CostUSD:  optCtx.Stats.TotalCost(),
-		LLMCalls: optCtx.Stats.TotalLLMCalls(),
-	}
-	res.Trace.Children = append([]*trace.Span{optSpan}, res.Trace.Children...)
+	res.Elapsed = opt.Elapsed + res.Elapsed
+	res.CostUSD = opt.CostUSD + res.CostUSD
+	res.Trace.Children = append([]*trace.Span{opt.Span}, res.Trace.Children...)
 	res.Trace.SimMS = res.Elapsed.Milliseconds()
 	res.Trace.CostUSD = res.CostUSD
 	res.Trace.SetAttr("candidates", fmt.Sprint(res.Candidates))

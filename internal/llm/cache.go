@@ -138,14 +138,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Clear drops all entries (statistics are retained).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[cacheKey]*list.Element{}
-	c.order = list.New()
-}
-
 // lookup returns the cached response for key, updating hit/miss counters
 // and recency order.
 func (c *Cache) lookup(key cacheKey) (Response, bool) {

@@ -134,23 +134,6 @@ func TestCachedExtractionIsolation(t *testing.T) {
 	}
 }
 
-func TestCacheClear(t *testing.T) {
-	svc := NewService()
-	cache := NewCache()
-	client, _ := NewCachedClient(svc, cache)
-	r := cacheTestRecord(t)
-	req := Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p" + r.Text(), Record: r, Predicate: "x"}
-	_, _ = client.Complete(req)
-	cache.Clear()
-	if cache.Len() != 0 {
-		t.Error("Clear left entries")
-	}
-	_, _ = client.Complete(req)
-	if st := cache.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 after clear", st.Misses)
-	}
-}
-
 func TestCachedClientValidation(t *testing.T) {
 	if _, err := NewCachedClient(nil, NewCache()); err == nil {
 		t.Error("nil inner accepted")

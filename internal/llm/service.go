@@ -253,14 +253,6 @@ func (s *Service) TotalCalls() int {
 	return n
 }
 
-// Reset clears usage accounting (not the failure configuration).
-func (s *Service) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.usage = map[string]*Usage{}
-	s.calls = 0
-}
-
 // UsageReport renders per-model usage as aligned text lines, best for chat
 // output and the experiment harness.
 func (s *Service) UsageReport() string {

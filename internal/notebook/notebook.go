@@ -88,9 +88,6 @@ func (n *Notebook) add(t CellType, source string) int {
 	return id
 }
 
-// AddMarkdown appends a prose cell and returns its id.
-func (n *Notebook) AddMarkdown(text string) int { return n.add(Markdown, text) }
-
 // AddChatUser appends a user chat message cell.
 func (n *Notebook) AddChatUser(text string) int { return n.add(ChatUser, text) }
 

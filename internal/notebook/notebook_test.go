@@ -12,7 +12,7 @@ func TestAddAndCells(t *testing.T) {
 	u := nb.AddChatUser("load my papers")
 	a := nb.AddChatAgent("loaded 11 papers")
 	c := nb.AddCode("dataset = pz.Dataset(...)")
-	m := nb.AddMarkdown("notes")
+	m := nb.AddChatAgent("notes")
 	if nb.Len() != 4 {
 		t.Fatalf("Len = %d", nb.Len())
 	}
@@ -44,9 +44,9 @@ func TestSetOutput(t *testing.T) {
 	if b.ExecutionCount != 1 || a.ExecutionCount != 2 {
 		t.Errorf("execution counts = %d, %d", a.ExecutionCount, b.ExecutionCount)
 	}
-	md := nb.AddMarkdown("x")
-	if err := nb.SetOutput(md, "nope"); err == nil {
-		t.Error("output on markdown accepted")
+	chat := nb.AddChatUser("x")
+	if err := nb.SetOutput(chat, "nope"); err == nil {
+		t.Error("output on a chat cell accepted")
 	}
 	if err := nb.SetOutput(123, "x"); err == nil {
 		t.Error("output on missing cell accepted")
@@ -145,7 +145,7 @@ func TestRender(t *testing.T) {
 
 func TestCellsIsCopy(t *testing.T) {
 	nb := New()
-	nb.AddMarkdown("original")
+	nb.AddChatUser("original")
 	cells := nb.Cells()
 	cells[0].Source = "mutated"
 	got, _ := nb.Cell(1)

@@ -19,19 +19,6 @@ const (
 	TierResolve   = "resolve"
 )
 
-// LSH geometry for the approximate prefilter. The calibration pass and the
-// execution path MUST hash identically, so these are package constants
-// rather than per-instance knobs: 16 tables of 4-bit signatures keeps
-// bucket-collision recall usable even when query-document cosines are
-// small (high-dimensional probes sit near-orthogonal to most documents),
-// at the price of wide buckets — the recall/candidate-set trade the
-// optimizer's calibration measures and prices.
-const (
-	CascadeLSHTables = 16
-	CascadeLSHBits   = 4
-	CascadeLSHSeed   = 17
-)
-
 // CascadeEmbedModel is the catalog embedding model the cascade charges for
 // query embedding and sidecar-miss fallbacks.
 const CascadeEmbedModel = "atlas-embed"
@@ -96,8 +83,6 @@ type CascadeFilterExec struct {
 	// Lookup is the corpus's embedding sidecar index. Records missing
 	// from it (or a nil Lookup) fall back to charged on-line embedding.
 	Lookup *corpus.EmbedIndex
-	// ApproxPrefilter selects the LSH prefilter instead of exact cosine.
-	ApproxPrefilter bool
 	// Cal holds the optimizer's calibration measurements (nil = defaults).
 	Cal *CascadeEstimates
 
@@ -106,24 +91,19 @@ type CascadeFilterExec struct {
 	queryVec  []float64
 	queryCost float64
 	queryLat  time.Duration
-	lshKeep   map[uint64]bool
 }
 
-// ID implements Physical.
+// ID implements Physical. "exact" names the prefilter's cosine scan; plan
+// strings, fingerprints and traces carry the ID in this form.
 func (f *CascadeFilterExec) ID() string {
-	mode := "exact"
-	if f.ApproxPrefilter {
-		mode = "lsh"
-	}
-	return fmt.Sprintf("cascade-filter(%s>%s, %s, t=%.3f)", f.VerifyModel, f.ResolveModel, mode, f.Threshold)
+	return fmt.Sprintf("cascade-filter(%s>%s, exact, t=%.3f)", f.VerifyModel, f.ResolveModel, f.Threshold)
 }
 
 // Kind implements Physical.
 func (f *CascadeFilterExec) Kind() string { return "filter" }
 
-// Streamable implements Streamer: every tier judges records independently
-// (the LSH keep-set is computed once from the sidecar, not from the
-// batch), so any partition of the input yields the same kept set.
+// Streamable implements Streamer: every tier judges records independently,
+// so any partition of the input yields the same kept set.
 func (f *CascadeFilterExec) Streamable() bool { return true }
 
 func (f *CascadeFilterExec) resolveConfidence() float64 {
@@ -213,10 +193,10 @@ func BuildCascadeProbe(pos, neg [][]float64) []float64 {
 	return probe
 }
 
-// ensureInit resolves the query direction once — the provided probe, or a
-// charged predicate embedding as fallback — and, in LSH mode, builds the
-// keep-set over the whole sidecar. Returns whether this call performed
-// the initialization, so exactly one batch accounts the query embedding.
+// ensureInit resolves the query direction once: the provided probe, or a
+// charged predicate embedding as fallback. Returns whether this call
+// performed the initialization, so exactly one batch accounts the query
+// embedding.
 func (f *CascadeFilterExec) ensureInit(ctx *Ctx) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -239,45 +219,8 @@ func (f *CascadeFilterExec) ensureInit(ctx *Ctx) (bool, error) {
 		f.queryCost = qresp.CostUSD
 		f.queryLat = qresp.Latency
 	}
-
-	if f.ApproxPrefilter && f.Lookup != nil {
-		keep, err := CascadeLSHKeepSet(f.Lookup, qv, f.Threshold)
-		if err != nil {
-			f.initErr = err
-			return false, err
-		}
-		f.lshKeep = keep
-	}
 	f.queryVec = qv
 	return true, nil
-}
-
-// CascadeLSHKeepSet builds the approximate prefilter's keep-set: the
-// sidecar is indexed under the shared cascade LSH geometry, the query's
-// candidate set is retrieved, and candidates are exact-rescored against
-// threshold (Hit.Score is the true cosine). Keys are FilenameKey hashes.
-// The optimizer's calibration pass and CascadeFilterExec.ensureInit both
-// call this, so the priced keep-set and the executed keep-set are the
-// same object by construction.
-func CascadeLSHKeepSet(ix *corpus.EmbedIndex, query []float64, threshold float64) (map[uint64]bool, error) {
-	idx, err := vector.NewLSH(ix.Dim(), CascadeLSHTables, CascadeLSHBits, CascadeLSHSeed)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ix.Len(); i++ {
-		_, vec := ix.At(i)
-		if err := idx.Add(vector.Item{ID: int64(i), Vec: vec}); err != nil {
-			return nil, err
-		}
-	}
-	keep := make(map[uint64]bool)
-	for _, h := range idx.Search(query, ix.Len()) {
-		if CascadeScore(h.Score) >= threshold {
-			key, _ := ix.At(int(h.ID))
-			keep[key] = true
-		}
-	}
-	return keep, nil
 }
 
 // prefilterKeep decides one record's prefilter fate. Sidecar hits are
@@ -285,12 +228,7 @@ func CascadeLSHKeepSet(ix *corpus.EmbedIndex, query []float64, threshold float64
 // response is non-nil only for the fallback path.
 func (f *CascadeFilterExec) prefilterKeep(ctx *Ctx, r *record.Record) (bool, *llm.Response, error) {
 	if f.Lookup != nil {
-		name := r.GetString("filename")
-		if f.ApproxPrefilter {
-			if _, ok := f.Lookup.Vector(name); ok {
-				return f.lshKeep[corpus.FilenameKey(name)], nil, nil
-			}
-		} else if vec, ok := f.Lookup.Vector(name); ok {
+		if vec, ok := f.Lookup.Vector(r.GetString("filename")); ok {
 			return CascadeScore(vector.Cosine(f.queryVec, vec)) >= f.Threshold, nil, nil
 		}
 	}

@@ -280,60 +280,3 @@ func TestCascadeExactTiersAndCost(t *testing.T) {
 		t.Errorf("tier costs sum to %.6f, stage cost is %.6f", tierCost, st.CostUSD)
 	}
 }
-
-// TestCascadeLSHModeDeterministic runs the approximate prefilter twice and
-// checks the runs agree record-for-record, never out-keep the exact
-// prefilter, and uphold the tier invariants.
-func TestCascadeLSHModeDeterministic(t *testing.T) {
-	recs, ix := cascadeFixture(t, 150)
-	filter := &Filter{Predicate: cascadePredicate}
-	probe, threshold := calibrateProbe(t, recs, ix, cascadePredicate)
-
-	run := func() ([]*record.Record, OpStats) {
-		ctx, _, _ := newCtx(t, 4)
-		casc := &CascadeFilterExec{
-			Filter:          filter,
-			VerifyModel:     "atlas-small",
-			ResolveModel:    "atlas-large",
-			Threshold:       threshold,
-			QueryVec:        probe,
-			Lookup:          ix,
-			ApproxPrefilter: true,
-		}
-		out, err := casc.Execute(ctx, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, filterStats(t, ctx)
-	}
-	out1, st1 := run()
-	out2, st2 := run()
-	if len(out1) != len(out2) {
-		t.Fatalf("LSH runs disagree: %d vs %d records", len(out1), len(out2))
-	}
-	for i := range out1 {
-		if out1[i] != out2[i] {
-			t.Fatalf("LSH runs disagree at record %d", i)
-		}
-	}
-	checkTierInvariants(t, st1)
-	checkTierInvariants(t, st2)
-
-	// The LSH keep-set can only miss records the exact scan keeps, never
-	// add ones below threshold.
-	exactSurvivors := 0
-	for _, r := range recs {
-		if v, ok := ix.Vector(r.GetString("filename")); ok {
-			if CascadeScore(vector.Cosine(probe, v)) >= threshold {
-				exactSurvivors++
-			}
-		}
-	}
-	pre := tierByName(t, st1, TierPrefilter)
-	if pre.Passed > exactSurvivors {
-		t.Errorf("LSH prefilter passed %d records, exact scan passes only %d", pre.Passed, exactSurvivors)
-	}
-	if pre.Passed == 0 {
-		t.Error("LSH prefilter passed nothing; keep-set construction is broken")
-	}
-}

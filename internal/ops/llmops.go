@@ -440,8 +440,8 @@ func convertPrompt(desc string, fields []schema.Field, text string) string {
 	return b.String()
 }
 
-// RetrieveExec keeps the top-K records most similar to the query using the
-// embedding model and an exact vector index.
+// RetrieveExec keeps the top-K records most similar to the query: it
+// embeds every record and the query, then takes vector.TopK.
 type RetrieveExec struct {
 	// Retrieve is the logical operator.
 	Retrieve *Retrieve
@@ -477,10 +477,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		ctx.Stats.noteBatch(ctx.curOp, r, 0, 0)
 		return nil, nil
 	}
-	idx, err := vector.NewExact(llm.EmbedDim)
-	if err != nil {
-		return nil, err
-	}
+	items := make([]vector.Item, 0, len(in))
 	byID := make(map[int64]*record.Record, len(in))
 	var latencies []time.Duration
 	for _, rec := range in {
@@ -493,9 +490,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		}
 		ctx.Stats.noteLLM(ctx.curOp, r, resp)
 		latencies = append(latencies, resp.Latency)
-		if err := idx.Add(vector.Item{ID: rec.ID(), Vec: vec}); err != nil {
-			return nil, err
-		}
+		items = append(items, vector.Item{ID: rec.ID(), Vec: vec})
 		byID[rec.ID()] = rec
 	}
 	qv, qresp, err := ctx.Svc.Embed("atlas-embed", r.Retrieve.Query)
@@ -505,7 +500,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 	ctx.Stats.noteLLM(ctx.curOp, r, qresp)
 	latencies = append(latencies, qresp.Latency)
 
-	hits := idx.Search(qv, r.Retrieve.K)
+	hits := vector.TopK(items, qv, r.Retrieve.K)
 	out := make([]*record.Record, 0, len(hits))
 	for _, h := range hits {
 		out = append(out, byID[h.ID])

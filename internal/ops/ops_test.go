@@ -518,8 +518,8 @@ func TestRunStatsTotals(t *testing.T) {
 	if st.TotalLLMCalls() != 11 {
 		t.Errorf("TotalLLMCalls = %d", st.TotalLLMCalls())
 	}
-	if st.TotalCost() <= 0 || st.TotalTime() <= 0 {
-		t.Errorf("totals = %v / %v", st.TotalCost(), st.TotalTime())
+	if st.TotalCost() <= 0 {
+		t.Errorf("TotalCost = %v", st.TotalCost())
 	}
 }
 

@@ -334,15 +334,6 @@ func (s *RunStats) TotalCost() float64 {
 	return c
 }
 
-// TotalTime sums operator simulated time.
-func (s *RunStats) TotalTime() time.Duration {
-	var d time.Duration
-	for _, op := range s.Ops() {
-		d += op.Time
-	}
-	return d
-}
-
 // TotalLLMCalls sums operator LLM calls.
 func (s *RunStats) TotalLLMCalls() int {
 	n := 0

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -34,8 +33,8 @@ var cascadeVerifyModels = []string{"atlas-medium", "atlas-small", "pigeon-7b"}
 type CascadeCalibration struct {
 	// Pos is the logical chain position the candidates implement.
 	Pos int
-	// Candidates are the priced cascade strategies ({exact, lsh} prefilter
-	// × verify model), each carrying its measured CascadeEstimates.
+	// Candidates are the priced cascade strategies, one per verify model,
+	// each carrying its measured CascadeEstimates.
 	Candidates []ops.Physical
 }
 
@@ -43,7 +42,6 @@ type CascadeCalibration struct {
 // sidecar embedding.
 type cascadeSampleItem struct {
 	rec  *record.Record
-	name string
 	vec  []float64
 	gold bool
 }
@@ -109,13 +107,12 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 			// No gold labels, no honest calibration.
 			return nil, nil
 		}
-		name := r.GetString("filename")
-		vec, ok := ix.Vector(name)
+		vec, ok := ix.Vector(r.GetString("filename"))
 		if !ok {
 			continue
 		}
 		gold := llm.GoldFilterDecision(truth, filter.Predicate)
-		items = append(items, cascadeSampleItem{rec: r, name: name, vec: vec, gold: gold})
+		items = append(items, cascadeSampleItem{rec: r, vec: vec, gold: gold})
 		if gold {
 			posVecs = append(posVecs, vec)
 		} else {
@@ -146,44 +143,29 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 		threshold = math.SmallestNonzeroFloat64
 	}
 
-	// Prefilter keep decisions per sample record, and keep rates measured
-	// over the whole sidecar — the vectors are already paid for, so the
-	// full-corpus pass costs only compute and prices the prefilter on its
-	// real input distribution rather than the sample's.
-	keepExact := make([]bool, len(items))
-	var exactSurvivors []int
+	// The sample records the prefilter keeps, and the keep rate
+	// measured over the whole sidecar: the vectors are already paid for,
+	// so the full-corpus pass costs only compute and prices the prefilter
+	// on its real input distribution rather than the sample's.
+	var survivors []int
 	for i, it := range items {
 		if ops.CascadeScore(vector.Cosine(probe, it.vec)) >= threshold {
-			keepExact[i] = true
-			exactSurvivors = append(exactSurvivors, i)
+			survivors = append(survivors, i)
 		}
 	}
-	if len(exactSurvivors) == 0 {
+	if len(survivors) == 0 {
 		return nil, nil
 	}
-	exactKept := 0
+	kept := 0
 	for i := 0; i < ix.Len(); i++ {
 		_, vec := ix.At(i)
 		if ops.CascadeScore(vector.Cosine(probe, vec)) >= threshold {
-			exactKept++
+			kept++
 		}
 	}
-	exactKeepRate := float64(exactKept) / float64(ix.Len())
+	keepRate := float64(kept) / float64(ix.Len())
 
-	lshKeep, err := ops.CascadeLSHKeepSet(ix, probe, threshold)
-	if err != nil {
-		return nil, err
-	}
-	lshKeepRate := float64(len(lshKeep)) / float64(ix.Len())
-	keepLSH := make([]bool, len(items))
-	for i, it := range items {
-		// LSH candidates are exact-rescored against the same threshold, so
-		// the LSH keep-set is a subset of the exact one — verify verdicts
-		// measured on exact survivors cover every LSH survivor too.
-		keepLSH[i] = lshKeep[corpus.FilenameKey(it.name)]
-	}
-
-	// Sentinel verify/resolve verdicts on the exact survivors, per verify
+	// Sentinel verify/resolve verdicts on the survivors, per verify
 	// model. Resolve verdicts are deterministic in (record, predicate), so
 	// one escalation call per record serves every verify model.
 	resolveDec := map[int]bool{}
@@ -201,9 +183,11 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 
 	casc := &CascadeCalibration{Pos: pos}
 	for _, vm := range cascadeVerifyModels {
-		decisions := make(map[int]bool, len(exactSurvivors))
+		// decisions holds the cascade's verdict on each survivor; records
+		// the prefilter drops are absent, so they read as rejected.
+		decisions := make(map[int]bool, len(survivors))
 		escalated := 0
-		for _, i := range exactSurvivors {
+		for _, i := range survivors {
 			resp, err := ctx.Client.Complete(ops.FilterRequest(vm, filter.Predicate, items[i].rec))
 			if err != nil {
 				return nil, err
@@ -217,59 +201,43 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 			}
 			decisions[i] = dec
 		}
-		escRate := float64(escalated) / float64(len(exactSurvivors))
 
-		for _, approx := range []bool{false, true} {
-			keep, keepRate := keepExact, exactKeepRate
-			if approx {
-				keep, keepRate = keepLSH, lshKeepRate
+		tp, fp, fn, predicted := 0, 0, 0, 0
+		for i, it := range items {
+			pred := decisions[i]
+			if pred {
+				predicted++
 			}
-			tp, fp, fn, predicted := 0, 0, 0, 0
-			for i, it := range items {
-				pred := keep[i] && decisions[i]
-				if pred {
-					predicted++
-				}
-				switch {
-				case pred && it.gold:
-					tp++
-				case pred && !it.gold:
-					fp++
-				case !pred && it.gold:
-					fn++
-				}
+			switch {
+			case pred && it.gold:
+				tp++
+			case pred && !it.gold:
+				fp++
+			case !pred && it.gold:
+				fn++
 			}
-			// Laplace-smoothed precision/recall: the +1/+2 pseudo-counts cap
-			// the estimate a finite sample can support, which is what keeps
-			// a 0.995 quality floor honest against a 256-record sample.
-			p := float64(tp+1) / float64(tp+fp+2)
-			r := float64(tp+1) / float64(tp+fn+2)
-			f1 := 2 * p * r / (p + r)
-
-			casc.Candidates = append(casc.Candidates, &ops.CascadeFilterExec{
-				Filter:          filter,
-				VerifyModel:     vm,
-				ResolveModel:    CascadeResolveModel,
-				Threshold:       threshold,
-				QueryVec:        probe,
-				Lookup:          ix,
-				ApproxPrefilter: approx,
-				Cal: &ops.CascadeEstimates{
-					KeepRate:       keepRate,
-					EscalationRate: escRate,
-					Selectivity:    float64(predicted) / float64(len(items)),
-					F1:             f1,
-				},
-			})
 		}
-	}
-	if len(casc.Candidates) == 0 {
-		return nil, nil
+		// Laplace-smoothed precision/recall: the +1/+2 pseudo-counts cap
+		// the estimate a finite sample can support, which is what keeps a
+		// 0.995 quality floor honest against a 256-record sample.
+		p := float64(tp+1) / float64(tp+fp+2)
+		r := float64(tp+1) / float64(tp+fn+2)
+		f1 := 2 * p * r / (p + r)
+
+		casc.Candidates = append(casc.Candidates, &ops.CascadeFilterExec{
+			Filter:       filter,
+			VerifyModel:  vm,
+			ResolveModel: CascadeResolveModel,
+			Threshold:    threshold,
+			QueryVec:     probe,
+			Lookup:       ix,
+			Cal: &ops.CascadeEstimates{
+				KeepRate:       keepRate,
+				EscalationRate: float64(escalated) / float64(len(survivors)),
+				Selectivity:    float64(predicted) / float64(len(items)),
+				F1:             f1,
+			},
+		})
 	}
 	return casc, nil
-}
-
-// cascadeErr is a helper for Optimize's error wrapping.
-func cascadeErr(err error) error {
-	return fmt.Errorf("optimizer: cascade calibration: %w", err)
 }

@@ -64,9 +64,9 @@ func TestCascadeChosenByCostPolicyAndExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both prefilter modes × every verify model were enumerated.
-	if got := countCascades(plans); got != 6 {
-		t.Fatalf("enumerated %d cascade plans, want 6", got)
+	// One cascade per verify model was enumerated.
+	if got := countCascades(plans); got != len(cascadeVerifyModels) {
+		t.Fatalf("enumerated %d cascade plans, want %d", got, len(cascadeVerifyModels))
 	}
 	casc := cascadeAt(chosen)
 	if casc == nil {

@@ -232,7 +232,7 @@ func (o *Optimizer) Optimize(chain []ops.Logical, policy Policy, ctx *ops.Ctx) (
 	if ctx != nil {
 		casc, err = CalibrateCascade(chain, ctx)
 		if err != nil {
-			return nil, nil, cascadeErr(err)
+			return nil, nil, fmt.Errorf("optimizer: cascade calibration: %w", err)
 		}
 	}
 	plans := o.enumerate(chain, initial, calib, casc)

@@ -48,9 +48,6 @@ type Config struct {
 	// (the cluster registry/coordinator), so /metrics reports one merged
 	// counter view; nil allocates a private set.
 	Counters *metrics.Counters
-	// Histograms optionally shares a distribution registry (latency and
-	// cost histograms on /metrics); nil allocates a private set.
-	Histograms *metrics.Histograms
 	// SlowQuerySimSec is the slow-query log threshold in simulated
 	// seconds: completed queries at or above it are retained in the
 	// bounded ring behind /v1/debug/slowlog. 0 disables the log.
@@ -233,9 +230,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Counters == nil {
 		cfg.Counters = metrics.NewCounters()
 	}
-	if cfg.Histograms == nil {
-		cfg.Histograms = metrics.NewHistograms()
-	}
 	if cfg.SlowQuerySimSec < 0 {
 		return nil, fmt.Errorf("serve: negative slow-query threshold %v", cfg.SlowQuerySimSec)
 	}
@@ -247,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 		plans:    NewPlanCache(cfg.PlanCacheSize),
 		tenants:  NewAccounting(cfg.DefaultBudgetUSD, cfg.TenantBudgets),
 		counters: cfg.Counters,
-		hists:    cfg.Histograms,
+		hists:    metrics.NewHistograms(),
 		traces:   trace.NewRing[*trace.Document](traceRingSize),
 		slowlog:  trace.NewRing[SlowQueryEntry](slowLogSize),
 		jobs:     map[string]*Job{},

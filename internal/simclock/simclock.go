@@ -34,8 +34,8 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // Sim is a virtual clock. Sleep advances the virtual time without blocking.
 // It is safe for concurrent use: parallel executors from internal/exec may
 // advance it from many goroutines. In that case the total advances by the
-// sum of sleeps, which models sequential LLM latency; parallel sections
-// should use AdvanceMax blocks instead (see Group).
+// sum of sleeps, which models sequential LLM latency; stages that overlap
+// each sleep on their own Tally instead.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Time
@@ -108,53 +108,4 @@ func (t *Tally) Total() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// Group tracks the maximum of a set of concurrent durations. A parallel
-// executor runs k operator invocations at once; the virtual clock should
-// advance by the maximum branch latency, not the sum. Typical use:
-//
-//	g := simclock.NewGroup()
-//	... each branch calls g.Record(latency) ...
-//	clock.Sleep(g.Max())
-type Group struct {
-	mu  sync.Mutex
-	max time.Duration
-	sum time.Duration
-	n   int
-}
-
-// NewGroup returns an empty Group.
-func NewGroup() *Group { return &Group{} }
-
-// Record notes one branch's duration.
-func (g *Group) Record(d time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if d > g.max {
-		g.max = d
-	}
-	g.sum += d
-	g.n++
-}
-
-// Max returns the maximum recorded duration.
-func (g *Group) Max() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.max
-}
-
-// Sum returns the sum of recorded durations.
-func (g *Group) Sum() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sum
-}
-
-// Count returns how many durations were recorded.
-func (g *Group) Count() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
 }

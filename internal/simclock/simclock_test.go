@@ -50,28 +50,6 @@ func TestSimConcurrentSleeps(t *testing.T) {
 	}
 }
 
-func TestGroupMaxSumCount(t *testing.T) {
-	g := NewGroup()
-	var wg sync.WaitGroup
-	for i := 1; i <= 10; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g.Record(time.Duration(i) * time.Second)
-		}(i)
-	}
-	wg.Wait()
-	if g.Max() != 10*time.Second {
-		t.Errorf("Max = %v, want 10s", g.Max())
-	}
-	if g.Sum() != 55*time.Second {
-		t.Errorf("Sum = %v, want 55s", g.Sum())
-	}
-	if g.Count() != 10 {
-		t.Errorf("Count = %d, want 10", g.Count())
-	}
-}
-
 func TestRealClockMonotone(t *testing.T) {
 	var c Real
 	a := c.Now()

@@ -40,9 +40,6 @@ var stopwords = map[string]bool{
 	"would_like": true, "im": true, "id": true, "lets": true, "let": true,
 }
 
-// IsStopword reports whether the lowercase token w is a stopword.
-func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
-
 // Tokenize splits text into lowercase word tokens. Runs of letters and
 // digits form tokens; everything else is a separator. Apostrophes inside
 // words are dropped ("don't" -> "dont") so contractions stay single tokens.

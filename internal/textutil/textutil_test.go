@@ -77,7 +77,7 @@ func TestStemNeverTooShort(t *testing.T) {
 func TestTermsDropsStopwords(t *testing.T) {
 	got := Terms("the papers are about colorectal cancer")
 	for _, g := range got {
-		if IsStopword(g) {
+		if stopwords[g] {
 			t.Errorf("stopword %q survived Terms", g)
 		}
 	}

@@ -100,27 +100,6 @@ func MustParse(src string) *Template {
 	return t
 }
 
-// Vars returns the sorted set of root variable names referenced by the
-// template. The agent uses this to check that every required runtime
-// variable is bound before invoking a tool.
-func (t *Template) Vars() []string {
-	seen := map[string]bool{}
-	for _, p := range t.parts {
-		if p.expr == "" {
-			continue
-		}
-		path := strings.SplitN(p.expr, "|", 2)[0]
-		root := strings.TrimSpace(strings.SplitN(path, ".", 2)[0])
-		seen[root] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Source returns the original template source.
 func (t *Template) Source() string { return t.src }
 

@@ -1,7 +1,6 @@
 package tmpl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,21 +126,6 @@ func TestFilters(t *testing.T) {
 func TestUnknownFilterErrors(t *testing.T) {
 	if _, err := Render("{{x|frobnicate}}", Env{"x": 1}); err == nil {
 		t.Fatal("want error for unknown filter")
-	}
-}
-
-func TestVars(t *testing.T) {
-	tpl := MustParse("{{schema_name}} {{ field_names|join }} {{record.url}} {{schema_name}}")
-	got := tpl.Vars()
-	want := []string{"field_names", "record", "schema_name"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Vars = %v, want %v", got, want)
-	}
-}
-
-func TestVarsPlain(t *testing.T) {
-	if got := MustParse("nothing").Vars(); len(got) != 0 {
-		t.Fatalf("Vars = %v, want empty", got)
 	}
 }
 

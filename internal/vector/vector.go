@@ -1,20 +1,15 @@
-// Package vector implements the in-memory vector index substrate behind the
-// Retrieve operator (the paper's intro cites vector databases as one of the
-// software stacks AI pipelines must coordinate). Two indexes are provided:
-// Exact, a linear-scan top-k index, and LSH, a random-hyperplane locality-
-// sensitive index that trades a little recall for sublinear candidate sets.
+// Package vector is the exact vector kernel behind the Retrieve operator
+// and the cascade prefilter (the paper's intro cites vector databases as
+// one of the software stacks AI pipelines must coordinate): cosine
+// similarity and a linear-scan top-k.
 package vector
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
-	"math/rand"
-	"sort"
-	"sync"
 )
 
-// Item is one indexed element: an opaque ID and its embedding.
+// Item is one scored element: an opaque ID and its embedding.
 type Item struct {
 	ID  int64
 	Vec []float64
@@ -24,17 +19,6 @@ type Item struct {
 type Hit struct {
 	ID    int64
 	Score float64
-}
-
-// Index is the common search surface.
-type Index interface {
-	// Add inserts an item. Vectors must share the index dimension.
-	Add(item Item) error
-	// Search returns the top-k items by cosine similarity to query,
-	// best-first. Ties break by ascending ID for determinism.
-	Search(query []float64, k int) []Hit
-	// Len returns the number of indexed items.
-	Len() int
 }
 
 // Cosine is the cosine similarity of two equal-length vectors (0 when either
@@ -52,46 +36,6 @@ func Cosine(a, b []float64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// Exact is a linear-scan index. Safe for concurrent use.
-type Exact struct {
-	mu    sync.RWMutex
-	dim   int
-	items []Item
-}
-
-// NewExact creates an exact index for dim-dimensional vectors.
-func NewExact(dim int) (*Exact, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vector: dimension %d", dim)
-	}
-	return &Exact{dim: dim}, nil
-}
-
-// Add implements Index.
-func (e *Exact) Add(item Item) error {
-	if len(item.Vec) != e.dim {
-		return fmt.Errorf("vector: item dim %d, index dim %d", len(item.Vec), e.dim)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.items = append(e.items, item)
-	return nil
-}
-
-// Len implements Index.
-func (e *Exact) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.items)
-}
-
-// Search implements Index.
-func (e *Exact) Search(query []float64, k int) []Hit {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return topK(e.items, query, k)
-}
-
 // hitHeap is a min-heap on (score, -id): the root is the worst retained hit.
 type hitHeap []Hit
 
@@ -106,12 +50,14 @@ func (h hitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *hitHeap) Push(x any)   { *h = append(*h, x.(Hit)) }
 func (h *hitHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-func topK(items []Item, query []float64, k int) []Hit {
+// TopK returns the k items most cosine-similar to query, best-first, by
+// exact linear scan. Ties break by ascending ID for determinism; items
+// whose dimension differs from the query's are skipped.
+func TopK(items []Item, query []float64, k int) []Hit {
 	if k <= 0 || len(items) == 0 {
 		return nil
 	}
 	h := &hitHeap{}
-	heap.Init(h)
 	for _, it := range items {
 		if len(it.Vec) != len(query) {
 			continue
@@ -136,118 +82,4 @@ func better(a, b Hit) bool {
 		return a.Score > b.Score
 	}
 	return a.ID < b.ID
-}
-
-// LSH is a random-hyperplane locality-sensitive index: items are bucketed
-// by the sign pattern of projections onto nbits random hyperplanes, across
-// ntables independent tables. Search unions the query's buckets and ranks
-// the candidates exactly.
-type LSH struct {
-	mu      sync.RWMutex
-	dim     int
-	nbits   int
-	planes  [][][]float64 // [table][bit][dim]
-	tables  []map[uint64][]Item
-	numItem int
-}
-
-// NewLSH creates an LSH index with the given tables and bits per table. The
-// seed makes hyperplanes deterministic.
-func NewLSH(dim, ntables, nbits int, seed int64) (*LSH, error) {
-	if dim <= 0 || ntables <= 0 || nbits <= 0 || nbits > 30 {
-		return nil, fmt.Errorf("vector: bad LSH config dim=%d tables=%d bits=%d", dim, ntables, nbits)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	l := &LSH{dim: dim, nbits: nbits}
-	for t := 0; t < ntables; t++ {
-		bits := make([][]float64, nbits)
-		for b := 0; b < nbits; b++ {
-			plane := make([]float64, dim)
-			for d := 0; d < dim; d++ {
-				plane[d] = rng.NormFloat64()
-			}
-			bits[b] = plane
-		}
-		l.planes = append(l.planes, bits)
-		l.tables = append(l.tables, map[uint64][]Item{})
-	}
-	return l, nil
-}
-
-func (l *LSH) signature(table int, vec []float64) uint64 {
-	var sig uint64
-	for b, plane := range l.planes[table] {
-		var dot float64
-		for d := range plane {
-			dot += plane[d] * vec[d]
-		}
-		if dot >= 0 {
-			sig |= 1 << uint(b)
-		}
-	}
-	return sig
-}
-
-// Add implements Index.
-func (l *LSH) Add(item Item) error {
-	if len(item.Vec) != l.dim {
-		return fmt.Errorf("vector: item dim %d, index dim %d", len(item.Vec), l.dim)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for t := range l.tables {
-		sig := l.signature(t, item.Vec)
-		l.tables[t][sig] = append(l.tables[t][sig], item)
-	}
-	l.numItem++
-	return nil
-}
-
-// Len implements Index.
-func (l *LSH) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.numItem
-}
-
-// Search implements Index.
-func (l *LSH) Search(query []float64, k int) []Hit {
-	if len(query) != l.dim || k <= 0 {
-		return nil
-	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	seen := map[int64]bool{}
-	var cands []Item
-	for t := range l.tables {
-		sig := l.signature(t, query)
-		for _, it := range l.tables[t][sig] {
-			if !seen[it.ID] {
-				seen[it.ID] = true
-				cands = append(cands, it)
-			}
-		}
-	}
-	// Deterministic candidate order before ranking.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
-	return topK(cands, query, k)
-}
-
-// Recall computes the fraction of truth hits present in got — the standard
-// approximate-index quality metric used by the ablation bench.
-func Recall(got, truth []Hit) float64 {
-	if len(truth) == 0 {
-		return 1
-	}
-	set := map[int64]bool{}
-	for _, h := range got {
-		set[h.ID] = true
-	}
-	n := 0
-	for _, h := range truth {
-		if set[h.ID] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(truth))
 }

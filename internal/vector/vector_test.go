@@ -17,49 +17,44 @@ func randVec(rng *rand.Rand, dim int) []float64 {
 }
 
 func TestExactBasics(t *testing.T) {
-	idx, err := NewExact(4)
-	if err != nil {
-		t.Fatal(err)
+	items := []Item{
+		{ID: 1, Vec: []float64{1, 0, 0, 0}},
+		{ID: 2, Vec: []float64{0, 1, 0, 0}},
+		{ID: 3, Vec: []float64{0.9, 0.1, 0, 0}},
 	}
-	_ = idx.Add(Item{ID: 1, Vec: []float64{1, 0, 0, 0}})
-	_ = idx.Add(Item{ID: 2, Vec: []float64{0, 1, 0, 0}})
-	_ = idx.Add(Item{ID: 3, Vec: []float64{0.9, 0.1, 0, 0}})
-	hits := idx.Search([]float64{1, 0, 0, 0}, 2)
+	hits := TopK(items, []float64{1, 0, 0, 0}, 2)
 	if len(hits) != 2 || hits[0].ID != 1 || hits[1].ID != 3 {
 		t.Fatalf("hits = %v", hits)
-	}
-	if idx.Len() != 3 {
-		t.Errorf("Len = %d", idx.Len())
 	}
 }
 
 func TestExactDimMismatch(t *testing.T) {
-	idx, _ := NewExact(3)
-	if err := idx.Add(Item{ID: 1, Vec: []float64{1, 2}}); err == nil {
-		t.Fatal("dim mismatch accepted")
-	}
-	if _, err := NewExact(0); err == nil {
-		t.Fatal("zero dim accepted")
+	items := []Item{{ID: 1, Vec: []float64{1, 2}}, {ID: 2, Vec: []float64{1, 2, 3}}}
+	hits := TopK(items, []float64{1, 2, 3}, 2)
+	if len(hits) != 1 || hits[0].ID != 2 {
+		t.Fatalf("mismatched dimension scored: %v", hits)
 	}
 }
 
 func TestExactKEdgeCases(t *testing.T) {
-	idx, _ := NewExact(2)
-	_ = idx.Add(Item{ID: 1, Vec: []float64{1, 0}})
-	if got := idx.Search([]float64{1, 0}, 0); got != nil {
+	items := []Item{{ID: 1, Vec: []float64{1, 0}}}
+	if got := TopK(items, []float64{1, 0}, 0); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	if got := idx.Search([]float64{1, 0}, 10); len(got) != 1 {
+	if got := TopK(items, []float64{1, 0}, 10); len(got) != 1 {
 		t.Errorf("k>n returned %d hits", len(got))
+	}
+	if got := TopK(nil, []float64{1, 0}, 3); got != nil {
+		t.Errorf("no items returned %v", got)
 	}
 }
 
 func TestExactTieBreaksByID(t *testing.T) {
-	idx, _ := NewExact(2)
+	var items []Item
 	for id := int64(5); id >= 1; id-- {
-		_ = idx.Add(Item{ID: id, Vec: []float64{1, 0}})
+		items = append(items, Item{ID: id, Vec: []float64{1, 0}})
 	}
-	hits := idx.Search([]float64{1, 0}, 3)
+	hits := TopK(items, []float64{1, 0}, 3)
 	if hits[0].ID != 1 || hits[1].ID != 2 || hits[2].ID != 3 {
 		t.Fatalf("tie-break order wrong: %v", hits)
 	}
@@ -67,12 +62,12 @@ func TestExactTieBreaksByID(t *testing.T) {
 
 func TestExactOrderingSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	idx, _ := NewExact(8)
-	for i := int64(0); i < 100; i++ {
-		_ = idx.Add(Item{ID: i, Vec: randVec(rng, 8)})
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{ID: int64(i), Vec: randVec(rng, 8)}
 	}
 	q := randVec(rng, 8)
-	hits := idx.Search(q, 10)
+	hits := TopK(items, q, 10)
 	if !sort.SliceIsSorted(hits, func(i, j int) bool { return hits[i].Score >= hits[j].Score }) {
 		t.Fatalf("hits not sorted: %v", hits)
 	}
@@ -99,104 +94,5 @@ func TestCosineProperties(t *testing.T) {
 func TestCosineZeroVector(t *testing.T) {
 	if got := Cosine([]float64{0, 0}, []float64{1, 1}); got != 0 {
 		t.Errorf("zero-vector cosine = %v", got)
-	}
-}
-
-func TestLSHConfigValidation(t *testing.T) {
-	bad := [][4]int{{0, 1, 1, 1}, {2, 0, 1, 1}, {2, 1, 0, 1}, {2, 1, 40, 1}}
-	for _, c := range bad {
-		if _, err := NewLSH(c[0], c[1], c[2], int64(c[3])); err == nil {
-			t.Errorf("config %v accepted", c)
-		}
-	}
-}
-
-func TestLSHFindsExactMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	idx, err := NewLSH(16, 8, 8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs := make([][]float64, 50)
-	for i := range vecs {
-		vecs[i] = randVec(rng, 16)
-		_ = idx.Add(Item{ID: int64(i), Vec: vecs[i]})
-	}
-	// Querying with an indexed vector must return it first: identical
-	// vectors share every bucket signature.
-	for i := 0; i < 10; i++ {
-		hits := idx.Search(vecs[i], 1)
-		if len(hits) != 1 || hits[0].ID != int64(i) {
-			t.Fatalf("query %d: hits = %v", i, hits)
-		}
-	}
-	if idx.Len() != 50 {
-		t.Errorf("Len = %d", idx.Len())
-	}
-}
-
-func TestLSHRecallAgainstExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dim := 32
-	exact, _ := NewExact(dim)
-	lsh, _ := NewLSH(dim, 12, 6, 7)
-	for i := int64(0); i < 400; i++ {
-		v := randVec(rng, dim)
-		_ = exact.Add(Item{ID: i, Vec: v})
-		_ = lsh.Add(Item{ID: i, Vec: v})
-	}
-	var total float64
-	const queries = 20
-	for q := 0; q < queries; q++ {
-		query := randVec(rng, dim)
-		truth := exact.Search(query, 10)
-		got := lsh.Search(query, 10)
-		total += Recall(got, truth)
-	}
-	avg := total / queries
-	if avg < 0.3 {
-		t.Errorf("LSH mean recall@10 = %.2f, too low", avg)
-	}
-	t.Logf("LSH mean recall@10 = %.2f", avg)
-}
-
-func TestLSHDeterministic(t *testing.T) {
-	build := func() []Hit {
-		idx, _ := NewLSH(8, 4, 4, 99)
-		r := rand.New(rand.NewSource(5))
-		for i := int64(0); i < 50; i++ {
-			_ = idx.Add(Item{ID: i, Vec: randVec(r, 8)})
-		}
-		return idx.Search(randVec(rand.New(rand.NewSource(6)), 8), 5)
-	}
-	a, b := build(), build()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("LSH search not deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLSHQueryDimMismatch(t *testing.T) {
-	idx, _ := NewLSH(4, 2, 2, 1)
-	if got := idx.Search([]float64{1, 2}, 3); got != nil {
-		t.Errorf("bad-dim query returned %v", got)
-	}
-	if err := idx.Add(Item{ID: 1, Vec: []float64{1}}); err == nil {
-		t.Error("bad-dim add accepted")
-	}
-}
-
-func TestRecall(t *testing.T) {
-	truth := []Hit{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}}
-	got := []Hit{{ID: 2}, {ID: 4}, {ID: 9}}
-	if r := Recall(got, truth); r != 0.5 {
-		t.Errorf("Recall = %v, want 0.5", r)
-	}
-	if r := Recall(nil, nil); r != 1 {
-		t.Errorf("empty Recall = %v, want 1", r)
 	}
 }

@@ -179,7 +179,7 @@ type OpEstimate = optimizer.OpCalibration
 type ReoptInfo = exec.ReoptInfo
 
 // Context owns a dataset registry and an execution engine. LLM usage
-// accumulates across Execute calls until ResetUsage.
+// accumulates across every run on it.
 type Context struct {
 	registry *dataset.Registry
 	executor *exec.Executor
@@ -273,9 +273,6 @@ func (c *Context) UsageReport() string { return c.executor.Service().UsageReport
 
 // TotalCost returns cumulative LLM cost across runs.
 func (c *Context) TotalCost() float64 { return c.executor.Service().TotalCost() }
-
-// ResetUsage clears cumulative LLM accounting.
-func (c *Context) ResetUsage() { c.executor.Service().Reset() }
 
 // Dataset is an immutable logical pipeline builder: every operator returns
 // a new Dataset, and errors are deferred to Execute (so chains read
@@ -551,5 +548,9 @@ func (c *Context) OptimizeOnly(d *Dataset, policy Policy) (*Plan, []*Plan, error
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	return optimizer.New(c.OptimizerOptionsFor(d)).Optimize(d.chain, policy, c.executor.NewCtx())
+	opt, err := c.executor.Optimize(context.Background(), d.chain, policy, c.OptimizerOptionsFor(d))
+	if err != nil {
+		return nil, nil, err
+	}
+	return opt.Plan, opt.Candidates, nil
 }
