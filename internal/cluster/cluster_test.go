@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/schema"
@@ -54,8 +56,13 @@ func ticketSpec(partitions int, extra ...serve.OpSpec) *serve.Spec {
 // coordinatorContext registers the corpus on a fresh coordinator-side
 // pz.Context.
 func coordinatorContext(t testing.TB, path string) *pz.Context {
+	return contextWith(t, path, pz.Config{Parallelism: 2})
+}
+
+// contextWith registers the corpus on a fresh pz.Context built from cfg.
+func contextWith(t testing.TB, path string, cfg pz.Config) *pz.Context {
 	t.Helper()
-	ctx, err := pz.NewContext(pz.Config{Parallelism: 2})
+	ctx, err := pz.NewContext(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +70,25 @@ func coordinatorContext(t testing.TB, path string) *pz.Context {
 		t.Fatal(err)
 	}
 	return ctx
+}
+
+// optimize builds spec on pzctx and optimizes it as the serving layer
+// does, for a direct Scatter call.
+func optimize(t testing.TB, pzctx *pz.Context, spec *serve.Spec) *exec.Optimized {
+	t.Helper()
+	ds, err := spec.Build(pzctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := spec.ParsePolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := pzctx.Executor().Optimize(context.Background(), ds.Chain(), policy, pzctx.OptimizerOptionsFor(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt
 }
 
 // sequentialJSON is the ground truth: the same spec run single-process on
@@ -410,9 +436,10 @@ func TestNonStreamableChampionDeclines(t *testing.T) {
 
 	spec := ticketSpec(4)
 	spec.Policy = "min-cost"
-	dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), spec, 4)
-	if err != nil || ok || dres != nil {
-		t.Fatalf("non-streamable champion: dres=%v ok=%v err=%v, want decline", dres, ok, err)
+	opt := optimize(t, coordinatorContext(t, path), spec)
+	dres, reason, err := coord.Scatter(context.Background(), spec, opt, 4)
+	if err != nil || reason != "not_streamable" || dres != nil {
+		t.Fatalf("non-streamable champion: dres=%v reason=%q err=%v, want not_streamable", dres, reason, err)
 	}
 	if got := reg.Counters().Get("cluster_queries_not_streamable"); got != 1 {
 		t.Errorf("cluster_queries_not_streamable = %d, want 1", got)
@@ -420,18 +447,58 @@ func TestNonStreamableChampionDeclines(t *testing.T) {
 }
 
 // TestEmptyPoolDeclines: with no registered workers the coordinator
-// declines the query (ok=false) so the serving layer runs it locally.
+// declines the query (no_workers) so the serving layer runs it locally.
 func TestEmptyPoolDeclines(t *testing.T) {
 	path := writeTicketCorpus(t, 40)
 	reg := NewRegistry(RegistryConfig{})
 	coord := newTestCoordinator(t, reg, Config{})
 
-	dres, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), ticketSpec(4), 4)
-	if err != nil || ok || dres != nil {
-		t.Fatalf("empty pool: dres=%v ok=%v err=%v, want nil/false/nil", dres, ok, err)
+	spec := ticketSpec(4)
+	opt := optimize(t, coordinatorContext(t, path), spec)
+	dres, reason, err := coord.Scatter(context.Background(), spec, opt, 4)
+	if err != nil || reason != "no_workers" || dres != nil {
+		t.Fatalf("empty pool: dres=%v reason=%q err=%v, want no_workers", dres, reason, err)
 	}
 	if got := reg.Counters().Get("cluster_queries_local_fallback"); got != 1 {
 		t.Errorf("cluster_queries_local_fallback = %d, want 1", got)
+	}
+	if _, ok, err := coord.TryExecute(context.Background(), coordinatorContext(t, path), spec, 4); ok || err != nil {
+		t.Errorf("TryExecute on an empty pool: ok=%v err=%v, want a decline", ok, err)
+	}
+}
+
+// TestScatterDeclineReasons: a fan-out or partition index below 2 and a
+// source that is not an NDJSON corpus decline with their own reasons,
+// before any worker is asked.
+func TestScatterDeclineReasons(t *testing.T) {
+	path := writeTicketCorpus(t, 40)
+	reg := NewRegistry(RegistryConfig{})
+	startWorker(t, reg, "a", path, nil)
+	coord := newTestCoordinator(t, reg, Config{})
+	pzctx := coordinatorContext(t, path)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "a.txt"), []byte("The ticket is urgent."), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	folder := ticketSpec(4)
+	folder.Dataset = serve.DatasetSpec{Name: "notes", Dir: dir}
+	for _, tc := range []struct {
+		name   string
+		spec   *serve.Spec
+		fanout int
+		want   string
+	}{
+		{"fan-out 1", ticketSpec(0), 1, "one_partition"},
+		{"folder", folder, 4, "not_ndjson"},
+	} {
+		dres, reason, err := coord.Scatter(context.Background(), tc.spec, optimize(t, pzctx, tc.spec), tc.fanout)
+		if err != nil || reason != tc.want || dres != nil {
+			t.Errorf("%s: dres=%v reason=%q err=%v, want %s", tc.name, dres, reason, err, tc.want)
+		}
+	}
+	if got := reg.Counters().Get("cluster_partitions_scattered"); got != 0 {
+		t.Errorf("cluster_partitions_scattered = %d, want 0", got)
 	}
 }
 
@@ -935,30 +1002,24 @@ func TestServeDistributedQuery(t *testing.T) {
 	spec := ticketSpec(4)
 	want := sequentialJSON(t, path, spec)
 
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(front.URL+"/v1/query?wait=1", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	var view serve.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	if view.Status != serve.StatusDone || view.Result == nil {
-		t.Fatalf("job %s status %s: %s", view.ID, view.Status, view.Error)
-	}
+	view := postQuery(t, front.URL, spec)
 	if !bytes.Equal([]byte(view.Result.Records), want) {
 		t.Fatalf("served distributed records diverge:\n got %s\nwant %s", view.Result.Records, want)
 	}
 	if !strings.Contains(view.Result.Plan, "cluster-scatter") {
 		t.Errorf("plan %q does not show scatter execution", view.Result.Plan)
+	}
+	if view.Result.PlanCached || view.Result.Candidates <= 0 {
+		t.Errorf("first run: plan_cached=%v candidates=%d, want an optimized plan", view.Result.PlanCached, view.Result.Candidates)
+	}
+	// A repeat scatters the cached plan and returns the same records.
+	again := postQuery(t, front.URL, spec)
+	if !again.Result.PlanCached || again.Result.Candidates != view.Result.Candidates {
+		t.Errorf("repeat run: plan_cached=%v candidates=%d, want the cached plan of %d candidates",
+			again.Result.PlanCached, again.Result.Candidates, view.Result.Candidates)
+	}
+	if !bytes.Equal(again.Result.Records, view.Result.Records) {
+		t.Errorf("repeat run records diverge:\n got %s\nwant %s", again.Result.Records, view.Result.Records)
 	}
 
 	// The job's trace must be the coordinator's span tree: a query root
@@ -1020,8 +1081,8 @@ func TestServeDistributedQuery(t *testing.T) {
 	if m.Cluster == nil || len(m.Cluster.Workers) != 2 {
 		t.Fatalf("metrics cluster section = %+v, want 2 workers", m.Cluster)
 	}
-	if m.Counters["cluster_queries_distributed"] != 1 {
-		t.Errorf("cluster_queries_distributed = %d, want 1", m.Counters["cluster_queries_distributed"])
+	if m.Counters["cluster_queries_distributed"] != 2 {
+		t.Errorf("cluster_queries_distributed = %d, want 2", m.Counters["cluster_queries_distributed"])
 	}
 
 	wresp, err := http.Get(front.URL + "/v1/workers")
@@ -1036,6 +1097,143 @@ func TestServeDistributedQuery(t *testing.T) {
 	if len(views) != 2 {
 		t.Errorf("worker listing = %+v, want 2", views)
 	}
+}
+
+// postQuery submits spec to a serving front end with ?wait=1 and returns
+// the finished job.
+func postQuery(t testing.TB, url string, spec *serve.Spec) serve.JobView {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/query?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view serve.JobView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || view.Status != serve.StatusDone || view.Result == nil {
+		t.Fatalf("query status %d: job %s %s: %s", resp.StatusCode, view.ID, view.Status, view.Error)
+	}
+	return view
+}
+
+// sampledServer wires a serving front end with sentinel calibration
+// (SampleSize 10) to a coordinator over two workers.
+func sampledServer(t testing.TB, path string) (*serve.Server, *pz.Context, string) {
+	t.Helper()
+	reg := NewRegistry(RegistryConfig{})
+	startWorker(t, reg, "a", path, nil)
+	startWorker(t, reg, "b", path, nil)
+	pzctx := contextWith(t, path, pz.Config{Parallelism: 2, SampleSize: 10})
+	srv, err := serve.New(serve.Config{Context: pzctx, Cluster: newTestCoordinator(t, reg, Config{}), Counters: reg.Counters()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	front := httptest.NewServer(srv.Handler())
+	t.Cleanup(front.Close)
+	return srv, pzctx, front.URL
+}
+
+// TestClusteredQueryReusesCachedPlan: a repeated scatterable query reads
+// the plan cache, so its second run pays no calibration, and both runs
+// return a local run's records.
+func TestClusteredQueryReusesCachedPlan(t *testing.T) {
+	path := writeTicketCorpus(t, 200)
+	srv, pzctx, url := sampledServer(t, path)
+	spec := ticketSpec(4)
+
+	first := postQuery(t, url, spec)
+	second := postQuery(t, url, spec)
+	if !strings.Contains(second.Result.Plan, "cluster-scatter") || !second.Result.PlanCached {
+		t.Fatalf("second run: plan %q plan_cached=%v, want a cached scatter", second.Result.Plan, second.Result.PlanCached)
+	}
+	c := srv.Counters()
+	if hits, misses := c.Get("plan_cache_hits"), c.Get("plan_cache_misses"); hits != 1 || misses != 1 {
+		t.Errorf("plan cache hits=%d misses=%d, want 1 and 1", hits, misses)
+	}
+	if size := srv.PlanCache().Stats().Size; size != 1 {
+		t.Errorf("plan cache holds %d plans, want 1", size)
+	}
+	calibration := firstOptimizeCost(t, url, first.ID)
+	if calibration <= 0 {
+		t.Fatalf("first run's optimize span costs $%.6f, want a charged calibration", calibration)
+	}
+	if math.Abs(second.Result.CostUSD-(first.Result.CostUSD-calibration)) > 1e-9 {
+		t.Errorf("second run billed $%.6f, want $%.6f - $%.6f", second.Result.CostUSD, first.Result.CostUSD, calibration)
+	}
+	// The coordinator's engine pays the one calibration; workers pay for
+	// the partitions.
+	if total := pzctx.TotalCost(); math.Abs(total-calibration) > 1e-9 {
+		t.Errorf("coordinator TotalCost $%.6f, want one calibration, $%.6f", total, calibration)
+	}
+	t.Logf("billed $%.6f then $%.6f; calibration $%.6f", first.Result.CostUSD, second.Result.CostUSD, calibration)
+	local := contextWith(t, path, pz.Config{Parallelism: 2, SampleSize: 10})
+	want := localJSON(t, local, spec)
+	for i, v := range []serve.JobView{first, second} {
+		if !bytes.Equal(v.Result.Records, want) {
+			t.Errorf("run %d records diverge from the local run:\n got %s\nwant %s", i+1, v.Result.Records, want)
+		}
+	}
+}
+
+// TestDeclinedScatterChargesOnce: a min-cost query the coordinator
+// declines runs the plan the serving layer chose, so the engine spends
+// what the query is billed, cache hit included, and the trace says why
+// it ran locally.
+func TestDeclinedScatterChargesOnce(t *testing.T) {
+	path := writeTicketCorpus(t, 200)
+	_, pzctx, url := sampledServer(t, path)
+	spec := ticketSpec(4)
+	spec.Policy = "min-cost"
+
+	var billed float64
+	for run := 0; run < 2; run++ {
+		view := postQuery(t, url, spec)
+		if strings.Contains(view.Result.Plan, "cluster-scatter") {
+			t.Fatalf("run %d scattered a min-cost plan: %s", run, view.Result.Plan)
+		}
+		billed += view.Result.CostUSD
+		if got := jobTrace(t, url, view.ID).Attrs["cluster_declined"]; got != "not_streamable" {
+			t.Errorf("run %d: cluster_declined=%q, want not_streamable", run, got)
+		}
+	}
+	if total := pzctx.TotalCost(); math.Abs(total-billed) > 1e-9 {
+		t.Errorf("TotalCost $%.6f, billed $%.6f", total, billed)
+	}
+}
+
+// jobTrace fetches a finished job's trace root.
+func jobTrace(t testing.TB, url, id string) *trace.Span {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc trace.Document
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Trace == nil {
+		t.Fatalf("job %s has no trace", id)
+	}
+	return doc.Trace
+}
+
+// firstOptimizeCost is the cost of a job's optimize span, 0 when its
+// trace has none.
+func firstOptimizeCost(t testing.TB, url, id string) float64 {
+	t.Helper()
+	if spans := jobTrace(t, url, id).FindAll(trace.KindOptimize); len(spans) > 0 {
+		return spans[0].CostUSD
+	}
+	return 0
 }
 
 // TestSpecValidation: fan-out validation at the serving edge.

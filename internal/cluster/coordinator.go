@@ -47,13 +47,12 @@ type Config struct {
 	StragglerAfter time.Duration
 }
 
-// Coordinator implements serve.Distributor: it optimizes a query once,
-// exactly as local execution would, splits an indexed NDJSON scan by the
-// corpus partition index, scatters the plan's stream prefix across the
-// worker registry as serve.Spec sub-plans over byte ranges, gathers the
-// seq-tagged streams, merges them in partition order — byte-identical to
-// the sequential scan — and runs the rest of the plan locally over the
-// merged records.
+// Coordinator implements serve.Distributor: given the plan the serving
+// layer chose, it splits an indexed NDJSON scan by the corpus partition
+// index, scatters the plan's stream prefix across the worker registry as
+// serve.Spec sub-plans over byte ranges, gathers the seq-tagged streams,
+// merges them in partition order — byte-identical to the sequential
+// scan — and runs the rest of the plan locally over the merged records.
 type Coordinator struct {
 	cfg      Config
 	reg      *Registry
@@ -108,70 +107,74 @@ func scatterable(plan *pz.Plan) int {
 	return k
 }
 
-// TryExecute implements serve.Distributor. ok=false (nil error) sends
-// the caller down the local path: fan-out below 2, an empty worker pool,
-// a dataset that is not a range-partitionable NDJSON corpus, or a plan
-// with no scatterable operator after its scan.
+// TryExecute builds spec on pzctx, optimizes it with the options local
+// execution resolves and scatters the plan: Scatter for a caller that
+// has no plan yet. ok=false with a nil error means Scatter declined.
 func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *serve.Spec, fanout int) (*serve.DistResult, bool, error) {
-	if fanout < 2 {
-		return nil, false, nil
-	}
-	if c.reg.Len() == 0 {
-		c.counters.Inc("cluster_queries_local_fallback")
-		return nil, false, nil
-	}
 	ds, err := spec.Build(pzctx)
 	if err != nil {
 		return nil, false, err
-	}
-	scan, ok := ds.Chain()[0].(*ops.Scan)
-	if !ok {
-		return nil, false, nil
-	}
-	nsrc, ok := scan.Source.(*dataset.NDJSONSource)
-	if !ok {
-		return nil, false, nil
-	}
-	ranges := nsrc.PartitionRanges(fanout)
-	if len(ranges) < 2 {
-		return nil, false, nil
 	}
 	policy, err := spec.ParsePolicy()
 	if err != nil {
 		return nil, false, err
 	}
-	// Optimize ONCE, centrally, with the options local execution resolves,
-	// and pin the prefix's physical operators onto every partition
-	// request: a worker picking a different model over its local
-	// statistics would break byte-identity, because model noise is keyed
-	// on model + record content. The optimize step's calibration cost and
-	// time count toward the query, as they do for a local run.
 	opt, err := pzctx.Executor().Optimize(ctx, ds.Chain(), policy, pzctx.OptimizerOptionsFor(ds))
 	if err != nil {
 		return nil, false, err
 	}
+	dres, reason, err := c.Scatter(ctx, spec, opt, fanout)
+	return dres, reason == "" && err == nil, err
+}
+
+// Scatter implements serve.Distributor. It places opt's plan and pins
+// the prefix's physical operators onto every partition request: a worker
+// picking a different model over its local statistics would break
+// byte-identity, because model noise is keyed on model + record content.
+// It declines, before anything is spent, a fan-out or partition index
+// below 2, an empty worker pool, a scan that is not an indexed NDJSON
+// corpus, or a plan with no scatterable operator after its scan.
+func (c *Coordinator) Scatter(ctx context.Context, spec *serve.Spec, opt *exec.Optimized, fanout int) (*serve.DistResult, string, error) {
+	if fanout < 2 {
+		return nil, "one_partition", nil
+	}
+	if c.reg.Len() == 0 {
+		c.counters.Inc("cluster_queries_local_fallback")
+		return nil, "no_workers", nil
+	}
 	plan := opt.Plan
+	var nsrc *dataset.NDJSONSource
+	if scan, ok := plan.Logical[0].(*ops.Scan); ok {
+		nsrc, _ = scan.Source.(*dataset.NDJSONSource)
+	}
+	if nsrc == nil {
+		return nil, "not_ndjson", nil
+	}
+	ranges := nsrc.PartitionRanges(fanout)
+	if len(ranges) < 2 {
+		return nil, "one_partition", nil
+	}
 	k := scatterable(plan)
 	if k == 1 {
 		c.counters.Inc("cluster_queries_not_streamable")
-		return nil, false, nil
+		return nil, "not_streamable", nil
 	}
 	// The sub-plan spec follows the plan's logical order, which filter
 	// reordering may have changed from the query's.
 	prefixSpec, err := serve.FromChain(plan.Logical[:k], spec.Policy, spec.PolicyParam)
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 	prefixSchema, err := ops.ValidatePlan(plan.Logical[:k])
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 	name := prefixSpec.Dataset.Name
 
 	pool := max(c.reg.Len(), 1)
 	done, execBy, err := c.scatter(ctx, prefixSpec, PlanSignature(plan)[:k], ranges, prefixSchema, nsrc.Path())
 	if err != nil {
-		return nil, false, err
+		return nil, "", err
 	}
 
 	// Merge in partition order: each partition's records are already in
@@ -222,7 +225,6 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	scatterSpan.CostUSD = cost
 
 	root := &trace.Span{Kind: trace.KindQuery, Name: "cluster-scatter", RecordsIn: totalDocs}
-	root.Add(opt.Span)
 	root.Add(scatterSpan)
 	cost += opt.CostUSD
 	elapsed += opt.Elapsed
@@ -232,7 +234,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	if len(suffix) > 0 {
 		sres, err := c.runSuffix(ctx, name, prefixSchema, merged, suffix)
 		if err != nil {
-			return nil, false, err
+			return nil, "", err
 		}
 		records = sres.Records
 		cost += sres.CostUSD
@@ -253,6 +255,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 	root.CostUSD = cost
 	root.SetAttr("partitions", fmt.Sprint(len(ranges)))
 	root.SetAttr("workers", fmt.Sprint(len(workers)))
+	opt.Stamp(root)
 	c.counters.Inc("cluster_queries_distributed")
 	return &serve.DistResult{
 		Records: records,
@@ -263,7 +266,7 @@ func (c *Coordinator) TryExecute(ctx context.Context, pzctx *pz.Context, spec *s
 		Workers:    len(workers),
 		Partitions: len(ranges),
 		Trace:      root,
-	}, true, nil
+	}, "", nil
 }
 
 // scatterElapsed is the cluster clock model for the scatter phase: W

@@ -134,9 +134,9 @@ func TestCascadeChampionDeclines(t *testing.T) {
 		t.Fatalf("local plan %s does not filter with a cascade", plan)
 	}
 
-	dres, ok, err := coord.TryExecute(context.Background(), pzctx, spec, 4)
-	if err != nil || ok || dres != nil {
-		t.Fatalf("cascade champion: dres=%v ok=%v err=%v, want decline", dres, ok, err)
+	dres, reason, err := coord.Scatter(context.Background(), spec, optimize(t, pzctx, spec), 4)
+	if err != nil || reason != "not_streamable" || dres != nil {
+		t.Fatalf("cascade champion: dres=%v reason=%q err=%v, want not_streamable", dres, reason, err)
 	}
 	c := reg.Counters()
 	for name, want := range map[string]int64{

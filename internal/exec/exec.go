@@ -280,7 +280,8 @@ func scanParts(phys []ops.Physical) int {
 }
 
 // Optimized is one accounted optimize step: the chosen plan, every
-// candidate, and what sentinel calibration spent choosing.
+// candidate, and what sentinel calibration spent choosing. A cached plan
+// is an Optimized with only Plan set.
 type Optimized struct {
 	Plan       *optimizer.Plan
 	Candidates []*optimizer.Plan
@@ -295,9 +296,9 @@ type Optimized struct {
 // accounts the step. Calibration (sentinel sampling) runs on a run-local
 // tally and stats, so concurrent calls cannot pollute each other's
 // figures; the engine clock then advances by the calibration time.
-// Execute, pz's OptimizeOnly and the cluster coordinator all optimize
-// through it, so a query reports the same calibration spend whichever
-// door it came in by. Canceling ctx aborts calibration.
+// Execute, pz's OptimizeOnly and the serving layer all optimize through
+// it, so a query reports the same calibration spend whichever door it
+// came in by. Canceling ctx aborts calibration.
 func (e *Executor) Optimize(ctx context.Context, chain []ops.Logical, policy optimizer.Policy, opts optimizer.Options) (*Optimized, error) {
 	tally := simclock.NewTally(e.clock.Now())
 	optCtx := e.NewCtx()
@@ -335,37 +336,41 @@ func (e *Executor) Execute(ctx context.Context, chain []ops.Logical, policy opti
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.runPlan(ctx, opt.Plan, policy.Describe())
+	return e.ExecutePlan(ctx, opt, policy.Describe())
+}
+
+// ExecutePlan runs opt's plan. The optimize step's calibration cost and
+// time fold into the run totals; both sides are run-local (tally fold +
+// per-run stats), so the sum is immune to concurrent runs. An opt with
+// no Span holds a cached plan, which spent nothing here. policyDesc
+// labels the run's Policy field in reports.
+func (e *Executor) ExecutePlan(ctx context.Context, opt *Optimized, policyDesc string) (*Result, error) {
+	if opt == nil || opt.Plan == nil || len(opt.Plan.Ops) == 0 {
+		return nil, fmt.Errorf("exec: nil or empty plan")
+	}
+	res, err := e.runPlan(ctx, opt.Plan, policyDesc)
 	if err != nil {
 		return nil, err
 	}
 	res.Candidates = len(opt.Candidates)
-	// Fold optimization-time (sentinel) cost and time into the run totals.
-	// Both sides are run-local (tally fold + per-run stats), so the sum is
-	// immune to concurrent runs and keeps the engine's single-count
-	// backoff accounting intact (see run).
-	res.Elapsed = opt.Elapsed + res.Elapsed
-	res.CostUSD = opt.CostUSD + res.CostUSD
-	res.Trace.Children = append([]*trace.Span{opt.Span}, res.Trace.Children...)
+	res.Elapsed += opt.Elapsed
+	res.CostUSD += opt.CostUSD
 	res.Trace.SimMS = res.Elapsed.Milliseconds()
 	res.Trace.CostUSD = res.CostUSD
-	res.Trace.SetAttr("candidates", fmt.Sprint(res.Candidates))
+	opt.Stamp(res.Trace)
 	return res, nil
 }
 
-// ExecutePlan runs an already-optimized plan, skipping enumeration and
-// selection entirely — the serving layer's plan-cache hit path.
-// policyDesc labels the run's Policy field in reports.
-func (e *Executor) ExecutePlan(ctx context.Context, plan *optimizer.Plan, policyDesc string) (*Result, error) {
-	if plan == nil || len(plan.Ops) == 0 {
-		return nil, fmt.Errorf("exec: nil or empty plan")
+// Stamp records on a query's trace root how its plan was chosen: the
+// optimize span leads the root's children, or, for a cached plan, the
+// root says plan_cached.
+func (o *Optimized) Stamp(root *trace.Span) {
+	if o.Span == nil {
+		root.SetAttr("plan_cached", "true")
+		return
 	}
-	res, err := e.runPlan(ctx, plan, policyDesc)
-	if err != nil {
-		return nil, err
-	}
-	res.Trace.SetAttr("plan_cached", "true")
-	return res, nil
+	root.Children = append([]*trace.Span{o.Span}, root.Children...)
+	root.SetAttr("candidates", fmt.Sprint(len(o.Candidates)))
 }
 
 // Report renders a Figure 5-style execution summary: output records,

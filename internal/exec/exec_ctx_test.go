@@ -136,7 +136,7 @@ func TestExecutePlanContextMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := e.ExecutePlan(context.Background(), full.Plan, "replayed")
+	replay, err := e.ExecutePlan(context.Background(), &Optimized{Plan: full.Plan}, "replayed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,12 @@ func TestExecutePlanContextMatchesExecute(t *testing.T) {
 	if replay.Policy != "replayed" || replay.Plan != full.Plan {
 		t.Error("replay metadata not carried")
 	}
-	if _, err := e.ExecutePlan(context.Background(), nil, "x"); err == nil {
-		t.Error("nil plan accepted")
+	if replay.Trace.Attrs["plan_cached"] != "true" || full.Trace.Attrs["plan_cached"] != "" {
+		t.Errorf("plan_cached attrs: replay %q, full %q", replay.Trace.Attrs["plan_cached"], full.Trace.Attrs["plan_cached"])
+	}
+	for _, opt := range []*Optimized{nil, {}} {
+		if _, err := e.ExecutePlan(context.Background(), opt, "x"); err == nil {
+			t.Errorf("ExecutePlan(%v) accepted a missing plan", opt)
+		}
 	}
 }

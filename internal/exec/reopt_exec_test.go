@@ -135,7 +135,7 @@ func TestReoptSequentialPostrun(t *testing.T) {
 }
 
 // TestReoptPlanCacheHitPath covers the serving layer's entry point:
-// ExecutePlanContext on a reopt-armed plan runs the same loop and stamps
+// ExecutePlan of a cached, reopt-armed plan runs the same loop and stamps
 // the reopt span alongside the plan_cached attribute.
 func TestReoptPlanCacheHitPath(t *testing.T) {
 	e, err := NewExecutor(misSeeded(Config{Parallelism: 4, StreamBatchSize: 8}))
@@ -147,7 +147,7 @@ func TestReoptPlanCacheHitPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecutePlan(t.Context(), plan, "max quality")
+	res, err := e.ExecutePlan(t.Context(), &Optimized{Plan: plan}, "max quality")
 	if err != nil {
 		t.Fatal(err)
 	}

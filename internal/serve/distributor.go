@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/trace"
 	"repro/pz"
 )
@@ -11,17 +12,18 @@ import (
 // Distributor is the seam between the serving layer and the cluster
 // coordinator (internal/cluster implements it; cmd/pzserve wires the two
 // together). Keeping only this interface here lets serve stay free of a
-// dependency on the cluster package while runJob routes partitioned
-// queries through it.
+// dependency on the cluster package while runJob offers it each query's
+// plan.
 type Distributor interface {
-	// TryExecute attempts distributed execution of spec at the given
-	// partition fan-out. ok=false with a nil error means the query is not
-	// distributable (non-NDJSON dataset, no partition index, empty worker
-	// pool, no operator a partition can run after the scan) and the
-	// caller should execute locally.
-	// A non-nil error is either the run context's cancellation or a
-	// distributed failure the caller may also resolve by running locally.
-	TryExecute(ctx context.Context, pzctx *pz.Context, spec *Spec, fanout int) (*DistResult, bool, error)
+	// Scatter runs opt's plan for spec across the cluster at the given
+	// partition fan-out. A non-empty reason with a nil error declines the
+	// query before anything is spent: no_workers, not_ndjson,
+	// one_partition (fan-out or partition index below 2) or
+	// not_streamable (no operator a partition can run after the scan).
+	// The caller then runs the same plan locally. A non-nil error is
+	// either the run context's cancellation or a distributed failure the
+	// caller may also resolve by running locally.
+	Scatter(ctx context.Context, spec *Spec, opt *exec.Optimized, fanout int) (*DistResult, string, error)
 	// Workers snapshots the worker pool for /metrics.
 	Workers() []WorkerView
 }
@@ -34,12 +36,12 @@ type DistResult struct {
 	// Plan describes the scatter for display ("cluster-scatter(...)").
 	Plan string
 	// Elapsed is the simulated runtime under the cluster clock model:
-	// workers execute their assigned partitions serially and in parallel
-	// with each other, so the scatter phase costs the slowest worker's
-	// total.
+	// partitions go in order to the least-loaded of W executors (W the
+	// registered workers when the scatter starts), the scatter phase costs
+	// the largest load, and the optimize and suffix times add to it.
 	Elapsed time.Duration
-	// CostUSD sums LLM spend across all partitions plus the coordinator's
-	// suffix execution.
+	// CostUSD sums LLM spend across all partitions, the optimize step's
+	// calibration and the coordinator's suffix execution.
 	CostUSD float64
 	// Workers and Partitions describe the fan-out that actually ran.
 	Workers    int

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/optimizer"
@@ -37,12 +38,12 @@ type Config struct {
 	// and before it executes — a test seam for holding jobs in flight.
 	// The context is the job's run context (canceled on abort).
 	OnJobStart func(ctx context.Context, job *Job)
-	// Cluster, when set, routes queries with a partition fan-out > 1
-	// through a coordinator that scatters per-partition sub-plans across
-	// registered workers (see internal/cluster). Queries the coordinator
-	// declines (non-partitionable dataset, empty worker pool, no operator
-	// a partition can run after the scan) fall back to local execution
-	// transparently, as do distributed failures.
+	// Cluster, when set, is offered every query's plan: a coordinator
+	// that scatters per-partition sub-plans across registered workers
+	// (see internal/cluster). A query it declines (fan-out below 2,
+	// non-partitionable dataset, empty worker pool, no operator a
+	// partition can run after the scan) or fails runs the same plan
+	// locally, and its trace says why (cluster_declined).
 	Cluster Distributor
 	// Counters optionally shares a metrics registry with other subsystems
 	// (the cluster registry/coordinator), so /metrics reports one merged
@@ -431,10 +432,11 @@ func (s *Server) retire(job *Job) {
 }
 
 // runJob drives one admitted query to a terminal state: wait for an
-// execution slot, try the cluster coordinator for partitioned queries,
-// otherwise consult the plan cache, execute with cancellation, and
-// settle accounting. parent is the job's cancellation scope (the request
-// context for synchronous queries, the server's base context otherwise).
+// execution slot, resolve the plan once (plan cache, else optimize),
+// offer it to the cluster coordinator, otherwise run it locally with
+// cancellation, and settle accounting. parent is the job's cancellation
+// scope (the request context for synchronous queries, the server's base
+// context otherwise).
 func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dataset, policy pz.Policy, ticket *Ticket) {
 	defer s.retire(job)
 	defer ticket.Release()
@@ -462,37 +464,7 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 	if s.cfg.OnJobStart != nil {
 		s.cfg.OnJobStart(ctx, job)
 	}
-
-	// Fingerprint with the dataset's resolved options (partition fan-out
-	// included) so queries optimized for different fan-outs never share a
-	// cached plan.
-	opts := s.pzctx.OptimizerOptionsFor(ds)
-	if s.runDistributed(ctx, job, spec, policy, opts.Partitions) {
-		return
-	}
-	fp := optimizer.Fingerprint(ds.Chain(), policy, opts)
-	var res *pz.Result
-	var err error
-	plan, candidates, cached := s.plans.Get(fp)
-	if cached {
-		s.counters.Inc("plan_cache_hits")
-		res, err = s.pzctx.ExecutePlanContext(ctx, plan, policy.Describe())
-		if res != nil {
-			res.Candidates = candidates
-		}
-		if err == nil {
-			// Keep the cached plan converging: every re-optimizing run
-			// folds its observed statistics back into the cache entry.
-			s.plans.Put(fp, cachedPlan(res), candidates)
-		}
-	} else {
-		s.counters.Inc("plan_cache_misses")
-		res, err = s.pzctx.ExecuteContext(ctx, ds, policy)
-		if err == nil {
-			s.plans.Put(fp, cachedPlan(res), res.Candidates)
-		}
-	}
-	if err != nil {
+	fail := func(err error) {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.counters.Inc("queries_canceled")
 			job.finish(StatusCanceled, nil, err.Error())
@@ -500,16 +472,63 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 		}
 		s.counters.Inc("queries_failed")
 		job.finish(StatusFailed, nil, err.Error())
+	}
+
+	// Fingerprint with the dataset's resolved options (partition fan-out
+	// included) so queries optimized for different fan-outs never share a
+	// cached plan.
+	opts := s.pzctx.OptimizerOptionsFor(ds)
+	fp := optimizer.Fingerprint(ds.Chain(), policy, opts)
+	plan, candidates, cached := s.plans.Get(fp)
+	var opt *exec.Optimized
+	if cached {
+		s.counters.Inc("plan_cache_hits")
+		opt = &exec.Optimized{Plan: plan}
+	} else {
+		s.counters.Inc("plan_cache_misses")
+		var err error
+		if opt, err = s.pzctx.Executor().Optimize(ctx, ds.Chain(), policy, opts); err != nil {
+			fail(err)
+			return
+		}
+		candidates = len(opt.Candidates)
+	}
+	result := QueryResult{PlanCached: cached, Candidates: candidates, Policy: policy.Describe()}
+
+	var declined string
+	if s.cfg.Cluster != nil {
+		dres, reason, err := s.cfg.Cluster.Scatter(ctx, spec, opt, opts.Partitions)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			fail(err)
+			return
+		case err != nil:
+			// A distributed failure is not a query failure: the local
+			// engine owns the same data.
+			s.counters.Inc("cluster_query_errors")
+			declined = "error"
+		case reason != "":
+			declined = reason
+		default:
+			s.plans.Put(fp, opt.Plan, candidates)
+			result.Plan, result.ElapsedSimMS, result.CostUSD = dres.Plan, dres.Elapsed.Milliseconds(), dres.CostUSD
+			s.complete(job, dres.Records, dres.Trace, result)
+			return
+		}
+	}
+	res, err := s.pzctx.Executor().ExecutePlan(ctx, opt, result.Policy)
+	if err != nil {
+		fail(err)
 		return
 	}
-	s.complete(job, res.Records, res.Trace, QueryResult{
-		Plan:         res.Plan.String(),
-		PlanCached:   cached,
-		Candidates:   res.Candidates,
-		Policy:       policy.Describe(),
-		ElapsedSimMS: res.Elapsed.Milliseconds(),
-		CostUSD:      res.CostUSD,
-	})
+	if declined != "" {
+		res.Trace.SetAttr("cluster_declined", declined)
+	}
+	// Keep the cached plan converging: every re-optimizing run folds its
+	// observed statistics back into the cache entry.
+	s.plans.Put(fp, cachedPlan(res), candidates)
+	result.Plan, result.ElapsedSimMS, result.CostUSD = res.Plan.String(), res.Elapsed.Milliseconds(), res.CostUSD
+	s.complete(job, res.Records, res.Trace, result)
 }
 
 // complete settles a query that ran, locally or on the cluster: it
@@ -585,7 +604,7 @@ func accumulateCascadeCounters(c *metrics.Counters, tr *trace.Span) {
 // one — so repeat queries start from observed statistics (and from the
 // hot-swapped filter ordering, when one was adopted) — otherwise the
 // optimizer's original choice.
-func cachedPlan(res *pz.Result) *pz.Plan {
+func cachedPlan(res *exec.Result) *pz.Plan {
 	if res.Reopt != nil && res.Reopt.CorrectedPlan != nil {
 		return res.Reopt.CorrectedPlan
 	}
@@ -605,42 +624,6 @@ func accumulateReoptCounters(c *metrics.Counters, tr *trace.Span) {
 			c.Inc("reopt_swaps")
 		}
 	}
-}
-
-// runDistributed offers a partitioned query to the cluster coordinator
-// and, when the coordinator takes it, settles the job from the gathered
-// result. It reports whether the job reached a terminal state: false
-// sends runJob down the local execution path — either because no cluster
-// is configured, the coordinator declined the query (not distributable,
-// no workers), or distributed execution failed in a way local execution
-// can still resolve. Only the run context's cancellation terminates the
-// job from here with a non-done status.
-func (s *Server) runDistributed(ctx context.Context, job *Job, spec *Spec, policy pz.Policy, fanout int) bool {
-	if s.cfg.Cluster == nil || spec == nil || fanout < 2 {
-		return false
-	}
-	dres, ok, err := s.cfg.Cluster.TryExecute(ctx, s.pzctx, spec, fanout)
-	if err != nil {
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.counters.Inc("queries_canceled")
-			job.finish(StatusCanceled, nil, err.Error())
-			return true
-		}
-		// A distributed failure is not a query failure: fall back to the
-		// local engine, which owns the same data.
-		s.counters.Inc("cluster_query_errors")
-		return false
-	}
-	if !ok {
-		return false
-	}
-	s.complete(job, dres.Records, dres.Trace, QueryResult{
-		Plan:         dres.Plan,
-		Policy:       policy.Describe(),
-		ElapsedSimMS: dres.Elapsed.Milliseconds(),
-		CostUSD:      dres.CostUSD,
-	})
-	return true
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *Job {

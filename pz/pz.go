@@ -497,10 +497,10 @@ func (c *Context) ExecuteContext(ctx context.Context, d *Dataset, policy Policy)
 }
 
 // ExecutePlanContext runs an already-optimized physical plan, skipping
-// enumeration and selection — the fast path a serving layer takes on a
-// plan-cache hit. policyDesc labels the plan's policy in reports.
+// enumeration and selection, as a cached plan runs. policyDesc labels
+// the plan's policy in reports.
 func (c *Context) ExecutePlanContext(ctx context.Context, plan *Plan, policyDesc string) (*Result, error) {
-	res, err := c.executor.ExecutePlan(ctx, plan, policyDesc)
+	res, err := c.executor.ExecutePlan(ctx, &exec.Optimized{Plan: plan}, policyDesc)
 	if err != nil {
 		return nil, err
 	}
