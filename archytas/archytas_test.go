@@ -503,3 +503,42 @@ func TestMaxStepsBounds(t *testing.T) {
 		t.Errorf("invocations = %d, want 2", n)
 	}
 }
+
+// TestToolboxesShareIndex: toolboxes registering the same tools, as every
+// chat session does, route through one shared index, and one whose
+// routing text differs (examples dropped) gets its own.
+func TestToolboxesShareIndex(t *testing.T) {
+	build := func(examples bool) *Toolbox {
+		tb := NewToolbox()
+		if !examples {
+			tb.WithoutExamples()
+		}
+		tb.MustRegister(testTool("share_load", "Loads data from shared folders.", "load the folder ./shared"))
+		tb.MustRegister(testTool("share_filter", "Filters shared records by conditions.", "keep only shared tickets"))
+		return tb
+	}
+	a, b, c := build(true), build(true), build(false)
+	utt := "load the shared folder"
+	var wg sync.WaitGroup
+	for _, tb := range []*Toolbox{a, b, c, build(true), build(false)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tb.Route(utt)
+		}()
+	}
+	wg.Wait()
+	if a.index == nil || a.index != b.index {
+		t.Errorf("toolboxes with the same tools built separate indexes")
+	}
+	if c.index == a.index {
+		t.Errorf("a toolbox without examples shares the index built with them")
+	}
+	ra, rb := a.Route(utt), b.Route(utt)
+	for k := range ra {
+		if ra[k].Tool.Name != rb[k].Tool.Name || ra[k].Similarity != rb[k].Similarity {
+			t.Errorf("Route[%d]: %s %v, other toolbox %s %v", k,
+				ra[k].Tool.Name, ra[k].Similarity, rb[k].Tool.Name, rb[k].Similarity)
+		}
+	}
+}

@@ -133,7 +133,7 @@ func (tb *Toolbox) similarities(utterance string) []Score {
 		for i, name := range tb.order {
 			docs[i] = tb.tools[name].DocText(tb.includeExamples)
 		}
-		tb.index = textutil.NewIndex(docs)
+		tb.index = sharedIndex(docs)
 	}
 	index := tb.index
 	tb.mu.Unlock()
@@ -143,6 +143,30 @@ func (tb *Toolbox) similarities(utterance string) []Score {
 		scores[i] = Score{Tool: tb.tools[name], Similarity: sims[i]}
 	}
 	return scores
+}
+
+// indexes shares docstring indexes, which are immutable, between
+// toolboxes with the same routing text: every chat session registers the
+// same tools. It is emptied when it reaches 16 entries.
+var indexes = struct {
+	sync.Mutex
+	m map[string]*textutil.Index
+}{m: map[string]*textutil.Index{}}
+
+// sharedIndex returns the index over docs, building it on first sight.
+func sharedIndex(docs []string) *textutil.Index {
+	key := strings.Join(docs, "\x00")
+	indexes.Lock()
+	defer indexes.Unlock()
+	if ix := indexes.m[key]; ix != nil {
+		return ix
+	}
+	if len(indexes.m) >= 16 {
+		clear(indexes.m)
+	}
+	ix := textutil.NewIndex(docs)
+	indexes.m[key] = ix
+	return ix
 }
 
 // rank orders scores, built in registration order, extractable first and

@@ -689,7 +689,6 @@ func BenchmarkMicroLLMFilterCall(b *testing.B) {
 	svc := llm.NewService()
 	req := llm.Request{
 		Model: "atlas-large", Task: llm.TaskFilter,
-		Prompt:    "condition: x\n" + inputs[0].Text(),
 		Record:    inputs[0],
 		Predicate: experiments.DemoPredicate,
 	}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -1179,6 +1180,57 @@ func TestClusteredQueryReusesCachedPlan(t *testing.T) {
 		if !bytes.Equal(v.Result.Records, want) {
 			t.Errorf("run %d records diverge from the local run:\n got %s\nwant %s", i+1, v.Result.Records, want)
 		}
+	}
+}
+
+// TestClusteredCostGaugeMatchesBilling: the server's total cost gauges,
+// JSON and Prometheus, report what the tenants were billed across
+// scattered runs (first calibrated, then cached) and a declined local
+// run, not just what the coordinator's own engine spent.
+func TestClusteredCostGaugeMatchesBilling(t *testing.T) {
+	path := writeTicketCorpus(t, 200)
+	_, pzctx, url := sampledServer(t, path)
+	spec := ticketSpec(4)
+	declined := ticketSpec(4)
+	declined.Policy = "min-cost"
+	var billed float64
+	for _, s := range []*serve.Spec{spec, spec, declined} {
+		billed += postQuery(t, url, s).Result.CostUSD
+	}
+	if local := pzctx.TotalCost(); billed-local < 0.1 {
+		t.Fatalf("billed $%.6f, engine spent $%.6f: the scatters were not charged to workers", billed, local)
+	}
+	resp, err := http.Get(url + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serve.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(m.TotalCost-billed) > 1e-9 {
+		t.Errorf("JSON total_cost_usd $%.6f, billed $%.6f", m.TotalCost, billed)
+	}
+	presp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	text, err := io.ReadAll(presp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prom float64
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "pz_total_cost_usd "); ok {
+			if prom, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if math.Abs(prom-billed) > 1e-9 {
+		t.Errorf("pz_total_cost_usd $%.6f, billed $%.6f", prom, billed)
 	}
 }
 

@@ -216,7 +216,7 @@ func (d *DirSource) load() (*dirSnapshot, error) {
 	if n := min(len(out), statsSampleDocs); n > 0 {
 		total := 0
 		for _, r := range out[:n] {
-			total += llm.CountTokens(r.Text())
+			total += llm.Tokens(r.TextLen())
 		}
 		snap.stats.AvgTokens = float64(total) / float64(n)
 	}

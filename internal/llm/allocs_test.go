@@ -39,7 +39,7 @@ func TestRequestPathAllocs(t *testing.T) {
 	svc := llm.NewService()
 	filter := ops.FilterRequest(model, workloads.SupportPredicate, r)
 	extract := llm.Request{
-		Model: model, Task: llm.TaskExtract, Prompt: filter.Prompt,
+		Model: model, Task: llm.TaskExtract,
 		Record: r, Fields: route.Fields(),
 	}
 	cached, err := llm.NewCachedClient(svc, llm.NewCache())
@@ -47,6 +47,9 @@ func TestRequestPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cached.Complete(filter); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.EmbedRecord("atlas-embed", r); err != nil {
 		t.Fatal(err)
 	}
 	card, err := llm.Card(model)
@@ -66,13 +69,20 @@ func TestRequestPathAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"ops.FilterRequest", 2, func() { _ = ops.FilterRequest(model, workloads.SupportPredicate, r) }},
+		{"ops.FilterRequest", 0, func() { _ = ops.FilterRequest(model, workloads.SupportPredicate, r) }},
 		{"uncached filter Service.Complete", 1, complete(svc, filter)},
-		{"bonded extract Service.Complete", 6, complete(svc, extract)},
+		{"bonded extract Service.Complete", 5, complete(svc, extract)},
 		{"filter cache hit", 1, complete(cached, filter)},
 		// The service has seen the predicate and the ticket's labels, so
 		// the oracle tokenizes nothing again.
 		{"warmed filter oracle", 0, func() { llm.Decide(svc, card, filter, &resp) }},
+		// The ticket's vector is memoized, so only the *Response is new:
+		// building the text would cost one more.
+		{"EmbedRecord memo hit", 1, func() {
+			if _, _, err := svc.EmbedRecord("atlas-embed", r); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(200, tc.run); got > tc.max {
 			t.Errorf("%s: %.0f allocs per call, want <= %.0f", tc.name, got, tc.max)

@@ -27,7 +27,7 @@ func TestCachedClientHitSemantics(t *testing.T) {
 	}
 	r := cacheTestRecord(t)
 	req := Request{Model: "atlas-large", Task: TaskFilter,
-		Prompt: "p: " + r.Text(), Record: r, Predicate: "about colorectal cancer"}
+		Record: r, Predicate: "about colorectal cancer"}
 
 	first, err := client.Complete(req)
 	if err != nil {
@@ -63,10 +63,11 @@ func TestCacheKeyIgnoresPromptCosmetics(t *testing.T) {
 	cache := NewCache()
 	client, _ := NewCachedClient(svc, cache)
 	r := cacheTestRecord(t)
-	a := Request{Model: "atlas-large", Task: TaskFilter, Prompt: "wording A " + r.Text(),
-		Record: r, Predicate: "about colorectal cancer"}
+	a := Request{Model: "atlas-large", Task: TaskExtract, Desc: "wording A", Record: r,
+		Fields: []schema.Field{{Name: "name", Type: schema.String, Desc: "the name"}}}
 	b := a
-	b.Prompt = "totally different wording " + r.Text()
+	b.Desc = "totally different wording"
+	b.Fields = []schema.Field{{Name: "name", Type: schema.String, Desc: "what it is called"}}
 	if _, err := client.Complete(a); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	cache := NewCache()
 	client, _ := NewCachedClient(svc, cache)
 	r := cacheTestRecord(t)
-	base := Request{Model: "atlas-large", Task: TaskFilter, Prompt: "p" + r.Text(),
+	base := Request{Model: "atlas-large", Task: TaskFilter,
 		Record: r, Predicate: "about colorectal cancer"}
 	variants := []Request{base}
 	v2 := base
@@ -113,7 +114,7 @@ func TestCachedExtractionIsolation(t *testing.T) {
 	cache := NewCache()
 	client, _ := NewCachedClient(svc, cache)
 	r := cacheTestRecord(t)
-	req := Request{Model: "atlas-large", Task: TaskExtract, Prompt: "p" + r.Text(),
+	req := Request{Model: "atlas-large", Task: TaskExtract,
 		Record: r, OneToMany: true,
 		Fields: []schema.Field{{Name: "name", Type: schema.String}, {Name: "url", Type: schema.String}}}
 	first, err := client.Complete(req)
@@ -142,7 +143,7 @@ func TestCachedClientValidation(t *testing.T) {
 		t.Error("nil cache accepted")
 	}
 	client, _ := NewCachedClient(NewService(), NewCache())
-	if _, err := client.Complete(Request{Model: "atlas-large", Task: TaskFilter, Prompt: "p"}); err == nil {
+	if _, err := client.Complete(Request{Model: "atlas-large", Task: TaskFilter}); err == nil {
 		t.Error("nil record passed through without error")
 	}
 }
@@ -165,7 +166,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	req := func(i int) Request {
 		return Request{Model: "atlas-large", Task: TaskFilter,
-			Prompt: "p: " + recs[i].Text(), Record: recs[i], Predicate: "about cancer"}
+			Record: recs[i], Predicate: "about cancer"}
 	}
 
 	costs := make([]float64, 3)
@@ -227,7 +228,7 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 	for _, r := range recs {
 		req := Request{Model: "atlas-small", Task: TaskFilter,
-			Prompt: "p: " + r.Text(), Record: r, Predicate: "x"}
+			Record: r, Predicate: "x"}
 		if _, err := client.Complete(req); err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,12 @@
 // synthetic corpus ground truth plus deterministic per-(record,model) noise;
 // an embedding model; and failure injection with a retrying client.
 //
-// The simulation boundary is honest: operators build real prompts and pay
-// for their tokens, but the *decision* a simulated model returns comes from
-// structured task metadata (predicate, target fields, record), so pipeline
-// quality is measurable against ground truth. Expensive models are slower,
-// costlier, and more accurate — the same trade-off surface the Palimpzest
+// The simulation boundary is honest: operators pay for every token of the
+// prompt a request stands for (Request.Render builds it), but the
+// *decision* a simulated model returns comes from structured task metadata
+// (predicate, target fields, record), so pipeline quality is measurable
+// against ground truth. Expensive models are slower, costlier, and more
+// accurate — the same trade-off surface the Palimpzest
 // optimizer navigates with real providers.
 package llm
 
@@ -160,15 +161,15 @@ func MustCard(name string) ModelCard {
 	return c
 }
 
-// CountTokens estimates the token count of text using the standard ~4
-// characters-per-token heuristic (minimum 1 for non-empty text).
-func CountTokens(text string) int {
-	if text == "" {
+// Tokens is the token count of a text of n bytes by the standard ~4
+// characters-per-token heuristic: 0 for empty text, at least 1 otherwise.
+// It is the one length rule every charged text is priced by.
+func Tokens(n int) int {
+	if n <= 0 {
 		return 0
 	}
-	n := (len(text) + 3) / 4
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return (n + 3) / 4
 }
+
+// CountTokens is the token count of text, Tokens(len(text)).
+func CountTokens(text string) int { return Tokens(len(text)) }

@@ -34,7 +34,6 @@ func TestFilterConfidenceCalibration(t *testing.T) {
 			r.SetTruth(truth)
 			resp, err := svc.Complete(Request{
 				Model: model, Task: TaskFilter,
-				Prompt:    "p " + fmt.Sprint(i),
 				Record:    r,
 				Predicate: pred,
 			})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/record"
 	"repro/internal/textutil"
 )
 
@@ -13,18 +14,11 @@ import (
 // property semantic prefilters depend on.
 const EmbedDim = 256
 
-// embedMemo maps a text to its embedding vector, counting each entry as
-// its vector (EmbedDim float64s, 2 KiB) plus its key text.
-type embedMemo struct{ memo[[]float64] }
-
-// vector returns EmbedVector(text), computing it only when text is not
-// memoized. The result is shared between callers.
-func (m *embedMemo) vector(text string) []float64 {
-	if vec, ok := m.get(text); ok {
-		return vec
-	}
-	return m.put(text, EmbedVector(text), EmbedDim*8+len(text))
-}
+// embedMemo maps the FNV-1a hash of a text to the text's embedding
+// vector; a record's Digest is that hash of its text. Each entry is
+// counted as its vector (EmbedDim float64s, 2 KiB) and its 8-byte key, and
+// keeps no text alive.
+type embedMemo struct{ memo[uint64, []float64] }
 
 // Embed produces a deterministic embedding of text with the named embedding
 // model, charging its tokens to usage. The embedding is a term-feature hash:
@@ -35,6 +29,19 @@ func (m *embedMemo) vector(text string) []float64 {
 // memoized, so the returned slice may be shared with other callers and
 // must be treated as read-only. Every call is still charged in full.
 func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
+	return s.embed(model, len(text), fnv1a(text), func() string { return text })
+}
+
+// EmbedRecord is Embed(model, r.Text()), but it looks the vector up by
+// r.Digest() and prices r.TextLen(), so it builds the text only when the
+// vector is not memoized yet.
+func (s *Service) EmbedRecord(model string, r *record.Record) ([]float64, *Response, error) {
+	return s.embed(model, r.TextLen(), r.Digest(), r.Text)
+}
+
+// embed charges one embedding of a text of n bytes hashing to key and
+// returns its vector, calling text only on a memo miss.
+func (s *Service) embed(model string, n int, key uint64, text func() string) ([]float64, *Response, error) {
 	card, err := Card(model)
 	if err != nil {
 		return nil, nil, err
@@ -42,7 +49,7 @@ func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 	if !card.Embedding {
 		return nil, nil, fmt.Errorf("llm: %s is not an embedding model", card.Name)
 	}
-	inTok := CountTokens(text)
+	inTok := Tokens(n)
 	if inTok == 0 {
 		return nil, nil, fmt.Errorf("llm: cannot embed empty text")
 	}
@@ -50,7 +57,10 @@ func (s *Service) Embed(model, text string) ([]float64, *Response, error) {
 		// Real embedding endpoints truncate; we charge only the window.
 		inTok = card.ContextWindow
 	}
-	vec := s.embeds.vector(text)
+	vec, ok := s.embeds.get(key)
+	if !ok {
+		vec = s.embeds.put(key, EmbedVector(text()), EmbedDim*8+8)
+	}
 	resp := &Response{
 		Model:       card.Name,
 		InputTokens: inTok,

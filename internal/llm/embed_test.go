@@ -89,26 +89,24 @@ func TestEmbedMemoBounded(t *testing.T) {
 	if m.bytes > memoBytes {
 		t.Fatalf("memo holds %d bytes, bound %d", m.bytes, memoBytes)
 	}
-	total := 0
-	for _, k := range m.order {
-		total += EmbedDim*8 + len(k.text)
+	if len(m.vals) != len(m.order) || len(m.order)*(EmbedDim*8+8) != m.bytes {
+		t.Fatalf("memo has %d vectors, %d keys in order, %d bytes counted",
+			len(m.vals), len(m.order), m.bytes)
 	}
-	if len(m.vals) != len(m.order) || total != m.bytes {
-		t.Fatalf("memo has %d vectors, %d keys in order, %d bytes counted, %d held",
-			len(m.vals), len(m.order), m.bytes, total)
-	}
-	if _, ok := m.vals[text(0)]; ok {
+	if _, ok := m.vals[fnv1a(text(0))]; ok {
 		t.Error("oldest entry was not evicted")
 	}
-	if _, ok := m.vals[text(n-1)]; !ok {
+	if _, ok := m.vals[fnv1a(text(n-1))]; !ok {
 		t.Error("newest entry is missing")
 	}
+	// An entry keeps no text alive, so a text larger than the memo is
+	// memoized at its vector's size.
 	big := strings.Repeat("colorectal ", memoBytes/10)
 	if _, _, err := svc.Embed("atlas-embed", big); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.vals[big]; ok || m.bytes > memoBytes {
-		t.Errorf("a text larger than the memo was memoized (%d bytes held)", m.bytes)
+	if _, ok := m.vals[fnv1a(big)]; !ok || m.bytes > memoBytes {
+		t.Errorf("a large text's vector was not memoized within the bound (%d bytes held)", m.bytes)
 	}
 }
 

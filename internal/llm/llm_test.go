@@ -108,7 +108,6 @@ func TestGoldModelFilterIsExact(t *testing.T) {
 	for _, r := range recs {
 		resp, err := svc.Complete(Request{
 			Model: "atlas-large", Task: TaskFilter,
-			Prompt:    "Answer true/false: " + demoPredicate + "\n" + r.Text(),
 			Record:    r,
 			Predicate: demoPredicate,
 		})
@@ -145,7 +144,7 @@ func TestWeakModelMakesErrors(t *testing.T) {
 	for _, p := range preds {
 		for _, r := range recs {
 			resp, err := svc.Complete(Request{Model: "pigeon-7b", Task: TaskFilter,
-				Prompt: p + r.Text(), Record: r, Predicate: p})
+				Record: r, Predicate: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +165,7 @@ func TestWeakModelMakesErrors(t *testing.T) {
 func TestFilterDeterministic(t *testing.T) {
 	svc := NewService()
 	r := demoRecords(t)[0]
-	req := Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p" + r.Text(), Record: r, Predicate: demoPredicate}
+	req := Request{Model: "atlas-small", Task: TaskFilter, Record: r, Predicate: demoPredicate}
 	a, err := svc.Complete(req)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +190,7 @@ func TestGoldExtractionRecoversAllDatasets(t *testing.T) {
 			continue
 		}
 		resp, err := svc.Complete(Request{
-			Model: "atlas-large", Task: TaskExtract,
-			Prompt: "Extract datasets.\n" + r.Text(), Record: r,
+			Model: "atlas-large", Task: TaskExtract, Record: r,
 			Fields: clinicalFields, OneToMany: true,
 		})
 		if err != nil {
@@ -219,7 +217,7 @@ func TestExtractOneToOneTruncates(t *testing.T) {
 			continue
 		}
 		resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-			Prompt: "x" + r.Text(), Record: r, Fields: clinicalFields, OneToMany: false})
+			Record: r, Fields: clinicalFields, OneToMany: false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +242,7 @@ func TestScalarExtractionFromLegal(t *testing.T) {
 	}
 	r := recs[0]
 	resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-		Prompt: "x" + r.Text(), Record: r, Fields: fields, OneToMany: false})
+		Record: r, Fields: fields, OneToMany: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestNumericFieldExtraction(t *testing.T) {
 	svc := NewService()
 	fields := []schema.Field{{Name: "bedrooms", Type: schema.Int}, {Name: "price", Type: schema.Float}}
 	resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-		Prompt: "x" + recs[0].Text(), Record: recs[0], Fields: fields})
+		Record: recs[0], Fields: fields})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +299,7 @@ func TestHeuristicExtractWithoutTruth(t *testing.T) {
 	r := record.MustNew(schema.TextFile, map[string]any{"filename": "u.txt", "contents": text})
 	svc := NewService()
 	resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-		Prompt: "x" + text, Record: r, Fields: clinicalFields, OneToMany: true})
+		Record: r, Fields: clinicalFields, OneToMany: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +320,7 @@ func TestHeuristicFilterWithoutTruth(t *testing.T) {
 		want bool
 	}{{yes, true}, {no, false}} {
 		resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskFilter,
-			Prompt: "x" + tc.r.Text(), Record: tc.r, Predicate: "colorectal cancer"})
+			Record: tc.r, Predicate: "colorectal cancer"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +335,7 @@ func TestAccountingAccumulates(t *testing.T) {
 	r := demoRecords(t)[0]
 	for i := 0; i < 3; i++ {
 		if _, err := svc.Complete(Request{Model: "atlas-medium", Task: TaskFilter,
-			Prompt: "p" + r.Text(), Record: r, Predicate: "x"}); err != nil {
+			Record: r, Predicate: "x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +354,7 @@ func TestAccountingAccumulates(t *testing.T) {
 func TestUsageReportFormat(t *testing.T) {
 	svc := NewService()
 	r := demoRecords(t)[0]
-	_, _ = svc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p" + r.Text(), Record: r, Predicate: "x"})
+	_, _ = svc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Record: r, Predicate: "x"})
 	rep := svc.UsageReport()
 	if !strings.Contains(rep, "atlas-small") || !strings.Contains(rep, "cost_usd") {
 		t.Errorf("report = %q", rep)
@@ -367,11 +365,10 @@ func TestRequestValidation(t *testing.T) {
 	svc := NewService()
 	r := record.MustNew(schema.TextFile, map[string]any{"contents": "x"})
 	cases := []Request{
-		{Model: "nope", Task: TaskFilter, Prompt: "p", Record: r},
-		{Model: "atlas-embed", Task: TaskFilter, Prompt: "p", Record: r},
-		{Model: "atlas-large", Task: TaskFilter, Prompt: "p"},
-		{Model: "atlas-large", Task: TaskFilter, Prompt: "", Record: r},
-		{Model: "atlas-large", Task: Task(99), Prompt: "p", Record: r},
+		{Model: "nope", Task: TaskFilter, Record: r},
+		{Model: "atlas-embed", Task: TaskFilter, Record: r},
+		{Model: "atlas-large", Task: TaskFilter},
+		{Model: "atlas-large", Task: Task(99), Record: r},
 	}
 	for i, req := range cases {
 		if _, err := svc.Complete(req); err == nil {
@@ -382,10 +379,9 @@ func TestRequestValidation(t *testing.T) {
 
 func TestContextWindowEnforced(t *testing.T) {
 	svc := NewService()
-	r := record.MustNew(schema.TextFile, map[string]any{"contents": "x"})
-	huge := strings.Repeat("a", 33000*4+10)
+	r := record.MustNew(schema.TextFile, map[string]any{"contents": strings.Repeat("a", 33000*4+10)})
 	if _, err := svc.Complete(Request{Model: "pigeon-7b", Task: TaskFilter,
-		Prompt: huge, Record: r, Predicate: "x"}); err == nil || !strings.Contains(err.Error(), "context window") {
+		Record: r, Predicate: "x"}); err == nil || !strings.Contains(err.Error(), "context window") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -393,7 +389,7 @@ func TestContextWindowEnforced(t *testing.T) {
 func TestFailureInjectionAndRetry(t *testing.T) {
 	svc := NewService().WithFailureRate(0.5)
 	r := record.MustNew(schema.TextFile, map[string]any{"contents": "colorectal cancer"})
-	req := Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p" + r.Text(), Record: r, Predicate: "cancer"}
+	req := Request{Model: "atlas-small", Task: TaskFilter, Record: r, Predicate: "cancer"}
 	sawFailure := false
 	for i := 0; i < 20; i++ {
 		if _, err := svc.Complete(req); err != nil {
@@ -427,7 +423,7 @@ func TestRetryClientExhaustsAttempts(t *testing.T) {
 	r := record.MustNew(schema.TextFile, map[string]any{"contents": "x"})
 	clock := newTestClock()
 	rc, _ := NewRetryClient(svc, clock, 3, 10*time.Millisecond)
-	_, err := rc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p", Record: r, Predicate: "x"})
+	_, err := rc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Record: r, Predicate: "x"})
 	if err == nil {
 		t.Fatal("expected exhaustion error")
 	}

@@ -10,54 +10,54 @@ import (
 // memoBytes bounds each of a Service's memos.
 const memoBytes = 4 << 20
 
-// memo maps a text to a value derived from it, counting each entry at the
-// size its caller gives. Once it holds memoBytes it evicts its oldest
-// entries first. Safe for concurrent use.
-type memo[V any] struct {
+// memo maps a key to a value derived from the text the key stands for,
+// counting each entry at the size its caller gives. Once it holds
+// memoBytes it evicts its oldest entries first. Safe for concurrent use.
+type memo[K comparable, V any] struct {
 	mu    sync.RWMutex
-	vals  map[string]V
-	order []memoKey // keys of vals, oldest first
+	vals  map[K]V
+	order []memoKey[K] // keys of vals, oldest first
 	bytes int
 }
 
-// memoKey is one memoized text and the bytes its entry is counted at.
-type memoKey struct {
-	text string
+// memoKey is one memoized key and the bytes its entry is counted at.
+type memoKey[K comparable] struct {
+	key  K
 	size int
 }
 
-// get returns the value memoized under text.
-func (m *memo[V]) get(text string) (V, bool) {
+// get returns the value memoized under key.
+func (m *memo[K, V]) get(key K) (V, bool) {
 	m.mu.RLock()
-	v, ok := m.vals[text]
+	v, ok := m.vals[key]
 	m.mu.RUnlock()
 	return v, ok
 }
 
-// put memoizes v under text, counted as size bytes, and returns it, or the
-// value another caller memoized under text first. A value larger than the
+// put memoizes v under key, counted as size bytes, and returns it, or the
+// value another caller memoized under key first. A value larger than the
 // whole memo is returned without being kept.
-func (m *memo[V]) put(text string, v V, size int) V {
+func (m *memo[K, V]) put(key K, v V, size int) V {
 	if size > memoBytes {
 		return v
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if prior, ok := m.vals[text]; ok {
+	if prior, ok := m.vals[key]; ok {
 		return prior
 	}
 	for m.bytes+size > memoBytes {
 		oldest := m.order[0]
-		m.order[0] = memoKey{}
+		m.order[0] = memoKey[K]{}
 		m.order = m.order[1:]
 		m.bytes -= oldest.size
-		delete(m.vals, oldest.text)
+		delete(m.vals, oldest.key)
 	}
 	if m.vals == nil {
-		m.vals = map[string]V{}
+		m.vals = map[K]V{}
 	}
-	m.vals[text] = v
-	m.order = append(m.order, memoKey{text, size})
+	m.vals[key] = v
+	m.order = append(m.order, memoKey[K]{key, size})
 	m.bytes += size
 	return v
 }
@@ -66,7 +66,7 @@ func (m *memo[V]) put(text string, v V, size int) V {
 // tokenizes each query constant it meets on every call (a predicate, a
 // truth label, a field name) once per Service. A nil *termsMemo memoizes
 // nothing.
-type termsMemo struct{ memo[[]string] }
+type termsMemo struct{ memo[string, []string] }
 
 // terms returns textutil.Terms(text). The result is shared between
 // callers and must be treated as read-only.

@@ -43,9 +43,9 @@ func oracleRequests(t *testing.T) []Request {
 	var reqs []Request
 	for _, r := range oracleRecords(t) {
 		for _, p := range preds {
-			reqs = append(reqs, Request{Model: "pigeon-7b", Task: TaskFilter, Prompt: p + r.Text(), Record: r, Predicate: p})
+			reqs = append(reqs, Request{Model: "pigeon-7b", Task: TaskFilter, Record: r, Predicate: p})
 		}
-		reqs = append(reqs, Request{Model: "pigeon-7b", Task: TaskExtract, Prompt: "extract " + r.Text(),
+		reqs = append(reqs, Request{Model: "pigeon-7b", Task: TaskExtract,
 			Record: r, Fields: fields, OneToMany: true})
 	}
 	return reqs
@@ -128,7 +128,7 @@ func TestTermsMemoBounded(t *testing.T) {
 	n := memoBytes/size + 100
 	filter := func(p string) {
 		t.Helper()
-		if _, err := svc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Prompt: "p", Record: r, Predicate: p}); err != nil {
+		if _, err := svc.Complete(Request{Model: "atlas-small", Task: TaskFilter, Record: r, Predicate: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestTermsMemoBounded(t *testing.T) {
 	}
 	total := 0
 	for _, k := range m.order {
-		total += termsSize(k.text, m.vals[k.text])
+		total += termsSize(k.key, m.vals[k.key])
 	}
 	if len(m.vals) != len(m.order) || total != m.bytes {
 		t.Fatalf("memo has %d entries, %d keys in order, %d bytes counted, %d held",
@@ -154,7 +154,7 @@ func TestTermsMemoBounded(t *testing.T) {
 		t.Error("newest entry is missing")
 	}
 	big := strings.Repeat("colorectal ", memoBytes/10)
-	filter(big)
+	m.terms(big)
 	if _, ok := m.vals[big]; ok || m.bytes > memoBytes {
 		t.Errorf("a text larger than the memo was memoized (%d bytes held)", m.bytes)
 	}

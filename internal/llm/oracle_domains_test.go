@@ -62,7 +62,7 @@ func TestSupportExtractionFromTruth(t *testing.T) {
 	svc := NewService()
 	for i, r := range recs {
 		resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-			Prompt: "route\n" + r.Text(), Record: r, Fields: fields})
+			Record: r, Fields: fields})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestFinanceNumericExtractionFromTruth(t *testing.T) {
 	exact := 0
 	for i, r := range recs {
 		resp, err := svc.Complete(Request{Model: "atlas-large", Task: TaskExtract,
-			Prompt: "figures\n" + r.Text(), Record: r, Fields: fields})
+			Record: r, Fields: fields})
 		if err != nil {
 			t.Fatal(err)
 		}

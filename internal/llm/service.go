@@ -37,20 +37,20 @@ func (t Task) String() string {
 	}
 }
 
-// Request is one completion call.
+// Request is one completion call. It names the record and the instruction
+// around it, never the rendered prompt (Render builds that): the service
+// charges InputTokens and decides from the structured fields.
 type Request struct {
 	// Model names the catalog model to use.
 	Model string
-	// Task selects the simulated behaviour.
+	// Task selects the prompt template and the simulated behaviour.
 	Task Task
-	// Prompt is the full prompt the caller built. The simulator charges for
-	// its tokens; the decision itself comes from the structured fields
-	// below (see the package comment on the simulation boundary).
-	Prompt string
 	// Record is the data record the task concerns.
 	Record *record.Record
 	// Predicate is the natural-language filter condition (TaskFilter).
 	Predicate string
+	// Desc is the Convert operator's description (TaskExtract).
+	Desc string
 	// Fields are the extraction targets (TaskExtract).
 	Fields []schema.Field
 	// OneToMany permits multiple extractions per record (TaskExtract).
@@ -154,10 +154,7 @@ func (s *Service) Complete(req Request) (*Response, error) {
 	if req.Record == nil {
 		return nil, fmt.Errorf("llm: request without record")
 	}
-	inTok := CountTokens(req.Prompt)
-	if inTok == 0 {
-		return nil, fmt.Errorf("llm: empty prompt")
-	}
+	inTok := req.InputTokens()
 	if inTok > card.ContextWindow {
 		return nil, fmt.Errorf("llm: prompt of %d tokens exceeds %s context window (%d)",
 			inTok, card.Name, card.ContextWindow)

@@ -126,7 +126,7 @@ func (f *CascadeFilterExec) params() (keep, esc, sel, f1 float64) {
 
 // Estimate implements Physical.
 func (f *CascadeFilterExec) Estimate(in Estimate) Estimate {
-	promptTok := int(in.AvgTokens) + llm.CountTokens(filterPrompt(f.Filter.Predicate, ""))
+	promptTok := int(in.AvgTokens) + FilterRequest(f.ResolveModel, f.Filter.Predicate, nil).InputTokens()
 	const outTok = 2
 	rcard := llm.MustCard(f.ResolveModel)
 	out := in
@@ -232,7 +232,7 @@ func (f *CascadeFilterExec) prefilterKeep(ctx *Ctx, r *record.Record) (bool, *ll
 			return CascadeScore(vector.Cosine(f.queryVec, vec)) >= f.Threshold, nil, nil
 		}
 	}
-	vec, resp, err := ctx.Svc.Embed(CascadeEmbedModel, r.Text())
+	vec, resp, err := ctx.Svc.EmbedRecord(CascadeEmbedModel, r)
 	if err != nil {
 		return false, nil, err
 	}

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/llm"
@@ -47,7 +46,7 @@ func (f *LLMFilterExec) selectivity() float64 {
 // Estimate implements Physical.
 func (f *LLMFilterExec) Estimate(in Estimate) Estimate {
 	card := llm.MustCard(f.Model)
-	promptTok := in.AvgTokens + float64(llm.CountTokens(filterPrompt(f.Filter.Predicate, "")))
+	promptTok := in.AvgTokens + float64(FilterRequest(f.Model, f.Filter.Predicate, nil).InputTokens())
 	outTok := 2.0
 	out := in
 	out.Cardinality = in.Cardinality * f.selectivity()
@@ -88,22 +87,18 @@ func (f *LLMFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record
 	return out, nil
 }
 
-func filterPrompt(predicate, text string) string {
-	return "You are evaluating a filter over a data record.\nCondition: " + predicate +
-		"\nRecord:\n" + text + "\nAnswer exactly true or false."
-}
-
 // FilterRequest builds the canonical completion request for judging a
 // natural-language predicate over one record with one model. Every filter
 // strategy (plain, cascade tiers, and the optimizer's cascade calibration)
 // builds requests through this helper, so identical (model, predicate,
-// record) triples are byte-identical requests — the property response
-// caching and the cascade parity tests rely on.
+// record) triples are identical requests — the property response caching
+// and the cascade parity tests rely on. It builds no text: the request
+// holds the record and the predicate, and the service prices its prompt
+// from their lengths.
 func FilterRequest(model, predicate string, r *record.Record) llm.Request {
 	return llm.Request{
 		Model:     model,
 		Task:      llm.TaskFilter,
-		Prompt:    filterPrompt(predicate, r.Text()),
 		Record:    r,
 		Predicate: predicate,
 	}
@@ -164,7 +159,7 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 		if err := ctx.Canceled(); err != nil {
 			return nil, err
 		}
-		rv, resp, err := ctx.Svc.Embed("atlas-embed", r.Text())
+		rv, resp, err := ctx.Svc.EmbedRecord("atlas-embed", r)
 		if err != nil {
 			return nil, err
 		}
@@ -328,8 +323,8 @@ func (c *LLMConvertExec) convertBonded(ctx *Ctx, r *record.Record, fields []sche
 	resp, err := ctx.Client.Complete(llm.Request{
 		Model:     c.Model,
 		Task:      llm.TaskExtract,
-		Prompt:    convertPrompt(c.Convert.Desc, fields, r.Text()),
 		Record:    r,
+		Desc:      c.Convert.Desc,
 		Fields:    fields,
 		OneToMany: c.Convert.Card == OneToMany,
 	})
@@ -356,14 +351,13 @@ func (c *LLMConvertExec) convertFieldwise(ctx *Ctx, r *record.Record, fields []s
 	// extraction count.
 	var merged []map[string]string
 	var total time.Duration
-	text := r.Text()
 	for i, f := range fields {
 		one := fields[i : i+1]
 		resp, err := ctx.Client.Complete(llm.Request{
 			Model:        c.Model,
 			Task:         llm.TaskExtract,
-			Prompt:       convertPrompt(c.Convert.Desc, one, text),
 			Record:       r,
+			Desc:         c.Convert.Desc,
 			Fields:       one,
 			OneToMany:    c.Convert.Card == OneToMany,
 			QualityBoost: FieldwiseQualityBonus,
@@ -414,32 +408,6 @@ func deriveAll(parent *record.Record, target *schema.Schema, exs []map[string]st
 	return out, nil
 }
 
-func convertPrompt(desc string, fields []schema.Field, text string) string {
-	const head, fieldsHead, textHead, tail = "Extract structured data. ", "\nFields:\n", "Text:\n", "\nRespond with JSON."
-	n := len(head) + len(desc) + len(fieldsHead) + len(textHead) + len(text) + len(tail)
-	for _, f := range fields {
-		n += len("- ") + len(f.Name) + len(" (") + len(f.Type.String()) + len("): ") + len(f.Desc) + len("\n")
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(head)
-	b.WriteString(desc)
-	b.WriteString(fieldsHead)
-	for _, f := range fields {
-		b.WriteString("- ")
-		b.WriteString(f.Name)
-		b.WriteString(" (")
-		b.WriteString(f.Type.String())
-		b.WriteString("): ")
-		b.WriteString(f.Desc)
-		b.WriteString("\n")
-	}
-	b.WriteString(textHead)
-	b.WriteString(text)
-	b.WriteString(tail)
-	return b.String()
-}
-
 // RetrieveExec keeps the top-K records most similar to the query: it
 // embeds every record and the query, then takes vector.TopK.
 type RetrieveExec struct {
@@ -484,7 +452,7 @@ func (r *RetrieveExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record,
 		if err := ctx.Canceled(); err != nil {
 			return nil, err
 		}
-		vec, resp, err := ctx.Svc.Embed("atlas-embed", rec.Text())
+		vec, resp, err := ctx.Svc.EmbedRecord("atlas-embed", rec)
 		if err != nil {
 			return nil, err
 		}

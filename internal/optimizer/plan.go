@@ -192,7 +192,7 @@ func InitialEstimate(chain []ops.Logical) (ops.Estimate, error) {
 		}
 		total := 0
 		for _, r := range recs[:n] {
-			total += llm.CountTokens(r.Text())
+			total += llm.Tokens(r.TextLen())
 		}
 		est.AvgTokens = float64(total) / float64(n)
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -61,12 +62,16 @@ func fnvOf(s string) uint64 {
 }
 
 // checkDigest asserts that r's GetString and Text match the reference
-// rendering and that its Digest is the FNV-1a hash of that text.
+// rendering, that TextLen is the text's length and that its Digest is the
+// FNV-1a hash of that text.
 func checkDigest(t *testing.T, label string, r *record.Record) {
 	t.Helper()
 	text := r.Text()
 	if want := joinedText(t, r); text != want {
 		t.Fatalf("%s: Text() = %q, want %q", label, text, want)
+	}
+	if got := r.TextLen(); got != len(text) {
+		t.Fatalf("%s: TextLen() = %d, want %d", label, got, len(text))
 	}
 	if got, want := r.Digest(), fnvOf(text); got != want {
 		t.Fatalf("%s: Digest() = %x, want FNV-1a of Text() %x", label, got, want)
@@ -117,5 +122,36 @@ func TestDigestMatchesTextOnEveryFieldType(t *testing.T) {
 		{"score": -0.0, "blob": []byte{}, "note": "only the note"},
 	} {
 		checkDigest(t, "mixed#"+string(rune('0'+i)), record.MustNew(s, vals))
+	}
+}
+
+// TestDigestKeptAcrossGoroutines: first Digest calls racing on one shared
+// record all return the FNV-1a of its Text(), later calls return the kept
+// value, Set drops it, and a clone keeps its original's.
+func TestDigestKeptAcrossGoroutines(t *testing.T) {
+	r := record.MustNew(schema.TextFile, map[string]any{"filename": "a.txt", "contents": "colorectal cancer study"})
+	want := fnvOf(r.Text())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := r.Digest(); got != want {
+					t.Errorf("Digest() = %x, want %x", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := r.Set("contents", "influenza vaccine trial"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Digest(), fnvOf(r.Text()); got != want || got == fnvOf("a.txt\ncolorectal cancer study") {
+		t.Fatalf("after Set, Digest() = %x, want %x", got, want)
+	}
+	if c := r.Clone(); c.Digest() != r.Digest() || c.Digest() != fnvOf(c.Text()) {
+		t.Fatalf("clone digest %x, original %x", c.Digest(), r.Digest())
 	}
 }

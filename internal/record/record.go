@@ -37,6 +37,10 @@ type Record struct {
 	// synthetic corpus generators. The simulated LLM reads it through the
 	// oracle interface; real operators never touch it.
 	truth any
+	// digest holds Digest once digestSet is true; both are atomics because
+	// records are shared by concurrent queries. Set clears digestSet.
+	digest    atomic.Uint64
+	digestSet atomic.Bool
 }
 
 // New creates a record of the given schema. Missing fields default to the
@@ -293,28 +297,21 @@ func (r *Record) Set(name string, v any) error {
 		return fmt.Errorf("record: field %q: %w", name, err)
 	}
 	r.values[i] = cv
+	r.digestSet.Store(false)
 	return nil
 }
 
 // Text concatenates all string-ish field values; this is the "document
-// text" the simulated LLM and embedding models see for a record. It is
-// built in one allocation and not kept: records registered in memory live
-// as long as the server, so caching the text would double their footprint.
+// text" the simulated LLM and embedding models see for a record, priced
+// by TextLen and keyed by Digest without building it. It is built in one
+// allocation and not kept: records registered in memory live as long as
+// the server, so caching the text would double their footprint.
 func (r *Record) Text() string {
-	var buf [64]byte
-	n := 0
-	for _, v := range r.values {
-		s, b := fieldText(v, buf[:0])
-		if m := len(s) + len(b); m > 0 {
-			if n > 0 {
-				n++
-			}
-			n += m
-		}
-	}
+	n := r.TextLen()
 	if n == 0 {
 		return ""
 	}
+	var buf [64]byte
 	var t strings.Builder
 	t.Grow(n)
 	for _, v := range r.values {
@@ -331,11 +328,31 @@ func (r *Record) Text() string {
 	return t.String()
 }
 
-// Digest is the 64-bit FNV-1a hash of Text(), fed field by field so that
-// no text is built. It identifies a record by content, not by ID (IDs
-// depend on allocation order): the simulated LLM keys its noise draws and
-// its response cache on it.
+// TextLen is len(r.Text()), measured without building the text.
+func (r *Record) TextLen() int {
+	var buf [64]byte
+	n := 0
+	for _, v := range r.values {
+		s, b := fieldText(v, buf[:0])
+		if m := len(s) + len(b); m > 0 {
+			if n > 0 {
+				n++
+			}
+			n += m
+		}
+	}
+	return n
+}
+
+// Digest is the 64-bit FNV-1a hash of Text(). It identifies a record by
+// content, not by ID (IDs depend on allocation order): the simulated LLM
+// keys its noise draws, its response cache and its embedding memo on it.
+// The first call hashes the values field by field, building no text, and
+// the record keeps the result until Set changes a value.
 func (r *Record) Digest() uint64 {
+	if r.digestSet.Load() {
+		return r.digest.Load()
+	}
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	var buf [64]byte
 	h := uint64(offset64)
@@ -356,6 +373,8 @@ func (r *Record) Digest() uint64 {
 			h = (h ^ uint64(c)) * prime64
 		}
 	}
+	r.digest.Store(h)
+	r.digestSet.Store(true)
 	return h
 }
 

@@ -129,3 +129,28 @@ func TestClusterOfferedCachedPlan(t *testing.T) {
 		t.Errorf("plan_cache_hits = %d, want 1", got)
 	}
 }
+
+// TestTotalCostGauge: a local server's cost gauge is its engine's total;
+// a distributed run adds what the cluster reported spending beyond the
+// calibration the engine paid.
+func TestTotalCostGauge(t *testing.T) {
+	gauge := func(url string) float64 {
+		var m Metrics
+		getJSON(t, url+"/metrics?format=json", &m)
+		return m.TotalCost
+	}
+	_, pzctx, url := sampledServer(t, nil)
+	view := runStreamQuery(t, url)
+	if got, want := gauge(url), pzctx.TotalCost(); got != want || math.Abs(want-view.Result.CostUSD) > 1e-9 {
+		t.Errorf("local gauge $%.6f, TotalCost $%.6f, billed $%.6f", got, want, view.Result.CostUSD)
+	}
+	fake := &fakeDistributor{res: &DistResult{Plan: "fake-scatter", CostUSD: 0.5,
+		Trace: &trace.Span{Kind: trace.KindQuery, Name: "cluster-scatter"}}}
+	_, pzctx, url = sampledServer(t, fake)
+	runStreamQuery(t, url)
+	runStreamQuery(t, url)
+	calibration := fake.plans()[0].CostUSD
+	if got, want := gauge(url), 0.5+0.5+pzctx.TotalCost()-calibration; math.Abs(got-want) > 1e-12 || calibration <= 0 {
+		t.Errorf("clustered gauge $%.6f, want $%.6f (calibration $%.6f)", got, want, calibration)
+	}
+}

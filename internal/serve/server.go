@@ -208,6 +208,9 @@ type Server struct {
 	// finished lists the IDs of the finished jobs still in jobs, oldest
 	// first.
 	finished []string
+	// clusterCost sums what distributed queries spent off the server's
+	// engine: their cost less the calibration the engine paid.
+	clusterCost float64
 
 	base     context.Context
 	shutdown context.CancelFunc
@@ -511,6 +514,9 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 			declined = reason
 		default:
 			s.plans.Put(fp, opt.Plan, candidates)
+			s.mu.Lock()
+			s.clusterCost += dres.CostUSD - opt.CostUSD
+			s.mu.Unlock()
 			result.Plan, result.ElapsedSimMS, result.CostUSD = dres.Plan, dres.Elapsed.Milliseconds(), dres.CostUSD
 			s.complete(job, dres.Records, dres.Trace, result)
 			return
@@ -750,6 +756,14 @@ type AdmissionStats struct {
 	MaxQueue    int `json:"max_queue"`
 }
 
+// totalCost is what the server has spent on LLM calls: its engine's own
+// total and what distributed queries spent on the cluster.
+func (s *Server) totalCost() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pzctx.TotalCost() + s.clusterCost
+}
+
 // handleMetrics serves the Prometheus text exposition by default and
 // the structured JSON snapshot under ?format=json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -763,7 +777,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				MaxInflight: s.adm.MaxInflight(), MaxQueue: s.adm.MaxQueue(),
 			},
 			Tenants:   s.tenants.Snapshot(),
-			TotalCost: s.pzctx.TotalCost(),
+			TotalCost: s.totalCost(),
 		}
 		if cache := s.pzctx.Executor().Cache(); cache != nil {
 			st := cache.Stats()
@@ -785,7 +799,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"admission_running":    float64(s.adm.Running()),
 		"admission_queued":     float64(s.adm.Queued()),
 		"plan_cache_size":      float64(planStats.Size),
-		"total_cost_usd":       s.pzctx.TotalCost(),
+		"total_cost_usd":       s.totalCost(),
 		"slow_query_threshold": s.cfg.SlowQuerySimSec,
 	}
 	if cache := s.pzctx.Executor().Cache(); cache != nil {
