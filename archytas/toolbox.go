@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/textutil"
 )
 
@@ -147,25 +148,14 @@ func (tb *Toolbox) similarities(utterance string) []Score {
 
 // indexes shares docstring indexes, which are immutable, between
 // toolboxes with the same routing text: every chat session registers the
-// same tools. It is emptied when it reaches 16 entries.
-var indexes = struct {
-	sync.Mutex
-	m map[string]*textutil.Index
-}{m: map[string]*textutil.Index{}}
+// same tools. It keeps the 16 most recently used.
+var indexes = lru.New[string, *textutil.Index](16, nil)
 
 // sharedIndex returns the index over docs, building it on first sight.
 func sharedIndex(docs []string) *textutil.Index {
-	key := strings.Join(docs, "\x00")
-	indexes.Lock()
-	defer indexes.Unlock()
-	if ix := indexes.m[key]; ix != nil {
-		return ix
-	}
-	if len(indexes.m) >= 16 {
-		clear(indexes.m)
-	}
-	ix := textutil.NewIndex(docs)
-	indexes.m[key] = ix
+	ix, _ := indexes.GetOrCompute(strings.Join(docs, "\x00"), func() (*textutil.Index, error) {
+		return textutil.NewIndex(docs), nil
+	})
 	return ix
 }
 

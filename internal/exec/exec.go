@@ -79,7 +79,9 @@ type Config struct {
 	// pipeline over unchanged data costs (almost) nothing.
 	EnableCache bool
 	// CacheCapacity bounds the LLM response cache to that many entries
-	// (LRU eviction; 0 = unbounded). Only meaningful with EnableCache;
+	// (0 = unbounded). The cache is an lru.Cache: past the bound it
+	// evicts the least recently used response, and equal requests that
+	// miss together make one call. Only meaningful with EnableCache;
 	// serving deployments should set it so sustained traffic cannot grow
 	// the cache without limit.
 	CacheCapacity int

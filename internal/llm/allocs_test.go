@@ -46,9 +46,19 @@ func TestRequestPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cached.Complete(filter); err != nil {
+	for _, req := range []llm.Request{filter, extract} {
+		if _, err := cached.Complete(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A one-entry cache alternating the filter between two models misses,
+	// calls, stores and evicts on every call.
+	evicting, err := llm.NewCachedClient(svc, llm.NewCacheLRU(1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	otherFilter := ops.FilterRequest("atlas-small", workloads.SupportPredicate, r)
+	alternate := 0
 	if _, _, err := svc.EmbedRecord("atlas-embed", r); err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +83,20 @@ func TestRequestPathAllocs(t *testing.T) {
 		{"uncached filter Service.Complete", 1, complete(svc, filter)},
 		{"bonded extract Service.Complete", 5, complete(svc, extract)},
 		{"filter cache hit", 1, complete(cached, filter)},
+		// The response copy and its one extraction's slice and map.
+		{"extract cache hit", 4, complete(cached, extract)},
+		// The service's response only: the store reuses the slot of the
+		// response it evicts.
+		{"filter cache miss+store", 1, func() {
+			alternate++
+			req := filter
+			if alternate%2 == 0 {
+				req = otherFilter
+			}
+			if _, err := evicting.Complete(req); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		// The service has seen the predicate and the ticket's labels, so
 		// the oracle tokenizes nothing again.
 		{"warmed filter oracle", 0, func() { llm.Decide(svc, card, filter, &resp) }},

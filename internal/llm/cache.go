@@ -1,13 +1,11 @@
 package llm
 
 import (
-	"container/list"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/schema"
 )
 
@@ -22,24 +20,12 @@ type Completer interface {
 // Palimpzest caches LLM results so that re-running a pipeline over unchanged
 // data costs nothing. Optionally bounded: with a capacity, the least
 // recently used entry is evicted when a new one would exceed it, so
-// sustained serving traffic cannot grow the cache without limit. Safe for
-// concurrent use.
+// sustained serving traffic cannot grow the cache without limit. Equal
+// requests that miss together make one call. Safe for concurrent use.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[cacheKey]*list.Element
-	order     *list.List // front = most recently used
-	hits      int
-	misses    int
-	evictions int
-	saved     float64
-}
-
-// cacheEntry is one LRU node: the key (so eviction can delete from the
-// map) and the stored response.
-type cacheEntry struct {
-	key  cacheKey
-	resp Response
+	lru   *lru.Cache[cacheKey, Response]
+	mu    sync.Mutex
+	saved float64
 }
 
 // NewCache returns an empty, unbounded cache.
@@ -49,29 +35,20 @@ func NewCache() *Cache { return NewCacheLRU(0) }
 // least-recently-used eviction. capacity <= 0 means unbounded (the
 // NewCache behavior).
 func NewCacheLRU(capacity int) *Cache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Cache{
-		capacity: capacity,
-		entries:  map[cacheKey]*list.Element{},
-		order:    list.New(),
-	}
+	return &Cache{lru: lru.New[cacheKey, Response](capacity, nil)}
 }
 
 // cacheKey is the cache identity of a request: model, task, the semantic
 // task inputs, and the record's content digest. The raw prompt text is
 // deliberately excluded — equivalent requests with cosmetically different
 // prompts still hit. Every member is comparable and, but for the strings
-// the request already holds, fixed-size, so a key costs no allocation for
-// a filter request.
+// the request already holds, fixed-size, so a key costs no allocation.
 type cacheKey struct {
 	model     string
 	task      Task
 	predicate string
-	// fields is the sorted "name:type" list of the extraction targets,
-	// comma-joined ("" for a filter).
-	fields    string
+	// fields is fieldsHash of the extraction targets (0 for a filter).
+	fields    uint64
 	oneToMany bool
 	// boostMilli is QualityBoost in thousandths.
 	boostMilli int64
@@ -84,97 +61,53 @@ func keyOf(req Request) cacheKey {
 		model:      req.Model,
 		task:       req.Task,
 		predicate:  req.Predicate,
-		fields:     fieldSignature(req.Fields),
+		fields:     fieldsHash(req.Fields),
 		oneToMany:  req.OneToMany,
 		boostMilli: int64(math.Round(req.QualityBoost * 1000)),
 		digest:     req.Record.Digest(),
 	}
 }
 
-// fieldSignature renders fields as their sorted, comma-joined "name:type"
-// pairs, so the same targets in any order give the same signature.
-func fieldSignature(fields []schema.Field) string {
-	switch len(fields) {
-	case 0:
-		return ""
-	case 1:
-		return fields[0].Name + ":" + fields[0].Type.String()
+// fieldsHash identifies a set of extraction targets by their names and
+// types in any order, without building a string: each field's FNV-1a hash
+// is mixed (by splitmix64's finalizer, so related fields do not cancel)
+// and the results are summed.
+func fieldsHash(fields []schema.Field) uint64 {
+	var sum uint64
+	for _, f := range fields {
+		h := (fnv1a(f.Name) ^ uint64(f.Type)) * fnvPrime64
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		sum += h ^ h>>31
 	}
-	sig := make([]string, len(fields))
-	for i, f := range fields {
-		sig[i] = f.Name + ":" + f.Type.String()
-	}
-	sort.Strings(sig)
-	return strings.Join(sig, ",")
+	return sum
 }
 
 // CacheStats is a snapshot of cache effectiveness.
 type CacheStats struct {
-	// Hits and Misses count lookups.
-	Hits, Misses int
+	// Hits and Misses count lookups; a request that waited on an equal
+	// request's call is a hit.
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
 	// Evictions counts entries dropped by the LRU bound.
-	Evictions int
+	Evictions int `json:"evictions"`
 	// SavedUSD is the dollar cost hits avoided paying.
-	SavedUSD float64
+	SavedUSD float64 `json:"saved_usd"`
 	// Len and Capacity describe occupancy (Capacity 0 = unbounded).
-	Len, Capacity int
+	Len      int `json:"len"`
+	Capacity int `json:"capacity"`
 }
 
 // Stats reports cache effectiveness: hits, misses, evictions, and dollars
 // saved.
 func (c *Cache) Stats() CacheStats {
+	st := c.lru.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		SavedUSD: c.saved, Len: len(c.entries), Capacity: c.capacity,
+		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		SavedUSD: c.saved, Len: st.Len, Capacity: st.Budget,
 	}
-}
-
-// Len returns the number of cached responses.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// lookup returns the cached response for key, updating hit/miss counters
-// and recency order.
-func (c *Cache) lookup(key cacheKey) (Response, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return Response{}, false
-	}
-	c.hits++
-	entry := el.Value.(*cacheEntry)
-	c.saved += entry.resp.CostUSD
-	c.order.MoveToFront(el)
-	return entry.resp, true
-}
-
-// store inserts a response, evicting the least recently used entry when
-// the capacity bound would be exceeded.
-func (c *Cache) store(key cacheKey, resp Response) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// A concurrent miss on the same key already stored it; refresh.
-		el.Value.(*cacheEntry).resp = resp
-		c.order.MoveToFront(el)
-		return
-	}
-	if c.capacity > 0 && len(c.entries) >= c.capacity {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.evictions++
-		}
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, resp: resp})
 }
 
 // CachedClient layers a Cache over any Completer. Hits return a copy of the
@@ -193,33 +126,39 @@ func NewCachedClient(inner Completer, cache *Cache) (*CachedClient, error) {
 	return &CachedClient{inner: inner, cache: cache}, nil
 }
 
-// Cache exposes the underlying cache (for statistics).
-func (c *CachedClient) Cache() *Cache { return c.cache }
-
-// Complete implements Completer.
+// Complete implements Completer. A request equal to one already in flight
+// waits for that call's response instead of making its own.
 func (c *CachedClient) Complete(req Request) (*Response, error) {
 	if req.Record == nil {
 		// Let the inner client produce its usual validation error.
 		return c.inner.Complete(req)
 	}
-	key := keyOf(req)
-	if cached, ok := c.cache.lookup(key); ok {
-		hit := cached
-		hit.CostUSD = 0
-		hit.Latency = 0
-		hit.Cached = true
-		hit.Extractions = copyExtractions(cached.Extractions)
-		return &hit, nil
-	}
-
-	resp, err := c.inner.Complete(req)
+	var fresh *Response
+	cached, err := c.cache.lru.GetOrCompute(keyOf(req), func() (Response, error) {
+		resp, err := c.inner.Complete(req)
+		if err != nil {
+			return Response{}, err
+		}
+		fresh = resp
+		stored := *resp
+		stored.Extractions = copyExtractions(resp.Extractions)
+		return stored, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	stored := *resp
-	stored.Extractions = copyExtractions(resp.Extractions)
-	c.cache.store(key, stored)
-	return resp, nil
+	if fresh != nil {
+		return fresh, nil
+	}
+	c.cache.mu.Lock()
+	c.cache.saved += cached.CostUSD
+	c.cache.mu.Unlock()
+	hit := cached
+	hit.CostUSD = 0
+	hit.Latency = 0
+	hit.Cached = true
+	hit.Extractions = copyExtractions(cached.Extractions)
+	return &hit, nil
 }
 
 func copyExtractions(exs []map[string]string) []map[string]string {

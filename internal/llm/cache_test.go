@@ -1,6 +1,9 @@
 package llm
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
@@ -236,5 +239,75 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	st := cache.Stats()
 	if st.Evictions != 0 || st.Len != len(recs) || st.Capacity != 0 {
 		t.Errorf("unbounded cache stats: %+v", st)
+	}
+}
+
+// blockingCompleter passes requests on to a Service, holding every call
+// until release is closed; entered is closed when the first call arrives.
+type blockingCompleter struct {
+	svc              *Service
+	calls            atomic.Int32
+	entered, release chan struct{}
+}
+
+func (b *blockingCompleter) Complete(req Request) (*Response, error) {
+	if b.calls.Add(1) == 1 {
+		close(b.entered)
+	}
+	<-b.release
+	return b.svc.Complete(req)
+}
+
+// TestCachedClientSingleFlight: two goroutines sending one request while
+// the first's call is in flight make one inner call and pay once; the
+// second gets the first's answer as a hit.
+func TestCachedClientSingleFlight(t *testing.T) {
+	svc := NewService()
+	inner := &blockingCompleter{svc: svc, entered: make(chan struct{}), release: make(chan struct{})}
+	cache := NewCache()
+	client, err := NewCachedClient(inner, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Model: "atlas-large", Task: TaskFilter,
+		Record: cacheTestRecord(t), Predicate: "about colorectal cancer"}
+	resps := make([]*Response, 2)
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Complete(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps[i] = resp
+		}()
+	}
+	send(0)
+	<-inner.entered
+	send(1)
+	// Release the first call only once the second request has looked the
+	// cache up.
+	for st := cache.Stats(); st.Hits+st.Misses < 2; st = cache.Stats() {
+		runtime.Gosched()
+	}
+	close(inner.release)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := inner.calls.Load(); n != 1 {
+		t.Errorf("%d inner calls, want 1", n)
+	}
+	if cost := resps[0].CostUSD; svc.TotalCost() != cost || resps[1].CostUSD != 0 {
+		t.Errorf("charged $%v over %d calls, want one charge of $%v", svc.TotalCost(), svc.TotalCalls(), cost)
+	}
+	if resps[1].Decision != resps[0].Decision || !resps[1].Cached {
+		t.Errorf("second response %+v is not the first's answer as a hit", *resps[1])
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 || st.SavedUSD != resps[0].CostUSD {
+		t.Errorf("stats %+v, want 1 hit, 1 miss, $%v saved", st, resps[0].CostUSD)
 	}
 }

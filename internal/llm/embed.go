@@ -14,12 +14,6 @@ import (
 // property semantic prefilters depend on.
 const EmbedDim = 256
 
-// embedMemo maps the FNV-1a hash of a text to the text's embedding
-// vector; a record's Digest is that hash of its text. Each entry is
-// counted as its vector (EmbedDim float64s, 2 KiB) and its 8-byte key, and
-// keeps no text alive.
-type embedMemo struct{ memo[uint64, []float64] }
-
 // Embed produces a deterministic embedding of text with the named embedding
 // model, charging its tokens to usage. The embedding is a term-feature hash:
 // texts sharing vocabulary land near each other, which is the property the
@@ -57,10 +51,9 @@ func (s *Service) embed(model string, n int, key uint64, text func() string) ([]
 		// Real embedding endpoints truncate; we charge only the window.
 		inTok = card.ContextWindow
 	}
-	vec, ok := s.embeds.get(key)
-	if !ok {
-		vec = s.embeds.put(key, EmbedVector(text()), EmbedDim*8+8)
-	}
+	vec, _ := s.embeds.GetOrCompute(key, func() ([]float64, error) {
+		return EmbedVector(text()), nil
+	})
 	resp := &Response{
 		Model:       card.Name,
 		InputTokens: inTok,

@@ -85,18 +85,18 @@ func TestEmbedMemoBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := &svc.embeds
-	if m.bytes > memoBytes {
-		t.Fatalf("memo holds %d bytes, bound %d", m.bytes, memoBytes)
+	m := svc.embeds
+	st := m.Stats()
+	if st.Size > memoBytes {
+		t.Fatalf("memo holds %d bytes, bound %d", st.Size, memoBytes)
 	}
-	if len(m.vals) != len(m.order) || len(m.order)*(EmbedDim*8+8) != m.bytes {
-		t.Fatalf("memo has %d vectors, %d keys in order, %d bytes counted",
-			len(m.vals), len(m.order), m.bytes)
+	if st.Len*(EmbedDim*8+8) != st.Size {
+		t.Fatalf("memo has %d vectors, %d bytes counted", st.Len, st.Size)
 	}
-	if _, ok := m.vals[fnv1a(text(0))]; ok {
+	if _, ok := m.Get(fnv1a(text(0))); ok {
 		t.Error("oldest entry was not evicted")
 	}
-	if _, ok := m.vals[fnv1a(text(n-1))]; !ok {
+	if _, ok := m.Get(fnv1a(text(n - 1))); !ok {
 		t.Error("newest entry is missing")
 	}
 	// An entry keeps no text alive, so a text larger than the memo is
@@ -105,8 +105,33 @@ func TestEmbedMemoBounded(t *testing.T) {
 	if _, _, err := svc.Embed("atlas-embed", big); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.vals[fnv1a(big)]; !ok || m.bytes > memoBytes {
-		t.Errorf("a large text's vector was not memoized within the bound (%d bytes held)", m.bytes)
+	if _, ok := m.Get(fnv1a(big)); !ok || m.Stats().Size > memoBytes {
+		t.Errorf("a large text's vector was not memoized within the bound (%d bytes held)", m.Stats().Size)
+	}
+}
+
+// TestEmbedMemoKeepsHotEntry: a text embedded again between each of more
+// one-shot texts than the memo holds keeps its vector, because the memo
+// evicts the least recently used entry, not the oldest.
+func TestEmbedMemoKeepsHotEntry(t *testing.T) {
+	svc := NewService()
+	const hot = "urgent ticket about a failed payment"
+	first, _, err := svc.Embed("atlas-embed", hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := memoBytes/(EmbedDim*8) + 100
+	for i := 0; i < n; i++ {
+		if _, _, err := svc.Embed("atlas-embed", fmt.Sprintf("one-shot document %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		vec, _, err := svc.Embed("atlas-embed", hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &vec[0] != &first[0] {
+			t.Fatalf("the hot text's vector was recomputed after %d one-shot texts", i+1)
+		}
 	}
 }
 

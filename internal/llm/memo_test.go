@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/lru"
 	"repro/internal/record"
 	"repro/internal/schema"
 	"repro/internal/textutil"
@@ -99,10 +100,10 @@ func TestConcurrentCompleteDecisions(t *testing.T) {
 // TestTermsMemoMatchesTerms: memoized terms are textutil.Terms, and the
 // gold decision through a memo is GoldFilterDecision.
 func TestTermsMemoMatchesTerms(t *testing.T) {
-	var m termsMemo
+	m := lru.New(memoBytes, termsSize)
 	for _, text := range []string{demoPredicate, "dataset_name", "public_url", "", "The Ticket's URGENT"} {
 		for call := 0; call < 2; call++ {
-			if got, want := m.terms(text), textutil.Terms(text); !reflect.DeepEqual(got, want) {
+			if got, want := termsOf(m, text), textutil.Terms(text); !reflect.DeepEqual(got, want) {
 				t.Errorf("terms(%q) call %d = %q, want %q", text, call, got, want)
 			}
 		}
@@ -110,7 +111,7 @@ func TestTermsMemoMatchesTerms(t *testing.T) {
 	for _, r := range oracleRecords(t) {
 		truth := corpus.TruthOf(r)
 		for _, p := range []string{demoPredicate, "The ticket is urgent and needs immediate attention"} {
-			if got, want := goldFilterDecision(&m, truth, p), GoldFilterDecision(truth, p); got != want {
+			if got, want := goldFilterDecision(m, truth, p), GoldFilterDecision(truth, p); got != want {
 				t.Fatalf("%s, %q: memoized decision %v, want %v", r.GetString("filename"), p, got, want)
 			}
 		}
@@ -118,8 +119,9 @@ func TestTermsMemoMatchesTerms(t *testing.T) {
 }
 
 // TestTermsMemoBounded feeds a Service more distinct predicates than its
-// terms memo holds: the memo stays within its bound, evicting the oldest
-// first, and keeps no text larger than itself.
+// terms memo holds: the memo stays within its bound, evicting the least
+// recently used first, so the record's labels (tokenized on every call)
+// and the newest predicates stay, and it keeps no text larger than itself.
 func TestTermsMemoBounded(t *testing.T) {
 	svc := NewService()
 	r := demoRecords(t)[0]
@@ -135,27 +137,44 @@ func TestTermsMemoBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		filter(pred(i))
 	}
-	m := &svc.terms
-	if m.bytes > memoBytes {
-		t.Fatalf("memo holds %d bytes, bound %d", m.bytes, memoBytes)
+	m := svc.terms
+	st := m.Stats()
+	if st.Size > memoBytes {
+		t.Fatalf("memo holds %d bytes, bound %d", st.Size, memoBytes)
 	}
-	total := 0
-	for _, k := range m.order {
-		total += termsSize(k.key, m.vals[k.key])
+	total, held := 0, 0
+	for label := range corpus.TruthOf(r).Labels {
+		if _, ok := m.Get(label); !ok {
+			t.Errorf("label %q was evicted", label)
+		}
+		total += termsSize(label, textutil.Terms(label))
+		held++
 	}
-	if len(m.vals) != len(m.order) || total != m.bytes {
-		t.Fatalf("memo has %d entries, %d keys in order, %d bytes counted, %d held",
-			len(m.vals), len(m.order), m.bytes, total)
+	evicted := false
+	for i := n - 1; i >= 0; i-- {
+		_, ok := m.Get(pred(i))
+		if ok && evicted {
+			t.Fatalf("predicate %d is held after a newer one was evicted", i)
+		}
+		if ok {
+			total += termsSize(pred(i), textutil.Terms(pred(i)))
+			held++
+		}
+		evicted = evicted || !ok
 	}
-	if _, ok := m.vals[pred(0)]; ok {
+	if held != st.Len || total != st.Size {
+		t.Fatalf("memo has %d entries and counts %d bytes; its labels and predicates hold %d and %d",
+			st.Len, st.Size, held, total)
+	}
+	if _, ok := m.Get(pred(0)); ok {
 		t.Error("oldest entry was not evicted")
 	}
-	if _, ok := m.vals[pred(n-1)]; !ok {
+	if _, ok := m.Get(pred(n - 1)); !ok {
 		t.Error("newest entry is missing")
 	}
 	big := strings.Repeat("colorectal ", memoBytes/10)
-	m.terms(big)
-	if _, ok := m.vals[big]; ok || m.bytes > memoBytes {
-		t.Errorf("a text larger than the memo was memoized (%d bytes held)", m.bytes)
+	termsOf(m, big)
+	if _, ok := m.Get(big); ok || m.Stats().Size > memoBytes {
+		t.Errorf("a text larger than the memo was memoized (%d bytes held)", m.Stats().Size)
 	}
 }

@@ -62,10 +62,10 @@ func GoldFilterDecision(truth *corpus.Truth, predicate string) bool {
 
 // goldFilterDecision is GoldFilterDecision tokenizing through tm.
 func goldFilterDecision(tm *termsMemo, truth *corpus.Truth, predicate string) bool {
-	predTerms := tm.terms(predicate)
+	predTerms := termsOf(tm, predicate)
 	matched, answer := false, true
 	for label, val := range truth.Labels {
-		terms := tm.terms(label)
+		terms := termsOf(tm, label)
 		if len(terms) == 0 || !containsAll(predTerms, terms) {
 			continue
 		}
@@ -269,7 +269,7 @@ func keysMatch(tm *termsMemo, a, b string) bool {
 	if a == b {
 		return true
 	}
-	ta, tb := tm.terms(a), tm.terms(b)
+	ta, tb := termsOf(tm, a), termsOf(tm, b)
 	if len(ta) == 0 || len(tb) == 0 {
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/record"
 	"repro/internal/schema"
 )
@@ -111,13 +112,20 @@ type Service struct {
 	usage    map[string]*Usage
 	calls    uint64
 	failRate float64
-	embeds   embedMemo
-	terms    termsMemo
+	// embeds maps the FNV-1a hash of a text to the text's embedding
+	// vector; a record's Digest is that hash of its text. Each entry is
+	// counted as its vector and its 8-byte key, and keeps no text alive.
+	embeds *lru.Cache[uint64, []float64]
+	terms  *termsMemo
 }
 
 // NewService returns a fresh provider with no usage.
 func NewService() *Service {
-	return &Service{usage: map[string]*Usage{}}
+	return &Service{
+		usage:  map[string]*Usage{},
+		embeds: lru.New(memoBytes, func(uint64, []float64) int { return EmbedDim*8 + 8 }),
+		terms:  lru.New(memoBytes, termsSize),
+	}
 }
 
 // WithFailureRate configures deterministic transient-failure injection:
@@ -177,9 +185,9 @@ func (s *Service) Complete(req Request) (*Response, error) {
 	resp := &Response{Model: card.Name, InputTokens: inTok}
 	switch req.Task {
 	case TaskFilter:
-		decide(&s.terms, card, req, resp)
+		decide(s.terms, card, req, resp)
 	case TaskExtract:
-		extract(&s.terms, card, req, resp)
+		extract(s.terms, card, req, resp)
 	default:
 		return nil, fmt.Errorf("llm: unknown task %v", req.Task)
 	}

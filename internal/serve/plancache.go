@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
+	"repro/internal/lru"
 	"repro/internal/optimizer"
 )
 
@@ -18,73 +16,13 @@ import (
 // is sound because physical operators never mutate themselves during
 // Execute (calibration writes happen only inside the optimizer, before a
 // plan is published here).
-type PlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-	hits     int
-	misses   int
-}
+type PlanCache = lru.Cache[string, CachedPlan]
 
-type planEntry struct {
-	key        string
-	plan       *optimizer.Plan
-	candidates int
-}
-
-// NewPlanCache builds a cache bounded to capacity plans (min 1).
-func NewPlanCache(capacity int) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PlanCache{
-		capacity: capacity,
-		entries:  map[string]*list.Element{},
-		order:    list.New(),
-	}
-}
-
-// Get returns the cached plan and its original candidate count for a
-// fingerprint, recording a hit or miss.
-func (c *PlanCache) Get(fingerprint string) (*optimizer.Plan, int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[fingerprint]
-	if !ok {
-		c.misses++
-		return nil, 0, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	e := el.Value.(*planEntry)
-	return e.plan, e.candidates, true
-}
-
-// Put stores an optimized plan under its fingerprint, evicting the least
-// recently used entry at capacity.
-func (c *PlanCache) Put(fingerprint string, plan *optimizer.Plan, candidates int) {
-	if plan == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[fingerprint]; ok {
-		e := el.Value.(*planEntry)
-		e.plan, e.candidates = plan, candidates
-		c.order.MoveToFront(el)
-		return
-	}
-	if len(c.entries) >= c.capacity {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*planEntry).key)
-		}
-	}
-	c.entries[fingerprint] = c.order.PushFront(&planEntry{
-		key: fingerprint, plan: plan, candidates: candidates,
-	})
+// CachedPlan is a plan cache entry: an optimized plan and the number of
+// candidates its optimization enumerated.
+type CachedPlan struct {
+	Plan       *optimizer.Plan
+	Candidates int
 }
 
 // PlanCacheStats is a snapshot of cache effectiveness.
@@ -93,11 +31,4 @@ type PlanCacheStats struct {
 	Misses   int `json:"misses"`
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
-}
-
-// Stats reports hit/miss counts and occupancy.
-func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Size: len(c.entries), Capacity: c.capacity}
 }

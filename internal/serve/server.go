@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/llm"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/optimizer"
@@ -242,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		pzctx:    cfg.Context,
 		adm:      NewAdmission(cfg.MaxInflight, cfg.MaxQueue),
-		plans:    NewPlanCache(cfg.PlanCacheSize),
+		plans:    lru.New[string, CachedPlan](cfg.PlanCacheSize, nil),
 		tenants:  NewAccounting(cfg.DefaultBudgetUSD, cfg.TenantBudgets),
 		counters: cfg.Counters,
 		hists:    metrics.NewHistograms(),
@@ -482,11 +484,12 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 	// cached plan.
 	opts := s.pzctx.OptimizerOptionsFor(ds)
 	fp := optimizer.Fingerprint(ds.Chain(), policy, opts)
-	plan, candidates, cached := s.plans.Get(fp)
+	entry, cached := s.plans.Get(fp)
+	candidates := entry.Candidates
 	var opt *exec.Optimized
 	if cached {
 		s.counters.Inc("plan_cache_hits")
-		opt = &exec.Optimized{Plan: plan}
+		opt = &exec.Optimized{Plan: entry.Plan}
 	} else {
 		s.counters.Inc("plan_cache_misses")
 		var err error
@@ -513,7 +516,7 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 		case reason != "":
 			declined = reason
 		default:
-			s.plans.Put(fp, opt.Plan, candidates)
+			s.plans.Put(fp, CachedPlan{opt.Plan, candidates})
 			s.mu.Lock()
 			s.clusterCost += dres.CostUSD - opt.CostUSD
 			s.mu.Unlock()
@@ -532,7 +535,7 @@ func (s *Server) runJob(parent context.Context, job *Job, spec *Spec, ds *pz.Dat
 	}
 	// Keep the cached plan converging: every re-optimizing run folds its
 	// observed statistics back into the cache entry.
-	s.plans.Put(fp, cachedPlan(res), candidates)
+	s.plans.Put(fp, CachedPlan{cachedPlan(res), candidates})
 	result.Plan, result.ElapsedSimMS, result.CostUSD = res.Plan.String(), res.Elapsed.Milliseconds(), res.CostUSD
 	s.complete(job, res.Records, res.Trace, result)
 }
@@ -724,7 +727,7 @@ type Metrics struct {
 	Counters   map[string]int64                 `json:"counters"`
 	Histograms map[string]metrics.HistogramView `json:"histograms,omitempty"`
 	PlanCache  PlanCacheStats                   `json:"plan_cache"`
-	LLMCache   *LLMCacheStats                   `json:"llm_cache,omitempty"`
+	LLMCache   *llm.CacheStats                  `json:"llm_cache,omitempty"`
 	Admission  AdmissionStats                   `json:"admission"`
 	Tenants    map[string]TenantUsage           `json:"tenants"`
 	TotalCost  float64                          `json:"total_cost_usd"`
@@ -736,16 +739,6 @@ type Metrics struct {
 // the coordinator shares with the server.
 type ClusterStats struct {
 	Workers []WorkerView `json:"workers"`
-}
-
-// LLMCacheStats mirrors llm.CacheStats for the wire.
-type LLMCacheStats struct {
-	Hits      int     `json:"hits"`
-	Misses    int     `json:"misses"`
-	Evictions int     `json:"evictions"`
-	SavedUSD  float64 `json:"saved_usd"`
-	Len       int     `json:"len"`
-	Capacity  int     `json:"capacity"`
 }
 
 // AdmissionStats is the gate's live occupancy.
@@ -767,11 +760,12 @@ func (s *Server) totalCost() float64 {
 // handleMetrics serves the Prometheus text exposition by default and
 // the structured JSON snapshot under ?format=json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	planStats := s.plans.Stats()
 	if r.URL.Query().Get("format") == "json" {
 		m := Metrics{
 			Counters:   s.counters.Snapshot(),
 			Histograms: s.hists.Snapshot(),
-			PlanCache:  s.plans.Stats(),
+			PlanCache:  PlanCacheStats{planStats.Hits, planStats.Misses, planStats.Size, planStats.Budget},
 			Admission: AdmissionStats{
 				Running: s.adm.Running(), Queued: s.adm.Queued(),
 				MaxInflight: s.adm.MaxInflight(), MaxQueue: s.adm.MaxQueue(),
@@ -781,10 +775,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		if cache := s.pzctx.Executor().Cache(); cache != nil {
 			st := cache.Stats()
-			m.LLMCache = &LLMCacheStats{
-				Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-				SavedUSD: st.SavedUSD, Len: st.Len, Capacity: st.Capacity,
-			}
+			m.LLMCache = &st
 		}
 		if s.cfg.Cluster != nil {
 			m.Cluster = &ClusterStats{Workers: s.cfg.Cluster.Workers()}
@@ -794,7 +785,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	// Text exposition: counters and histograms from the registries, plus
 	// the point-in-time gauges the JSON snapshot derives from subsystems.
-	planStats := s.plans.Stats()
 	gauges := map[string]float64{
 		"admission_running":    float64(s.adm.Running()),
 		"admission_queued":     float64(s.adm.Queued()),
