@@ -93,6 +93,23 @@ func sameRecords(a, b []*record.Record) bool {
 	return true
 }
 
+// packedAsWritten reports whether every truth of got that the decoder
+// packed is the corpus writer's rendering of the truth of ref's record at
+// the same index.
+func packedAsWritten(got, ref []*record.Record) bool {
+	for i := range got {
+		p, packed := corpus.RecordTruth(got[i]).Packed()
+		if !packed {
+			continue
+		}
+		want, ok := corpus.RecordTruth(ref[i]).Canonical()
+		if !ok || p != want {
+			return false
+		}
+	}
+	return true
+}
+
 // referenceChunk decodes line the way a line the fast path declines is
 // decoded.
 func referenceChunk(s *schema.Schema, line []byte) (PartitionChunk, []*record.Record, error) {
@@ -177,7 +194,8 @@ func TestDecodeChunkFallback(t *testing.T) {
 // FuzzWireChunk checks the chunk decoder's fast path against the
 // reference, encoding/json and DecodeRecords: on any line, the fast path
 // declines, or returns exactly the reference's seq and records for a
-// line the reference decodes as a record chunk. Run longer with
+// line the reference decodes as a record chunk, each packed truth being
+// the corpus writer's rendering of the reference's truth. Run longer with
 // `go test -fuzz FuzzWireChunk ./internal/cluster`.
 func FuzzWireChunk(f *testing.F) {
 	for _, name := range wireDomains {
@@ -250,6 +268,8 @@ func FuzzWireChunk(f *testing.F) {
 			t.Fatalf("fast path takes a terminal chunk as a record chunk: %q", line)
 		case seq != ch.Seq || !sameRecords(got, want):
 			t.Fatalf("fast path decodes %q to seq %d, %v; the reference to seq %d, %v", line, seq, got, ch.Seq, want)
+		case !packedAsWritten(got, want):
+			t.Fatalf("fast path packs a truth of %q otherwise than the writer renders the reference's", line)
 		}
 	})
 }
@@ -279,9 +299,10 @@ func withInputs(t *corpus.Truth, key, text string, x float64) *corpus.Truth {
 // FuzzAppendRecord checks the chunk encoder against encoding/json: for
 // records built from fuzzed strings, ints and floats, one of wireSchema
 // and one of a built-in domain, the encoder writes json.Encoder's bytes
-// (HTML escaping off), or declines exactly where encoding/json fails; and
-// the decoder's fast path reads every chunk it writes back to what the
-// reference reads. Run longer with
+// (HTML escaping off), or declines exactly where encoding/json fails; the
+// decoder's fast path reads every chunk it writes back to what the
+// reference reads; and the records it reads, whose truths are packed,
+// encode to encoding/json's bytes too. Run longer with
 // `go test -fuzz FuzzAppendRecord ./internal/cluster`.
 func FuzzAppendRecord(f *testing.F) {
 	docs := make([]*corpus.Doc, len(wireDomains))
@@ -329,9 +350,16 @@ func FuzzAppendRecord(f *testing.F) {
 			}
 			var dec corpus.RecordsDecoder
 			seq, got, ok := decodeRecordChunk(&dec, line, wireSchema, nil)
-			if !ok || seq != ch.Seq || !sameRecords(got, ref) {
+			if !ok || seq != ch.Seq || !sameRecords(got, ref) || !packedAsWritten(got, ref) {
 				t.Fatalf("fast path (ok=%v) decodes %q to seq %d, %v; the reference to seq %d, %v",
 					ok, line, seq, got, ch.Seq, ref)
+			}
+			if _, packed := corpus.RecordTruth(got[0]).Packed(); !packed {
+				t.Fatalf("the fast path keeps a truth of %q in maps", line)
+			}
+			again, ok := encodeChunk(&enc, seq, got)
+			if want, err := encodeChunkJSON(seq, got); !ok || err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("records with packed truths encode to\n%q\nencoding/json\n%q (%v)", again, want, err)
 			}
 		}
 	})

@@ -39,9 +39,17 @@ import (
 )
 
 // Truth is the hidden ground-truth annotation attached to a generated
-// document. It is stored on records under the "gt" truth key. The JSON
-// tags define its on-disk shape in both the NDJSON corpus format and the
-// directory ground-truth sidecar.
+// document. It is stored in a record's truth slot. The JSON tags define
+// its on-disk shape in both the NDJSON corpus format and the directory
+// ground-truth sidecar.
+//
+// A Truth takes one of two forms. A generated document's, or one decoded
+// into a Doc, holds its parts in the exported fields. A record scanned
+// from an NDJSON corpus or decoded off the cluster wire holds it packed:
+// one string, the corpus writer's rendering, with the exported fields nil
+// (see Packed). Read a truth of either form through View; TruthOf gives
+// a packed one's maps, built afresh (and allocated) on every call, so
+// loops over records read through views instead.
 type Truth struct {
 	// Topics are the subjects this document is genuinely about, e.g.
 	// ["colorectal cancer", "gene mutation"].
@@ -55,6 +63,10 @@ type Truth struct {
 	Fields map[string]string `json:"fields,omitempty"`
 	// Numbers are numeric attributes ("price": 650000).
 	Numbers map[string]float64 `json:"numbers,omitempty"`
+
+	// packed is the corpus writer's rendering of a packed truth, and ""
+	// for the other form.
+	packed string
 }
 
 // Mention is one extractable entity with named attributes.
@@ -74,25 +86,18 @@ type Doc struct {
 
 // HasTopic reports whether the document is about a topic whose name shares
 // terms with the query (case-insensitive substring either way).
-func (t *Truth) HasTopic(query string) bool {
-	q := strings.ToLower(strings.TrimSpace(query))
-	for _, topic := range t.Topics {
-		tl := strings.ToLower(topic)
-		if strings.Contains(q, tl) || strings.Contains(tl, q) {
-			return true
-		}
-	}
-	return false
-}
+func (t *Truth) HasTopic(query string) bool { return t.View().HasTopic(query) }
 
-// MentionsOfKind returns the mentions of the given kind.
+// MentionsOfKind returns the mentions of the given kind, with their
+// fields in maps (built afresh for a packed truth).
 func (t *Truth) MentionsOfKind(kind string) []Mention {
 	var out []Mention
-	for _, m := range t.Mentions {
-		if m.Kind == kind {
-			out = append(out, m)
+	t.View().EachMention(func(k string, fields FieldsView) bool {
+		if k == kind {
+			out = append(out, Mention{Kind: k, Fields: fields.toMap()})
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -46,21 +46,18 @@ func (w *jsonWriter) appendDoc(dst []byte, d *Doc) ([]byte, bool) {
 	return append(dst, '}', '\n'), ok
 }
 
-// appendTruth appends t, or null for a nil t.
+// appendTruth appends t, or null for a nil t: a packed truth's string
+// as is.
 func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
-	if t == nil {
+	switch {
+	case t == nil:
 		return append(dst, "null"...), true
+	case t.packed != "":
+		return append(dst, t.packed...), true
 	}
 	dst = append(dst, '{')
-	// sep opens each member after the first with a comma.
-	sep := func(dst []byte, key string) []byte {
-		if dst[len(dst)-1] != '{' {
-			dst = append(dst, ',')
-		}
-		return append(dst, key...)
-	}
 	if len(t.Topics) > 0 {
-		dst = sep(dst, `"topics":[`)
+		dst = member(dst, `"topics":[`)
 		for i, topic := range t.Topics {
 			if i > 0 {
 				dst = append(dst, ',')
@@ -70,7 +67,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 		dst = append(dst, ']')
 	}
 	if len(t.Mentions) > 0 {
-		dst = sep(dst, `"mentions":[`)
+		dst = member(dst, `"mentions":[`)
 		for i, m := range t.Mentions {
 			if i > 0 {
 				dst = append(dst, ',')
@@ -83,7 +80,7 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 		dst = append(dst, ']')
 	}
 	if len(t.Labels) > 0 {
-		dst = sep(dst, `"labels":{`)
+		dst = member(dst, `"labels":{`)
 		for i, k := range sorted(&w.keys, t.Labels) {
 			if i > 0 {
 				dst = append(dst, ',')
@@ -94,10 +91,10 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 		dst = append(dst, '}')
 	}
 	if len(t.Fields) > 0 {
-		dst = w.appendStringMap(sep(dst, `"fields":`), t.Fields)
+		dst = w.appendStringMap(member(dst, `"fields":`), t.Fields)
 	}
 	if len(t.Numbers) > 0 {
-		dst = sep(dst, `"numbers":{`)
+		dst = member(dst, `"numbers":{`)
 		for i, k := range sorted(&w.keys, t.Numbers) {
 			if i > 0 {
 				dst = append(dst, ',')
@@ -110,6 +107,15 @@ func (w *jsonWriter) appendTruth(dst []byte, t *Truth) ([]byte, bool) {
 		dst = append(dst, '}')
 	}
 	return append(dst, '}'), true
+}
+
+// member appends key, the start of a member of the object dst ends in,
+// after a comma unless it is the object's first.
+func member(dst []byte, key string) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return append(dst, key...)
 }
 
 // appendStringMap appends m, or null for a nil m.

@@ -58,28 +58,37 @@ func Records(docs []*Doc, s *schema.Schema, sourceName string) ([]*record.Record
 // slots directly: a record costs its slots, its two boxed strings and
 // itself.
 func DocRecord(d *Doc, s *schema.Schema, sourceName string) (*record.Record, error) {
+	return docRecord(d.Filename, d.Text, d.Truth, s, sourceName)
+}
+
+// docRecord is DocRecord of a document's parts.
+func docRecord(filename, text string, t *Truth, s *schema.Schema, sourceName string) (*record.Record, error) {
 	if s == nil {
 		return nil, fmt.Errorf("corpus: record: nil schema")
 	}
 	name, okName := s.Index("filename")
-	text, okText := s.Index("contents")
+	contents, okText := s.Index("contents")
 	if !okName || !okText {
 		return nil, fmt.Errorf("corpus: record: schema %s needs filename and contents fields", s.Name())
 	}
 	vals := make([]any, s.Len())
-	vals[name], vals[text] = d.Filename, d.Text
+	vals[name], vals[contents] = filename, text
 	r, err := record.NewSlots(s, vals)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	r.SetSource(sourceName)
-	r.SetTruth(d.Truth)
+	r.SetTruth(t)
 	return r, nil
 }
 
 // TruthOf retrieves the ground truth attached to a record (nil when the
-// record has none, e.g. user-supplied data).
+// record has none, e.g. user-supplied data), with its parts in maps and
+// slices. A record that holds its truth packed (a scanned or wire-decoded
+// one) gets a new Truth on every call, built from the packed string and
+// not kept: that costs the maps on each call, so loops over records read
+// RecordTruth(r).View() instead. Any other record's truth is returned as
+// it is.
 func TruthOf(r *record.Record) *Truth {
-	t, _ := r.Truth().(*Truth)
-	return t
+	return RecordTruth(r).View().truth()
 }

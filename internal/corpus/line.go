@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -28,6 +30,11 @@ import (
 // filename and text, no nulls except a null truth, and strings that are
 // valid UTF-8 without \u surrogate escapes. Its numbers must parse with
 // strconv.ParseFloat.
+//
+// A scan that wants records rather than Docs (DocReader's NextRecord)
+// and the cluster wire's records take the same fast path but pack the
+// truth: recordTruth renders it from the parsed spans as the corpus
+// writer would (see Truth), with no map built.
 
 // lineReader splits an NDJSON stream into lines and counts each line's
 // true length on disk, terminator included. bufio.ScanLines strips a
@@ -134,6 +141,9 @@ type docDecoder struct {
 
 	filename, text span
 	truth          truthShape
+
+	// out is scratch for rendering a packed truth.
+	out []byte
 }
 
 // of returns the text of sp from s, a string made of buf[base:].
@@ -153,10 +163,7 @@ func (d *docDecoder) decode(raw []byte) (*Doc, error) {
 
 // fast decodes a canonical line, or reports false for any other.
 func (d *docDecoder) fast(raw []byte) (*Doc, bool) {
-	d.reset(raw, 0)
-	ok := d.doc()
-	d.raw = nil
-	if !ok {
+	if !d.parseLine(raw) {
 		return nil, false
 	}
 	doc := new(Doc)
@@ -164,6 +171,14 @@ func (d *docDecoder) fast(raw []byte) (*Doc, bool) {
 		return nil, false
 	}
 	return doc, true
+}
+
+// parseLine parses raw as a canonical corpus line, or reports false.
+func (d *docDecoder) parseLine(raw []byte) bool {
+	d.reset(raw, 0)
+	ok := d.doc()
+	d.raw = nil
+	return ok
 }
 
 // DecodeTruths decodes a ground-truth sidecar, a JSON array of
@@ -200,26 +215,155 @@ func (d *docDecoder) truths(raw []byte) ([]Doc, bool) {
 // reset clears the state of the last document decoded, keeping the
 // reused buffers, to decode the document that starts at raw[pos:].
 func (d *docDecoder) reset(raw []byte, pos int) {
-	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0]}
+	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0], out: d.out}
 }
 
 // build fills doc from the document parsed last, or reports false.
 func (d *docDecoder) build(doc *Doc) bool {
+	var ok bool
+	if doc.Filename, doc.Text, ok = d.texts(); !ok || !d.truth.set {
+		return ok
+	}
+	doc.Truth, ok = d.buildTruth()
+	return ok
+}
+
+// texts returns the filename and text of the document parsed last, or
+// reports false.
+func (d *docDecoder) texts() (filename, text string, ok bool) {
 	tlo := len(d.buf)
 	if d.truth.set {
 		tlo = d.truth.lo
 	}
 	if d.filename.hi > tlo || d.text.hi > tlo {
-		return false // the truth object came first
+		return "", "", false // the truth object came first
 	}
 	s := string(d.buf[:tlo])
-	doc.Filename, doc.Text = d.filename.of(s, 0), d.text.of(s, 0)
-	if !d.truth.set {
-		return true
+	return d.filename.of(s, 0), d.text.of(s, 0), true
+}
+
+// fastRecord is fast for a record: it decodes a canonical line into its
+// filename, text and packed truth (nil for a null one), or reports false
+// for any other line.
+func (d *docDecoder) fastRecord(raw []byte) (filename, text string, t *Truth, ok bool) {
+	if !d.parseLine(raw) {
+		return "", "", nil, false
+	}
+	if filename, text, ok = d.texts(); ok && d.truth.set {
+		t, ok = d.recordTruth()
+	}
+	return filename, text, t, ok
+}
+
+// recordTruth builds the truth object parsed last for a record: packed,
+// unless one of its members is an empty list or object. The writer
+// leaves such a member out, so its packed form would read back nil where
+// encoding/json gives an empty one; that truth is built with maps.
+func (d *docDecoder) recordTruth() (*Truth, bool) {
+	ts := &d.truth
+	for _, l := range [...]list{ts.topics, ts.mentionList, ts.labels, ts.fields, ts.nums} {
+		if l.set && l.hi == l.lo {
+			return d.buildTruth()
+		}
 	}
 	var ok bool
-	doc.Truth, ok = d.buildTruth()
-	return ok
+	if d.out, ok = d.appendTruth(d.out[:0]); !ok {
+		return nil, false
+	}
+	return &Truth{packed: string(d.out)}, true
+}
+
+// appendTruth appends the truth object parsed last as jsonWriter's
+// appendTruth appends the Truth buildTruth builds from it: map members in
+// key order, a repeated key's last value only, and numbers in AppendFloat's
+// format. It reports false for a number strconv.ParseFloat rejects.
+func (d *docDecoder) appendTruth(dst []byte) ([]byte, bool) {
+	ts := &d.truth
+	dst = append(dst, '{')
+	if ts.topics.set {
+		dst = d.appendStrings(member(dst, `"topics":`), ts.topics)
+	}
+	if ts.mentionList.set {
+		dst = member(dst, `"mentions":[`)
+		for i, m := range d.mentions[ts.mentionList.lo:ts.mentionList.hi] {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = AppendBytes(append(dst, `{"kind":`...), d.buf[m.kind.lo:m.kind.hi], false)
+			dst = append(dst, `,"fields":`...)
+			if m.fields.set {
+				dst, _ = d.appendMembers(dst, m.fields, stringValues)
+			} else {
+				dst = append(dst, "null"...)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if ts.labels.set {
+		dst, _ = d.appendMembers(member(dst, `"labels":`), ts.labels, boolValues)
+	}
+	if ts.fields.set {
+		dst, _ = d.appendMembers(member(dst, `"fields":`), ts.fields, stringValues)
+	}
+	if ts.nums.set {
+		var ok bool
+		if dst, ok = d.appendMembers(member(dst, `"numbers":`), ts.nums, numberValues); !ok {
+			return dst, false
+		}
+	}
+	return append(dst, '}'), true
+}
+
+// appendStrings appends the parsed array of strings l.
+func (d *docDecoder) appendStrings(dst []byte, l list) []byte {
+	dst = append(dst, '[')
+	for i, e := range d.entries[l.lo:l.hi] {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendBytes(dst, d.buf[e.val.lo:e.val.hi], false)
+	}
+	return append(dst, ']')
+}
+
+// appendMembers appends the parsed object l, whose values are of the
+// given kind, as the writer appends the map it decodes to. It sorts l's
+// entries in place. It reports false for a number strconv.ParseFloat
+// rejects, a repeated key's earlier value among them, as buildTruth does.
+func (d *docDecoder) appendMembers(dst []byte, l list, kind int) ([]byte, bool) {
+	es := d.entries[l.lo:l.hi]
+	key := func(e entry) []byte { return d.buf[e.key.lo:e.key.hi] }
+	slices.SortStableFunc(es, func(a, b entry) int { return bytes.Compare(key(a), key(b)) })
+	dst = append(dst, '{')
+	first := true
+	for i, e := range es {
+		var x float64
+		if kind == numberValues {
+			var err error
+			if x, err = strconv.ParseFloat(string(d.buf[e.val.lo:e.val.hi]), 64); err != nil {
+				return dst, false
+			}
+		}
+		if i+1 < len(es) && bytes.Equal(key(e), key(es[i+1])) {
+			continue // a later value replaces this one
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		dst = append(AppendBytes(dst, key(e), false), ':')
+		switch kind {
+		case boolValues:
+			dst = strconv.AppendBool(dst, e.flag)
+		case stringValues:
+			dst = AppendBytes(dst, d.buf[e.val.lo:e.val.hi], false)
+		default:
+			// ParseFloat gives no NaN or infinity for a JSON number.
+			dst, _ = AppendFloat(dst, x)
+		}
+	}
+	return append(dst, '}'), true
 }
 
 // buildTruth builds the truth object parsed last, whose keys and values

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/schema"
 )
 
 // domainLines returns the NDJSON lines WriteNDJSON writes for n documents
@@ -52,10 +54,62 @@ func TestDecodeFastPathEveryDomain(t *testing.T) {
 	}
 }
 
+// checkRecordPath checks the record path's decode of line against want,
+// json.Unmarshal's: it takes the lines the fast path takes (fastOK), and
+// gives the record want's filename and text, a truth that TruthOf reads
+// back as want's, and, when it packs the truth, the corpus writer's
+// rendering of want's.
+func checkRecordPath(t *testing.T, dec *docDecoder, line []byte, fastOK bool, want *Doc) {
+	t.Helper()
+	filename, text, truth, ok := dec.fastRecord(line)
+	if ok != fastOK {
+		t.Fatalf("the record path takes %q: %v, the fast path: %v", line, ok, fastOK)
+	}
+	if !ok {
+		return
+	}
+	r, err := docRecord(filename, text, truth, schema.TextFile, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filename != want.Filename || text != want.Text || !reflect.DeepEqual(TruthOf(r), want.Truth) {
+		t.Fatalf("the record path decodes %q to %q, %q, %+v; want %+v", line, filename, text, TruthOf(r), want)
+	}
+	if p, packed := truth.Packed(); packed {
+		if w, ok := want.Truth.Canonical(); !ok || p != w {
+			t.Fatalf("the record path packs the truth of %q as\n%s\nthe writer renders\n%s", line, p, w)
+		}
+	}
+}
+
+// TestNextRecordEveryDomain: a scan reads every line the writer produces,
+// in every domain, into a record whose truth is packed, and that reads
+// back as json.Unmarshal's.
+func TestNextRecordEveryDomain(t *testing.T) {
+	for _, name := range allDomains {
+		t.Run(name, func(t *testing.T) {
+			var dec docDecoder
+			for i, line := range domainLines(t, name, 200, 11) {
+				var want Doc
+				if err := json.Unmarshal(line, &want); err != nil {
+					t.Fatal(err)
+				}
+				checkRecordPath(t, &dec, line, true, &want)
+				if _, _, truth, _ := dec.fastRecord(line); truth == nil {
+					t.Fatalf("line %d has no truth", i+1)
+				} else if _, packed := truth.Packed(); !packed {
+					t.Fatalf("line %d keeps its truth in maps", i+1)
+				}
+			}
+		})
+	}
+}
+
 // FuzzDecodeDoc checks the corpus line decoder against encoding/json, the
 // reference: for any line, both fail with the same error, or both give
 // reflect.DeepEqual docs. A line the fast path accepts must also be one
-// json.Unmarshal accepts, with an equal doc. Run longer with
+// json.Unmarshal accepts, with an equal doc, and the record path
+// (checkRecordPath) must agree with both. Run longer with
 // `go test -fuzz FuzzDecodeDoc ./internal/corpus`.
 func FuzzDecodeDoc(f *testing.F) {
 	for _, name := range allDomains {
@@ -101,7 +155,8 @@ func FuzzDecodeDoc(f *testing.F) {
 		var want Doc
 		wantErr := json.Unmarshal(line, &want)
 		var dec docDecoder
-		if got, ok := dec.fast(line); ok {
+		got, fastOK := dec.fast(line)
+		if fastOK {
 			if wantErr != nil {
 				t.Fatalf("fast path accepts a line json.Unmarshal rejects (%v): %q", wantErr, line)
 			}
@@ -109,6 +164,7 @@ func FuzzDecodeDoc(f *testing.F) {
 				t.Fatalf("fast path decodes %q to\n%+v\nwant\n%+v", line, got, &want)
 			}
 		}
+		checkRecordPath(t, &dec, line, fastOK, &want)
 		// Decode it again after a canonical line, so state left in the
 		// reused buffers cannot leak from one line into the next.
 		if _, err := dec.decode(canonical); err != nil {

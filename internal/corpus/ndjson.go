@@ -9,6 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/record"
+	"repro/internal/schema"
 )
 
 // The NDJSON corpus format: one JSON-encoded Doc per line (filename, full
@@ -321,6 +324,41 @@ func (r *DocReader) Len() int { return r.n }
 // Next implements Generator: it decodes the next non-empty line, up to
 // the promised count.
 func (r *DocReader) Next() (*Doc, error) {
+	raw, err := r.nextLine()
+	if err != nil {
+		return nil, err
+	}
+	d, err := r.dec.decode(raw)
+	if err != nil {
+		return nil, r.lineErr(err)
+	}
+	return d, nil
+}
+
+// NextRecord is Next for a scan that wants records: it builds the next
+// document's record under s, which needs "filename" and "contents"
+// string fields, with source name sourceName, straight from the parsed
+// line. The record holds its truth packed (see Truth); no Doc and no map
+// is built. A line off the decoder's fast path decodes as Next decodes
+// it, and its record holds the truth with maps, as DocRecord's does.
+func (r *DocReader) NextRecord(s *schema.Schema, sourceName string) (*record.Record, error) {
+	raw, err := r.nextLine()
+	if err != nil {
+		return nil, err
+	}
+	if filename, text, t, ok := r.dec.fastRecord(raw); ok {
+		return docRecord(filename, text, t, s, sourceName)
+	}
+	d := new(Doc)
+	if err := json.Unmarshal(raw, d); err != nil {
+		return nil, r.lineErr(err)
+	}
+	return DocRecord(d, s, sourceName)
+}
+
+// nextLine returns the next non-empty line, up to the promised count, or
+// io.EOF after it.
+func (r *DocReader) nextLine() ([]byte, error) {
 	if r.read == r.n {
 		// A manifest counts the whole file; a range reader stops where
 		// the next range begins.
@@ -332,12 +370,8 @@ func (r *DocReader) Next() (*Doc, error) {
 		return nil, io.EOF
 	}
 	if raw, ok := r.lines.next(); ok {
-		d, err := r.dec.decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %s line %d: %w", r.f.Name(), r.lines.line, err)
-		}
 		r.read++
-		return d, nil
+		return raw, nil
 	}
 	if err := r.lines.err(); err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", r.f.Name(), err)
@@ -346,6 +380,11 @@ func (r *DocReader) Next() (*Doc, error) {
 		return nil, fmt.Errorf("corpus: %s: file ends after %d of %d documents: %w", r.f.Name(), r.read, r.n, io.ErrUnexpectedEOF)
 	}
 	return nil, io.EOF
+}
+
+// lineErr wraps a decode error of the line read last.
+func (r *DocReader) lineErr(err error) error {
+	return fmt.Errorf("corpus: %s line %d: %w", r.f.Name(), r.lines.line, err)
 }
 
 // Close releases the underlying file.

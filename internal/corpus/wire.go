@@ -64,7 +64,7 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 		}
 	}
 	dst = append(dst, '}')
-	if t := TruthOf(r); t != nil {
+	if t := RecordTruth(r); t != nil {
 		var ok bool
 		if dst, ok = e.w.appendTruth(append(dst, `,"truth":`...), t); !ok {
 			return dst, false
@@ -85,7 +85,9 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 // string list, and base64 in a string for bytes. A truth takes the corpus
 // line's fast path. Anything else (a wrong kind, an unknown field, a
 // duplicate key, a null record, a string with a \u surrogate escape) is
-// declined. The zero value is ready to use; a decoder keeps scratch
+// declined. A record's truth is kept packed (see Truth), as a scanned
+// record's is, and RecordEncoder copies a packed truth's string as it is.
+// The zero value is ready to use; a decoder keeps scratch
 // between calls and is not safe for concurrent use.
 type RecordsDecoder struct {
 	d docDecoder
@@ -156,8 +158,8 @@ func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool)
 }
 
 // record decodes one wire record. Its value strings become substrings of
-// one string, its truth's of another (see docDecoder), and a source equal
-// to the last one shares its string.
+// one string, its truth is packed into another (see recordTruth), and a
+// source equal to the last one shares its string.
 func (c *RecordsDecoder) record() (*record.Record, bool) {
 	d := &c.d
 	d.reset(d.raw, d.pos)
@@ -187,7 +189,7 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 	var t *Truth
 	if d.truth.set {
 		var ok bool
-		if t, ok = d.buildTruth(); !ok {
+		if t, ok = d.recordTruth(); !ok {
 			return nil, false
 		}
 	}

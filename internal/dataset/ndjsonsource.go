@@ -194,20 +194,17 @@ func (n *NDJSONSource) IterateRecords(yield func(*record.Record) error) error {
 
 // drainDocs yields every document of r as a record under schema s and
 // source name, closing r when done — the shared read loop of NDJSONSource
-// and NDJSONRangeSource.
+// and NDJSONRangeSource. Records are built straight from the corpus lines
+// and hold their truths packed (see corpus.Truth).
 func drainDocs(r *corpus.DocReader, s *schema.Schema, source string, yield func(*record.Record) error) error {
 	defer r.Close()
 	for {
-		d, err := r.Next()
+		rec, err := r.NextRecord(s, source)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
 			return fmt.Errorf("dataset: %w", err)
-		}
-		rec, err := corpus.DocRecord(d, s, source)
-		if err != nil {
-			return err
 		}
 		if err := yield(rec); err != nil {
 			if errors.Is(err, ErrStop) {

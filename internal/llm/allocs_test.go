@@ -66,6 +66,12 @@ func TestRequestPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same kind of ticket as a scan reads it, its truth packed.
+	scanned, _ := scannedRecords(t, corpus.DomainSupport, 1)
+	scannedFilter := ops.FilterRequest(model, workloads.SupportPredicate, scanned[0])
+	scannedExtract := extract
+	scannedExtract.Record = scanned[0]
+	llm.Decide(svc, card, scannedFilter, new(llm.Response))
 	var resp llm.Response
 	complete := func(c llm.Completer, req llm.Request) func() {
 		return func() {
@@ -100,6 +106,9 @@ func TestRequestPathAllocs(t *testing.T) {
 		// The service has seen the predicate and the ticket's labels, so
 		// the oracle tokenizes nothing again.
 		{"warmed filter oracle", 0, func() { llm.Decide(svc, card, filter, &resp) }},
+		// A packed truth is read where it lies: no map is built.
+		{"warmed filter oracle, scanned ticket", 0, func() { llm.Decide(svc, card, scannedFilter, &resp) }},
+		{"bonded extract Service.Complete, scanned ticket", 5, complete(svc, scannedExtract)},
 		// The ticket's vector is memoized, so only the *Response is new:
 		// building the text would cost one more.
 		{"EmbedRecord memo hit", 1, func() {

@@ -111,7 +111,7 @@ func TestTermsMemoMatchesTerms(t *testing.T) {
 	for _, r := range oracleRecords(t) {
 		truth := corpus.TruthOf(r)
 		for _, p := range []string{demoPredicate, "The ticket is urgent and needs immediate attention"} {
-			if got, want := goldFilterDecision(m, truth, p), GoldFilterDecision(truth, p); got != want {
+			if got, want := goldFilterDecision(m, truth.View(), p), GoldFilterDecision(truth, p); got != want {
 				t.Fatalf("%s, %q: memoized decision %v, want %v", r.GetString("filename"), p, got, want)
 			}
 		}

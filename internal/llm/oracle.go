@@ -15,13 +15,13 @@ import (
 // decide implements TaskFilter: consult the corpus ground truth when the
 // record carries it, otherwise fall back to lexical semantics over the
 // record text; then apply deterministic model-quality noise. It tokenizes
-// through tm.
+// through tm, and reads the truth through one view, which builds no map.
 func decide(tm *termsMemo, card ModelCard, req Request, resp *Response) {
-	truth := corpus.TruthOf(req.Record)
+	truth := corpus.RecordTruth(req.Record)
 	var want bool
 	switch {
 	case truth != nil:
-		want = goldFilterDecision(tm, truth, req.Predicate)
+		want = goldFilterDecision(tm, truth.View(), req.Predicate)
 	default:
 		want = textutil.Overlap(req.Predicate, req.Record.Text()) >= 0.6
 	}
@@ -55,23 +55,23 @@ func decide(tm *termsMemo, card ModelCard, req Request, resp *Response) {
 // ("colorectal studies that use public datasets" needs both labels true),
 // and topic matching decides only when no label matches. It defines the
 // gold answer the simulated models approximate and the metrics package
-// scores against.
+// scores against. The truth may be of either form (see corpus.Truth).
 func GoldFilterDecision(truth *corpus.Truth, predicate string) bool {
-	return goldFilterDecision(nil, truth, predicate)
+	return goldFilterDecision(nil, truth.View(), predicate)
 }
 
-// goldFilterDecision is GoldFilterDecision tokenizing through tm.
-func goldFilterDecision(tm *termsMemo, truth *corpus.Truth, predicate string) bool {
+// goldFilterDecision is GoldFilterDecision over a view, tokenizing
+// through tm.
+func goldFilterDecision(tm *termsMemo, truth corpus.TruthView, predicate string) bool {
 	predTerms := termsOf(tm, predicate)
 	matched, answer := false, true
-	for label, val := range truth.Labels {
-		terms := termsOf(tm, label)
-		if len(terms) == 0 || !containsAll(predTerms, terms) {
-			continue
+	truth.EachLabel(func(label string, val bool) bool {
+		if terms := termsOf(tm, label); len(terms) > 0 && containsAll(predTerms, terms) {
+			matched = true
+			answer = answer && val
 		}
-		matched = true
-		answer = answer && val
-	}
+		return true
+	})
 	if matched {
 		return answer
 	}
@@ -91,12 +91,13 @@ func containsAll(have, want []string) bool {
 // extract implements TaskExtract. With ground truth, it pulls entity
 // mentions or scalar fields matching the requested schema fields and
 // applies per-entity/per-field model noise; without truth it falls back to
-// heuristic extraction from the record text. It tokenizes through tm.
+// heuristic extraction from the record text. It tokenizes through tm, and
+// reads the truth through one view, which builds no map.
 func extract(tm *termsMemo, card ModelCard, req Request, resp *Response) {
-	truth := corpus.TruthOf(req.Record)
+	truth := corpus.RecordTruth(req.Record)
 	var exs []map[string]string
 	if truth != nil {
-		exs = truthExtract(tm, card, req, truth)
+		exs = truthExtract(tm, card, req, truth.View())
 	} else {
 		exs = heuristicExtract(req)
 	}
@@ -109,7 +110,7 @@ func extract(tm *termsMemo, card ModelCard, req Request, resp *Response) {
 
 // truthExtract matches the requested fields against ground-truth mentions
 // first, then scalar fields.
-func truthExtract(tm *termsMemo, card ModelCard, req Request, truth *corpus.Truth) []map[string]string {
+func truthExtract(tm *termsMemo, card ModelCard, req Request, truth corpus.TruthView) []map[string]string {
 	acc := card.ExtractAccuracy() + req.QualityBoost
 	if acc > 1 {
 		acc = 1
@@ -128,18 +129,24 @@ func truthExtract(tm *termsMemo, card ModelCard, req Request, truth *corpus.Trut
 	kind, coverage := bestMentionKind(tm, req.Fields, truth)
 	if coverage >= 0.5 {
 		var out []map[string]string
-		for i, m := range truth.MentionsOfKind(kind) {
+		i := -1 // the mention's index among those of kind
+		truth.EachMention(func(k string, fields corpus.FieldsView) bool {
+			if k != kind {
+				return true
+			}
+			i++
 			var ib [20]byte
 			idx := string(strconv.AppendInt(ib[:0], int64(i), 10))
 			// Per-entity recall: a weaker model misses some entities
 			// entirely.
-			uEnt := unit("ent", card.Name, digest, idx, m.Fields["name"])
+			name, _ := fields.Get("name")
+			uEnt := unit("ent", card.Name, digest, idx, name)
 			if uEnt < 1-acc {
-				continue
+				return true
 			}
 			ex := map[string]string{}
 			for _, f := range req.Fields {
-				v, ok := matchField(tm, f, m.Fields, truth)
+				v, ok := matchField(tm, f, fields, truth)
 				if !ok {
 					v = fallback(f)
 				}
@@ -151,7 +158,8 @@ func truthExtract(tm *termsMemo, card ModelCard, req Request, truth *corpus.Trut
 				ex[f.Name] = v
 			}
 			out = append(out, ex)
-		}
+			return true
+		})
 		return out
 	}
 
@@ -162,7 +170,7 @@ func truthExtract(tm *termsMemo, card ModelCard, req Request, truth *corpus.Trut
 	ex := make(map[string]string, len(req.Fields))
 	found := false
 	for _, f := range req.Fields {
-		v, ok := matchField(tm, f, nil, truth)
+		v, ok := matchField(tm, f, corpus.FieldsView{}, truth)
 		if !ok {
 			v = fallback(f)
 		} else {
@@ -191,23 +199,24 @@ func allEmpty(m map[string]string) bool {
 
 // bestMentionKind returns the mention kind whose field names cover the
 // largest fraction of the requested fields.
-func bestMentionKind(tm *termsMemo, fields []schema.Field, truth *corpus.Truth) (string, float64) {
+func bestMentionKind(tm *termsMemo, fields []schema.Field, truth corpus.TruthView) (string, float64) {
 	if len(fields) == 0 {
 		return "", 0
 	}
 	cov := map[string]int{}
-	for _, m := range truth.Mentions {
-		if _, seen := cov[m.Kind]; seen {
-			continue
+	truth.EachMention(func(kind string, mf corpus.FieldsView) bool {
+		if _, seen := cov[kind]; seen {
+			return true
 		}
 		n := 0
 		for _, f := range fields {
-			if _, ok := matchKey(tm, f.Name, m.Fields); ok {
+			if _, ok := matchKey(tm, f.Name, mf); ok {
 				n++
 			}
 		}
-		cov[m.Kind] = n
-	}
+		cov[kind] = n
+		return true
+	})
 	bestKind, bestN := "", -1
 	for k, n := range cov {
 		if n > bestN || (n == bestN && k < bestKind) {
@@ -223,43 +232,44 @@ func bestMentionKind(tm *termsMemo, fields []schema.Field, truth *corpus.Truth) 
 // matchField resolves a requested schema field against mention fields
 // and/or the truth's scalar fields and numbers, using stemmed-name fuzzy
 // matching ("dataset_name" matches "name", "public_url" matches "url").
-func matchField(tm *termsMemo, f schema.Field, mention map[string]string, truth *corpus.Truth) (string, bool) {
-	if mention != nil {
-		if v, ok := matchKey(tm, f.Name, mention); ok {
-			return v, true
-		}
-	}
-	if truth != nil {
-		if v, ok := matchKey(tm, f.Name, truth.Fields); ok {
-			return v, true
-		}
-		for k, n := range truth.Numbers {
-			if keysMatch(tm, f.Name, k) {
-				if f.Type == schema.Int {
-					return fmt.Sprintf("%d", int64(n)), true
-				}
-				return strings.TrimSuffix(strings.TrimSuffix(fmt.Sprintf("%.2f", n), "0"), ".0"), true
-			}
-		}
-	}
-	return "", false
-}
-
-func matchKey(tm *termsMemo, want string, m map[string]string) (string, bool) {
-	// Exact first, then fuzzy; iterate deterministically.
-	if v, ok := m[want]; ok {
+// Among numbers, as among fields, the smallest matching name wins.
+func matchField(tm *termsMemo, f schema.Field, mention corpus.FieldsView, truth corpus.TruthView) (string, bool) {
+	if v, ok := matchKey(tm, f.Name, mention); ok {
 		return v, true
 	}
-	bestKey := ""
-	for k := range m {
-		if keysMatch(tm, want, k) && (bestKey == "" || k < bestKey) {
-			bestKey = k
+	if v, ok := matchKey(tm, f.Name, truth.Fields()); ok {
+		return v, true
+	}
+	bestKey, best, found := "", 0.0, false
+	truth.EachNumber(func(k string, n float64) bool {
+		if keysMatch(tm, f.Name, k) && (!found || k < bestKey) {
+			bestKey, best, found = k, n, true
 		}
-	}
-	if bestKey == "" {
+		return true
+	})
+	switch {
+	case !found:
 		return "", false
+	case f.Type == schema.Int:
+		return fmt.Sprintf("%d", int64(best)), true
 	}
-	return m[bestKey], true
+	return strings.TrimSuffix(strings.TrimSuffix(fmt.Sprintf("%.2f", best), "0"), ".0"), true
+}
+
+// matchKey resolves want against m's keys: exactly, then the smallest
+// fuzzily matching key, so the answer does not depend on map order.
+func matchKey(tm *termsMemo, want string, m corpus.FieldsView) (string, bool) {
+	if v, ok := m.Get(want); ok {
+		return v, true
+	}
+	bestKey, best, found := "", "", false
+	m.Each(func(k, v string) bool {
+		if keysMatch(tm, want, k) && (!found || k < bestKey) {
+			bestKey, best, found = k, v, true
+		}
+		return true
+	})
+	return best, found
 }
 
 // keysMatch reports whether two field names refer to the same attribute:

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -47,7 +46,8 @@ func prf(tp, fp, fn int) PRF {
 // FilterQuality scores a filter's kept set against gold labels: inputs are
 // all records that entered the filter, kept the subset it retained, and
 // predicate the natural-language condition. Records without ground truth
-// are skipped.
+// are skipped. Truths are read in whichever form the records hold them
+// (see corpus.Truth); no map is built.
 func FilterQuality(inputs, kept []*record.Record, predicate string) PRF {
 	keptSet := make(map[int64]bool, len(kept))
 	for _, r := range kept {
@@ -55,7 +55,7 @@ func FilterQuality(inputs, kept []*record.Record, predicate string) PRF {
 	}
 	var tp, fp, fn int
 	for _, r := range inputs {
-		truth := corpus.TruthOf(r)
+		truth := corpus.RecordTruth(r)
 		if truth == nil {
 			continue
 		}
@@ -80,7 +80,8 @@ func FilterQuality(inputs, kept []*record.Record, predicate string) PRF {
 // the pipeline's final records without re-running the filter alone.
 // Content matching — unlike ExtractionQuality's pointer matching — also
 // survives file-backed sources, whose repeated reads deserialize fresh
-// Truth values. Inputs without ground truth are skipped.
+// Truth values, and compares a packed truth with the same truth in maps.
+// Inputs without ground truth are skipped.
 //
 // Precondition: each document's Truth content must be unique within the
 // corpus (true for every generated domain, whose truths carry per-doc
@@ -91,14 +92,14 @@ func FilterQuality(inputs, kept []*record.Record, predicate string) PRF {
 func FilterQualityByTruth(inputs, outputs []*record.Record, predicate string) PRF {
 	kept := make(map[string]bool, len(outputs))
 	for _, r := range outputs {
-		if truth := corpus.TruthOf(r); truth != nil {
+		if truth := corpus.RecordTruth(r); truth != nil {
 			kept[truthKey(truth)] = true
 		}
 	}
 	var tp, fp, fn int
 	seen := make(map[string]bool, len(inputs))
 	for _, r := range inputs {
-		truth := corpus.TruthOf(r)
+		truth := corpus.RecordTruth(r)
 		if truth == nil {
 			continue
 		}
@@ -122,14 +123,13 @@ func FilterQualityByTruth(inputs, outputs []*record.Record, predicate string) PR
 }
 
 // truthKey canonically serializes a ground-truth annotation so equal
-// truths compare equal across deserializations (JSON renders maps in
-// sorted key order).
+// truths compare equal across deserializations and forms: the corpus
+// writer's rendering, which a packed truth already is.
 func truthKey(t *corpus.Truth) string {
-	data, err := json.Marshal(t)
-	if err != nil {
-		return fmt.Sprintf("%v", t)
+	if s, ok := t.Canonical(); ok {
+		return s
 	}
-	return string(data)
+	return fmt.Sprintf("%v", t) // a NaN or infinite number
 }
 
 // ExtractionQuality scores extracted records against ground-truth mentions
@@ -139,29 +139,33 @@ func truthKey(t *corpus.Truth) string {
 // record's parent truth is read directly from the record's carried
 // annotations.
 func ExtractionQuality(sources, outputs []*record.Record, kind string) PRF {
-	// Gold entities per source (by truth pointer identity).
+	// Gold entities per source, keyed by the source's truth slot, which
+	// Derive copies to every record derived from it.
 	type ent struct {
-		fields  map[string]string
+		fields  corpus.FieldsView
 		matched bool
 	}
 	goldByTruth := map[*corpus.Truth][]*ent{}
 	var totalGold int
 	for _, s := range sources {
-		truth := corpus.TruthOf(s)
+		truth := corpus.RecordTruth(s)
 		if truth == nil {
 			continue
 		}
 		if _, done := goldByTruth[truth]; done {
 			continue
 		}
-		for _, m := range truth.MentionsOfKind(kind) {
-			goldByTruth[truth] = append(goldByTruth[truth], &ent{fields: m.Fields})
-			totalGold++
-		}
+		truth.View().EachMention(func(k string, fields corpus.FieldsView) bool {
+			if k == kind {
+				goldByTruth[truth] = append(goldByTruth[truth], &ent{fields: fields})
+				totalGold++
+			}
+			return true
+		})
 	}
 	var tp, fp int
 	for _, out := range outputs {
-		truth := corpus.TruthOf(out)
+		truth := corpus.RecordTruth(out)
 		matched := false
 		if truth != nil {
 			for _, g := range goldByTruth[truth] {
@@ -184,7 +188,7 @@ func ExtractionQuality(sources, outputs []*record.Record, kind string) PRF {
 
 // extractionMatches reports whether the record's populated fields agree
 // with the gold entity's fields on every attribute both sides know.
-func extractionMatches(r *record.Record, gold map[string]string) bool {
+func extractionMatches(r *record.Record, gold corpus.FieldsView) bool {
 	compared := 0
 	for _, f := range r.Schema().Fields() {
 		got := strings.TrimSpace(r.GetString(f.Name))
@@ -205,20 +209,18 @@ func extractionMatches(r *record.Record, gold map[string]string) bool {
 
 // matchGoldKey resolves a record field name against gold entity fields
 // (exact, then substring containment either way).
-func matchGoldKey(name string, gold map[string]string) (string, bool) {
-	if v, ok := gold[name]; ok {
+func matchGoldKey(name string, gold corpus.FieldsView) (string, bool) {
+	if v, ok := gold.Get(name); ok {
 		return v, true
 	}
-	bestKey := ""
-	for k := range gold {
-		if (strings.Contains(name, k) || strings.Contains(k, name)) && (bestKey == "" || k < bestKey) {
-			bestKey = k
+	bestKey, best, found := "", "", false
+	gold.Each(func(k, v string) bool {
+		if k != "" && (strings.Contains(name, k) || strings.Contains(k, name)) && (!found || k < bestKey) {
+			bestKey, best, found = k, v, true
 		}
-	}
-	if bestKey == "" {
-		return "", false
-	}
-	return gold[bestKey], true
+		return true
+	})
+	return best, found
 }
 
 // FieldAccuracy measures per-field scalar extraction accuracy: for each
@@ -227,13 +229,14 @@ func matchGoldKey(name string, gold map[string]string) (string, bool) {
 func FieldAccuracy(outputs []*record.Record, recordField, goldField string) (float64, int) {
 	correct, total := 0, 0
 	for _, r := range outputs {
-		truth := corpus.TruthOf(r)
+		truth := corpus.RecordTruth(r)
 		if truth == nil {
 			continue
 		}
-		want, ok := truth.Fields[goldField]
+		v := truth.View()
+		want, ok := v.Fields().Get(goldField)
 		if !ok {
-			if n, nok := truth.Numbers[goldField]; nok {
+			if n, nok := v.Number(goldField); nok {
 				want, ok = fmt.Sprintf("%g", n), true
 				// Integer-rendered numbers also count.
 				if r.GetString(recordField) == fmt.Sprintf("%d", int64(n)) {

@@ -237,3 +237,95 @@ func TestExtractionQualityEmptyOutputs(t *testing.T) {
 		t.Errorf("empty outputs = %v", m)
 	}
 }
+
+// scanDomain saves n documents of the named domain as an NDJSON corpus
+// and returns the records a scan builds from it, whose truths are packed,
+// and DocRecord's records of the same generated documents.
+func scanDomain(t *testing.T, name string, n int) (scanned, inMemory []*record.Record) {
+	t.Helper()
+	d, _ := corpus.DomainByName(name)
+	path := t.TempDir() + "/" + name + ".ndjson"
+	if _, err := corpus.SaveNDJSON(path, d.New(n, -1, 9), 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	docs, err := corpus.Collect(d.New(n, -1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inMemory, err = corpus.Records(docs, schema.TextFile, name); err != nil {
+		t.Fatal(err)
+	}
+	r, err := corpus.OpenNDJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for range docs {
+		rec, err := r.NextRecord(schema.TextFile, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned = append(scanned, rec)
+	}
+	return scanned, inMemory
+}
+
+// TestExtractionQualityScannedEqualsInMemory: one-to-many extraction
+// over records scanned from an NDJSON corpus, whose truths are packed,
+// scores exactly as over the same documents in memory, for a strong and
+// a weak model, in the biomedical and legal domains; so does
+// FieldAccuracy on a field of the truth.
+func TestExtractionQualityScannedEqualsInMemory(t *testing.T) {
+	clauses := schema.MustNew("Clause", "Contract clauses.",
+		schema.Field{Name: "name", Type: schema.String, Desc: "clause name"},
+		schema.Field{Name: "text", Type: schema.String, Desc: "clause text"},
+	)
+	for _, tc := range []struct {
+		domain, kind string
+		target       *schema.Schema
+	}{
+		{corpus.DomainBiomed, corpus.DatasetMentionKind, clinical},
+		{corpus.DomainLegal, corpus.ClauseMentionKind, clauses},
+	} {
+		scanned, inMemory := scanDomain(t, tc.domain, 24)
+		for _, model := range []string{"atlas-large", "pigeon-7b"} {
+			score := func(recs []*record.Record) PRF {
+				conv := &ops.LLMConvertExec{
+					Convert: &ops.Convert{Target: tc.target, Desc: tc.target.Doc(), Card: ops.OneToMany},
+					Model:   model, Bonded: true,
+				}
+				out, err := conv.Execute(newCtx(t), recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ExtractionQuality(recs, out, tc.kind)
+			}
+			got, want := score(scanned), score(inMemory)
+			if got != want || want.TP == 0 {
+				t.Errorf("%s, %s: scanned records score %v, in-memory ones %v", tc.domain, model, got, want)
+			}
+		}
+	}
+	scanned, inMemory := scanDomain(t, corpus.DomainLegal, 12)
+	derive := func(recs []*record.Record) []*record.Record {
+		parties := schema.MustNew("Parties", "", schema.Field{Name: "party_a", Type: schema.String})
+		var out []*record.Record
+		for i, r := range recs {
+			v, _ := corpus.RecordTruth(r).View().Fields().Get("party_a")
+			if i%3 == 0 {
+				v = "Wrong Corp"
+			}
+			d, err := r.Derive(parties, map[string]any{"party_a": v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, d)
+		}
+		return out
+	}
+	gotAcc, gotN := FieldAccuracy(derive(scanned), "party_a", "party_a")
+	wantAcc, wantN := FieldAccuracy(derive(inMemory), "party_a", "party_a")
+	if gotAcc != wantAcc || gotN != wantN || wantN != 12 {
+		t.Errorf("FieldAccuracy: scanned %v over %d, in memory %v over %d", gotAcc, gotN, wantAcc, wantN)
+	}
+}

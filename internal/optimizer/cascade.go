@@ -102,7 +102,7 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 	var items []cascadeSampleItem
 	var posVecs, negVecs [][]float64
 	for _, r := range sample {
-		truth := corpus.TruthOf(r)
+		truth := corpus.RecordTruth(r)
 		if truth == nil {
 			// No gold labels, no honest calibration.
 			return nil, nil
