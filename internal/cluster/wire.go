@@ -274,7 +274,7 @@ func decodeChunk(dec *corpus.RecordsDecoder, line []byte, s *schema.Schema, recs
 }
 
 // ExecutePartition runs one scattered partition in-process: a fresh
-// pz.Context with an NDJSONRangeSource registered over the request's
+// pz.Context with a range NDJSONSource registered over the request's
 // byte range, the sub-plan built against it, and the result gathered
 // whole. Both sides of the wire share this path — the worker daemon
 // serves it over HTTP, and the coordinator calls it directly as the

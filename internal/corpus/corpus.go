@@ -43,13 +43,15 @@ import (
 // its on-disk shape in both the NDJSON corpus format and the directory
 // ground-truth sidecar.
 //
-// A Truth takes one of two forms. A generated document's, or one decoded
-// into a Doc, holds its parts in the exported fields. A record scanned
-// from an NDJSON corpus or decoded off the cluster wire holds it packed:
-// one string, the corpus writer's rendering, with the exported fields nil
-// (see Packed). Read a truth of either form through View; TruthOf gives
-// a packed one's maps, built afresh (and allocated) on every call, so
-// loops over records read through views instead.
+// A Truth takes one of two forms. A generated or in-memory document's,
+// or one decoded into a Doc, holds its parts in the exported fields. A
+// record scanned from an NDJSON corpus, loaded from a folder with a truth
+// sidecar or decoded off the cluster wire holds it packed: one string,
+// the corpus writer's rendering, with the exported fields nil (see
+// Packed). Read a truth of either form through View; TruthOf gives a
+// packed one's maps, built afresh (and allocated) on every call, so loops
+// over records read through views instead. Both forms marshal to the same
+// JSON (see MarshalJSON).
 type Truth struct {
 	// Topics are the subjects this document is genuinely about, e.g.
 	// ["colorectal cancer", "gene mutation"].

@@ -84,11 +84,12 @@ func docRecord(filename, text string, t *Truth, s *schema.Schema, sourceName str
 
 // TruthOf retrieves the ground truth attached to a record (nil when the
 // record has none, e.g. user-supplied data), with its parts in maps and
-// slices. A record that holds its truth packed (a scanned or wire-decoded
-// one) gets a new Truth on every call, built from the packed string and
-// not kept: that costs the maps on each call, so loops over records read
-// RecordTruth(r).View() instead. Any other record's truth is returned as
-// it is.
+// slices. A record that holds its truth packed (a scanned, folder-loaded
+// or wire-decoded one) gets a new Truth on every call, built from the
+// packed string and not kept: that costs the maps on each call, so loops
+// over records read RecordTruth(r).View() instead. Any other record's
+// truth is returned as it is. The corpus line decoder gives its Docs maps
+// through the same builder.
 func TruthOf(r *record.Record) *Truth {
 	return RecordTruth(r).View().truth()
 }

@@ -27,14 +27,17 @@ import (
 // line made only of the keys filename, text and truth (truth's topics,
 // mentions, labels, fields and numbers; a mention's kind and fields),
 // each at most once, spelled exactly, with a truth object after the
-// filename and text, no nulls except a null truth, and strings that are
-// valid UTF-8 without \u surrogate escapes. Its numbers must parse with
-// strconv.ParseFloat.
+// filename and text, no nulls except a null truth and a mention's null
+// fields, no empty truth member ("labels":{}, which the writer leaves
+// out), and strings that are valid UTF-8 without \u surrogate escapes.
+// Its numbers must parse with strconv.ParseFloat.
 //
-// A scan that wants records rather than Docs (DocReader's NextRecord)
-// and the cluster wire's records take the same fast path but pack the
-// truth: recordTruth renders it from the parsed spans as the corpus
-// writer would (see Truth), with no map built.
+// The fast path has one output: the filename, the text and the truth
+// packed (see Truth), rendered from the parsed spans as the corpus writer
+// would, with no map built. A scan's records (DocReader's NextRecord), a
+// folder sidecar's truths and the cluster wire's records keep it packed;
+// a Doc gets its maps from the packed string, through the one builder
+// TruthOf uses.
 
 // lineReader splits an NDJSON stream into lines and counts each line's
 // true length on disk, terminator included. bufio.ScanLines strips a
@@ -117,20 +120,20 @@ const (
 )
 
 // truthShape locates a parsed truth object: set reports one was read
-// (not null), and its strings fill buf[lo:hi].
+// (not null), and its strings fill buf from lo on.
 type truthShape struct {
 	set                                       bool
-	lo, hi                                    int
+	lo                                        int
 	topics, mentionList, labels, fields, nums list
 }
 
-// docDecoder decodes corpus lines into Docs. Parsing copies every
-// unescaped string of a line into buf and records where it went; build
-// then turns buf into two strings per document. Filename and Text are
-// substrings of the first, every Truth key and value of the second: a
-// record derived downstream may keep the truth and drop the text, and a
-// truth value cut from the text's string would keep all of it alive.
-// buf and the span tables are reused from line to line.
+// docDecoder decodes corpus lines. Parsing copies every unescaped string
+// of a line into buf and records where it went; parts then turns buf into
+// two strings per document. Filename and Text are substrings of the
+// first, and the truth is packed into the second: a record derived
+// downstream may keep the truth and drop the text, and a truth cut from
+// the text's string would keep all of it alive. buf and the span tables
+// are reused from line to line.
 type docDecoder struct {
 	raw []byte
 	pos int
@@ -149,10 +152,12 @@ type docDecoder struct {
 // of returns the text of sp from s, a string made of buf[base:].
 func (sp span) of(s string, base int) string { return s[sp.lo-base : sp.hi-base] }
 
-// decode decodes one corpus line.
+// decode decodes one corpus line into a Doc, whose truth holds maps: a
+// canonical line's packed truth, materialized by the builder TruthOf
+// uses.
 func (d *docDecoder) decode(raw []byte) (*Doc, error) {
-	if doc, ok := d.fast(raw); ok {
-		return doc, nil
+	if filename, text, t, ok := d.line(raw); ok {
+		return &Doc{Filename: filename, Text: text, Truth: t.View().truth()}, nil
 	}
 	doc := new(Doc)
 	if err := json.Unmarshal(raw, doc); err != nil {
@@ -161,38 +166,27 @@ func (d *docDecoder) decode(raw []byte) (*Doc, error) {
 	return doc, nil
 }
 
-// fast decodes a canonical line, or reports false for any other.
-func (d *docDecoder) fast(raw []byte) (*Doc, bool) {
-	if !d.parseLine(raw) {
-		return nil, false
-	}
-	doc := new(Doc)
-	if !d.build(doc) {
-		return nil, false
-	}
-	return doc, true
-}
-
-// parseLine parses raw as a canonical corpus line, or reports false.
-func (d *docDecoder) parseLine(raw []byte) bool {
+// line decodes a canonical corpus line into its filename, text and packed
+// truth (nil for a null one), or reports false for any other line.
+func (d *docDecoder) line(raw []byte) (filename, text string, t *Truth, ok bool) {
 	d.reset(raw, 0)
-	ok := d.doc()
+	ok = d.doc()
 	d.raw = nil
-	return ok
+	if !ok {
+		return "", "", nil, false
+	}
+	return d.parts()
 }
 
 // DecodeTruths decodes a ground-truth sidecar, a JSON array of
-// {"filename", "truth"} objects, into Docs without text. It takes the
-// decoder's fast path, with the keys filename and truth only, and
-// reports false for anything else: a text or unknown key, a null
-// element, or input outside the canonical line shape. The caller then
-// decodes the bytes with encoding/json, which stays the reference.
+// {"filename", "truth"} objects, into Docs without text whose truths are
+// packed (see Truth). It takes the decoder's fast path, with the keys
+// filename and truth only, and reports false for anything else: a text
+// or unknown key, a null element, or input outside the canonical line
+// shape. The caller then decodes the bytes with encoding/json, which
+// stays the reference.
 func DecodeTruths(raw []byte) ([]Doc, bool) {
 	var d docDecoder
-	return d.truths(raw)
-}
-
-func (d *docDecoder) truths(raw []byte) ([]Doc, bool) {
 	d.reset(raw, 0)
 	if !d.eat('[') {
 		return nil, false
@@ -200,11 +194,14 @@ func (d *docDecoder) truths(raw []byte) ([]Doc, bool) {
 	out := []Doc{}
 	for more := !d.eat(']'); more; {
 		d.reset(raw, d.pos)
-		out = append(out, Doc{})
-		if !d.object(entryKeys) || !d.build(&out[len(out)-1]) {
+		if !d.object(entryKeys) {
 			return nil, false
 		}
-		var ok bool
+		filename, _, t, ok := d.parts()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, Doc{Filename: filename, Truth: t})
 		if more, ok = d.sep(']'); !ok {
 			return nil, false
 		}
@@ -218,52 +215,34 @@ func (d *docDecoder) reset(raw []byte, pos int) {
 	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0], out: d.out}
 }
 
-// build fills doc from the document parsed last, or reports false.
-func (d *docDecoder) build(doc *Doc) bool {
-	var ok bool
-	if doc.Filename, doc.Text, ok = d.texts(); !ok || !d.truth.set {
-		return ok
-	}
-	doc.Truth, ok = d.buildTruth()
-	return ok
-}
-
-// texts returns the filename and text of the document parsed last, or
-// reports false.
-func (d *docDecoder) texts() (filename, text string, ok bool) {
+// parts returns the filename, text and packed truth (nil for a null one)
+// of the document parsed last, or reports false.
+func (d *docDecoder) parts() (filename, text string, t *Truth, ok bool) {
 	tlo := len(d.buf)
 	if d.truth.set {
 		tlo = d.truth.lo
 	}
 	if d.filename.hi > tlo || d.text.hi > tlo {
-		return "", "", false // the truth object came first
+		return "", "", nil, false // the truth object came first
+	}
+	if d.truth.set {
+		if t, ok = d.packTruth(); !ok {
+			return "", "", nil, false
+		}
 	}
 	s := string(d.buf[:tlo])
-	return d.filename.of(s, 0), d.text.of(s, 0), true
+	return d.filename.of(s, 0), d.text.of(s, 0), t, true
 }
 
-// fastRecord is fast for a record: it decodes a canonical line into its
-// filename, text and packed truth (nil for a null one), or reports false
-// for any other line.
-func (d *docDecoder) fastRecord(raw []byte) (filename, text string, t *Truth, ok bool) {
-	if !d.parseLine(raw) {
-		return "", "", nil, false
-	}
-	if filename, text, ok = d.texts(); ok && d.truth.set {
-		t, ok = d.recordTruth()
-	}
-	return filename, text, t, ok
-}
-
-// recordTruth builds the truth object parsed last for a record: packed,
-// unless one of its members is an empty list or object. The writer
-// leaves such a member out, so its packed form would read back nil where
-// encoding/json gives an empty one; that truth is built with maps.
-func (d *docDecoder) recordTruth() (*Truth, bool) {
+// packTruth packs the truth object parsed last. It reports false for a
+// member that is present but empty: the writer leaves such a member out,
+// so its packed form would read back nil where encoding/json gives an
+// empty one, and the line takes the fallback.
+func (d *docDecoder) packTruth() (*Truth, bool) {
 	ts := &d.truth
 	for _, l := range [...]list{ts.topics, ts.mentionList, ts.labels, ts.fields, ts.nums} {
 		if l.set && l.hi == l.lo {
-			return d.buildTruth()
+			return nil, false
 		}
 	}
 	var ok bool
@@ -274,9 +253,10 @@ func (d *docDecoder) recordTruth() (*Truth, bool) {
 }
 
 // appendTruth appends the truth object parsed last as jsonWriter's
-// appendTruth appends the Truth buildTruth builds from it: map members in
-// key order, a repeated key's last value only, and numbers in AppendFloat's
-// format. It reports false for a number strconv.ParseFloat rejects.
+// appendTruth appends the Truth encoding/json decodes it to: map members
+// in key order, a repeated key's last value only, and numbers in
+// AppendFloat's format. It reports false for a number strconv.ParseFloat
+// rejects.
 func (d *docDecoder) appendTruth(dst []byte) ([]byte, bool) {
 	ts := &d.truth
 	dst = append(dst, '{')
@@ -330,7 +310,8 @@ func (d *docDecoder) appendStrings(dst []byte, l list) []byte {
 // appendMembers appends the parsed object l, whose values are of the
 // given kind, as the writer appends the map it decodes to. It sorts l's
 // entries in place. It reports false for a number strconv.ParseFloat
-// rejects, a repeated key's earlier value among them, as buildTruth does.
+// rejects, a repeated key's earlier value among them, as json.Unmarshal
+// does.
 func (d *docDecoder) appendMembers(dst []byte, l list, kind int) ([]byte, bool) {
 	es := d.entries[l.lo:l.hi]
 	key := func(e entry) []byte { return d.buf[e.key.lo:e.key.hi] }
@@ -364,55 +345,6 @@ func (d *docDecoder) appendMembers(dst []byte, l list, kind int) ([]byte, bool) 
 		}
 	}
 	return append(dst, '}'), true
-}
-
-// buildTruth builds the truth object parsed last, whose keys and values
-// all become substrings of one string, or reports false.
-func (d *docDecoder) buildTruth() (*Truth, bool) {
-	ts := &d.truth
-	s, base := string(d.buf[ts.lo:ts.hi]), ts.lo
-	t := &Truth{}
-	if ts.topics.set {
-		t.Topics = make([]string, 0, ts.topics.hi-ts.topics.lo)
-		for _, e := range d.entries[ts.topics.lo:ts.topics.hi] {
-			t.Topics = append(t.Topics, e.val.of(s, base))
-		}
-	}
-	if ts.mentionList.set {
-		t.Mentions = make([]Mention, 0, ts.mentionList.hi-ts.mentionList.lo)
-		for _, m := range d.mentions[ts.mentionList.lo:ts.mentionList.hi] {
-			t.Mentions = append(t.Mentions, Mention{Kind: m.kind.of(s, base), Fields: d.stringMap(s, base, m.fields)})
-		}
-	}
-	if ts.labels.set {
-		t.Labels = make(map[string]bool, ts.labels.hi-ts.labels.lo)
-		for _, e := range d.entries[ts.labels.lo:ts.labels.hi] {
-			t.Labels[e.key.of(s, base)] = e.flag
-		}
-	}
-	t.Fields = d.stringMap(s, base, ts.fields)
-	if ts.nums.set {
-		t.Numbers = make(map[string]float64, ts.nums.hi-ts.nums.lo)
-		for _, e := range d.entries[ts.nums.lo:ts.nums.hi] {
-			v, err := strconv.ParseFloat(e.val.of(s, base), 64)
-			if err != nil {
-				return nil, false
-			}
-			t.Numbers[e.key.of(s, base)] = v
-		}
-	}
-	return t, true
-}
-
-func (d *docDecoder) stringMap(s string, base int, l list) map[string]string {
-	if !l.set {
-		return nil
-	}
-	m := make(map[string]string, l.hi-l.lo)
-	for _, e := range d.entries[l.lo:l.hi] {
-		m[e.key.of(s, base)] = e.val.of(s, base)
-	}
-	return m
 }
 
 // Keys of the objects with fixed fields, for field.
@@ -493,7 +425,6 @@ func (d *docDecoder) truthValue() bool {
 			return false
 		}
 	}
-	ts.hi = len(d.buf)
 	return true
 }
 
@@ -529,7 +460,10 @@ func (d *docDecoder) mention() (mentionShape, bool) {
 		case "kind":
 			m.kind, ok = d.str()
 		case "fields":
-			m.fields, ok = d.members(stringValues)
+			// A null leaves fields unset, which packs as null.
+			if ok = d.lit("null"); !ok {
+				m.fields, ok = d.members(stringValues)
+			}
 		}
 		if !ok {
 			return m, false

@@ -38,15 +38,14 @@ func TestDecodeFastPathEveryDomain(t *testing.T) {
 			var dec docDecoder
 			lines := domainLines(t, name, 200, 11)
 			for i, line := range lines {
-				got, ok := dec.fast(line)
-				if !ok {
+				if _, _, _, ok := dec.line(line); !ok {
 					t.Fatalf("line %d takes the fallback: %s", i+1, line)
 				}
 				var want Doc
 				if err := json.Unmarshal(line, &want); err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, &want) {
+				if got, err := dec.decode(line); err != nil || !reflect.DeepEqual(got, &want) {
 					t.Fatalf("line %d decodes to\n%+v\nwant\n%+v", i+1, got, &want)
 				}
 			}
@@ -61,7 +60,7 @@ func TestDecodeFastPathEveryDomain(t *testing.T) {
 // rendering of want's.
 func checkRecordPath(t *testing.T, dec *docDecoder, line []byte, fastOK bool, want *Doc) {
 	t.Helper()
-	filename, text, truth, ok := dec.fastRecord(line)
+	filename, text, truth, ok := dec.line(line)
 	if ok != fastOK {
 		t.Fatalf("the record path takes %q: %v, the fast path: %v", line, ok, fastOK)
 	}
@@ -95,7 +94,7 @@ func TestNextRecordEveryDomain(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkRecordPath(t, &dec, line, true, &want)
-				if _, _, truth, _ := dec.fastRecord(line); truth == nil {
+				if _, _, truth, _ := dec.line(line); truth == nil {
 					t.Fatalf("line %d has no truth", i+1)
 				} else if _, packed := truth.Packed(); !packed {
 					t.Fatalf("line %d keeps its truth in maps", i+1)
@@ -119,6 +118,7 @@ func FuzzDecodeDoc(f *testing.F) {
 		`{"filename":"a.txt","text":"alpha","truth":null}`,
 		`{"filename":"a.txt","text":"alpha","truth":{"topics":[],"mentions":[],"labels":{},"fields":{},"numbers":{}}}`,
 		`{"filename":"a.txt","text":"alpha","truth":{"mentions":[{"kind":"k","fields":{}},{}]}}`,
+		`{"filename":"a.txt","text":"alpha","truth":{"mentions":[{"kind":"k","fields":null},{"fields":null,"kind":"j"}]}}`,
 		`{"filename":"a.txt","text":"alpha","truth":{}}`,
 		`{}`,
 		` { "filename" : "a.txt" , "text" : "b" } `,
@@ -155,13 +155,13 @@ func FuzzDecodeDoc(f *testing.F) {
 		var want Doc
 		wantErr := json.Unmarshal(line, &want)
 		var dec docDecoder
-		got, fastOK := dec.fast(line)
+		_, _, _, fastOK := dec.line(line)
 		if fastOK {
 			if wantErr != nil {
 				t.Fatalf("fast path accepts a line json.Unmarshal rejects (%v): %q", wantErr, line)
 			}
-			if !reflect.DeepEqual(got, &want) {
-				t.Fatalf("fast path decodes %q to\n%+v\nwant\n%+v", line, got, &want)
+			if got, err := dec.decode(line); err != nil || !reflect.DeepEqual(got, &want) {
+				t.Fatalf("fast path decodes %q to\n%+v, %v\nwant\n%+v", line, got, err, &want)
 			}
 		}
 		checkRecordPath(t, &dec, line, fastOK, &want)

@@ -346,7 +346,7 @@ func (r *DocReader) NextRecord(s *schema.Schema, sourceName string) (*record.Rec
 	if err != nil {
 		return nil, err
 	}
-	if filename, text, t, ok := r.dec.fastRecord(raw); ok {
+	if filename, text, t, ok := r.dec.line(raw); ok {
 		return docRecord(filename, text, t, s, sourceName)
 	}
 	d := new(Doc)

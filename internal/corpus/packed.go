@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"encoding/json"
 	"strconv"
 	"strings"
 
@@ -8,11 +9,12 @@ import (
 )
 
 // Packed truths: a record scanned from an NDJSON corpus (DocReader's
-// NextRecord) or decoded off the cluster wire (RecordsDecoder) holds its
-// truth as one immutable string, the truth exactly as the corpus writer
-// renders it, with Truth's exported parts left nil. A scan keeps every
-// record it passes on until the query ends, and five maps per record were
-// most of what it kept. The oracle, the metrics and the optimizer read
+// NextRecord), loaded from a folder with a truth sidecar (DecodeTruths)
+// or decoded off the cluster wire (RecordsDecoder) holds its truth as one
+// immutable string, the truth exactly as the corpus writer renders it,
+// with Truth's exported parts left nil. A scan keeps every record it
+// passes on until the query ends, and five maps per record were most of
+// what it kept. The oracle, the metrics and the optimizer read
 // either form through a TruthView, which answers by name without building
 // a map; TruthOf builds the maps of a packed truth afresh on each call.
 //
@@ -20,7 +22,9 @@ import (
 // field order, map keys sorted and unique, strings escaped by
 // AppendString and numbers written by AppendFloat. The readers below
 // rely on that shape and check nothing else; only the corpus line
-// decoder makes packed truths, from what it parsed.
+// decoder makes packed truths, from what it parsed, and TruthView.truth
+// is the one builder that turns one into maps (for TruthOf, and for the
+// Docs the decoder gives).
 
 // Packed returns t's packed rendering and true, or false when t holds
 // its parts in maps and slices or is nil.
@@ -42,6 +46,19 @@ func (t *Truth) Canonical() (string, bool) {
 	var w jsonWriter
 	b, ok := w.appendTruth(nil, t)
 	return string(b), ok
+}
+
+// MarshalJSON writes t as Canonical renders it, which for a truth with
+// maps is what encoding/json writes for its exported fields: without it,
+// a packed truth, whose string is unexported, would marshal as {}.
+func (t *Truth) MarshalJSON() ([]byte, error) {
+	var w jsonWriter
+	if b, ok := w.appendTruth(nil, t); ok {
+		return b, nil
+	}
+	// A NaN or an infinity: encoding/json's error for it.
+	type fields Truth // Truth without this method
+	return json.Marshal((*fields)(t))
 }
 
 // RecordTruth returns the truth r holds, in whichever form, without

@@ -158,7 +158,7 @@ func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool)
 }
 
 // record decodes one wire record. Its value strings become substrings of
-// one string, its truth is packed into another (see recordTruth), and a
+// one string, its truth is packed into another (see packTruth), and a
 // source equal to the last one shares its string.
 func (c *RecordsDecoder) record() (*record.Record, bool) {
 	d := &c.d
@@ -189,7 +189,7 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 	var t *Truth
 	if d.truth.set {
 		var ok bool
-		if t, ok = d.recordTruth(); !ok {
+		if t, ok = d.packTruth(); !ok {
 			return nil, false
 		}
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/record"
 )
 
@@ -36,5 +37,27 @@ func TestScanAllocsPerDoc(t *testing.T) {
 		t.Errorf("IterateRecords: %.2f allocs per doc, want <= 8", got)
 	} else {
 		t.Logf("IterateRecords: %.2f allocs per doc", got)
+	}
+}
+
+// TestSidecarAllocsPerDoc bounds what decoding a folder's truth sidecar
+// allocates per document: one string for the filename, the packed truth
+// string and the Truth, with the entry slices amortized over 40
+// contracts. A truth decoded into maps costs about 17 more.
+func TestSidecarAllocsPerDoc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const docs = 40
+	data := sidecarBytes(t, corpus.DomainLegal, docs, 7)
+	perRun := testing.AllocsPerRun(20, func() {
+		if _, err := decodeSidecar(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := perRun / docs; got > 6 {
+		t.Errorf("decodeSidecar: %.2f allocs per doc, want <= 6", got)
+	} else {
+		t.Logf("decodeSidecar: %.2f allocs per doc", got)
 	}
 }

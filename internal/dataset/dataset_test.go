@@ -277,7 +277,7 @@ func TestSidecarRoundTrip(t *testing.T) {
 		t.Fatalf("truths = %d", len(truths))
 	}
 	for _, d := range docs {
-		gt := truths[d.Filename]
+		gt := truthMaps(truths[d.Filename]) // the sidecar's truths are packed
 		if gt == nil || !gt.Labels[corpus.IndemnificationLabel] {
 			t.Errorf("%s: sidecar truth wrong: %+v", d.Filename, gt)
 		}

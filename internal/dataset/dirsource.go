@@ -387,8 +387,9 @@ func loadSidecar(path string) (map[string]*corpus.Truth, error) {
 }
 
 // decodeSidecar decodes sidecar bytes through the corpus line decoder,
-// or through encoding/json when the decoder declines them: the same
-// entries, or the same error, json.Unmarshal gives.
+// whose truths are packed, or through encoding/json, with maps, when the
+// decoder declines them: the same entries, or the same error,
+// json.Unmarshal gives.
 func decodeSidecar(data []byte) ([]sidecarEntry, error) {
 	if docs, ok := corpus.DecodeTruths(data); ok {
 		entries := make([]sidecarEntry, len(docs))

@@ -85,19 +85,26 @@ const statsSampleDocs = 16
 
 // NDJSONSource is a file-backed dataset over an on-disk NDJSON corpus
 // (see internal/corpus: one JSON document + embedded ground truth per
-// line, manifest alongside). Records yields everything at once, but the
+// line, manifest alongside), or over one contiguous byte range of it
+// (NewNDJSONRangeSource). Records yields everything at once, but the
 // source's point is the streaming capabilities: it implements
-// RecordIterator, so the executor reads the file
-// batch by batch in constant memory, and Stater, so the optimizer costs a
-// pipeline without loading the corpus at all.
+// RecordIterator, so the executor reads the file batch by batch in
+// constant memory, and Stater, so the optimizer costs a pipeline without
+// loading the corpus at all. The records it yields hold their truths
+// packed (see corpus.Truth).
 type NDJSONSource struct {
 	name   string
 	path   string
 	schema *schema.Schema
 	stats  SourceStats
+	// offset and docs restrict a range source to its slice of the file;
+	// docs is 0 for the whole file.
+	offset int64
+	docs   int
 	// manifest is the corpus manifest when present; its partition index
 	// (if any) is what backs the PartitionedSource capability, and its
-	// embeddings reference (if any) the EmbeddingSource capability.
+	// embeddings reference (if any) the EmbeddingSource capability. A
+	// range source loads none.
 	manifest *corpus.Manifest
 
 	embedOnce sync.Once
@@ -111,15 +118,52 @@ type NDJSONSource struct {
 // manifest when present and a line count otherwise, and the average
 // record size is estimated from the first documents.
 func NewNDJSONSource(name, path string) (*NDJSONSource, error) {
-	r, err := corpus.OpenNDJSON(path)
+	return (&NDJSONSource{name: name, path: path}).sample()
+}
+
+// NewNDJSONRangeSource prepares a source over the corpus slice [offset,
+// offset+docs), where offset falls on a document boundary: the
+// worker-side view of a scattered partition. The cluster coordinator
+// splits an indexed corpus with PartitionRanges and each worker registers
+// the range it was handed, so a per-partition sub-plan runs against
+// precisely the records of that partition. The schema and average record
+// size come from the range's first documents, as in NewNDJSONSource; an
+// offset off a document boundary or a range past EOF surfaces here, at
+// registration, rather than mid-pipeline. It loads no manifest, so it
+// offers no partitions or embeddings.
+func NewNDJSONRangeSource(name, path string, offset int64, docs int) (*NDJSONSource, error) {
+	if docs < 1 {
+		return nil, fmt.Errorf("dataset: range over %s needs at least 1 document, got %d", path, docs)
+	}
+	return (&NDJSONSource{name: name, path: path, offset: offset, docs: docs}).sample()
+}
+
+// open opens a reader over the source's documents.
+func (n *NDJSONSource) open() (*corpus.DocReader, error) {
+	var r *corpus.DocReader
+	var err error
+	if n.docs > 0 {
+		r, err = corpus.OpenNDJSONRange(n.path, n.offset, n.docs)
+	} else {
+		r, err = corpus.OpenNDJSON(n.path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
+	return r, nil
+}
+
+// sample fills in n's cardinality, manifest, schema and average record
+// size from its reader and first documents, and returns n.
+func (n *NDJSONSource) sample() (*NDJSONSource, error) {
+	r, err := n.open()
+	if err != nil {
+		return nil, err
+	}
 	defer r.Close()
-	src := &NDJSONSource{name: name, path: path, stats: SourceStats{NumRecords: r.Len()},
-		manifest: r.Manifest()}
+	n.stats.NumRecords, n.manifest = r.Len(), r.Manifest()
 	totalTokens, sampled := 0, 0
-	for sampled < statsSampleDocs {
+	for ; sampled < statsSampleDocs; sampled++ {
 		d, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			break
@@ -129,23 +173,20 @@ func NewNDJSONSource(name, path string) (*NDJSONSource, error) {
 			// rather than later from an executing pipeline.
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
-		if src.schema == nil {
+		if n.schema == nil {
 			s, ok := schema.ForExtension(filepath.Ext(d.Filename))
 			if !ok {
 				s = schema.TextFile
 			}
-			src.schema = s
+			n.schema = s
 		}
 		totalTokens += llm.CountTokens(d.Text)
-		sampled++
 	}
-	if src.schema == nil {
-		return nil, fmt.Errorf("dataset: corpus %s contains no documents", path)
+	if n.schema == nil {
+		return nil, fmt.Errorf("dataset: corpus %s contains no documents", n.path)
 	}
-	if sampled > 0 {
-		src.stats.AvgTokens = float64(totalTokens) / float64(sampled)
-	}
-	return src, nil
+	n.stats.AvgTokens = float64(totalTokens) / float64(sampled)
+	return n, nil
 }
 
 // Name implements Source.
@@ -183,19 +224,19 @@ func (n *NDJSONSource) Embeddings() (*corpus.EmbedIndex, error) {
 
 // IterateRecords implements RecordIterator: each call re-opens the file
 // and decodes one document at a time, so memory stays constant in the
-// corpus size.
+// corpus size and concurrent iterations never share state beyond the
+// file itself.
 func (n *NDJSONSource) IterateRecords(yield func(*record.Record) error) error {
-	r, err := corpus.OpenNDJSON(n.path)
+	r, err := n.open()
 	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
+		return err
 	}
 	return drainDocs(r, n.schema, n.name, yield)
 }
 
 // drainDocs yields every document of r as a record under schema s and
-// source name, closing r when done — the shared read loop of NDJSONSource
-// and NDJSONRangeSource. Records are built straight from the corpus lines
-// and hold their truths packed (see corpus.Truth).
+// source name, closing r when done: the read loop of IterateRecords and
+// IteratePartition. Records are built straight from the corpus lines.
 func drainDocs(r *corpus.DocReader, s *schema.Schema, source string, yield func(*record.Record) error) error {
 	defer r.Close()
 	for {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/record"
+	"repro/internal/schema"
 )
 
 // textFolder writes name→contents as files into a new directory and
@@ -263,9 +265,38 @@ func sidecarBytes(t testing.TB, name string, n int, seed int64) []byte {
 
 var allDomains = []string{corpus.DomainBiomed, corpus.DomainLegal, corpus.DomainRealEstate, corpus.DomainSupport, corpus.DomainFinance}
 
+// truthMaps returns t with its parts in maps, as TruthOf gives it.
+func truthMaps(t *corpus.Truth) *corpus.Truth {
+	r := record.MustNew(schema.TextFile, map[string]any{"filename": "f"})
+	r.SetTruth(t)
+	return corpus.TruthOf(r)
+}
+
+// checkEntries checks the sidecar entries decodeSidecar gives for data
+// against want, json.Unmarshal's: the same entries in the same order,
+// each truth's maps reflect.DeepEqual to want's, and a packed truth's
+// string the corpus writer's rendering of want's.
+func checkEntries(t *testing.T, data []byte, got, want []sidecarEntry) {
+	t.Helper()
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("decodeSidecar %q gives %d entries (nil %v), want %d (nil %v)", data, len(got), got == nil, len(want), want == nil)
+	}
+	for i, w := range want {
+		g := got[i]
+		if maps := truthMaps(g.Truth); g.Filename != w.Filename || !reflect.DeepEqual(maps, w.Truth) {
+			t.Fatalf("decodeSidecar %q: entry %d is %q, %+v; want %+v", data, i, g.Filename, maps, w)
+		}
+		if p, packed := g.Truth.Packed(); packed {
+			if c, ok := w.Truth.Canonical(); !ok || p != c {
+				t.Fatalf("decodeSidecar %q: entry %d packs\n%s\nthe writer renders\n%s", data, i, p, c)
+			}
+		}
+	}
+}
+
 // TestSidecarFastPathEveryDomain: the sidecar WriteSidecar writes, in
-// every domain, takes the corpus decoder's fast path and decodes to what
-// json.Unmarshal gives.
+// every domain, takes the corpus decoder's fast path, keeps every truth
+// packed, and decodes to what json.Unmarshal gives.
 func TestSidecarFastPathEveryDomain(t *testing.T) {
 	for _, name := range allDomains {
 		data := sidecarBytes(t, name, 40, 11)
@@ -278,15 +309,22 @@ func TestSidecarFastPathEveryDomain(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := decodeSidecar(data)
-		if err != nil || len(docs) != len(want) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: decodeSidecar = %+v, %v\nwant %+v", name, got, err, want)
+		if err != nil || len(docs) != len(want) {
+			t.Fatalf("%s: decodeSidecar = %d entries, %v; want %d", name, len(got), err, len(want))
+		}
+		checkEntries(t, data, got, want)
+		for _, e := range got {
+			if _, packed := e.Truth.Packed(); !packed {
+				t.Fatalf("%s: %s keeps its truth in maps", name, e.Filename)
+			}
 		}
 	}
 }
 
 // FuzzDecodeSidecar checks the sidecar reader against encoding/json, the
-// reference: for any bytes, both give reflect.DeepEqual entries, or both
-// fail with the same error. Run longer with
+// reference: for any bytes, both fail with the same error, or both give
+// the same entries (checkEntries), and the fast path keeps every truth it
+// takes packed. Run longer with
 // `go test -fuzz FuzzDecodeSidecar ./internal/dataset`.
 func FuzzDecodeSidecar(f *testing.F) {
 	for _, name := range allDomains {
@@ -306,6 +344,8 @@ func FuzzDecodeSidecar(f *testing.F) {
 		`[{"filename":"a.txt","filename":"b.txt"}]`,
 		`[{"filename":"a.txt"},{"filename":"a.txt","truth":{"labels":{"x":true}}}]`,
 		`[{"filename":"a.txt","truth":{"numbers":{"big":1e400}}}]`,
+		`[{"filename":"a.txt","truth":{"labels":{},"mentions":[{"kind":"k","fields":null}]}}]`,
+		`[{"filename":"a.txt","truth":{"mentions":[{"kind":"k","fields":{}},{"fields":null}]}}]`,
 		`[{"filename":"a.txt"},]`,
 		`[{"filename":"a.txt"}] trailing`,
 		`[{"filename":"a.txt"}`,
@@ -316,8 +356,15 @@ func FuzzDecodeSidecar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want []sidecarEntry
 		wantErr := json.Unmarshal(data, &want)
-		if docs, ok := corpus.DecodeTruths(data); ok && wantErr != nil {
-			t.Fatalf("fast path accepts %d entries json.Unmarshal rejects (%v): %q", len(docs), wantErr, data)
+		if docs, ok := corpus.DecodeTruths(data); ok {
+			if wantErr != nil {
+				t.Fatalf("fast path accepts %d entries json.Unmarshal rejects (%v): %q", len(docs), wantErr, data)
+			}
+			for _, d := range docs {
+				if _, packed := d.Truth.Packed(); d.Truth != nil && !packed {
+					t.Fatalf("fast path keeps %s's truth in maps: %q", d.Filename, data)
+				}
+			}
 		}
 		got, err := decodeSidecar(data)
 		switch {
@@ -325,8 +372,8 @@ func FuzzDecodeSidecar(f *testing.F) {
 			t.Fatalf("decodeSidecar error %v, json.Unmarshal error %v: %q", err, wantErr, data)
 		case err != nil && err.Error() != wantErr.Error():
 			t.Fatalf("decodeSidecar error %q, want %q", err, wantErr)
-		case err == nil && !reflect.DeepEqual(got, want):
-			t.Fatalf("decodeSidecar %q gives\n%+v\nwant\n%+v", data, got, want)
+		case err == nil:
+			checkEntries(t, data, got, want)
 		}
 	})
 }
