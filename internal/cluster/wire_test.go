@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/corpus"
 	"repro/internal/record"
@@ -94,14 +95,20 @@ func sameRecords(a, b []*record.Record) bool {
 }
 
 // packedAsWritten reports whether every truth of got that the decoder
-// packed is the corpus writer's rendering of the truth of ref's record at
-// the same index.
-func packedAsWritten(got, ref []*record.Record) bool {
+// packed, from the chunk line, is the truth's bytes on the line, in
+// record order, and the corpus writer's rendering of the truth of ref's
+// record at the same index.
+func packedAsWritten(got, ref []*record.Record, line []byte) bool {
 	for i := range got {
 		p, packed := corpus.RecordTruth(got[i]).Packed()
 		if !packed {
 			continue
 		}
+		at := bytes.Index(line, []byte(`,"truth":`+p))
+		if at < 0 {
+			return false
+		}
+		line = line[at+1:]
 		want, ok := corpus.RecordTruth(ref[i]).Canonical()
 		if !ok || p != want {
 			return false
@@ -230,6 +237,9 @@ func FuzzWireChunk(f *testing.F) {
 		`{"seq":0,"records":[{"values":{"filename":"😀"}}]}`,
 		"{\"seq\":0,\"records\":[{\"values\":{\"filename\":\"bad \xff\"}}]}",
 		`{"seq":0,"records":[{"values":{"filename":"a"},"truth":{"numbers":{"n":1e400}}}]}`,
+		`{"seq":0,"records":[{"values":{"filename":"a"},"truth":{"topics": ["a"]}},{"truth":{"topics":["\u00e9"]}}]}`,
+		`{"seq":0,"records":[{"values":{"filename":"a"},"truth":{"labels":{"y":true,"x":false},"numbers":{"n":1.0}}}]}`,
+		`{"seq":0,"records":[{"values":{"filename":"\ud83d\ude00 \ud83d"},"truth":{"mentions":[{"kind":"k","fields":{}}]}}]}`,
 		`{"seq":0,"records":[{"values":{"filename":"a"},"Source":"s"}]}`,
 		`{"seq":4,"done":true,"elapsed_sim_ns":1500000001,"cost_usd":0.25}`,
 		`{"seq":0,"error":"boom"}`,
@@ -268,7 +278,7 @@ func FuzzWireChunk(f *testing.F) {
 			t.Fatalf("fast path takes a terminal chunk as a record chunk: %q", line)
 		case seq != ch.Seq || !sameRecords(got, want):
 			t.Fatalf("fast path decodes %q to seq %d, %v; the reference to seq %d, %v", line, seq, got, ch.Seq, want)
-		case !packedAsWritten(got, want):
+		case !packedAsWritten(got, want, line):
 			t.Fatalf("fast path packs a truth of %q otherwise than the writer renders the reference's", line)
 		}
 	})
@@ -301,9 +311,10 @@ func withInputs(t *corpus.Truth, key, text string, x float64) *corpus.Truth {
 // and one of a built-in domain, the encoder writes json.Encoder's bytes
 // (HTML escaping off), or declines exactly where encoding/json fails; the
 // decoder's fast path reads every chunk it writes back to what the
-// reference reads; and the records it reads, whose truths are packed,
-// encode to encoding/json's bytes too. Run longer with
-// `go test -fuzz FuzzAppendRecord ./internal/cluster`.
+// reference reads, unless a string is invalid UTF-8, and then the chunk
+// takes the fallback to the same records; and the records it reads,
+// whose truths are packed, encode to encoding/json's bytes too. Run
+// longer with `go test -fuzz FuzzAppendRecord ./internal/cluster`.
 func FuzzAppendRecord(f *testing.F) {
 	docs := make([]*corpus.Doc, len(wireDomains))
 	for i, name := range wireDomains {
@@ -348,13 +359,25 @@ func FuzzAppendRecord(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The writer escapes invalid UTF-8 as \ufffd, which decodes to a
+			// U+FFFD that the writer writes raw: such a truth is not in the
+			// writer's bytes for what it decodes to, so its chunk takes the
+			// fallback.
+			exact := utf8.ValidString(text) && utf8.ValidString(key)
 			var dec corpus.RecordsDecoder
 			seq, got, ok := decodeRecordChunk(&dec, line, wireSchema, nil)
-			if !ok || seq != ch.Seq || !sameRecords(got, ref) || !packedAsWritten(got, ref) {
+			if !exact {
+				if ok {
+					t.Fatalf("the fast path takes a truth that is not in the writer's bytes: %q", line)
+				}
+				if _, got, err = decodeChunk(&dec, line, wireSchema, nil); err != nil || !sameRecords(got, ref) {
+					t.Fatalf("the fallback decodes %q to %v, %v; the reference to %v", line, got, err, ref)
+				}
+				seq = ch.Seq
+			} else if !ok || seq != ch.Seq || !sameRecords(got, ref) || !packedAsWritten(got, ref, line) {
 				t.Fatalf("fast path (ok=%v) decodes %q to seq %d, %v; the reference to seq %d, %v",
 					ok, line, seq, got, ch.Seq, ref)
-			}
-			if _, packed := corpus.RecordTruth(got[0]).Packed(); !packed {
+			} else if _, packed := corpus.RecordTruth(got[0]).Packed(); !packed {
 				t.Fatalf("the fast path keeps a truth of %q in maps", line)
 			}
 			again, ok := encodeChunk(&enc, seq, got)

@@ -48,7 +48,10 @@ import (
 // record scanned from an NDJSON corpus, loaded from a folder with a truth
 // sidecar or decoded off the cluster wire holds it packed: one string,
 // the corpus writer's rendering, with the exported fields nil (see
-// Packed). Read a truth of either form through View; TruthOf gives a
+// Packed). The decoder packs a truth only when its input holds it in
+// exactly those bytes, and then copies them; any other input takes the
+// encoding/json fallback and gives the map form. Read a truth of either
+// form through View; TruthOf gives a
 // packed one's maps, built afresh (and allocated) on every call, so loops
 // over records read through views instead. Both forms marshal to the same
 // JSON (see MarshalJSON).

@@ -10,16 +10,18 @@ import (
 
 // The truth shape's writer: this file appends, without reflection, the
 // bytes a json.Encoder with SetEscapeHTML(false) writes for a corpus line
-// (WriteNDJSON) and for the records of the cluster wire (RecordEncoder):
-// sorted map keys, omitempty as Truth's tags say, encoding/json's float
-// format and string escapes. docDecoder reads both back. A value the
-// writer does not cover makes it decline: NaN or an infinity, which
-// encoding/json cannot encode either, or a field value of a Go type
-// record.New does not store. The caller then fails; encoding/json stays
-// the reference in the tests. AppendString and AppendFloat are also the
-// HTTP responses' string escaper (with HTML escaping on) and number
-// format (internal/serve), so one escaper owns the JSON strings on disk,
-// on the wire and over HTTP.
+// (WriteNDJSON) and for the records of the cluster wire (RecordEncoder),
+// and the truths of a folder's sidecar (AppendTruths): sorted map keys,
+// omitempty as Truth's tags say, encoding/json's float format and string
+// escapes. docDecoder reads all three back and packs a truth only when it
+// is in these bytes, so jsonWriter is the one code that renders a truth.
+// A value the writer does not cover makes it decline: NaN or an
+// infinity, which encoding/json cannot encode either, or a field value of
+// a Go type record.New does not store. The caller then fails;
+// encoding/json stays the reference in the tests. AppendString and
+// AppendFloat are also the HTTP responses' string escaper (with HTML
+// escaping on) and number format (internal/serve), so one escaper owns
+// the JSON strings on disk, on the wire and over HTTP.
 
 // jsonWriter appends JSON. keys is scratch for sorting one map's keys.
 type jsonWriter struct{ keys []string }

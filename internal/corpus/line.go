@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"slices"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -20,24 +19,25 @@ import (
 // objects, decodes through the same parser (DecodeTruths), and so does
 // each record's truth on the cluster wire (RecordsDecoder).
 //
-// docDecoder has a fast path for the canonical line shape — what
-// WriteNDJSON writes — and hands every other line to encoding/json, which
-// stays the reference: a line decodes to exactly the Doc, or fails with
-// exactly the error, that json.Unmarshal gives. The fast path takes a
-// line made only of the keys filename, text and truth (truth's topics,
-// mentions, labels, fields and numbers; a mention's kind and fields),
-// each at most once, spelled exactly, with a truth object after the
-// filename and text, no nulls except a null truth and a mention's null
-// fields, no empty truth member ("labels":{}, which the writer leaves
-// out), and strings that are valid UTF-8 without \u surrogate escapes.
-// Its numbers must parse with strconv.ParseFloat.
+// docDecoder has a fast path for the line shape WriteNDJSON writes and
+// hands every other line to encoding/json, which stays the reference: a
+// line decodes to exactly the Doc, or fails with exactly the error, that
+// json.Unmarshal gives. The fast path takes a line made only of the keys
+// filename, text and truth, each at most once, spelled exactly and in
+// any order. The filename and text may be any JSON strings; they decode
+// as encoding/json decodes them. The truth must be null or byte for byte
+// what the corpus writer (jsonWriter's appendTruth) writes for the truth
+// it decodes to: members in Truth's field order, none of them empty;
+// both members of a mention, kind then fields; map keys strictly
+// increasing; no whitespace; strings escaped exactly as AppendString
+// escapes them and numbers written exactly as AppendFloat writes them.
 //
-// The fast path has one output: the filename, the text and the truth
-// packed (see Truth), rendered from the parsed spans as the corpus writer
-// would, with no map built. A scan's records (DocReader's NextRecord), a
-// folder sidecar's truths and the cluster wire's records keep it packed;
-// a Doc gets its maps from the packed string, through the one builder
-// TruthOf uses.
+// So the fast path renders nothing. Its one output is the filename, the
+// text and the truth packed (see Truth) as a copy of the truth's bytes
+// on the line, with no map built. A scan's records (DocReader's
+// NextRecord), a folder sidecar's truths and the cluster wire's records
+// keep it packed; a Doc gets its maps from the packed string, through
+// the one builder TruthOf uses.
 
 // lineReader splits an NDJSON stream into lines and counts each line's
 // true length on disk, terminator included. bufio.ScanLines strips a
@@ -88,72 +88,34 @@ func (lr *lineReader) next() ([]byte, bool) {
 
 func (lr *lineReader) err() error { return lr.sc.Err() }
 
-// span is the byte range [lo, hi) of a docDecoder's string buffer.
+// span is the byte range [lo, hi) of a docDecoder's string buffer, or a
+// run of its entries.
 type span struct{ lo, hi int }
 
-// entry is one decoded list element (val) or map member (key, val, or
-// key and flag for a bool map). Number values are spans too: their
-// literal is copied to the buffer and parsed when the Doc is built.
-type entry struct {
-	key, val span
-	flag     bool
-}
-
-// list is a run of decoded elements: entries[lo:hi], or mentions[lo:hi]
-// for truth.mentions. set records that the member was present, because
-// encoding/json decodes "[]" and "{}" to empty, non-nil values.
-type list struct {
-	lo, hi int
-	set    bool
-}
-
-type mentionShape struct {
-	kind   span
-	fields list
-}
-
-// Kinds of map value members decodes.
-const (
-	boolValues = iota
-	stringValues
-	numberValues
-)
-
-// truthShape locates a parsed truth object: set reports one was read
-// (not null), and its strings fill buf from lo on.
-type truthShape struct {
-	set                                       bool
-	lo                                        int
-	topics, mentionList, labels, fields, nums list
-}
-
 // docDecoder decodes corpus lines. Parsing copies every unescaped string
-// of a line into buf and records where it went; parts then turns buf into
-// two strings per document. Filename and Text are substrings of the
-// first, and the truth is packed into the second: a record derived
-// downstream may keep the truth and drop the text, and a truth cut from
-// the text's string would keep all of it alive. buf and the span tables
-// are reused from line to line.
+// of a line into buf and records where it went, and notes the bytes the
+// truth takes; parts then makes two strings per document. Filename and
+// Text are substrings of the first, and the packed truth is the second,
+// a copy of the truth's bytes: a record derived downstream may keep the
+// truth and drop the text, and a truth cut from the text's string would
+// keep all of it alive. buf and entries are reused from line to line.
 type docDecoder struct {
 	raw []byte
 	pos int
 	buf []byte
-
-	entries  []entry
-	mentions []mentionShape
+	// entries are the elements of a wire record's string lists.
+	entries []span
 
 	filename, text span
-	truth          truthShape
-
-	// out is scratch for rendering a packed truth.
-	out []byte
+	// truth is the bytes of raw the truth takes, nil for none or null.
+	truth []byte
 }
 
 // of returns the text of sp from s, a string made of buf[base:].
 func (sp span) of(s string, base int) string { return s[sp.lo-base : sp.hi-base] }
 
 // decode decodes one corpus line into a Doc, whose truth holds maps: a
-// canonical line's packed truth, materialized by the builder TruthOf
+// fast-path line's packed truth, materialized by the builder TruthOf
 // uses.
 func (d *docDecoder) decode(raw []byte) (*Doc, error) {
 	if filename, text, t, ok := d.line(raw); ok {
@@ -166,8 +128,8 @@ func (d *docDecoder) decode(raw []byte) (*Doc, error) {
 	return doc, nil
 }
 
-// line decodes a canonical corpus line into its filename, text and packed
-// truth (nil for a null one), or reports false for any other line.
+// line decodes a fast-path corpus line into its filename, text and
+// packed truth (nil for a null one), or reports false for any other line.
 func (d *docDecoder) line(raw []byte) (filename, text string, t *Truth, ok bool) {
 	d.reset(raw, 0)
 	ok = d.doc()
@@ -175,184 +137,88 @@ func (d *docDecoder) line(raw []byte) (filename, text string, t *Truth, ok bool)
 	if !ok {
 		return "", "", nil, false
 	}
-	return d.parts()
+	filename, text, t = d.parts()
+	return filename, text, t, true
 }
 
 // DecodeTruths decodes a ground-truth sidecar, a JSON array of
 // {"filename", "truth"} objects, into Docs without text whose truths are
-// packed (see Truth). It takes the decoder's fast path, with the keys
-// filename and truth only, and reports false for anything else: a text
-// or unknown key, a null element, or input outside the canonical line
-// shape. The caller then decodes the bytes with encoding/json, which
-// stays the reference.
+// packed (see Truth), each a copy of its bytes in raw. It takes the
+// decoder's fast path, with the keys filename and truth only, and reports
+// false for anything else: a text or unknown key, a null element, or a
+// truth in other bytes than the corpus writer's, such as an indented one.
+// The caller then decodes the bytes with encoding/json, which stays the
+// reference. AppendTruths writes what it takes.
 func DecodeTruths(raw []byte) ([]Doc, bool) {
 	var d docDecoder
 	d.reset(raw, 0)
-	if !d.eat('[') {
+	if !d.lit("[") {
 		return nil, false
 	}
 	out := []Doc{}
-	for more := !d.eat(']'); more; {
+	for more := !d.lit("]"); more; {
 		d.reset(raw, d.pos)
 		if !d.object(entryKeys) {
 			return nil, false
 		}
-		filename, _, t, ok := d.parts()
-		if !ok {
-			return nil, false
-		}
+		filename, _, t := d.parts()
 		out = append(out, Doc{Filename: filename, Truth: t})
-		if more, ok = d.sep(']'); !ok {
+		var ok bool
+		if more, ok = d.sep("]"); !ok {
 			return nil, false
 		}
 	}
 	return out, d.end()
 }
 
-// reset clears the state of the last document decoded, keeping the
-// reused buffers, to decode the document that starts at raw[pos:].
-func (d *docDecoder) reset(raw []byte, pos int) {
-	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0], mentions: d.mentions[:0], out: d.out}
-}
-
-// parts returns the filename, text and packed truth (nil for a null one)
-// of the document parsed last, or reports false.
-func (d *docDecoder) parts() (filename, text string, t *Truth, ok bool) {
-	tlo := len(d.buf)
-	if d.truth.set {
-		tlo = d.truth.lo
-	}
-	if d.filename.hi > tlo || d.text.hi > tlo {
-		return "", "", nil, false // the truth object came first
-	}
-	if d.truth.set {
-		if t, ok = d.packTruth(); !ok {
-			return "", "", nil, false
-		}
-	}
-	s := string(d.buf[:tlo])
-	return d.filename.of(s, 0), d.text.of(s, 0), t, true
-}
-
-// packTruth packs the truth object parsed last. It reports false for a
-// member that is present but empty: the writer leaves such a member out,
-// so its packed form would read back nil where encoding/json gives an
-// empty one, and the line takes the fallback.
-func (d *docDecoder) packTruth() (*Truth, bool) {
-	ts := &d.truth
-	for _, l := range [...]list{ts.topics, ts.mentionList, ts.labels, ts.fields, ts.nums} {
-		if l.set && l.hi == l.lo {
-			return nil, false
-		}
-	}
-	var ok bool
-	if d.out, ok = d.appendTruth(d.out[:0]); !ok {
-		return nil, false
-	}
-	return &Truth{packed: string(d.out)}, true
-}
-
-// appendTruth appends the truth object parsed last as jsonWriter's
-// appendTruth appends the Truth encoding/json decodes it to: map members
-// in key order, a repeated key's last value only, and numbers in
-// AppendFloat's format. It reports false for a number strconv.ParseFloat
-// rejects.
-func (d *docDecoder) appendTruth(dst []byte) ([]byte, bool) {
-	ts := &d.truth
-	dst = append(dst, '{')
-	if ts.topics.set {
-		dst = d.appendStrings(member(dst, `"topics":`), ts.topics)
-	}
-	if ts.mentionList.set {
-		dst = member(dst, `"mentions":[`)
-		for i, m := range d.mentions[ts.mentionList.lo:ts.mentionList.hi] {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendBytes(append(dst, `{"kind":`...), d.buf[m.kind.lo:m.kind.hi], false)
-			dst = append(dst, `,"fields":`...)
-			if m.fields.set {
-				dst, _ = d.appendMembers(dst, m.fields, stringValues)
-			} else {
-				dst = append(dst, "null"...)
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	if ts.labels.set {
-		dst, _ = d.appendMembers(member(dst, `"labels":`), ts.labels, boolValues)
-	}
-	if ts.fields.set {
-		dst, _ = d.appendMembers(member(dst, `"fields":`), ts.fields, stringValues)
-	}
-	if ts.nums.set {
-		var ok bool
-		if dst, ok = d.appendMembers(member(dst, `"numbers":`), ts.nums, numberValues); !ok {
-			return dst, false
-		}
-	}
-	return append(dst, '}'), true
-}
-
-// appendStrings appends the parsed array of strings l.
-func (d *docDecoder) appendStrings(dst []byte, l list) []byte {
+// AppendTruths appends docs' filenames and truths to dst as a
+// ground-truth sidecar that DecodeTruths takes whole: a JSON array with
+// one {"filename", "truth"} object per line, each truth in the corpus
+// writer's bytes. It reports false when a truth number is NaN or
+// infinite, which JSON cannot carry.
+func AppendTruths(dst []byte, docs []*Doc) ([]byte, bool) {
+	var w jsonWriter
 	dst = append(dst, '[')
-	for i, e := range d.entries[l.lo:l.hi] {
+	for i, d := range docs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendBytes(dst, d.buf[e.val.lo:e.val.hi], false)
+		dst = AppendString(append(dst, "\n{\"filename\":"...), d.Filename, false)
+		var ok bool
+		if dst, ok = w.appendTruth(append(dst, `,"truth":`...), d.Truth); !ok {
+			return dst, false
+		}
+		dst = append(dst, '}')
 	}
-	return append(dst, ']')
+	return append(dst, "\n]\n"...), true
 }
 
-// appendMembers appends the parsed object l, whose values are of the
-// given kind, as the writer appends the map it decodes to. It sorts l's
-// entries in place. It reports false for a number strconv.ParseFloat
-// rejects, a repeated key's earlier value among them, as json.Unmarshal
-// does.
-func (d *docDecoder) appendMembers(dst []byte, l list, kind int) ([]byte, bool) {
-	es := d.entries[l.lo:l.hi]
-	key := func(e entry) []byte { return d.buf[e.key.lo:e.key.hi] }
-	slices.SortStableFunc(es, func(a, b entry) int { return bytes.Compare(key(a), key(b)) })
-	dst = append(dst, '{')
-	first := true
-	for i, e := range es {
-		var x float64
-		if kind == numberValues {
-			var err error
-			if x, err = strconv.ParseFloat(string(d.buf[e.val.lo:e.val.hi]), 64); err != nil {
-				return dst, false
-			}
-		}
-		if i+1 < len(es) && bytes.Equal(key(e), key(es[i+1])) {
-			continue // a later value replaces this one
-		}
-		if !first {
-			dst = append(dst, ',')
-		}
-		first = false
-		dst = append(AppendBytes(dst, key(e), false), ':')
-		switch kind {
-		case boolValues:
-			dst = strconv.AppendBool(dst, e.flag)
-		case stringValues:
-			dst = AppendBytes(dst, d.buf[e.val.lo:e.val.hi], false)
-		default:
-			// ParseFloat gives no NaN or infinity for a JSON number.
-			dst, _ = AppendFloat(dst, x)
-		}
+// reset clears the state of the last document decoded, keeping the
+// reused buffers, to decode the document that starts at raw[pos:].
+func (d *docDecoder) reset(raw []byte, pos int) {
+	*d = docDecoder{raw: raw, pos: pos, buf: d.buf[:0], entries: d.entries[:0]}
+}
+
+// parts returns the filename, text and packed truth (nil for none or a
+// null one) of the document parsed last.
+func (d *docDecoder) parts() (filename, text string, t *Truth) {
+	s := string(d.buf)
+	return d.filename.of(s, 0), d.text.of(s, 0), d.packed()
+}
+
+// packed returns the truth parsed last, packed as a copy of its bytes, or
+// nil for none or a null one.
+func (d *docDecoder) packed() *Truth {
+	if d.truth == nil {
+		return nil
 	}
-	return append(dst, '}'), true
+	return &Truth{packed: string(d.truth)}
 }
 
 // Keys of the objects with fixed fields, for field.
 var (
-	docKeys     = []string{"filename", "text", "truth"}
-	entryKeys   = []string{"filename", "truth"}
-	truthKeys   = []string{"topics", "mentions", "labels", "fields", "numbers"}
-	mentionKeys = []string{"kind", "fields"}
+	docKeys   = []string{"filename", "text", "truth"}
+	entryKeys = []string{"filename", "truth"}
 )
 
 // doc parses a corpus line: one document object and nothing after it
@@ -370,10 +236,10 @@ func (d *docDecoder) end() bool {
 // object parses a document object whose keys are among names.
 func (d *docDecoder) object(names []string) bool {
 	var seen uint8
-	if !d.eat('{') {
+	if !d.lit("{") {
 		return false
 	}
-	for more := !d.eat('}'); more; {
+	for more := !d.lit("}"); more; {
 		var ok bool
 		switch d.field(names, &seen) {
 		case "filename":
@@ -386,142 +252,149 @@ func (d *docDecoder) object(names []string) bool {
 		if !ok {
 			return false
 		}
-		if more, ok = d.sep('}'); !ok {
+		if more, ok = d.sep("}"); !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// truthValue parses a truth object, or null, into d.truth.
+// truthValue parses a truth, or null. It takes a truth only in the
+// bytes jsonWriter.appendTruth writes for it and notes them in d.truth;
+// null leaves d.truth nil.
 func (d *docDecoder) truthValue() bool {
 	if d.lit("null") {
 		return true
 	}
-	ts := &d.truth
-	ts.set, ts.lo = true, len(d.buf)
-	var seen uint8
-	if !d.eat('{') {
+	lo, n := d.pos, len(d.buf)
+	ok := d.exactTruth()
+	d.buf = d.buf[:n] // the truth's strings are not kept
+	d.truth = d.raw[lo:d.pos]
+	return ok
+}
+
+// The exact parsers below take a value only in the bytes the corpus
+// writer writes for it: no whitespace, and its escapes and number format.
+
+// truthMembers are a truth's members in the order appendTruth writes
+// them, each with the parser of its value. The writer leaves an empty
+// member out.
+var truthMembers = [...]struct {
+	key   string
+	value func(*docDecoder) bool
+}{
+	{`"topics":`, func(d *docDecoder) bool { return d.exactList((*docDecoder).exactString) }},
+	{`"mentions":`, func(d *docDecoder) bool { return d.exactList((*docDecoder).exactMention) }},
+	{`"labels":`, func(d *docDecoder) bool { return d.exactObject((*docDecoder).exactBool) > 0 }},
+	{`"fields":`, func(d *docDecoder) bool { return d.exactObject((*docDecoder).exactString) > 0 }},
+	{`"numbers":`, func(d *docDecoder) bool { return d.exactObject((*docDecoder).exactNumber) > 0 }},
+}
+
+// exactTruth parses a truth object.
+func (d *docDecoder) exactTruth() bool {
+	if !d.has("{") {
 		return false
 	}
-	for more := !d.eat('}'); more; {
-		var ok bool
-		switch d.field(truthKeys, &seen) {
-		case "topics":
-			ts.topics, ok = d.strings()
-		case "mentions":
-			ts.mentionList, ok = d.mentionValues()
-		case "labels":
-			ts.labels, ok = d.members(boolValues)
-		case "fields":
-			ts.fields, ok = d.members(stringValues)
-		case "numbers":
-			ts.nums, ok = d.members(numberValues)
+	first := true
+	for _, m := range truthMembers {
+		at := d.pos
+		if !(first || d.has(",")) || !d.has(m.key) {
+			d.pos = at
+			continue
 		}
-		if !ok {
+		if !m.value(d) {
 			return false
 		}
-		if more, ok = d.sep('}'); !ok {
+		first = false
+	}
+	return d.has("}")
+}
+
+// exactMention parses a mention: its kind, then its fields, null or an
+// object that may be empty.
+func (d *docDecoder) exactMention() bool {
+	return d.has(`{"kind":`) && d.exactString() && d.has(`,"fields":`) &&
+		(d.has("null") || d.exactObject((*docDecoder).exactString) >= 0) && d.has("}")
+}
+
+// exactList parses a non-empty array whose elements elem parses.
+func (d *docDecoder) exactList(elem func(*docDecoder) bool) bool {
+	if !d.has("[") {
+		return false
+	}
+	for more := true; more; more = d.has(",") {
+		if !elem(d) {
 			return false
 		}
 	}
-	return true
+	return d.has("]")
 }
 
-func (d *docDecoder) mentionValues() (list, bool) {
-	l := list{lo: len(d.mentions), set: true}
-	if !d.eat('[') {
-		return l, false
+// exactObject parses an object whose keys strictly increase, as the
+// writer sorts a map's, and whose values value parses. It returns the
+// number of members, or -1.
+func (d *docDecoder) exactObject(value func(*docDecoder) bool) int {
+	if !d.has("{") {
+		return -1
 	}
-	for more := !d.eat(']'); more; {
-		m, ok := d.mention()
-		if !ok {
-			return l, false
-		}
-		d.mentions = append(d.mentions, m)
-		if more, ok = d.sep(']'); !ok {
-			return l, false
-		}
+	if d.has("}") {
+		return 0
 	}
-	l.hi = len(d.mentions)
-	return l, true
+	n, prev := 0, span{}
+	for more := true; more; more = d.has(",") {
+		k, ok := d.quoted(true)
+		if !ok || n > 0 && bytes.Compare(d.buf[prev.lo:prev.hi], d.buf[k.lo:k.hi]) >= 0 || !d.has(":") || !value(d) {
+			return -1
+		}
+		n, prev = n+1, k
+	}
+	if !d.has("}") {
+		return -1
+	}
+	return n
 }
 
-func (d *docDecoder) mention() (mentionShape, bool) {
-	// A mention without a kind has an empty one, inside the truth string.
-	m := mentionShape{kind: span{len(d.buf), len(d.buf)}}
-	var seen uint8
-	if !d.eat('{') {
-		return m, false
-	}
-	for more := !d.eat('}'); more; {
-		var ok bool
-		switch d.field(mentionKeys, &seen) {
-		case "kind":
-			m.kind, ok = d.str()
-		case "fields":
-			// A null leaves fields unset, which packs as null.
-			if ok = d.lit("null"); !ok {
-				m.fields, ok = d.members(stringValues)
-			}
-		}
-		if !ok {
-			return m, false
-		}
-		if more, ok = d.sep('}'); !ok {
-			return m, false
-		}
-	}
-	return m, true
+func (d *docDecoder) exactString() bool {
+	_, ok := d.quoted(true)
+	return ok
 }
+
+func (d *docDecoder) exactBool() bool { return d.has("true") || d.has("false") }
+
+// exactNumber parses a number that AppendFloat writes as it stands.
+func (d *docDecoder) exactNumber() bool {
+	lo := d.pos
+	for d.pos < len(d.raw) && numberByte[d.raw[d.pos]] {
+		d.pos++
+	}
+	lit := d.raw[lo:d.pos]
+	x, err := strconv.ParseFloat(string(lit), 64)
+	var b [32]byte
+	w, ok := AppendFloat(b[:0], x)
+	return err == nil && ok && string(w) == string(lit)
+}
+
+// numberByte marks the bytes AppendFloat writes.
+var numberByte = func() (t [256]bool) {
+	for _, c := range []byte("+-.0123456789e") {
+		t[c] = true
+	}
+	return t
+}()
 
 // strings parses an array of strings.
-func (d *docDecoder) strings() (list, bool) {
-	l := list{lo: len(d.entries), set: true}
-	if !d.eat('[') {
+func (d *docDecoder) strings() (span, bool) {
+	l := span{lo: len(d.entries)}
+	if !d.lit("[") {
 		return l, false
 	}
-	for more := !d.eat(']'); more; {
+	for more := !d.lit("]"); more; {
 		v, ok := d.str()
 		if !ok {
 			return l, false
 		}
-		d.entries = append(d.entries, entry{val: v})
-		if more, ok = d.sep(']'); !ok {
-			return l, false
-		}
-	}
-	l.hi = len(d.entries)
-	return l, true
-}
-
-// members parses an object whose values are all of one kind. A repeated
-// key is kept: the Doc's map keeps its last value, as encoding/json's does.
-func (d *docDecoder) members(kind int) (list, bool) {
-	l := list{lo: len(d.entries), set: true}
-	if !d.eat('{') {
-		return l, false
-	}
-	for more := !d.eat('}'); more; {
-		k, ok := d.key()
-		if !ok {
-			return l, false
-		}
-		e := entry{key: k}
-		switch kind {
-		case boolValues:
-			e.flag = d.lit("true")
-			ok = e.flag || d.lit("false")
-		case stringValues:
-			e.val, ok = d.str()
-		default:
-			e.val, ok = d.number()
-		}
-		if !ok {
-			return l, false
-		}
-		d.entries = append(d.entries, e)
-		if more, ok = d.sep('}'); !ok {
+		d.entries = append(d.entries, v)
+		if more, ok = d.sep("]"); !ok {
 			return l, false
 		}
 	}
@@ -560,28 +433,23 @@ func (d *docDecoder) ws() {
 	}
 }
 
-// eat consumes c after optional whitespace.
-func (d *docDecoder) eat(c byte) bool {
-	d.ws()
-	if d.pos < len(d.raw) && d.raw[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
 // sep consumes the ',' before another element (more) or the closing
 // delimiter c.
-func (d *docDecoder) sep(c byte) (more, ok bool) {
-	if d.eat(',') {
+func (d *docDecoder) sep(c string) (more, ok bool) {
+	if d.lit(",") {
 		return true, true
 	}
-	return false, d.eat(c)
+	return false, d.lit(c)
 }
 
-// lit consumes the literal s.
+// lit consumes the literal s after optional whitespace.
 func (d *docDecoder) lit(s string) bool {
 	d.ws()
+	return d.has(s)
+}
+
+// has consumes s if the input goes on with it.
+func (d *docDecoder) has(s string) bool {
 	if len(d.raw)-d.pos >= len(s) && string(d.raw[d.pos:d.pos+len(s)]) == s {
 		d.pos += len(s)
 		return true
@@ -592,7 +460,7 @@ func (d *docDecoder) lit(s string) bool {
 // key parses an object key and its colon.
 func (d *docDecoder) key() (span, bool) {
 	k, ok := d.str()
-	return k, ok && d.eat(':')
+	return k, ok && d.lit(":")
 }
 
 // plain marks the bytes a JSON string holds unescaped and that need no
@@ -604,9 +472,18 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// str parses a string and appends its unescaped bytes to buf.
+// str parses a string and appends its unescaped bytes to buf. It
+// decodes as encoding/json does: an invalid UTF-8 byte, or a \u escape
+// of a UTF-16 surrogate outside a pair, to U+FFFD.
 func (d *docDecoder) str() (span, bool) {
-	if !d.eat('"') {
+	d.ws()
+	return d.quoted(false)
+}
+
+// quoted is str without leading whitespace. If exact, it takes a string
+// only in the bytes AppendString writes for what it decodes to.
+func (d *docDecoder) quoted(exact bool) (span, bool) {
+	if !d.has(`"`) {
 		return span{}, false
 	}
 	lo := len(d.buf)
@@ -619,6 +496,7 @@ func (d *docDecoder) str() (span, bool) {
 		if d.pos == len(d.raw) {
 			return span{}, false
 		}
+		at, n := d.pos, len(d.buf)
 		switch c := d.raw[d.pos]; {
 		case c == '"':
 			d.pos++
@@ -628,25 +506,33 @@ func (d *docDecoder) str() (span, bool) {
 				return span{}, false
 			}
 		case c >= utf8.RuneSelf:
-			r, n := utf8.DecodeRune(d.raw[d.pos:])
-			if r == utf8.RuneError && n == 1 {
-				return span{}, false
-			}
-			d.buf = append(d.buf, d.raw[d.pos:d.pos+n]...)
-			d.pos += n
+			r, size := utf8.DecodeRune(d.raw[d.pos:])
+			d.buf = utf8.AppendRune(d.buf, r)
+			d.pos += size
 		default:
+			return span{}, false
+		}
+		if exact && !written(d.raw[at:d.pos], d.buf[n:]) {
 			return span{}, false
 		}
 	}
 }
 
-// escape decodes the escape sequence at pos into buf.
+// written reports whether raw, a piece of a JSON string that decodes to
+// s, is what AppendString writes for s.
+func written(raw, s []byte) bool {
+	var b [16]byte
+	w := AppendBytes(b[:0], s, false)
+	return string(w[1:len(w)-1]) == string(raw)
+}
+
+// escape decodes the escape sequence at pos into buf: a surrogate pair
+// of \u escapes to one rune, and any other surrogate to U+FFFD.
 func (d *docDecoder) escape() bool {
 	if len(d.raw)-d.pos < 2 {
 		return false
 	}
 	c := d.raw[d.pos+1]
-	d.pos += 2
 	switch c {
 	case '"', '\\', '/':
 		d.buf = append(d.buf, c)
@@ -661,32 +547,45 @@ func (d *docDecoder) escape() bool {
 	case 't':
 		d.buf = append(d.buf, '\t')
 	case 'u':
-		if len(d.raw)-d.pos < 4 {
-			return false
-		}
-		var r rune
-		for _, h := range d.raw[d.pos : d.pos+4] {
-			switch {
-			case '0' <= h && h <= '9':
-				h -= '0'
-			case 'a' <= h && h <= 'f':
-				h -= 'a' - 10
-			case 'A' <= h && h <= 'F':
-				h -= 'A' - 10
-			default:
-				return false
-			}
-			r = r<<4 | rune(h)
-		}
-		if utf16.IsSurrogate(r) {
+		r := hex4(d.raw[d.pos:])
+		if r < 0 {
 			return false
 		}
 		d.pos += 4
+		if utf16.IsSurrogate(r) {
+			if r = utf16.DecodeRune(r, hex4(d.raw[d.pos+2:])); r != utf8.RuneError {
+				d.pos += 6
+			}
+		}
 		d.buf = utf8.AppendRune(d.buf, r)
 	default:
 		return false
 	}
+	d.pos += 2
 	return true
+}
+
+// hex4 returns the UTF-16 code unit of the \u escape b starts with, or
+// -1 if b starts with none.
+func hex4(b []byte) rune {
+	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, h := range b[2:6] {
+		switch {
+		case '0' <= h && h <= '9':
+			h -= '0'
+		case 'a' <= h && h <= 'f':
+			h -= 'a' - 10
+		case 'A' <= h && h <= 'F':
+			h -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(h)
+	}
+	return r
 }
 
 // number checks the JSON number grammar and copies the literal to buf.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/schema"
@@ -56,8 +57,8 @@ func TestDecodeFastPathEveryDomain(t *testing.T) {
 // checkRecordPath checks the record path's decode of line against want,
 // json.Unmarshal's: it takes the lines the fast path takes (fastOK), and
 // gives the record want's filename and text, a truth that TruthOf reads
-// back as want's, and, when it packs the truth, the corpus writer's
-// rendering of want's.
+// back as want's, and, when it packs the truth, the truth's bytes on the
+// line, which are the corpus writer's rendering of want's.
 func checkRecordPath(t *testing.T, dec *docDecoder, line []byte, fastOK bool, want *Doc) {
 	t.Helper()
 	filename, text, truth, ok := dec.line(line)
@@ -75,8 +76,97 @@ func checkRecordPath(t *testing.T, dec *docDecoder, line []byte, fastOK bool, wa
 		t.Fatalf("the record path decodes %q to %q, %q, %+v; want %+v", line, filename, text, TruthOf(r), want)
 	}
 	if p, packed := truth.Packed(); packed {
+		if p != string(dec.truth) || !bytes.Contains(line, dec.truth) {
+			t.Fatalf("the record path packs the truth of %q as\n%s\nnot as its bytes on the line\n%s", line, p, dec.truth)
+		}
 		if w, ok := want.Truth.Canonical(); !ok || p != w {
 			t.Fatalf("the record path packs the truth of %q as\n%s\nthe writer renders\n%s", line, p, w)
+		}
+	}
+}
+
+// TestExactTruthBytes: the fast path takes a truth only in the bytes the
+// corpus writer writes for it. Each truth below is one encoding/json
+// accepts; on a corpus line, in a sidecar and in a wire record, the
+// writer's bytes are packed as they stand, and any other bytes take the
+// fallback, which decodes the line as json.Unmarshal does.
+func TestExactTruthBytes(t *testing.T) {
+	for _, tc := range []struct {
+		truth string
+		fast  bool
+	}{
+		{`null`, true},
+		{`{}`, true},
+		{`{"mentions":[{"kind":"k","fields":{}}]}`, true},
+		{`{"mentions":[{"kind":"k","fields":null},{"kind":"","fields":{"a":"b","b":""}}]}`, true},
+		{`{"topics":["a","a"],"mentions":[{"kind":"k","fields":{"a":"b"}}],"labels":{"x":true,"y":false},"fields":{"f":"v"},"numbers":{"a":-0,"b":0.85,"c":1e-7,"d":1e+21,"e":123456789}}`, true},
+		{"{\"topics\":[\"\\\" \\\\ \\b\\f\\n\\r\\t \\u0000\\u001f \\u2028\\u2029 é\ufffd😀 <&> \x7f\"]}", true},
+		{`{"topics":["\u007f"]}`, false},
+		{`{"labels":{"\n":true,"\"":false}}`, true},
+		{`{"topics": ["a"]}`, false},
+		{` {"topics":["a"]}`, true}, // space before the truth, not in it
+		{`{"topics":["a"] }`, false},
+		{`{"labels":{"x":true},"topics":["a"]}`, false},
+		{`{"labels":{"y":true,"x":false}}`, false},
+		{`{"labels":{"\"":false,"\n":true}}`, false},
+		{`{"fields":{"x":"a","x":"b"}}`, false},
+		{`{"topics":["a"],"topics":["b"]}`, false},
+		{`{"labels":{}}`, false},
+		{`{"topics":[]}`, false},
+		{`{"mentions":[]}`, false},
+		{`{"fields":{},"numbers":{"x":1}}`, false},
+		{`{"numbers":{"x":1.0}}`, false},
+		{`{"numbers":{"x":1e2}}`, false},
+		{`{"numbers":{"x":1E-7}}`, false},
+		{`{"numbers":{"x":0.000001e0}}`, false},
+		{`{"numbers":{"x":-0.0}}`, false},
+		{`{"topics":["caf\u00e9"]}`, false},
+		{`{"topics":["a\/b"]}`, false},
+		{`{"topics":["\ufffd"]}`, false},
+		{`{"topics":["\u001F"]}`, false},
+		{`{"topics":["\u0008"]}`, false},
+		{`{"topics":["\u0041"]}`, false},
+		{`{"topics":["\ud83d\ude00"]}`, false},
+		{`{"topics":["\u2028"]}`, true},
+		{"{\"topics\":[\"a\u2028b\"]}", false},
+		{`{"mentions":[{"fields":{"a":"b"}}]}`, false},
+		{`{"mentions":[{"kind":"k"}]}`, false},
+		{`{"mentions":[{"fields":null,"kind":"k"}]}`, false},
+		{`{"mentions":[{"kind":"k","fields":{"b":"","a":""}}]}`, false},
+		{`{"Topics":["a"]}`, false},
+		{`{"topics":null}`, false},
+		{`{"labels":{"x":true},"extra":1}`, false},
+	} {
+		line := []byte(`{"filename":"a.txt","text":"b","truth":` + tc.truth + `}`)
+		var want Doc
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		var dec docDecoder
+		checkRecordPath(t, &dec, line, tc.fast, &want)
+		if got, err := dec.decode(line); err != nil || !reflect.DeepEqual(got, &want) {
+			t.Fatalf("%s decodes to\n%+v, %v\nwant\n%+v", line, got, err, &want)
+		}
+		packed := func(where string, truth *Truth) {
+			t.Helper()
+			if p, _ := truth.Packed(); truth != nil && p != strings.TrimSpace(tc.truth) || truth == nil && tc.truth != "null" {
+				t.Fatalf("%s packs %s as %q", where, tc.truth, p)
+			}
+		}
+		docs, ok := DecodeTruths([]byte(`[{"filename":"a.txt","truth":` + tc.truth + `}]`))
+		if ok != tc.fast {
+			t.Fatalf("DecodeTruths takes %s: %v, want %v", tc.truth, ok, tc.fast)
+		}
+		if ok {
+			packed("DecodeTruths", docs[0].Truth)
+		}
+		var rd RecordsDecoder
+		recs, ok := rd.Decode([]byte(`[{"values":{"filename":"a.txt","contents":"b"},"truth":`+tc.truth+`}]`), schema.TextFile, nil)
+		if ok != tc.fast {
+			t.Fatalf("RecordsDecoder takes %s: %v, want %v", tc.truth, ok, tc.fast)
+		}
+		if ok {
+			packed("RecordsDecoder", RecordTruth(recs[0]))
 		}
 	}
 }
@@ -144,6 +234,9 @@ func FuzzDecodeDoc(f *testing.F) {
 		`{"filename":"a","text":"b","truth":{"numbers":{"neg":-0,"e":1.5E+3,"f":-0.85}}}`,
 		`{"filename":"a","text":"b","truth":{"numbers":{"lead":01}}}`,
 		`{"filename":"a","text":"b","truth":{"labels":{"x":1}}}`,
+		`{"filename":"a","text":"b","truth":{"topics": ["a"],"numbers":{"x":1.0}}}`,
+		`{"filename":"a","text":"b","truth":{"labels":{"y":true,"x":false},"fields":{"f":"caf\u00e9 \/"}}}`,
+		`{"filename":"a","text":"b","truth":{"mentions":[{"fields":{"b":"","a":""},"kind":"k"}]}}`,
 		`null`,
 		`{"filename":"a","text":"tru`,
 	} {

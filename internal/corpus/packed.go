@@ -22,9 +22,9 @@ import (
 // field order, map keys sorted and unique, strings escaped by
 // AppendString and numbers written by AppendFloat. The readers below
 // rely on that shape and check nothing else; only the corpus line
-// decoder makes packed truths, from what it parsed, and TruthView.truth
-// is the one builder that turns one into maps (for TruthOf, and for the
-// Docs the decoder gives).
+// decoder makes packed truths, by copying input it has checked is in
+// that shape, and TruthView.truth is the one builder that turns one into
+// maps (for TruthOf, and for the Docs the decoder gives).
 
 // Packed returns t's packed rendering and true, or false when t holds
 // its parts in maps and slices or is nil.

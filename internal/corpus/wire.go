@@ -83,12 +83,13 @@ func (e *RecordEncoder) Append(dst []byte, r *record.Record) ([]byte, bool) {
 // of the field's type: a string, an integer literal for an Int field, a
 // number for a Float field, true or false, an array of strings for a
 // string list, and base64 in a string for bytes. A truth takes the corpus
-// line's fast path. Anything else (a wrong kind, an unknown field, a
-// duplicate key, a null record, a string with a \u surrogate escape) is
-// declined. A record's truth is kept packed (see Truth), as a scanned
-// record's is, and RecordEncoder copies a packed truth's string as it is.
-// The zero value is ready to use; a decoder keeps scratch
-// between calls and is not safe for concurrent use.
+// line's fast path: null, or byte for byte what RecordEncoder writes.
+// Anything else (a wrong kind, an unknown field, a duplicate key, a null
+// record, a truth in other bytes) is declined. A record's truth is kept
+// packed (see Truth) as a copy of its bytes, as a scanned record's is,
+// and RecordEncoder copies a packed truth's string as it is. The zero
+// value is ready to use; a decoder keeps scratch between calls and is not
+// safe for concurrent use.
 type RecordsDecoder struct {
 	d docDecoder
 	// order is schema's slots, sorted by field name; seen marks the slots
@@ -113,7 +114,7 @@ type valueItem struct {
 	null  bool
 	flag  bool
 	val   span
-	elems list
+	elems span
 }
 
 // Decode decodes raw, one array of wire records and nothing else but
@@ -141,16 +142,16 @@ func (c *RecordsDecoder) Decode(raw []byte, s *schema.Schema, recs []*record.Rec
 
 func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool) {
 	d := &c.d
-	if !d.eat('[') {
+	if !d.lit("[") {
 		return recs, false
 	}
-	for more := !d.eat(']'); more; {
+	for more := !d.lit("]"); more; {
 		r, ok := c.record()
 		if !ok {
 			return recs, false
 		}
 		recs = append(recs, r)
-		if more, ok = d.sep(']'); !ok {
+		if more, ok = d.sep("]"); !ok {
 			return recs, false
 		}
 	}
@@ -158,18 +159,18 @@ func (c *RecordsDecoder) records(recs []*record.Record) ([]*record.Record, bool)
 }
 
 // record decodes one wire record. Its value strings become substrings of
-// one string, its truth is packed into another (see packTruth), and a
-// source equal to the last one shares its string.
+// one string, its truth is packed as a copy of its bytes, and a source
+// equal to the last one shares its string.
 func (c *RecordsDecoder) record() (*record.Record, bool) {
 	d := &c.d
 	d.reset(d.raw, d.pos)
 	c.vals = make([]any, c.schema.Len())
 	var src span
 	var seen uint8
-	if !d.eat('{') {
+	if !d.lit("{") {
 		return nil, false
 	}
-	for more := !d.eat('}'); more; {
+	for more := !d.lit("}"); more; {
 		var ok bool
 		switch d.field(recordKeys, &seen) {
 		case "values":
@@ -182,17 +183,11 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 		if !ok {
 			return nil, false
 		}
-		if more, ok = d.sep('}'); !ok {
+		if more, ok = d.sep("}"); !ok {
 			return nil, false
 		}
 	}
-	var t *Truth
-	if d.truth.set {
-		var ok bool
-		if t, ok = d.packTruth(); !ok {
-			return nil, false
-		}
-	}
+	t := d.packed()
 	r, err := record.NewSlots(c.schema, c.vals)
 	c.vals = nil
 	if err != nil {
@@ -211,13 +206,13 @@ func (c *RecordsDecoder) record() (*record.Record, bool) {
 // values parses a values object into c.vals.
 func (c *RecordsDecoder) values() bool {
 	d := &c.d
-	if !d.eat('{') {
+	if !d.lit("{") {
 		return false
 	}
 	clear(c.seen)
 	c.items = c.items[:0]
 	lo := len(d.buf)
-	for more := !d.eat('}'); more; {
+	for more := !d.lit("}"); more; {
 		k, ok := d.key()
 		if !ok {
 			return false
@@ -246,7 +241,7 @@ func (c *RecordsDecoder) values() bool {
 			}
 		}
 		c.items = append(c.items, it)
-		if more, ok = d.sep('}'); !ok {
+		if more, ok = d.sep("}"); !ok {
 			return false
 		}
 	}
@@ -276,7 +271,7 @@ func (c *RecordsDecoder) values() bool {
 		case schema.StringList:
 			l := make([]string, 0, it.elems.hi-it.elems.lo)
 			for _, e := range d.entries[it.elems.lo:it.elems.hi] {
-				l = append(l, e.val.of(s, lo))
+				l = append(l, e.of(s, lo))
 			}
 			v = l
 		case schema.Bytes:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/llm"
 	"repro/internal/record"
 )
 
@@ -59,5 +60,46 @@ func TestSidecarAllocsPerDoc(t *testing.T) {
 		t.Errorf("decodeSidecar: %.2f allocs per doc, want <= 6", got)
 	} else {
 		t.Logf("decodeSidecar: %.2f allocs per doc", got)
+	}
+}
+
+// TestRangeSourceAllocs bounds what registering a range source
+// allocates: its reader and its 16 sample documents, read as records
+// whose truths stay packed. Building the sample truths' maps, as a Doc
+// has them, cost about 100 more. The sample's AvgTokens is the mean
+// token count of the documents' texts.
+func TestRangeSourceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	path := writeSupportCorpus(t, 64)
+	var src *NDJSONSource
+	perRun := testing.AllocsPerRun(10, func() {
+		var err error
+		if src, err = NewNDJSONRangeSource("tickets", path, 0, 32); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRun > 150 {
+		t.Errorf("NewNDJSONRangeSource: %.0f allocs, want <= 150", perRun)
+	} else {
+		t.Logf("NewNDJSONRangeSource: %.0f allocs", perRun)
+	}
+
+	r, err := corpus.OpenNDJSONRange(path, 0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tokens := 0
+	for range statsSampleDocs {
+		d, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens += llm.CountTokens(d.Text)
+	}
+	if want := float64(tokens) / statsSampleDocs; src.stats.AvgTokens != want {
+		t.Errorf("AvgTokens = %v, want %v", src.stats.AvgTokens, want)
 	}
 }

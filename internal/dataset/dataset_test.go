@@ -242,6 +242,27 @@ func TestStripTags(t *testing.T) {
 	}
 }
 
+// TestHTMLTitleFolds: the title tags are found in any ASCII case, at
+// their offsets in the page as written, before runes whose lower case
+// has another UTF-8 length.
+func TestHTMLTitleFolds(t *testing.T) {
+	for _, page := range []string{
+		"<TITLE> Hello </Title>",
+		strings.Repeat("İ", 40) + "<title>Hello</title>",
+		strings.Repeat("Ⱥ", 40) + "<title>Hello</title>",
+		strings.Repeat("Ⱥ", 40) + "<TiTlE>Hello</tItLe>" + strings.Repeat("İ", 3),
+	} {
+		if got := htmlTitle(page); got != "Hello" {
+			t.Errorf("htmlTitle(%q) = %q, want Hello", page, got)
+		}
+	}
+	for _, page := range []string{"no title", "<title>open", "</title><title>", "<title\x1e"} {
+		if got := htmlTitle(page); got != "" {
+			t.Errorf("htmlTitle(%q) = %q, want none", page, got)
+		}
+	}
+}
+
 func TestDocsSource(t *testing.T) {
 	docs := corpus.GenerateLegal(corpus.LegalConfig{NumContracts: 5, IndemnificationRate: 0.4, Seed: 1})
 	src, err := NewDocsSource("legal", schema.TextFile, docs)

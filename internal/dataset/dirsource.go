@@ -334,35 +334,44 @@ func StripTags(html string) string {
 	return strings.Join(strings.Fields(b.String()), " ")
 }
 
+// htmlTitle returns the trimmed text between the first <title> tag and
+// the </title> after it, the tags in any ASCII case. It folds the case
+// byte by byte, so that offsets in the folded page are offsets in html:
+// strings.ToLower changes the UTF-8 length of some runes.
 func htmlTitle(html string) string {
-	lower := strings.ToLower(html)
-	i := strings.Index(lower, "<title>")
+	lower := []byte(html)
+	for i, c := range lower {
+		if 'A' <= c && c <= 'Z' {
+			lower[i] = c + 'a' - 'A'
+		}
+	}
+	i := bytes.Index(lower, []byte("<title>"))
 	if i < 0 {
 		return ""
 	}
-	j := strings.Index(lower[i:], "</title>")
+	j := bytes.Index(lower[i:], []byte("</title>"))
 	if j < 0 {
 		return ""
 	}
 	return strings.TrimSpace(html[i+len("<title>") : i+j])
 }
 
-// sidecarEntry is the JSON shape of one document's ground truth.
+// sidecarEntry is the JSON shape of one document's ground truth, what
+// the encoding/json fallback of decodeSidecar reads.
 type sidecarEntry struct {
 	Filename string        `json:"filename"`
 	Truth    *corpus.Truth `json:"truth"`
 }
 
 // WriteSidecar persists ground truth for docs next to their files so that a
-// later DirSource load re-attaches it.
+// later DirSource load re-attaches it. It writes through the corpus
+// writer (corpus.AppendTruths), so every truth is in the bytes the corpus
+// decoder packs as they are. A truth number that is NaN or infinite, which
+// JSON cannot carry, fails it.
 func WriteSidecar(dir string, docs []*corpus.Doc) error {
-	entries := make([]sidecarEntry, 0, len(docs))
-	for _, d := range docs {
-		entries = append(entries, sidecarEntry{Filename: d.Filename, Truth: d.Truth})
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
+	data, ok := corpus.AppendTruths(nil, docs)
+	if !ok {
+		return fmt.Errorf("dataset: write %s: unsupported value: a truth number is NaN or infinite", TruthSidecar)
 	}
 	return os.WriteFile(filepath.Join(dir, TruthSidecar), data, 0o644)
 }

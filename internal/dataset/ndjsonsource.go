@@ -154,7 +154,8 @@ func (n *NDJSONSource) open() (*corpus.DocReader, error) {
 }
 
 // sample fills in n's cardinality, manifest, schema and average record
-// size from its reader and first documents, and returns n.
+// size from its reader and first documents, and returns n. It reads only
+// their filenames and texts: their truths stay packed.
 func (n *NDJSONSource) sample() (*NDJSONSource, error) {
 	r, err := n.open()
 	if err != nil {
@@ -164,7 +165,7 @@ func (n *NDJSONSource) sample() (*NDJSONSource, error) {
 	n.stats.NumRecords, n.manifest = r.Len(), r.Manifest()
 	totalTokens, sampled := 0, 0
 	for ; sampled < statsSampleDocs; sampled++ {
-		d, err := r.Next()
+		rec, err := r.NextRecord(schema.TextFile, "")
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -174,13 +175,13 @@ func (n *NDJSONSource) sample() (*NDJSONSource, error) {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
 		if n.schema == nil {
-			s, ok := schema.ForExtension(filepath.Ext(d.Filename))
+			s, ok := schema.ForExtension(filepath.Ext(rec.GetString("filename")))
 			if !ok {
 				s = schema.TextFile
 			}
 			n.schema = s
 		}
-		totalTokens += llm.CountTokens(d.Text)
+		totalTokens += llm.CountTokens(rec.GetString("contents"))
 	}
 	if n.schema == nil {
 		return nil, fmt.Errorf("dataset: corpus %s contains no documents", n.path)

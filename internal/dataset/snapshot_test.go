@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/corpus"
 	"repro/internal/record"
@@ -321,15 +323,70 @@ func TestSidecarFastPathEveryDomain(t *testing.T) {
 	}
 }
 
+// indentedSidecar returns the sidecar json.MarshalIndent writes for n
+// documents of the named domain, as WriteSidecar wrote it before it wrote
+// through the corpus writer: indented, and with '<', '>' and '&' escaped.
+func indentedSidecar(t testing.TB, name string, n int, seed int64) ([]byte, []*corpus.Doc) {
+	t.Helper()
+	d, _ := corpus.DomainByName(name)
+	docs, err := corpus.Collect(d.New(n, -1, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs[0].Filename = "<a&b>.txt"
+	entries := make([]sidecarEntry, len(docs))
+	for i, d := range docs {
+		entries[i] = sidecarEntry{Filename: d.Filename, Truth: d.Truth}
+	}
+	data, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, docs
+}
+
+// TestIndentedSidecarLoads: a sidecar as json.MarshalIndent writes it,
+// whose truths are not in the corpus writer's bytes, takes the fallback
+// and loads the same truths as json.Unmarshal.
+func TestIndentedSidecarLoads(t *testing.T) {
+	for _, name := range allDomains {
+		data, docs := indentedSidecar(t, name, 5, 3)
+		if !strings.Contains(string(data), `\u003ca\u0026b\u003e.txt`) {
+			t.Fatalf("%s: the sidecar does not escape HTML:\n%s", name, data)
+		}
+		if _, ok := corpus.DecodeTruths(data); ok {
+			t.Fatalf("%s: an indented sidecar takes the fast path", name)
+		}
+		var want []sidecarEntry
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeSidecar(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEntries(t, data, got, want)
+		for i, e := range got {
+			g, _ := e.Truth.Canonical()
+			w, _ := docs[i].Truth.Canonical()
+			if e.Filename != docs[i].Filename || g != w {
+				t.Fatalf("%s: entry %d is %q, %s; want %q, %s", name, i, e.Filename, g, docs[i].Filename, w)
+			}
+		}
+	}
+}
+
 // FuzzDecodeSidecar checks the sidecar reader against encoding/json, the
 // reference: for any bytes, both fail with the same error, or both give
 // the same entries (checkEntries), and the fast path keeps every truth it
-// takes packed. Run longer with
+// takes packed, as its bytes in the input. Run longer with
 // `go test -fuzz FuzzDecodeSidecar ./internal/dataset`.
 func FuzzDecodeSidecar(f *testing.F) {
 	for _, name := range allDomains {
 		f.Add(sidecarBytes(f, name, 3, 5))
 	}
+	indented, _ := indentedSidecar(f, corpus.DomainLegal, 2, 5)
+	f.Add(indented)
 	for _, s := range []string{
 		`[]`,
 		` [ ] `,
@@ -361,8 +418,12 @@ func FuzzDecodeSidecar(f *testing.F) {
 				t.Fatalf("fast path accepts %d entries json.Unmarshal rejects (%v): %q", len(docs), wantErr, data)
 			}
 			for _, d := range docs {
-				if _, packed := d.Truth.Packed(); d.Truth != nil && !packed {
+				p, packed := d.Truth.Packed()
+				if d.Truth != nil && !packed {
 					t.Fatalf("fast path keeps %s's truth in maps: %q", d.Filename, data)
+				}
+				if packed && !strings.Contains(string(data), p) {
+					t.Fatalf("fast path packs %s's truth as %s, not as its bytes in %q", d.Filename, p, data)
 				}
 			}
 		}
@@ -374,6 +435,83 @@ func FuzzDecodeSidecar(f *testing.F) {
 			t.Fatalf("decodeSidecar error %q, want %q", err, wantErr)
 		case err == nil:
 			checkEntries(t, data, got, want)
+		}
+	})
+}
+
+// FuzzAppendTruths checks the sidecar writer: for docs whose truths hold
+// fuzzed strings and numbers, one of them from a built-in domain,
+// AppendTruths fails exactly where WriteSidecar does, on a NaN or an
+// infinity; otherwise json.Unmarshal reads back truths that render as
+// the written ones, and the fast path takes the bytes whole, each truth
+// packed as its bytes in the sidecar and as json.Unmarshal's renders
+// (checkEntries), unless a truth's string is invalid UTF-8. The writer
+// escapes that as \ufffd, which decodes to a U+FFFD that it writes raw,
+// so such a sidecar takes the fallback. Run longer with
+// `go test -fuzz FuzzAppendTruths ./internal/dataset`.
+func FuzzAppendTruths(f *testing.F) {
+	f.Add(uint8(0), "a.txt", "party_a", "Acme <&> Corp", 0.85)
+	f.Add(uint8(1), "", "", "", 0.0)
+	f.Add(uint8(2), "k\xc3.txt", "bad \xff", "\xed\xa0\x80", -1e-7)
+	f.Add(uint8(2), "bad \xff.txt", "k", "v", 1.0)
+	f.Add(uint8(3), "\u2028.txt", "\"q\" \\", "ctl \x00\x1f\x7f \b\f\n\r\t", 1e21)
+	f.Add(uint8(4), "n.txt", "n", "nan", math.NaN())
+	f.Add(uint8(0), "i.txt", "i", "inf", math.Inf(1))
+	var domainDocs []*corpus.Doc
+	for _, name := range allDomains {
+		d, _ := corpus.DomainByName(name)
+		doc, _ := d.New(1, -1, 5).Next()
+		domainDocs = append(domainDocs, doc)
+	}
+
+	f.Fuzz(func(t *testing.T, domain uint8, filename, key, text string, x float64) {
+		base := domainDocs[int(domain)%len(domainDocs)]
+		truth := *base.Truth
+		truth.Topics = append([]string{text}, truth.Topics...)
+		truth.Mentions = append([]corpus.Mention{{Kind: key, Fields: map[string]string{key: text}}, {Kind: text}}, truth.Mentions...)
+		truth.Labels = map[string]bool{key: true, text: false}
+		truth.Fields = map[string]string{key: text}
+		truth.Numbers = map[string]float64{"n": float64(len(text))}
+		truth.Numbers[key] = x
+		docs := []*corpus.Doc{base, {Filename: filename, Truth: &truth}, {Filename: key}}
+
+		data, ok := corpus.AppendTruths(nil, docs)
+		if finite := !math.IsNaN(x) && !math.IsInf(x, 0); ok != finite {
+			t.Fatalf("AppendTruths ok=%v for the number %v", ok, x)
+		}
+		if !ok {
+			if err := WriteSidecar(t.TempDir(), docs); err == nil {
+				t.Fatalf("WriteSidecar writes the number %v", x)
+			}
+			return
+		}
+		var want []sidecarEntry
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("json.Unmarshal: %v: %q", err, data)
+		}
+		exact := utf8.ValidString(key) && utf8.ValidString(text) // the truths' strings
+		for i, w := range want {
+			if !exact || !utf8.ValidString(filename) {
+				break
+			}
+			g, _ := w.Truth.Canonical()
+			d, _ := docs[i].Truth.Canonical()
+			if w.Filename != docs[i].Filename || g != d {
+				t.Fatalf("entry %d reads back as %q, %s; written %q, %s", i, w.Filename, g, docs[i].Filename, d)
+			}
+		}
+		if _, ok := corpus.DecodeTruths(data); ok != exact {
+			t.Fatalf("DecodeTruths takes the written sidecar: %v, want %v: %q", ok, exact, data)
+		}
+		got, err := decodeSidecar(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEntries(t, data, got, want)
+		for _, e := range got {
+			if p, packed := e.Truth.Packed(); exact && e.Truth != nil && (!packed || !strings.Contains(string(data), `"truth":`+p+"}")) {
+				t.Fatalf("%s's truth is not packed as its bytes in %q", e.Filename, data)
+			}
 		}
 	})
 }
