@@ -125,56 +125,116 @@ func checkTierInvariants(t *testing.T, st OpStats) {
 	}
 }
 
-// TestCascadeDegenerateMatchesPlainFilter pins the parity anchor: with
-// Threshold<=0 the cascade bypasses prefilter and verify entirely and must
-// keep exactly the records llm-filter(ResolveModel) keeps.
-func TestCascadeDegenerateMatchesPlainFilter(t *testing.T) {
-	recs, ix := cascadeFixture(t, 120)
-	filter := &Filter{Predicate: cascadePredicate}
+// opStatsAt returns the stats of the operator at plan position pos.
+func opStatsAt(t *testing.T, ctx *Ctx, pos int) OpStats {
+	t.Helper()
+	for _, st := range ctx.Stats.Ops() {
+		if st.Position == pos {
+			return st
+		}
+	}
+	t.Fatalf("no operator at position %d in stats", pos)
+	return OpStats{}
+}
 
-	plainCtx, _, _ := newCtx(t, 4)
-	plain := &LLMFilterExec{Filter: filter, Model: "atlas-large"}
-	want, err := plain.Execute(plainCtx, recs)
+// TestCascadeTiersIssuePlainFilterRequests pins request identity: each
+// cascade tier issues exactly the requests the plain filter with its
+// model would. After a calibrated cascade runs through a response cache,
+// llm-filter(VerifyModel) over the prefilter's survivors and
+// llm-filter(ResolveModel) over the verify tier's escalations are
+// answered wholly from that cache, at no added cost.
+func TestCascadeTiersIssuePlainFilterRequests(t *testing.T) {
+	recs, ix := cascadeFixture(t, 150)
+	filter := &Filter{Predicate: cascadePredicate}
+	probe, threshold := calibrateProbe(t, recs, ix, cascadePredicate)
+
+	ctx, svc, _ := newCtx(t, 4)
+	cached, err := llm.NewCachedClient(ctx.Client, llm.NewCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cascCtx, _, _ := newCtx(t, 4)
+	ctx.Client = cached
 	casc := &CascadeFilterExec{
 		Filter:       filter,
 		VerifyModel:  "atlas-medium",
 		ResolveModel: "atlas-large",
-		Threshold:    0,
+		Threshold:    threshold,
+		QueryVec:     probe,
 		Lookup:       ix,
 	}
-	got, err := casc.Execute(cascCtx, recs)
-	if err != nil {
+	ctx.SetCurrentOp(1)
+	if _, err := casc.Execute(ctx, recs); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("cascade kept %d records, plain filter kept %d", len(got), len(want))
+	st := opStatsAt(t, ctx, 1)
+	ver, res := tierByName(t, st, TierVerify), tierByName(t, st, TierResolve)
+	if res.In == 0 {
+		t.Fatal("no record escalated; the resolve tier goes untested")
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs: cascade %q, plain %q",
-				i, got[i].GetString("filename"), want[i].GetString("filename"))
+	spent := svc.TotalCost()
+
+	// plainHits runs the plain filter at pos over recs and checks that
+	// the cache answered every call.
+	plainHits := func(pos int, model string, recs []*record.Record) {
+		t.Helper()
+		ctx.SetCurrentOp(pos)
+		if _, err := (&LLMFilterExec{Filter: filter, Model: model}).Execute(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+		st := opStatsAt(t, ctx, pos)
+		if st.LLMCalls != len(recs) || st.CacheHits != len(recs) || st.CostUSD != 0 {
+			t.Errorf("llm-filter(%s) over %d records: %d calls, %d cache hits, $%v; want every call a free hit",
+				model, len(recs), st.LLMCalls, st.CacheHits, st.CostUSD)
 		}
 	}
 
-	st := filterStats(t, cascCtx)
-	checkTierInvariants(t, st)
-	pre := tierByName(t, st, TierPrefilter)
-	if pre.In != len(recs) || pre.Passed != len(recs) || pre.LLMCalls != 0 || pre.CostUSD != 0 {
-		t.Errorf("degenerate prefilter should pass everything for free: %+v", pre)
-	}
-	res := tierByName(t, st, TierResolve)
-	if res.In != len(recs) || res.LLMCalls != len(recs) {
-		t.Errorf("degenerate resolve should judge everything: %+v", res)
-	}
-	for _, tier := range st.Tiers {
-		if tier.Tier == TierVerify {
-			t.Error("degenerate cascade must not run a verify tier")
+	var surv []*record.Record
+	for _, r := range recs {
+		vec, _ := ix.Vector(r.GetString("filename"))
+		if CascadeScore(vector.Cosine(probe, vec)) >= threshold {
+			surv = append(surv, r)
 		}
+	}
+	if len(surv) != ver.In {
+		t.Fatalf("prefilter passed %d records, the probe keeps %d", ver.In, len(surv))
+	}
+	plainHits(2, "atlas-medium", surv)
+
+	var esc []*record.Record
+	for _, r := range surv {
+		resp, err := cached.Complete(FilterRequest("atlas-medium", cascadePredicate, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Confidence < DefaultResolveConfidence {
+			esc = append(esc, r)
+		}
+	}
+	if len(esc) != res.In {
+		t.Fatalf("verify tier escalated %d records, the verify verdicts escalate %d", res.In, len(esc))
+	}
+	plainHits(3, "atlas-large", esc)
+
+	if got := svc.TotalCost(); got != spent {
+		t.Errorf("the plain filters added $%v of calls; want none", got-spent)
+	}
+}
+
+// TestCascadeEstimateOverNoRecords: a calibrated cascade makes no call
+// that does not depend on its input (the prefilter's probe is given and
+// sidecar lookups are free), so its estimate over no records costs
+// nothing and takes no time.
+func TestCascadeEstimateOverNoRecords(t *testing.T) {
+	casc := &CascadeFilterExec{
+		Filter:       &Filter{Predicate: cascadePredicate},
+		VerifyModel:  "atlas-medium",
+		ResolveModel: "atlas-large",
+		Threshold:    0.5,
+		Cal:          &CascadeEstimates{KeepRate: 0.4, EscalationRate: 0.2, Selectivity: 0.3, F1: 0.97},
+	}
+	est := casc.Estimate(Estimate{Cardinality: 0, AvgTokens: 200, Quality: 1})
+	if est.CostUSD != 0 || est.TimeSec != 0 || est.Cardinality != 0 {
+		t.Errorf("estimate over no records = $%v, %vs, %v records; want all zero", est.CostUSD, est.TimeSec, est.Cardinality)
 	}
 }
 

@@ -58,43 +58,53 @@ func (f *LLMFilterExec) Estimate(in Estimate) Estimate {
 
 // Execute implements Physical.
 func (f *LLMFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, error) {
-	type res struct {
-		keep    bool
-		latency time.Duration
-	}
-	results, err := runParallel(ctx, in, func(r *record.Record) (res, error) {
-		resp, err := ctx.Client.Complete(FilterRequest(f.Model, f.Filter.Predicate, r))
-		if err != nil {
-			return res{}, err
-		}
-		ctx.Stats.noteLLM(ctx.curOp, f, resp)
-		return res{keep: resp.Decision, latency: resp.Latency}, nil
-	})
+	verdicts, elapsed, err := judge(ctx, f, f.Model, f.Filter.Predicate, in)
 	if err != nil {
 		return nil, err
 	}
 	var out []*record.Record
-	latencies := make([]time.Duration, 0, len(results))
-	for i, r := range results {
-		latencies = append(latencies, r.latency)
-		if r.keep {
+	for i, resp := range verdicts {
+		if resp.Decision {
 			out = append(out, in[i])
 		}
 	}
-	elapsed := advanceForCalls(ctx, latencies)
 	ctx.Stats.noteTime(ctx.curOp, f, elapsed)
 	ctx.Stats.noteBatch(ctx.curOp, f, len(in), len(out))
 	return out, nil
 }
 
+// judge is the one loop that issues LLM filter calls: it sends
+// FilterRequest(model, predicate, r) for every record at the context's
+// parallelism, notes each response against op, and advances the clock
+// once for the batch. It returns the responses in input order and the
+// batch's simulated time.
+func judge(ctx *Ctx, op Physical, model, predicate string, recs []*record.Record) ([]*llm.Response, time.Duration, error) {
+	verdicts, err := runParallel(ctx, recs, func(r *record.Record) (*llm.Response, error) {
+		resp, err := ctx.Client.Complete(FilterRequest(model, predicate, r))
+		if err != nil {
+			return nil, err
+		}
+		ctx.Stats.noteLLM(ctx.curOp, op, resp)
+		return resp, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	latencies := make([]time.Duration, len(verdicts))
+	for i, resp := range verdicts {
+		latencies[i] = resp.Latency
+	}
+	return verdicts, advanceForCalls(ctx, latencies), nil
+}
+
 // FilterRequest builds the canonical completion request for judging a
 // natural-language predicate over one record with one model. Every filter
-// strategy (plain, cascade tiers, and the optimizer's cascade calibration)
-// builds requests through this helper, so identical (model, predicate,
-// record) triples are identical requests — the property response caching
-// and the cascade parity tests rely on. It builds no text: the request
-// holds the record and the predicate, and the service prices its prompt
-// from their lengths.
+// strategy (plain and cascade tiers, through judge, and the optimizer's
+// cascade calibration) builds requests through this helper, so identical
+// (model, predicate, record) triples are identical requests — the property
+// response caching and the cascade request-identity test rely on. It
+// builds no text: the request holds the record and the predicate, and the
+// service prices its prompt from their lengths.
 func FilterRequest(model, predicate string, r *record.Record) llm.Request {
 	return llm.Request{
 		Model:     model,
@@ -105,16 +115,13 @@ func FilterRequest(model, predicate string, r *record.Record) llm.Request {
 }
 
 // EmbedFilterExec approximates a natural-language filter by embedding
-// similarity: keep records whose embedding is within Threshold cosine of
-// the predicate embedding. Far cheaper than an LLM filter, and lower
+// similarity: keep records whose cosine similarity to the predicate
+// embedding is at least the batch mean, which guarantees a non-degenerate
+// selectivity on any corpus. Far cheaper than an LLM filter, and lower
 // quality — the optimizer's cost/quality trade-off in miniature.
 type EmbedFilterExec struct {
 	// Filter is the logical operator.
 	Filter *Filter
-	// Threshold is the cosine-similarity keep threshold. Zero selects the
-	// adaptive mode: keep records whose similarity is at least the batch
-	// mean, which guarantees a non-degenerate selectivity on any corpus.
-	Threshold float64
 	// SelEstimate is the calibrated selectivity (0 = default 0.5).
 	SelEstimate float64
 }
@@ -123,8 +130,8 @@ type EmbedFilterExec struct {
 func (f *EmbedFilterExec) ID() string { return "embed-filter(atlas-embed)" }
 
 // Kind implements Physical. EmbedFilterExec is deliberately NOT
-// streamable: its adaptive mode thresholds on the whole batch's mean
-// similarity, so partitioning the input would change the kept set.
+// streamable: it thresholds on the whole batch's mean similarity, so
+// partitioning the input would change the kept set.
 func (f *EmbedFilterExec) Kind() string { return "filter" }
 
 // EmbedFilterQuality is the modeled quality of embedding-similarity
@@ -155,6 +162,7 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 	ctx.Stats.noteLLM(ctx.curOp, f, qresp)
 	latencies := []time.Duration{qresp.Latency}
 	sims := make([]float64, len(in))
+	var sum float64
 	for i, r := range in {
 		if err := ctx.Canceled(); err != nil {
 			return nil, err
@@ -166,21 +174,15 @@ func (f *EmbedFilterExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Reco
 		ctx.Stats.noteLLM(ctx.curOp, f, resp)
 		latencies = append(latencies, resp.Latency)
 		sims[i] = vector.Cosine(qv, rv)
+		sum += sims[i]
 	}
-	threshold := f.Threshold
-	if threshold <= 0 && len(in) > 0 {
-		var sum float64
-		for _, s := range sims {
-			sum += s
-		}
-		threshold = sum / float64(len(sims))
-	}
+	mean := sum / float64(len(in))
 	var out []*record.Record
 	for i, r := range in {
-		// The epsilon keeps the adaptive mode non-degenerate when every
+		// The epsilon keeps the filter non-degenerate when every
 		// similarity is identical: the accumulated mean can round one ULP
 		// above the common value, which would otherwise drop every record.
-		if sims[i] >= threshold-1e-9 {
+		if sims[i] >= mean-1e-9 {
 			out = append(out, r)
 		}
 	}

@@ -215,9 +215,14 @@ func TestEmbedFilterCheaperThanLLM(t *testing.T) {
 	ctxA, svcA, _ := newCtx(t, 1)
 	recsA := scanAll(t, ctxA, biomedSource(t))
 	ctxA.SetCurrentOp(1)
-	ef := &EmbedFilterExec{Filter: &Filter{Predicate: demoPredicate}, Threshold: 0.20}
-	if _, err := ef.Execute(ctxA, recsA); err != nil {
+	ef := &EmbedFilterExec{Filter: &Filter{Predicate: demoPredicate}}
+	kept, err := ef.Execute(ctxA, recsA)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The batch-mean threshold keeps some records and drops others.
+	if len(kept) == 0 || len(kept) == len(recsA) {
+		t.Errorf("embed filter kept %d of %d records", len(kept), len(recsA))
 	}
 	embedCost := svcA.TotalCost()
 

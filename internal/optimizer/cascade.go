@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/corpus"
@@ -139,9 +138,6 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 	sort.Float64s(posScores)
 	allowMiss := int(float64(len(posScores)) * (1 - CascadeMinRecall))
 	threshold := posScores[allowMiss] - 1e-9
-	if threshold <= 0 {
-		threshold = math.SmallestNonzeroFloat64
-	}
 
 	// The sample records the prefilter keeps, and the keep rate
 	// measured over the whole sidecar: the vectors are already paid for,
