@@ -58,7 +58,7 @@ func TestSupportTriageOverNDJSONCorpus(t *testing.T) {
 	if len(res.Records) == 0 {
 		t.Fatal("no tickets kept")
 	}
-	inputs, err := src.Records()
+	inputs, err := pz.Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFinanceExtractionOverNDJSONCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs, err := src.Records()
+	inputs, err := pz.Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}

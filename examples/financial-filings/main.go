@@ -59,7 +59,7 @@ func main() {
 
 	// Score against the ground truth carried through the NDJSON round
 	// trip: the profitability filter and per-field numeric accuracy.
-	inputs, err := src.Records()
+	inputs, err := pz.Collect(src)
 	if err != nil {
 		log.Fatal(err)
 	}

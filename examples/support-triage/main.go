@@ -64,7 +64,7 @@ func main() {
 	// Score against the ground truth carried through the NDJSON round
 	// trip: triage quality (did the filter keep the urgent tickets?) and
 	// routing accuracy (is the extracted category the labeled one?).
-	inputs, err := src.Records()
+	inputs, err := pz.Collect(src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -779,11 +779,20 @@ func runCellLocal(cell *Cell, d *TrackDataset, pspec *serve.Spec, par, parts int
 	cell.CostUSD = res.CostUSD
 	cell.Trace = summarizeTrace(res.Trace)
 	if pred := leadingFilter(d.Ops); pred != "" {
-		inputs, err := src.Records()
+		// Score as the corpus streams by: only the outputs' truth keys
+		// are held, never the inputs.
+		score := metrics.NewTruthScore(res.Records, pred)
+		st, err := src.Stats()
 		if err != nil {
 			return err
 		}
-		q := metrics.FilterQualityByTruth(inputs, res.Records, pred)
+		if err := src.Iterate(0, st.NumRecords, func(r *pz.Record) error {
+			score.Add(r)
+			return nil
+		}); err != nil {
+			return err
+		}
+		q := score.PRF()
 		cell.Quality = &Quality{
 			Precision: q.Precision, Recall: q.Recall, F1: q.F1,
 			TP: q.TP, FP: q.FP, FN: q.FN,

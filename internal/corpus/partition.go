@@ -118,32 +118,72 @@ type Partition struct {
 	Docs int
 }
 
-// Partitions splits the corpus into at most max contiguous partitions at
-// checkpoint boundaries, balanced to within one stride of documents. It
-// returns nil when the manifest carries no (usable) index; fewer than max
-// partitions when the corpus has fewer checkpoints. Concatenating the
-// partitions in ordinal order reproduces the full corpus exactly.
-func (m *Manifest) Partitions(max int) []Partition {
-	ix := m.Index
-	if ix == nil || m.NumDocs <= 0 || max < 1 {
-		return nil
+// Layout splits count records into at most max contiguous partitions
+// that start on multiples of stride, balanced to within one stride, and
+// returns each partition's record count in order. It is the one partition
+// layout of every dataset: stride is 1 for a slice, the index stride for
+// an indexed corpus and count for an unindexed one, which therefore never
+// splits. It always returns at least one entry; max < 2 gives one
+// partition of all count records, and so does count 0.
+func Layout(count, stride, max int) []int {
+	if stride < 1 {
+		stride = count
 	}
-	if ix.check(m.NumDocs, m.Bytes) != nil {
-		return nil
+	checkpoints := 1
+	if count > 0 && stride > 0 {
+		checkpoints = (count + stride - 1) / stride
 	}
-	p := max
-	if p > len(ix.Offsets) {
-		p = len(ix.Offsets)
+	p := min(checkpoints, max)
+	if p < 1 {
+		p = 1
 	}
-	out := make([]Partition, 0, p)
-	for i := 0; i < p; i++ {
-		lo := i * len(ix.Offsets) / p
-		hi := (i + 1) * len(ix.Offsets) / p
-		endDoc := hi * ix.Stride
-		if i == p-1 || endDoc > m.NumDocs {
-			endDoc = m.NumDocs
+	out := make([]int, p)
+	for i := range out {
+		end := count
+		if i < p-1 {
+			end = min((i+1)*checkpoints/p*stride, count)
 		}
-		out = append(out, Partition{Ordinal: i, Offset: ix.Offsets[lo], Docs: endDoc - lo*ix.Stride})
+		out[i] = end - i*checkpoints/p*stride
+	}
+	return out
+}
+
+// index returns the manifest's partition index when it is usable: present
+// and consistent with the corpus (see check).
+func (m *Manifest) index() *PartitionIndex {
+	if m.Index == nil || m.NumDocs <= 0 || m.Index.check(m.NumDocs, m.Bytes) != nil {
+		return nil
+	}
+	return m.Index
+}
+
+// Stride is the grain at which the corpus can be split: the index stride
+// when the manifest carries a usable index, and the whole corpus, so one
+// partition, when it does not.
+func (m *Manifest) Stride() int {
+	if ix := m.index(); ix != nil {
+		return ix.Stride
+	}
+	return m.NumDocs
+}
+
+// Partitions splits the corpus into at most max contiguous partitions at
+// checkpoint boundaries: Layout's counts at the index stride, each with
+// the byte offset of its first document. It returns nil when the
+// manifest carries no (usable) index; fewer than max partitions when the
+// corpus has fewer checkpoints. Concatenating the partitions in ordinal
+// order reproduces the full corpus exactly.
+func (m *Manifest) Partitions(max int) []Partition {
+	ix := m.index()
+	if ix == nil || max < 1 {
+		return nil
+	}
+	docs := Layout(m.NumDocs, ix.Stride, max)
+	out := make([]Partition, len(docs))
+	start := 0
+	for i, n := range docs {
+		out[i] = Partition{Ordinal: i, Offset: ix.Offsets[start/ix.Stride], Docs: n}
+		start += n
 	}
 	return out
 }

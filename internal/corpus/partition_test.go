@@ -265,3 +265,84 @@ func TestValidateNDJSONNotesMissingIndex(t *testing.T) {
 		t.Fatalf("no note about the missing partition index in %v", rep.Notes)
 	}
 }
+
+// checkpointLayout is the per-partition document count of the checkpoint
+// split, written independently of Layout as its reference: partition i
+// runs from checkpoint i*C/p to checkpoint (i+1)*C/p of C, clamped to the
+// corpus.
+func checkpointLayout(docs, stride, max int) []int {
+	c := (docs + stride - 1) / stride
+	p := min(max, c)
+	var out []int
+	for i := 0; i < p; i++ {
+		lo, hi := i*c/p, (i+1)*c/p
+		end := hi * stride
+		if i == p-1 || end > docs {
+			end = docs
+		}
+		out = append(out, end-lo*stride)
+	}
+	return out
+}
+
+// TestLayoutMatchesManifestPartitions: over a table of corpus sizes,
+// index strides and fan-outs, Layout at the manifest's Stride gives
+// exactly Manifest.Partitions' document counts, and those are the
+// checkpoint split's. A manifest without a usable index has no
+// partitions, and its Stride is its size, at which Layout gives one
+// partition of every document.
+func TestLayoutMatchesManifestPartitions(t *testing.T) {
+	index := func(docs, stride int) *PartitionIndex {
+		ix := &PartitionIndex{Stride: stride}
+		for k := 0; k*stride < docs; k++ {
+			ix.Offsets = append(ix.Offsets, int64(k*stride*100))
+		}
+		return ix
+	}
+	cases := []struct {
+		name          string
+		docs, stride  int
+		ix            *PartitionIndex
+		maxes         []int
+		partitionable bool
+	}{
+		{"no index", 30, 1, nil, []int{-1, 0, 1, 2, 8, 99}, false},
+		{"index fails check", 30, 4, &PartitionIndex{Stride: 4, Offsets: []int64{0, 100}}, []int{1, 2, 8}, false},
+		{"zero stride", 30, 0, &PartitionIndex{Stride: 0, Offsets: []int64{0}}, []int{2, 8}, false},
+		{"stride 1", 30, 1, index(30, 1), []int{-1, 0, 1, 2, 3, 7, 8, 29, 30, 31, 99}, true},
+		{"stride 4", 87, 4, index(87, 4), []int{1, 2, 5, 8, 21, 22, 23, 100}, true},
+		{"stride 2, exact", 64, 2, index(64, 2), []int{1, 2, 3, 4, 31, 32, 33}, true},
+		{"one checkpoint", 5, 8, index(5, 8), []int{1, 2, 8}, true},
+		{"one document", 1, 1, index(1, 1), []int{1, 2}, true},
+	}
+	for _, tc := range cases {
+		m := &Manifest{NumDocs: tc.docs, Bytes: int64(tc.docs) * 100, Index: tc.ix}
+		for _, max := range tc.maxes {
+			got := Layout(tc.docs, m.Stride(), max)
+			sum := 0
+			for _, n := range got {
+				sum += n
+			}
+			if len(got) < 1 || sum != tc.docs {
+				t.Fatalf("%s: Layout(%d, %d, %d) = %v, want at least one partition summing to %d", tc.name, tc.docs, m.Stride(), max, got, tc.docs)
+			}
+			parts := m.Partitions(max)
+			if !tc.partitionable || max < 1 {
+				if parts != nil || len(got) != 1 {
+					t.Fatalf("%s, max %d: Partitions = %v and Layout = %v, want nil and one partition", tc.name, max, parts, got)
+				}
+				continue
+			}
+			docs := make([]int, len(parts))
+			for i, p := range parts {
+				docs[i] = p.Docs
+			}
+			if want := checkpointLayout(tc.docs, tc.stride, max); !reflect.DeepEqual(docs, got) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, max %d: Partitions' counts %v, Layout %v, checkpoint split %v", tc.name, max, docs, got, want)
+			}
+		}
+	}
+	if got := Layout(0, 1, 8); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("Layout of no records = %v, want one empty partition", got)
+	}
+}

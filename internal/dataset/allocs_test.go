@@ -24,7 +24,7 @@ func TestScanAllocsPerDoc(t *testing.T) {
 	}
 	n := 0
 	perRun := testing.AllocsPerRun(5, func() {
-		if err := src.IterateRecords(func(*record.Record) error {
+		if err := src.Iterate(0, docs, func(*record.Record) error {
 			n++
 			return nil
 		}); err != nil {
@@ -35,9 +35,9 @@ func TestScanAllocsPerDoc(t *testing.T) {
 		t.Fatalf("iterated %d records, want %d", n, 6*docs)
 	}
 	if got := perRun / docs; got > 8 {
-		t.Errorf("IterateRecords: %.2f allocs per doc, want <= 8", got)
+		t.Errorf("Iterate: %.2f allocs per doc, want <= 8", got)
 	} else {
-		t.Logf("IterateRecords: %.2f allocs per doc", got)
+		t.Logf("Iterate: %.2f allocs per doc", got)
 	}
 }
 

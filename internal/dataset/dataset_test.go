@@ -21,16 +21,36 @@ func TestMemSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := src.Records()
-	if err != nil || len(got) != 2 {
-		t.Fatalf("Records = %d, %v", len(got), err)
+	got := collect(t, src)
+	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
+		t.Fatalf("records = %v, want the registered instances", got)
 	}
 	if got[0].Source() != "mem" {
 		t.Errorf("source = %q", got[0].Source())
 	}
-	if src.Len() != 2 {
-		t.Errorf("Len = %d", src.Len())
+	if st, err := src.Stats(); err != nil || st.NumRecords != 2 || st.Stride != 1 {
+		t.Errorf("Stats = %+v, %v", st, err)
 	}
+	if emb, err := src.Embeddings(); emb != nil || err != nil {
+		t.Errorf("Embeddings = %v, %v, want none", emb, err)
+	}
+}
+
+// collect reads every record of src, failing the test on an error.
+func collect(t *testing.T, src Source) []*record.Record {
+	t.Helper()
+	st, err := src.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*record.Record
+	if err := src.Iterate(0, st.NumRecords, func(r *record.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestMemSourceSchemaMismatch(t *testing.T) {
@@ -269,12 +289,15 @@ func TestDocsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := src.Records()
-	if err != nil || len(recs) != 5 {
-		t.Fatalf("records = %d, %v", len(recs), err)
+	recs := collect(t, src)
+	if len(recs) != 5 {
+		t.Fatalf("records = %d", len(recs))
 	}
 	if corpus.TruthOf(recs[0]) == nil {
 		t.Error("DocsSource lost ground truth")
+	}
+	if again := collect(t, src); again[0] != recs[0] {
+		t.Error("a second read built new record instances")
 	}
 	if _, err := NewDocsSource("bad", schema.CSVRow, docs); err == nil {
 		t.Error("schema without contents accepted")

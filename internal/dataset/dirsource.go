@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/corpus"
-	"repro/internal/llm"
 	"repro/internal/pdfsim"
 	"repro/internal/record"
 	"repro/internal/schema"
@@ -31,18 +30,20 @@ const TruthSidecar = "_groundtruth.json"
 // reproducing Palimpzest's local-folder datasets. The record schema is
 // chosen from the dominant file extension.
 //
-// The folder is read on the first Records or Stats call, not at
-// registration, and the records are kept as a snapshot together with a
-// stamp (size and modification time) of every registered file and of
-// the truth sidecar. Later calls stat those paths and re-read the folder
-// only when a stamp changed, so they return the same record instances,
-// as DocsSource does. An edit that keeps a file's size and modification
-// time is not seen. The file list is fixed at NewDirSource.
+// The folder is read on the first Stats call, not at registration, and
+// the records are kept as a snapshot together with a stamp (size and
+// modification time) of every registered file and of the truth sidecar.
+// Each Stats call stats those paths and re-reads the folder only when a
+// stamp changed, so an unchanged folder keeps its record instances, as
+// DocsSource does. Iterate ranges over the snapshot the last Stats call
+// took, so a scan's count, its partition layout and its reads all see
+// one version of the folder, for one pass of stats. An edit that keeps a
+// file's size and modification time is not seen. The file list is fixed
+// at NewDirSource.
 type DirSource struct {
-	name   string
-	dir    string
-	schema *schema.Schema
-	files  []string
+	sliceSource
+	dir   string
+	files []string
 
 	mu   sync.Mutex
 	snap *dirSnapshot
@@ -111,50 +112,51 @@ func NewDirSource(name, dir string) (*DirSource, error) {
 		return exts[i] < exts[j]
 	})
 	s, _ := schema.ForExtension(exts[0])
-	return &DirSource{name: name, dir: dir, schema: s, files: files}, nil
+	return &DirSource{sliceSource: sliceSource{name, s}, dir: dir, files: files}, nil
 }
-
-// Name implements Source.
-func (d *DirSource) Name() string { return d.name }
-
-// Schema implements Source.
-func (d *DirSource) Schema() *schema.Schema { return d.schema }
-
-// Dir returns the backing directory.
-func (d *DirSource) Dir() string { return d.dir }
 
 // NumFiles returns how many files the source will read.
 func (d *DirSource) NumFiles() int { return len(d.files) }
 
-// Records implements Source: it parses every file with the reader for its
-// extension and re-attaches sidecar ground truth when available. Calls
-// on an unchanged folder share one snapshot of record instances.
+// Records returns the records of the folder's current snapshot, in a
+// slice of their own. It is kept beside Stats and Iterate for wallbench,
+// the repository's wall-clock benchmark, whose code is held fixed between
+// its runs.
 func (d *DirSource) Records() ([]*record.Record, error) {
-	snap, err := d.snapshot()
+	snap, err := d.snapshot(true)
 	if err != nil {
 		return nil, err
 	}
 	return slices.Clone(snap.recs), nil
 }
 
-// Stats implements Stater from the snapshot Records returns: the record
-// count, and the mean token size of the first statsSampleDocs records.
-// It is untrusted when the folder cannot be read, so the caller's
-// Records call reports the error.
-func (d *DirSource) Stats() (SourceStats, bool) {
-	snap, err := d.snapshot()
+// Stats implements Source: it takes the folder's current snapshot and
+// returns its record count, and the mean token size of its first
+// statsSampleDocs records.
+func (d *DirSource) Stats() (SourceStats, error) {
+	snap, err := d.snapshot(true)
 	if err != nil {
-		return SourceStats{}, false
+		return SourceStats{}, err
 	}
-	return snap.stats, true
+	return snap.stats, nil
+}
+
+// Iterate implements Source over the snapshot the last Stats call took;
+// without one, it takes the current snapshot first.
+func (d *DirSource) Iterate(lo, hi int, yield func(*record.Record) error) error {
+	snap, err := d.snapshot(false)
+	if err != nil {
+		return err
+	}
+	return d.iterate(snap.recs, lo, hi, yield)
 }
 
 // snapshot returns the folder's snapshot, reading the folder again when
-// there is none or a stamp changed.
-func (d *DirSource) snapshot() (*dirSnapshot, error) {
+// there is none or, when check is set, a stamp changed.
+func (d *DirSource) snapshot(check bool) (*dirSnapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.snap != nil && d.fresh(d.snap) {
+	if d.snap != nil && (!check || d.fresh(d.snap)) {
 		return d.snap, nil
 	}
 	snap, err := d.load()
@@ -212,14 +214,7 @@ func (d *DirSource) load() (*dirSnapshot, error) {
 		}
 	}
 	snap.recs = out
-	snap.stats = SourceStats{NumRecords: len(out)}
-	if n := min(len(out), statsSampleDocs); n > 0 {
-		total := 0
-		for _, r := range out[:n] {
-			total += llm.Tokens(r.TextLen())
-		}
-		snap.stats.AvgTokens = float64(total) / float64(n)
-	}
+	snap.stats = sliceStats(out)
 	return snap, nil
 }
 
@@ -428,17 +423,12 @@ func MaterializeCorpus(name, dir string, docs []*corpus.Doc) (*DirSource, error)
 }
 
 // DocsSource wraps corpus documents directly (no disk round-trip). Records
-// are materialized once and cached, so repeated Records calls return the
-// same record instances: lineage from pipeline outputs stays joinable with
-// the inputs a caller saved (the metrics layer relies on this).
+// are built once, on first use, and kept, so every Iterate yields the
+// same record instances: lineage from pipeline outputs stays joinable
+// with the inputs a caller saved (the metrics layer relies on this).
 type DocsSource struct {
-	name   string
-	schema *schema.Schema
-	docs   []*corpus.Doc
-
-	once sync.Once
-	recs []*record.Record
-	err  error
+	sliceSource
+	records func() ([]*record.Record, error)
 }
 
 // NewDocsSource builds a source over in-memory corpus documents using the
@@ -447,24 +437,22 @@ func NewDocsSource(name string, s *schema.Schema, docs []*corpus.Doc) (*DocsSour
 	if !s.Has("filename") || !s.Has("contents") {
 		return nil, fmt.Errorf("dataset: schema %s lacks filename/contents", s.Name())
 	}
-	return &DocsSource{name: name, schema: s, docs: docs}, nil
+	return &DocsSource{sliceSource{name, s}, sync.OnceValues(func() ([]*record.Record, error) {
+		return corpus.Records(docs, s, name)
+	})}, nil
 }
 
-// Name implements Source.
-func (d *DocsSource) Name() string { return d.name }
+// Stats implements Source.
+func (d *DocsSource) Stats() (SourceStats, error) {
+	recs, err := d.records()
+	return sliceStats(recs), err
+}
 
-// Schema implements Source.
-func (d *DocsSource) Schema() *schema.Schema { return d.schema }
-
-// Records implements Source.
-func (d *DocsSource) Records() ([]*record.Record, error) {
-	d.once.Do(func() {
-		d.recs, d.err = corpus.Records(d.docs, d.schema, d.name)
-	})
-	if d.err != nil {
-		return nil, d.err
+// Iterate implements Source.
+func (d *DocsSource) Iterate(lo, hi int, yield func(*record.Record) error) error {
+	recs, err := d.records()
+	if err != nil {
+		return err
 	}
-	out := make([]*record.Record, len(d.recs))
-	copy(out, d.recs)
-	return out, nil
+	return d.iterate(recs, lo, hi, yield)
 }

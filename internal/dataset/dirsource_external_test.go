@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/dataset"
+	"repro/internal/llm"
 	"repro/internal/ops"
 	"repro/internal/optimizer"
 	"repro/pz"
@@ -28,34 +29,55 @@ var demoScenarios = []struct {
 	}, "The listing has a modern, recently renovated interior"},
 }
 
-// sourceOnly hides every capability of a source but Source itself, so the
-// optimizer costs it by materializing its records.
-type sourceOnly struct{ dataset.Source }
+// materializedEstimate is the cost seed of a folder, memory or docs
+// source computed from its materialized records: the record count, and
+// the mean Tokens(TextLen()) of the first 16 records.
+func materializedEstimate(recs []*pz.Record) ops.Estimate {
+	est := ops.Estimate{Cardinality: float64(len(recs)), Quality: 1}
+	if n := min(len(recs), 16); n > 0 {
+		total := 0
+		for _, r := range recs[:n] {
+			total += llm.Tokens(r.TextLen())
+		}
+		est.AvgTokens = float64(total) / float64(n)
+	}
+	return est
+}
 
 // TestDirSourceStatsMatchMaterializedEstimate: on every demo scenario,
-// the estimate the optimizer takes from DirSource.Stats is the one it
-// builds by materializing the folder.
+// the estimate the optimizer takes from the Stats of a folder, of the
+// same documents in memory and of their records in memory is the one
+// computed from their materialized records.
 func TestDirSourceStatsMatchMaterializedEstimate(t *testing.T) {
 	for _, sc := range demoScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			src, err := dataset.MaterializeCorpus(sc.name, t.TempDir(), sc.docs())
+			docs := sc.docs()
+			dir, err := dataset.MaterializeCorpus(sc.name, t.TempDir(), docs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, ok := src.Stats()
-			if !ok {
-				t.Fatal("Stats untrusted")
-			}
-			want, err := optimizer.InitialEstimate([]ops.Logical{&ops.Scan{Source: sourceOnly{src}}})
+			recs, err := dir.Records()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if float64(st.NumRecords) != want.Cardinality || st.AvgTokens != want.AvgTokens {
-				t.Fatalf("Stats = %+v, materialized estimate = %+v", st, want)
+			inMem, err := dataset.NewDocsSource(sc.name, dir.Schema(), docs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, err := optimizer.InitialEstimate([]ops.Logical{&ops.Scan{Source: src}})
-			if err != nil || got != want {
-				t.Fatalf("estimate from Stats = %+v, %v, want %+v", got, err, want)
+			mem, err := dataset.NewMemSource(sc.name, dir.Schema(), recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []dataset.Source{dir, inMem, mem} {
+				recs, err := pz.Collect(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := materializedEstimate(recs)
+				got, err := optimizer.InitialEstimate([]ops.Logical{&ops.Scan{Source: src}})
+				if err != nil || got != want {
+					t.Fatalf("%T: estimate from Stats = %+v, %v, want %+v", src, got, err, want)
+				}
 			}
 		})
 	}

@@ -31,9 +31,9 @@ func TestNDJSONSourceStatsAndSchema(t *testing.T) {
 	if !schema.Equal(src.Schema(), schema.TextFile) {
 		t.Errorf("schema = %s, want TextFile for .txt filenames", src.Schema().Name())
 	}
-	st, ok := src.Stats()
-	if !ok {
-		t.Fatal("Stats() not trustworthy")
+	st, err := src.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st.NumRecords != 30 {
 		t.Errorf("NumRecords = %d, want 30", st.NumRecords)
@@ -64,10 +64,7 @@ func TestNDJSONSourceRecordsMatchDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := src.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := collect(t, src)
 	want := corpus.GenerateSupport(corpus.SupportConfig{NumTickets: 20, UrgentRate: 0.3, Seed: 13})
 	if len(recs) != len(want) {
 		t.Fatalf("records = %d, want %d", len(recs), len(want))
@@ -95,7 +92,7 @@ func TestNDJSONSourceIterateEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*record.Record
-	err = src.IterateRecords(func(r *record.Record) error {
+	err = src.Iterate(0, 50, func(r *record.Record) error {
 		got = append(got, r)
 		if len(got) == 5 {
 			return ErrStop

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,15 +38,27 @@ func renderRecord(r *record.Record) string {
 	return b.String()
 }
 
+// layoutOf is the source's partition layout for a fan-out of at most max,
+// as the scan computes it.
+func layoutOf(t *testing.T, src Source, max int) []int {
+	t.Helper()
+	st, err := src.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpus.Layout(st.NumRecords, st.Stride, max)
+}
+
 // TestIteratePartitionEquivalence: for randomized fan-outs, concatenating
-// IteratePartition across the layout yields exactly the records (content
-// and order) of one IterateRecords pass — the dataset-level half of the
-// partition≡sequential property.
+// Iterate over the ranges of the layout yields exactly the records
+// (content and order) of one whole-corpus Iterate — the dataset-level
+// half of the partition≡sequential property — and the layout is the
+// manifest's partition split.
 func TestIteratePartitionEquivalence(t *testing.T) {
 	const n = 87
 	src := partitionedSource(t, n)
 	var want []string
-	if err := src.IterateRecords(func(r *record.Record) error {
+	if err := src.Iterate(0, n, func(r *record.Record) error {
 		want = append(want, renderRecord(r))
 		return nil
 	}); err != nil {
@@ -58,14 +71,22 @@ func TestIteratePartitionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
 		max := 2 + rng.Intn(n)
-		layout := src.PartitionLayout(max)
+		layout := layoutOf(t, src, max)
 		if len(layout) < 2 {
-			t.Fatalf("PartitionLayout(%d) = %v, want a real split", max, layout)
+			t.Fatalf("layout(%d) = %v, want a real split", max, layout)
+		}
+		ranges := src.PartitionRanges(max)
+		if len(ranges) != len(layout) {
+			t.Fatalf("layout(%d) = %v, manifest partitions %v", max, layout, ranges)
 		}
 		var got []string
+		lo := 0
 		for part, docs := range layout {
+			if ranges[part].Docs != docs {
+				t.Fatalf("partition %d: layout says %d records, manifest %d", part, docs, ranges[part].Docs)
+			}
 			count := 0
-			if err := src.IteratePartition(len(layout), part, func(r *record.Record) error {
+			if err := src.Iterate(lo, lo+docs, func(r *record.Record) error {
 				got = append(got, renderRecord(r))
 				count++
 				return nil
@@ -75,6 +96,7 @@ func TestIteratePartitionEquivalence(t *testing.T) {
 			if count != docs {
 				t.Fatalf("partition %d yielded %d records, layout says %d", part, count, docs)
 			}
+			lo += docs
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%d-way partitioned iteration yielded %d records, want %d", len(layout), len(got), len(want))
@@ -88,16 +110,16 @@ func TestIteratePartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestIteratePartitionErrStop: the early-stop contract holds on the
-// partitioned path too.
+// TestIteratePartitionErrStop: the early-stop contract holds on a range
+// that starts mid-corpus too.
 func TestIteratePartitionErrStop(t *testing.T) {
 	src := partitionedSource(t, 40)
-	layout := src.PartitionLayout(4)
+	layout := layoutOf(t, src, 4)
 	if len(layout) != 4 {
 		t.Fatalf("layout = %v, want 4 partitions", layout)
 	}
 	seen := 0
-	err := src.IteratePartition(4, 1, func(*record.Record) error {
+	err := src.Iterate(layout[0], layout[0]+layout[1], func(*record.Record) error {
 		seen++
 		if seen == 3 {
 			return ErrStop
@@ -112,27 +134,80 @@ func TestIteratePartitionErrStop(t *testing.T) {
 	}
 }
 
-// TestIteratePartitionBounds: out-of-range partition ordinals error
-// instead of silently reading the wrong bytes.
+// TestIteratePartitionBounds: a range off a checkpoint, past the end or
+// inverted errors instead of silently reading the wrong bytes, and a
+// range that is not the whole corpus reads exactly its records.
 func TestIteratePartitionBounds(t *testing.T) {
 	src := partitionedSource(t, 24)
-	for _, part := range []int{-1, 4, 99} {
-		if err := src.IteratePartition(4, part, func(*record.Record) error { return nil }); err == nil {
-			t.Errorf("IteratePartition(4, %d) accepted an out-of-range ordinal", part)
+	st, err := src.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stride != 1 {
+		t.Fatalf("a 24-document corpus has stride %d, want 1", st.Stride)
+	}
+	for _, r := range [][2]int{{-1, 4}, {0, 25}, {20, 25}, {25, 25}, {6, 5}} {
+		if err := src.Iterate(r[0], r[1], func(*record.Record) error { return nil }); err == nil {
+			t.Errorf("Iterate(%d, %d) accepted a range outside 24 records", r[0], r[1])
+		}
+	}
+	// Past 4,096 documents the index keeps every second one.
+	bigger := partitionedSource(t, 5000)
+	if st, _ := bigger.Stats(); st.Stride != 2 {
+		t.Fatalf("a 5,000-document corpus has stride %d, want 2", st.Stride)
+	}
+	if err := bigger.Iterate(3, 9, func(*record.Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Errorf("Iterate(3, 9) at stride 2: %v, want an off-checkpoint error", err)
+	}
+	var names []string
+	if err := bigger.Iterate(6, 9, func(r *record.Record) error {
+		names = append(names, r.GetString("filename"))
+		return nil
+	}); err != nil || len(names) != 3 {
+		t.Fatalf("Iterate(6, 9) = %v, %v", names, err)
+	}
+	all := collect(t, bigger)
+	for i, name := range names {
+		if want := all[6+i].GetString("filename"); name != want {
+			t.Errorf("record %d of Iterate(6, 9) is %s, want %s", i, name, want)
 		}
 	}
 }
 
-// TestPartitionLayoutUnavailable: sources without a manifest index are
-// not partitionable and must say so, sending the engine down the
-// sequential path.
+// TestPartitionLayoutUnavailable: a corpus without a usable manifest
+// index is a single partition: its stride is its size, so the scan's
+// layout is one range and a range starting anywhere else is rejected.
 func TestPartitionLayoutUnavailable(t *testing.T) {
 	src := partitionedSource(t, 30)
-	src.manifest = nil // as if the corpus had no (usable) manifest
-	if layout := src.PartitionLayout(8); layout != nil {
-		t.Fatalf("index-less source offered layout %v", layout)
+	m, err := corpus.ReadManifest(src.Path())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := src.IteratePartition(2, 0, func(*record.Record) error { return nil }); err == nil {
-		t.Fatal("index-less source iterated a partition")
+	m.Index = nil // as if the corpus had been written before the index format
+	if err := corpus.WriteManifest(src.Path(), m); err != nil {
+		t.Fatal(err)
+	}
+	for name, drop := range map[string]bool{"unindexed manifest": false, "no manifest": true} {
+		if drop {
+			if err := os.Remove(src.Path() + corpus.ManifestSuffix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unindexed, err := NewNDJSONSource("tickets", src.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if layout := layoutOf(t, unindexed, 8); len(layout) != 1 || layout[0] != 30 {
+			t.Fatalf("%s: layout %v, want one partition of 30", name, layout)
+		}
+		if parts := unindexed.PartitionRanges(8); parts != nil {
+			t.Fatalf("%s: partition ranges %v", name, parts)
+		}
+		if err := unindexed.Iterate(15, 30, func(*record.Record) error { return nil }); err == nil {
+			t.Fatalf("%s: iterated a range off the only checkpoint", name)
+		}
+		if got := collect(t, unindexed); len(got) != 30 {
+			t.Fatalf("%s: read %d records, want 30", name, len(got))
+		}
 	}
 }

@@ -182,8 +182,8 @@ func TestDirSourceSnapshotDeletedFileErrors(t *testing.T) {
 	if _, err := src.Records(); err == nil || !strings.Contains(err.Error(), "open ") {
 		t.Fatalf("Records after delete: %v, want the open error", err)
 	}
-	if _, ok := src.Stats(); ok {
-		t.Error("Stats trusted over a deleted file")
+	if _, err := src.Stats(); err == nil {
+		t.Error("Stats counted a folder with a deleted file")
 	}
 }
 
@@ -197,9 +197,9 @@ func TestDirSourceStats(t *testing.T) {
 	src, _ := textFolder(t, files)
 	loads := 0
 	defer SetLoadHook(func(string) { loads++ })()
-	st, ok := src.Stats()
-	if !ok || st.NumRecords != len(files) || st.AvgTokens <= 0 {
-		t.Fatalf("Stats = %+v, %v", st, ok)
+	st, err := src.Stats()
+	if err != nil || st.NumRecords != len(files) || st.AvgTokens <= 0 {
+		t.Fatalf("Stats = %+v, %v", st, err)
 	}
 	if _, err := src.Records(); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,45 @@ func TestDirSourceStats(t *testing.T) {
 	}
 }
 
-// TestDirSourceSnapshotConcurrent: Records and Stats from many
+// TestDirSourceIterateReadsCountedSnapshot: Iterate ranges over the
+// snapshot the last Stats took, without a freshness pass of its own, so
+// a range computed from a count reads the records that count counted; the
+// next Stats sees an edit made in between.
+func TestDirSourceIterateReadsCountedSnapshot(t *testing.T) {
+	src, dir := textFolder(t, map[string]string{"a.txt": "alpha", "b.txt": "beta"})
+	read := func(lo, hi int) []string {
+		t.Helper()
+		var out []string
+		if err := src.Iterate(lo, hi, func(r *record.Record) error {
+			out = append(out, r.GetString("contents"))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := read(1, 2); !reflect.DeepEqual(got, []string{"beta"}) {
+		t.Fatalf("Iterate(1, 2) before any Stats = %q, want beta", got)
+	}
+	if st, err := src.Stats(); err != nil || st.NumRecords != 2 || st.Stride != 1 {
+		t.Fatalf("Stats = %+v, %v", st, err)
+	}
+	writeAt(t, filepath.Join(dir, "a.txt"), "omega", time.Unix(1_700_000_060, 0))
+	if got := read(0, 2); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
+		t.Fatalf("Iterate after an edit = %q, want the counted snapshot", got)
+	}
+	if _, err := src.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(0, 1); !reflect.DeepEqual(got, []string{"omega"}) {
+		t.Fatalf("Iterate after the next Stats = %q, want omega", got)
+	}
+	if err := src.Iterate(1, 3, func(*record.Record) error { return nil }); err == nil {
+		t.Error("Iterate accepted a range past the end")
+	}
+}
+
+// TestDirSourceSnapshotConcurrent: Records, Stats and Iterate from many
 // goroutines, while files change under them, race on nothing (run with
 // -race) and always see a whole folder.
 func TestDirSourceSnapshotConcurrent(t *testing.T) {
@@ -225,8 +263,13 @@ func TestDirSourceSnapshotConcurrent(t *testing.T) {
 					t.Errorf("Records = %d, %v", len(recs), err)
 					return
 				}
-				if st, ok := src.Stats(); !ok || st.NumRecords != 3 {
-					t.Errorf("Stats = %+v, %v", st, ok)
+				if st, err := src.Stats(); err != nil || st.NumRecords != 3 {
+					t.Errorf("Stats = %+v, %v", st, err)
+					return
+				}
+				n := 0
+				if err := src.Iterate(0, 3, func(*record.Record) error { n++; return nil }); err != nil || n != 3 {
+					t.Errorf("Iterate = %d records, %v", n, err)
 					return
 				}
 			}

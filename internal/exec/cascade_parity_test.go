@@ -104,7 +104,7 @@ func TestCascadeShapeParityProperty(t *testing.T) {
 					t.Fatal("calibration declined the corpus")
 				}
 				scan := &ops.ScanExec{Source: src}
-				if got := len(scan.Layout(4)); got < 2 {
+				if got := len(layoutOf(t, scan, 4)); got < 2 {
 					t.Fatalf("scan splits %d ways, want a partition fan-out", got)
 				}
 				plan := []ops.Physical{scan, cal.Candidates[0]}

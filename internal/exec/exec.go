@@ -46,11 +46,12 @@ type Config struct {
 	// (default 1). Beyond 1, stages overlap: the scan streams batches of
 	// StreamBatchSize records through them.
 	Parallelism int
-	// Partitions is the partition fan-out for partitionable scans — an
-	// NDJSON corpus whose manifest carries a byte-offset partition index
-	// (see docs/howto-corpus.md). When > 1 the engine runs one
-	// source+map pipeline per partition, each reading its own byte range
-	// of the file with Parallelism-wide worker pools, and merges results
+	// Partitions is the partition fan-out for scans: any source splits
+	// at its stride (see ops.ScanExec.Layout), an NDJSON corpus at the
+	// checkpoints of its byte-offset partition index (see
+	// docs/howto-corpus.md). When > 1 the engine runs one source+map
+	// pipeline per partition, each reading its own range of the source
+	// with Parallelism-wide worker pools, and merges results
 	// back into exact dataset order, so outputs stay byte-identical to a
 	// sequential scan. 0/1 keeps the single streaming reader; a plan
 	// whose scan carries its own fan-out (ops.ScanExec.Parts, stamped by

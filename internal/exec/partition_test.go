@@ -8,6 +8,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/optimizer"
 	"repro/internal/record"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -23,10 +24,20 @@ func supportPhys(t *testing.T, n int) []ops.Physical {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(phys[0].(*ops.ScanExec).Layout(8)); got < 2 {
+	if got := len(layoutOf(t, phys[0].(*ops.ScanExec), 8)); got < 2 {
 		t.Fatalf("scan over an indexed NDJSON source splits %d ways, want a fan-out", got)
 	}
 	return phys
+}
+
+// layoutOf is the scan's partition layout for a fan-out of at most max.
+func layoutOf(t *testing.T, scan *ops.ScanExec, max int) []int {
+	t.Helper()
+	layout, err := scan.Layout(max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layout
 }
 
 // TestPartitionedScanParity is the engine-level acceptance check: the
@@ -146,18 +157,24 @@ func TestPartitionPlanHintWins(t *testing.T) {
 	}
 }
 
-// TestPartitionedFallbackUnpartitionable: partition fan-out requested
-// over a memory source (no PartitionedSource capability) silently runs
-// the single-reader pipeline.
-func TestPartitionedFallbackUnpartitionable(t *testing.T) {
+// TestPartitionedMemorySource: partition fan-out requested over a memory
+// source splits it like an indexed corpus, 8 ways at stride 1, and the
+// partitioned run returns byte-identical records to the one-batch run.
+func TestPartitionedMemorySource(t *testing.T) {
 	phys, err := workloads.StreamPlan(24)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := layoutOf(t, phys[0].(*ops.ScanExec), 8); len(got) != 8 {
+		t.Fatalf("a 24-record memory source splits as %v, want 8 partitions", got)
 	}
 	partExec, _ := NewExecutor(Config{Parallelism: 4, Partitions: 8})
 	res, err := partExec.RunPipelined(context.Background(), phys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(res.Trace.Stages()[0].FindAll(trace.KindPartition)); got != 8 {
+		t.Fatalf("the scan ran %d partitions, want 8", got)
 	}
 	seqExec, _ := NewExecutor(Config{Parallelism: 4})
 	seq, err := seqExec.RunSequential(context.Background(), phys)
@@ -170,7 +187,7 @@ func TestPartitionedFallbackUnpartitionable(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("record %d differs on the fallback path", i)
+			t.Fatalf("record %d differs under 8 partitions", i)
 		}
 	}
 }

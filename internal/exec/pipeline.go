@@ -145,7 +145,10 @@ func (e *Executor) run(parent context.Context, phys []ops.Physical, rc *reoptCon
 		// runs once over its full input.
 		parts, size = 1, math.MaxInt
 	}
-	layout := scan.Layout(parts)
+	layout, err := scan.Layout(parts)
+	if err != nil {
+		return nil, fmt.Errorf("exec: operator 0 (%s): %w", scan.ID(), err)
+	}
 	// When the scan splits, its stream prefix runs once per partition;
 	// the first blocking stage (or the sink) is where the partitions merge.
 	prefixEnd := 1
@@ -185,8 +188,10 @@ func (e *Executor) run(parent context.Context, phys []ops.Physical, rc *reoptCon
 	// seq-tag merge (the barrier's sort, or the sink's) reassembles exact
 	// dataset order no matter how partition outputs interleave.
 	seqBase := make([]int, len(layout))
+	starts := make([]int, len(layout))
 	for p := 1; p < len(layout); p++ {
 		seqBase[p] = seqBase[p-1] + max(1, (layout[p-1]+size-1)/size)
+		starts[p] = starts[p-1] + layout[p-1]
 	}
 	// Cumulative per-stage progress across partitions, emitted under one
 	// lock so counts never appear to regress.
@@ -247,7 +252,7 @@ func (e *Executor) run(parent context.Context, phys []ops.Physical, rc *reoptCon
 			seq := seqBase[p]
 			err := func() (err error) {
 				defer ops.Recover(&err)
-				return scan.Stream(sctx, len(layout), p, size, func(recs []*record.Record) error {
+				return scan.Stream(sctx, starts[p], starts[p]+layout[p], size, func(recs []*record.Record) error {
 					partOut[p][0] += len(recs)
 					note(0, len(recs))
 					if !send(out, batch{seq: seq, recs: recs}) {

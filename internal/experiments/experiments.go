@@ -52,7 +52,7 @@ func BiomedContext(cfg pz.Config) (*pz.Context, *pz.Dataset, []*pz.Record, error
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	inputs, err := src.Records()
+	inputs, err := pz.Collect(src)
 	if err != nil {
 		return nil, nil, nil, err
 	}

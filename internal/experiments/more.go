@@ -186,7 +186,7 @@ func RunE4Legal() (*E4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs, _ := src.Records()
+	inputs, _ := pz.Collect(src)
 	parties, err := pz.DeriveSchema("ContractParties",
 		"Parties and effective date of a contract.",
 		[]string{"party_a", "party_b", "effective_date"},
@@ -246,7 +246,7 @@ func RunE4RealEstate() (*E4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs, _ := src.Records()
+	inputs, _ := pz.Collect(src)
 	listing, err := pz.DeriveSchema("Listing", "A real estate listing.",
 		[]string{"neighborhood", "price:float", "bedrooms:int"},
 		[]string{"The neighborhood of the listing", "The asking price in dollars", "The number of bedrooms"})

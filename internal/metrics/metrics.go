@@ -90,37 +90,66 @@ func FilterQuality(inputs, kept []*record.Record, predicate string) PRF {
 // (e.g. bare labels) score meaninglessly here — use FilterQuality over
 // the filter's own kept set instead.
 func FilterQualityByTruth(inputs, outputs []*record.Record, predicate string) PRF {
-	kept := make(map[string]bool, len(outputs))
+	score := NewTruthScore(outputs, predicate)
+	for _, r := range inputs {
+		score.Add(r)
+	}
+	return score.PRF()
+}
+
+// TruthScore is FilterQualityByTruth over inputs read one at a time, as a
+// scan yields them: it holds the truth keys of the outputs and of the
+// gold inputs the filter missed, never the inputs themselves.
+type TruthScore struct {
+	predicate string
+	// kept maps each output's truth key to whether an input with that
+	// key has been scored; missed holds the keys of scored gold inputs
+	// that no output kept.
+	kept       map[string]bool
+	missed     map[string]bool
+	tp, fp, fn int
+}
+
+// NewTruthScore starts scoring the filter stage behind outputs.
+func NewTruthScore(outputs []*record.Record, predicate string) *TruthScore {
+	s := &TruthScore{predicate: predicate, kept: make(map[string]bool, len(outputs)), missed: map[string]bool{}}
 	for _, r := range outputs {
 		if truth := corpus.RecordTruth(r); truth != nil {
-			kept[truthKey(truth)] = true
+			s.kept[truthKey(truth)] = false
 		}
 	}
-	var tp, fp, fn int
-	seen := make(map[string]bool, len(inputs))
-	for _, r := range inputs {
-		truth := corpus.RecordTruth(r)
-		if truth == nil {
-			continue
-		}
-		key := truthKey(truth)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		gold := llm.GoldFilterDecision(truth, predicate)
-		got := kept[key]
-		switch {
-		case gold && got:
-			tp++
-		case !gold && got:
-			fp++
-		case gold && !got:
-			fn++
-		}
-	}
-	return prf(tp, fp, fn)
+	return s
 }
+
+// Add scores one input. An input without ground truth, or with the
+// truth of one scored before, adds nothing.
+func (s *TruthScore) Add(input *record.Record) {
+	truth := corpus.RecordTruth(input)
+	if truth == nil {
+		return
+	}
+	key := truthKey(truth)
+	scored, got := s.kept[key]
+	if scored || s.missed[key] {
+		return
+	}
+	gold := llm.GoldFilterDecision(truth, s.predicate)
+	switch {
+	case got:
+		s.kept[key] = true
+		if gold {
+			s.tp++
+		} else {
+			s.fp++
+		}
+	case gold:
+		s.missed[key] = true
+		s.fn++
+	}
+}
+
+// PRF returns the score of the inputs added so far.
+func (s *TruthScore) PRF() PRF { return prf(s.tp, s.fp, s.fn) }
 
 // truthKey canonically serializes a ground-truth annotation so equal
 // truths compare equal across deserializations and forms: the corpus

@@ -103,6 +103,29 @@ func TestFilterQualityWithErrors(t *testing.T) {
 	}
 }
 
+// TestFilterQualityByTruthCollapsesDuplicates: inputs that share a truth
+// are one observation, whether the filter kept that truth or missed it,
+// so reading every input twice scores the same as reading it once.
+func TestFilterQualityByTruthCollapsesDuplicates(t *testing.T) {
+	recs := biomedRecords(t)
+	var gold, other []*record.Record
+	for _, r := range recs {
+		if llm.GoldFilterDecision(corpus.TruthOf(r), demoPredicate) {
+			gold = append(gold, r)
+		} else {
+			other = append(other, r)
+		}
+	}
+	kept := append(append([]*record.Record{}, gold[1:]...), other[0])
+	want := PRF{TP: len(gold) - 1, FP: 1, FN: 1}
+	for name, inputs := range map[string][]*record.Record{"once": recs, "twice": append(append([]*record.Record{}, recs...), recs...)} {
+		m := FilterQualityByTruth(inputs, kept, demoPredicate)
+		if m.TP != want.TP || m.FP != want.FP || m.FN != want.FN {
+			t.Fatalf("%s: metrics = %v, want tp=%d fp=%d fn=%d", name, m, want.TP, want.FP, want.FN)
+		}
+	}
+}
+
 func TestFilterQualitySkipsNoTruth(t *testing.T) {
 	r := record.MustNew(schema.TextFile, map[string]any{"contents": "x"})
 	m := FilterQuality([]*record.Record{r}, nil, "anything")

@@ -51,6 +51,23 @@ var clinical = schema.MustNew("ClinicalData", "A schema for extracting clinical 
 
 const demoPredicate = "The papers are about colorectal cancer"
 
+// collect reads every record of src, failing the test on an error.
+func collect(t *testing.T, src dataset.Source) []*record.Record {
+	t.Helper()
+	st, err := src.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*record.Record
+	if err := src.Iterate(0, st.NumRecords, func(r *record.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func scanAll(t *testing.T, ctx *Ctx, src dataset.Source) []*record.Record {
 	t.Helper()
 	scan := &ScanExec{Source: src}
@@ -556,10 +573,7 @@ func TestDescribeStrings(t *testing.T) {
 // worker goroutines comes back as a *PanicError instead of killing the
 // process, at every width.
 func TestRunParallelRecoversWorkerPanic(t *testing.T) {
-	recs, err := biomedSource(t).Records()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := collect(t, biomedSource(t))
 	for _, p := range []int{1, 4} {
 		ctx, _, _ := newCtx(t, p)
 		_, err := runParallel(ctx, recs, func(r *record.Record) (int, error) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/corpus"
 	"repro/internal/dataset"
 	"repro/internal/record"
 )
@@ -14,9 +15,8 @@ type ScanExec struct {
 	// Source is the dataset to read.
 	Source dataset.Source
 	// Parts is the partition fan-out resolved for this scan (0 = engine
-	// default): when > 1 and the source is partitionable, the pipelined
-	// executor opens up to that many independent range readers (see
-	// Layout). The optimizer
+	// default): when > 1, the pipelined executor reads up to that many
+	// ranges of the source concurrently (see Layout). The optimizer
 	// stamps it from Options.Partitions so cached plans keep their
 	// fan-out.
 	Parts int
@@ -46,33 +46,33 @@ func (s *ScanExec) Estimate(in Estimate) Estimate {
 	return out
 }
 
-// Execute implements Physical.
+// Execute implements Physical: the whole dataset as one batch.
 func (s *ScanExec) Execute(ctx *Ctx, in []*record.Record) ([]*record.Record, error) {
 	if len(in) != 0 {
 		return nil, fmt.Errorf("ops: scan received %d input records", len(in))
 	}
-	recs, err := s.Source.Records()
+	layout, err := s.Layout(1)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Stats.noteBatch(ctx.curOp, s, 0, len(recs))
-	return recs, nil
+	var out []*record.Record
+	err = s.Stream(ctx, 0, layout[0], math.MaxInt, func(recs []*record.Record) error {
+		out = recs
+		return nil
+	})
+	return out, err
 }
 
 // Layout returns the record count of each partition the scan streams as,
-// in dataset order, for a fan-out of at most max. It always has at least
-// one entry: a source that cannot split (no dataset.PartitionedSource
-// index, a corpus too small, max < 2) streams as one partition, reported
-// as {-1} because its size is unknown until read. The engine
-// numbers batches from the counts of the partitions before the last, so
-// the lone entry is never consulted.
-func (s *ScanExec) Layout(max int) []int {
-	if ps, ok := s.Source.(dataset.PartitionedSource); ok && max > 1 {
-		if layout := ps.PartitionLayout(max); len(layout) > 1 {
-			return layout
-		}
+// in dataset order, for a fan-out of at most max: corpus.Layout over the
+// source's Stats. It always has at least one entry; a source whose
+// stride is its count (an unindexed corpus), or max < 2, gives one.
+func (s *ScanExec) Layout(max int) ([]int, error) {
+	st, err := s.Source.Stats()
+	if err != nil {
+		return nil, err
 	}
-	return []int{-1}
+	return corpus.Layout(st.NumRecords, st.Stride, max), nil
 }
 
 // Partitions is the fan-out the scan achieves for its stamped Parts: the
@@ -80,90 +80,49 @@ func (s *ScanExec) Layout(max int) []int {
 // optimizer's time model and the engine read the same Layout, so the two
 // can never disagree.
 func (s *ScanExec) Partitions() int {
-	if s.Parts < 2 {
-		return 1
+	if s.Parts > 1 {
+		if layout, err := s.Layout(s.Parts); err == nil {
+			return len(layout)
+		}
 	}
-	return len(s.Layout(s.Parts))
+	return 1
 }
 
-// Stream emits partition part of the scan's parts-way Layout in dataset
-// order, in batches of up to size records, calling emit once per batch;
-// parts = 1 streams the whole dataset. A source that supports incremental
-// iteration (dataset.RecordIterator — e.g. a file-backed NDJSON corpus)
-// is read batch by batch, so memory stays bounded by the batch size
-// rather than the corpus size; any other source is materialized once and
-// emitted as sub-slices of its records. An empty partition emits one
-// empty batch, so every downstream stage still executes and records its
-// stats row. Per-batch statistics sum to exactly what Execute records.
-// An error from emit aborts the stream and is returned verbatim.
-func (s *ScanExec) Stream(ctx *Ctx, parts, part, size int, emit func([]*record.Record) error) error {
-	if size < 1 {
-		size = 1
-	}
-	// left is how many records are still to come when the source knows
-	// its count (-1 when it does not). Batch buffers start at
-	// min(size, left), empty when the count is unknown, and grow by
-	// append, so a batch size far above the data never preallocates
-	// beyond it.
-	left := -1
-	var iterate func(func(*record.Record) error) error
-	if parts > 1 {
-		ps, ok := s.Source.(dataset.PartitionedSource)
-		if !ok {
-			return fmt.Errorf("ops: scan source %s is not partitionable", s.Source.Name())
-		}
-		if layout := ps.PartitionLayout(parts); part < len(layout) {
-			left = layout[part]
-		}
-		iterate = func(yield func(*record.Record) error) error {
-			return ps.IteratePartition(parts, part, yield)
-		}
-	} else if it, ok := s.Source.(dataset.RecordIterator); ok {
-		if st, ok := s.Source.(dataset.Stater); ok {
-			if stats, ok := st.Stats(); ok {
-				left = stats.NumRecords
-			}
-		}
-		iterate = it.IterateRecords
-	} else {
-		recs, err := s.Source.Records()
-		if err != nil {
-			return err
-		}
-		ctx.Stats.noteBatch(ctx.curOp, s, 0, len(recs))
-		for off := 0; ; off += size {
-			end := min(off+size, len(recs))
-			if err := emit(recs[off:end:end]); err != nil || end == len(recs) {
-				return err
-			}
-		}
-	}
-	newBuf := func() []*record.Record {
-		return make([]*record.Record, 0, min(size, max(left, 0)))
-	}
-	buf := newBuf()
-	emitted := false
+// Stream emits the source's records [lo, hi) in dataset order, in
+// batches of up to size records, calling emit once per batch: a
+// partition of the scan's Layout, whose start is on the source's stride.
+// Each batch is a buffer of its own, filled from Source.Iterate, so
+// memory stays bounded by the batch size rather than the dataset size.
+// An empty range emits one empty batch, so every downstream stage still
+// executes and records its stats row. Per-batch statistics sum to
+// exactly what Execute records. An error from emit aborts the stream and
+// is returned verbatim.
+func (s *ScanExec) Stream(ctx *Ctx, lo, hi, size int, emit func([]*record.Record) error) error {
+	// left is how many records are still to come: a batch buffer holds
+	// min(batch, left), so a batch size far above the data never
+	// preallocates beyond it.
+	batch, left := max(size, 1), hi-lo
+	buf := make([]*record.Record, 0, min(batch, left))
 	flush := func() error {
 		ctx.Stats.noteBatch(ctx.curOp, s, 0, len(buf))
 		out := buf
-		emitted = true
-		if left >= 0 {
-			left = max(0, left-len(out))
-		}
-		buf = newBuf()
+		left = max(0, left-len(out))
+		buf = make([]*record.Record, 0, min(batch, left))
 		return emit(out)
 	}
-	err := iterate(func(r *record.Record) error {
+	err := s.Source.Iterate(lo, hi, func(r *record.Record) error {
 		if err := ctx.Canceled(); err != nil {
 			return err
 		}
 		buf = append(buf, r)
-		if len(buf) == size {
+		if len(buf) == batch {
 			return flush()
 		}
 		return nil
 	})
-	if err == nil && (len(buf) > 0 || !emitted) {
+	// With nothing emitted yet (left untouched), the last batch goes out
+	// even when empty.
+	if err == nil && (len(buf) > 0 || left == hi-lo) {
 		err = flush()
 	}
 	return err

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/corpus"
-	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/ops"
 	"repro/internal/record"
@@ -49,8 +48,8 @@ type cascadeSampleItem struct {
 // for the chain's first filter and, if so, returns priced candidates.
 //
 // The pass is deliberately conservative about when it runs at all: the
-// chain must open with a scan over an embedding-sidecar corpus
-// (dataset.EmbeddingSource) whose records carry ground truth, the first
+// chain must open with a scan over a source whose Embeddings returns a
+// sidecar and whose records carry ground truth, the first
 // downstream operator must be a natural-language filter (deeper positions
 // see derived records that may no longer resolve in the sidecar).
 // Anything else returns (nil, nil) — cascade is an optimization, never a
@@ -79,11 +78,7 @@ func CalibrateCascade(chain []ops.Logical, ctx *ops.Ctx) (*CascadeCalibration, e
 	if !ok || filter.UDF != nil || filter.Predicate == "" {
 		return nil, nil
 	}
-	es, ok := scan.Source.(dataset.EmbeddingSource)
-	if !ok {
-		return nil, nil
-	}
-	ix, err := es.Embeddings()
+	ix, err := scan.Source.Embeddings()
 	if err != nil {
 		// A present-but-corrupt sidecar is a corpus integrity problem;
 		// surface it rather than silently planning around it.

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestCascadeChosenByCostPolicyAndExecutes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inputs, err := chain[0].(*ops.Scan).Source.Records()
+	inputs, err := sampleRecords(chain[0].(*ops.Scan).Source, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

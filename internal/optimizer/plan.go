@@ -23,41 +23,29 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/llm"
 	"repro/internal/ops"
 	"repro/internal/record"
 )
 
-// sampleRecords takes the first n records of a source, preferring
-// incremental iteration (dataset.RecordIterator) so sampling a file-backed
-// corpus never loads it whole. n <= 0 yields an empty sample regardless
-// of source type.
+// sampleRecords takes the first n records of a source (all of them when
+// it has fewer). n <= 0 yields an empty sample.
 func sampleRecords(src dataset.Source, n int) ([]*record.Record, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if it, ok := src.(dataset.RecordIterator); ok {
-		var sample []*record.Record
-		err := it.IterateRecords(func(r *record.Record) error {
-			sample = append(sample, r)
-			if len(sample) >= n {
-				return dataset.ErrStop
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sample, nil
-	}
-	all, err := src.Records()
+	st, err := src.Stats()
 	if err != nil {
 		return nil, err
 	}
-	if len(all) > n {
-		all = all[:n]
+	var sample []*record.Record
+	err = src.Iterate(0, min(n, st.NumRecords), func(r *record.Record) error {
+		sample = append(sample, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return all, nil
+	return sample, nil
 }
 
 // Plan is one fully-physical pipeline with its cost-model trajectory.
@@ -158,10 +146,9 @@ type Optimizer struct {
 func New(opts Options) *Optimizer { return &Optimizer{opts: opts} }
 
 // InitialEstimate builds the cost-model seed for a logical chain: the scan
-// source's cardinality and average record size. Sources that know their
-// own statistics (dataset.Stater) are costed from them: a file-backed
-// corpus from its manifest, without reading a record, and a folder from
-// the snapshot its scan then reads.
+// source's cardinality and average record size, from its Stats — a
+// file-backed corpus from its manifest, without reading a record, and a
+// folder from the snapshot its scan then reads.
 func InitialEstimate(chain []ops.Logical) (ops.Estimate, error) {
 	if len(chain) == 0 {
 		return ops.Estimate{}, fmt.Errorf("optimizer: empty plan")
@@ -170,33 +157,11 @@ func InitialEstimate(chain []ops.Logical) (ops.Estimate, error) {
 	if !ok {
 		return ops.Estimate{}, fmt.Errorf("optimizer: plan must start with scan")
 	}
-	if st, ok := scan.Source.(dataset.Stater); ok {
-		if s, trusted := st.Stats(); trusted {
-			return ops.Estimate{
-				Cardinality: float64(s.NumRecords),
-				AvgTokens:   s.AvgTokens,
-				Quality:     1,
-			}, nil
-		}
-	}
-	recs, err := scan.Source.Records()
+	st, err := scan.Source.Stats()
 	if err != nil {
 		return ops.Estimate{}, fmt.Errorf("optimizer: %w", err)
 	}
-	est := ops.Estimate{Cardinality: float64(len(recs)), Quality: 1}
-	if len(recs) > 0 {
-		// Average token size over (up to) the first 16 records.
-		n := len(recs)
-		if n > 16 {
-			n = 16
-		}
-		total := 0
-		for _, r := range recs[:n] {
-			total += llm.Tokens(r.TextLen())
-		}
-		est.AvgTokens = float64(total) / float64(n)
-	}
-	return est, nil
+	return ops.Estimate{Cardinality: float64(st.NumRecords), AvgTokens: st.AvgTokens, Quality: 1}, nil
 }
 
 // Optimize validates the chain, optionally calibrates, enumerates the
@@ -273,6 +238,9 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 		logical[slot] = chain[lp]
 	}
 	prefixes := []*Plan{{Logical: logical}}
+	// fanout is the scan's partition count, read from its source once per
+	// enumeration rather than once per plan prefix.
+	fanout := 1
 	for _, lp := range perm {
 		lop := chain[lp]
 		options := lop.Physical()
@@ -288,6 +256,7 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 			// it to the engine (and through the serving plan cache).
 			if sc, ok := phys.(*ops.ScanExec); ok && o.opts.Partitions > 0 {
 				sc.Parts = o.opts.Partitions
+				fanout = sc.Partitions()
 			}
 		}
 		var next []*Plan
@@ -308,7 +277,7 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 				// Keep the prefix's pipelined estimate current so Pareto
 				// pruning compares plans by the same time metric the
 				// selecting policy will use (Plan.Time).
-				np.TimePipelined = pipelinedTimeSec(np)
+				np.TimePipelined = pipelinedTimeSec(np, fanout)
 				next = append(next, np)
 			}
 		}
@@ -327,21 +296,18 @@ func (o *Optimizer) enumerateOrdered(chain []ops.Logical, perm []int, initial op
 // per-operator time deltas folded by the engine's shared wall-clock model
 // (ops.PipelinedWallTime). A partitioned scan fans the plan's stream
 // prefix (ops.StreamPrefix) out into per-partition pipelines, so those
-// stages' deltas divide by the fan-out the scan's source can provide —
-// the same max-across-partitions model the engine applies to its
-// measured clocks.
-func pipelinedTimeSec(p *Plan) float64 {
+// stages' deltas divide by fanout, the partition count the scan's source
+// provides (ScanExec.Partitions) — the same max-across-partitions model
+// the engine applies to its measured clocks.
+func pipelinedTimeSec(p *Plan, fanout int) float64 {
 	deltas := make([]float64, len(p.Ops))
 	var prev float64
 	for i := range p.Ops {
 		deltas[i] = p.PerOp[i].TimeSec - prev
 		prev = p.PerOp[i].TimeSec
 	}
-	if sc, ok := p.Ops[0].(*ops.ScanExec); ok {
-		f := float64(sc.Partitions())
-		for i := range p.Ops[:ops.StreamPrefix(p.Ops)] {
-			deltas[i] /= f
-		}
+	for i := range p.Ops[:ops.StreamPrefix(p.Ops)] {
+		deltas[i] /= float64(fanout)
 	}
 	return ops.PipelinedWallTime(p.Ops, deltas)
 }

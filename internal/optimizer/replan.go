@@ -324,7 +324,11 @@ func refold(p *Plan) {
 	}
 	p.PerOp = perOp
 	p.Final = prev
-	p.TimePipelined = pipelinedTimeSec(p)
+	fanout := 1
+	if sc, ok := p.Ops[0].(*ops.ScanExec); ok {
+		fanout = sc.Partitions()
+	}
+	p.TimePipelined = pipelinedTimeSec(p, fanout)
 }
 
 // withObservedSelectivity returns a copy of a filter operator carrying an

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
+	"repro/internal/dataset"
 	"repro/internal/workloads"
 	"repro/pz"
 )
@@ -584,9 +586,13 @@ type explodingSource struct{}
 
 func (explodingSource) Name() string       { return "exploding" }
 func (explodingSource) Schema() *pz.Schema { return pz.TextFile }
-func (explodingSource) Records() ([]*pz.Record, error) {
+func (explodingSource) Stats() (dataset.SourceStats, error) {
 	panic("source exploded")
 }
+func (explodingSource) Iterate(int, int, func(*pz.Record) error) error {
+	panic("source exploded")
+}
+func (explodingSource) Embeddings() (*corpus.EmbedIndex, error) { return nil, nil }
 
 // TestServePanickingSourceFailsOnlyItsJob: a query over a source that
 // panics ends failed with the panic in its error, and the server goes on

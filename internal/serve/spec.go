@@ -35,11 +35,11 @@ type Spec struct {
 	Policy string `json:"policy,omitempty"`
 	// PolicyParam parameterizes constrained policies (budget, cap, floor).
 	PolicyParam float64 `json:"policy_param,omitempty"`
-	// Partitions requests a partition fan-out for the scan: > 1 splits an
-	// indexed NDJSON dataset across that many parallel range readers
+	// Partitions requests a partition fan-out for the scan: > 1 splits
+	// the dataset across up to that many parallel range readers
 	// (byte-identical results, merged in dataset order), 1 forces a
-	// single reader, 0 defers to the server's -partitions default.
-	// Non-partitionable datasets ignore the request.
+	// single reader, 0 defers to the server's -partitions default. An
+	// unindexed NDJSON dataset is one partition.
 	Partitions int `json:"partitions,omitempty"`
 	// ReoptAfter requests adaptive mid-flight re-optimization: the engine
 	// observes each re-orderable filter stage for this many batches, then
@@ -57,7 +57,7 @@ type Spec struct {
 // the parsed values with CheckEngineFlags.
 func EngineFlags(fs *flag.FlagSet, cfg *pz.Config) {
 	fs.IntVar(&cfg.Parallelism, "parallelism", 4, "max concurrent LLM calls per operator (>1 streams record batches through overlapping stages)")
-	fs.IntVar(&cfg.Partitions, "partitions", 0, "default partition fan-out for indexed NDJSON datasets (0 = single reader, or the server's default when submitting to one)")
+	fs.IntVar(&cfg.Partitions, "partitions", 0, "default partition fan-out for dataset scans (0 = single reader, or the server's default when submitting to one)")
 	fs.IntVar(&cfg.StreamBatchSize, "batch", 0, "record batch size between pipeline stages (0 = auto; floored at -parallelism)")
 	fs.IntVar(&cfg.SampleSize, "sample", 0, "sentinel calibration sample size")
 	fs.IntVar(&cfg.ReoptAfterBatches, "reopt-after", 0, "default batches each filter stage observes before the engine checks for a mid-flight re-plan (0 = disabled)")

@@ -2,10 +2,14 @@ package pz
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/dataset"
+	"repro/internal/trace"
 )
 
 // ticketContext registers an indexed file-backed support corpus.
@@ -102,5 +106,56 @@ func TestOptimizerOptionsForResolvesPartitions(t *testing.T) {
 	}
 	if o := ctx.OptimizerOptionsFor(ds.WithPartitions(1)); o.Partitions != 1 {
 		t.Fatalf("opt-out options = %+v, want partitions 1", o)
+	}
+}
+
+// TestFolderAndDocsPartition: a folder dataset and an in-memory documents
+// dataset split like an indexed corpus. WithPartitions(4) runs four scan
+// partitions, as the trace shows, and returns records byte-identical to
+// WithPartitions(1)'s, at the same cost.
+func TestFolderAndDocsPartition(t *testing.T) {
+	docs := corpus.GenerateLegal(corpus.LegalConfig{NumContracts: 40, IndemnificationRate: 0.4, Seed: 5})
+	const predicate = "The contract contains an indemnification clause"
+	register := map[string]func(*Context) (Source, error){
+		"folder": func(ctx *Context) (Source, error) {
+			dir := filepath.Join(t.TempDir(), "contracts")
+			if _, err := dataset.MaterializeCorpus("contracts", dir, docs); err != nil {
+				return nil, err
+			}
+			return ctx.RegisterDir("contracts", dir)
+		},
+		"docs": func(ctx *Context) (Source, error) { return ctx.RegisterDocs("contracts", TextFile, docs) },
+	}
+	for name, reg := range register {
+		run := func(parts int) *Result {
+			ctx, err := NewContext(Config{Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg(ctx); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := ctx.Dataset("contracts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctx.Execute(ds.WithPartitions(parts).Filter(predicate), MaxQuality())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := res.Trace.Stages()[0]
+			if got := len(scan.FindAll(trace.KindPartition)); got != parts && (parts > 1 || got != 0) {
+				t.Fatalf("%s: WithPartitions(%d) ran %d scan partitions", name, parts, got)
+			}
+			return res
+		}
+		one, four := run(1), run(4)
+		want, got := renderRecords(one.Records), renderRecords(four.Records)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: 4 partitions gave %d records, 1 partition %d, or they differ", name, len(got), len(want))
+		}
+		if math.Abs(four.CostUSD-one.CostUSD) > 1e-9 {
+			t.Fatalf("%s: 4 partitions cost $%v, 1 partition $%v", name, four.CostUSD, one.CostUSD)
+		}
 	}
 }

@@ -57,7 +57,11 @@ type (
 	FieldType = schema.FieldType
 	// Record is one data item flowing through a pipeline.
 	Record = record.Record
-	// Source is a registered dataset.
+	// Source is a registered dataset, whatever backs it (a folder, an
+	// NDJSON corpus, records or documents in memory): its name and
+	// schema, Stats (record count, mean record size and the stride its
+	// ranges start on), Iterate over a record range, and Embeddings, the
+	// corpus's embedding sidecar or nil.
 	Source = dataset.Source
 	// Policy selects among physical plans.
 	Policy = optimizer.Policy
@@ -252,6 +256,24 @@ func (c *Context) RegisterDocs(name string, s *Schema, docs []*corpus.Doc) (Sour
 	return src, nil
 }
 
+// Collect reads every record of src into a slice, for callers that score
+// or print a whole dataset.
+func Collect(src Source) ([]*Record, error) {
+	st, err := src.Stats()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Record, 0, st.NumRecords)
+	err = src.Iterate(0, st.NumRecords, func(r *Record) error {
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Datasets lists registered dataset names.
 func (c *Context) Datasets() []string { return c.registry.Names() }
 
@@ -314,11 +336,11 @@ func (d *Dataset) fail(err error) *Dataset {
 }
 
 // WithPartitions requests a partition fan-out for this pipeline's scan,
-// overriding Config.Partitions: n > 1 fans a partitionable source (an
-// indexed NDJSON corpus) out across n parallel range readers, n == 1
-// forces the single sequential reader, n == 0 restores the Config
-// default. Non-partitionable sources ignore the request and scan
-// sequentially.
+// overriding Config.Partitions: n > 1 fans the source out across up to
+// n parallel range readers, n == 1 forces the single sequential reader,
+// n == 0 restores the Config default. A folder or in-memory source
+// splits at any record, an indexed NDJSON corpus at its index
+// checkpoints, and an unindexed corpus not at all.
 func (d *Dataset) WithPartitions(n int) *Dataset {
 	if n < 0 {
 		return d.fail(fmt.Errorf("pz: negative partition fan-out %d", n))
